@@ -6,95 +6,96 @@ Everything here reduces to three ingredients:
       2F0(n, q; -x) = (1/(n-1)!) int_0^inf (1+x t)^(-q) t^(n-1) e^-t dt,
   which is the quantity the closed-form error-probability and
   inverse-determinant expressions call for (the hypergeometric series
-  itself is divergent);
+  itself is divergent).  It is evaluated, vectorized over x, by one
+  fixed-cost trapezoid rule in s = ln t, accurate to about 1e-13 relative
+  for n <= 72, q <= 16 and x up to 1e11;
 * characteristic coefficients: the partial-fraction expansion of
   det(I + xi A)^(-1) over the distinct eigenvalues of A;
 * block determinants with confluent (multiplicity-aware) columns, evaluated
-  in log-scaled form so factorials and eigenvalue powers never overflow.
+  in log-scaled form so factorials and eigenvalue powers never overflow,
+  and stacked so a whole vector of xi goes through one batched slogdet.
 
-The expected-inverse-determinant evaluators return values in (0, 1]; they
-are the moment generating functions behind every closed-form SEP.
+The expected-inverse-determinant evaluators take xi as a scalar or a
+vector and return values in (0, 1]; they are the moment generating
+functions behind every closed-form SEP.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .corrmat import Spectrum
 from .quadrule import gauss_laguerre_prob, orthonormal_laguerre
 
-_RTOL = 1e-10
-_DEGREES = (64, 128, 256, 512, 1024)
 _TINY = 1e-300
+#: log of the relative size of the dropped left tail of the 2F0 lattice
+_LOG_TAIL = math.log(1e-18)
+#: node-by-entry elements per 2F0 block (512 KiB of doubles)
+_BATCH = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # scalar kernel
 # ---------------------------------------------------------------------------
 
-def _hyp2f0_quad(nw: int, ne: int, x: float) -> float:
-    """Adaptive-quadrature fallback on the defining integral (normalized by
-    Gamma(nw)); used when the Gauss-Laguerre nodes cannot resolve the
-    1/x-scale knee of (1+xt)^-ne."""
-    lg = math.lgamma(nw)
+def _nonneg_vector(x, name: str) -> np.ndarray:
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xv < 0.0):
+        raise ValueError(f"{name} must be nonnegative")
+    return xv
 
-    def f(t):
-        if t <= 0.0:
-            return 0.0 if nw > 1 else math.exp(-ne * math.log1p(x * t))
-        return math.exp((nw - 1) * math.log(t) - t - lg - ne * math.log1p(x * t))
 
-    knee = 1.0 / x
-    mid = max(8.0 * nw, 200.0 * knee)
-    pts = sorted({min(knee, 0.5 * mid), min(float(nw), 0.9 * mid)})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        head, _ = integrate.quad(f, 0.0, mid, points=pts, epsabs=0.0,
-                                 epsrel=1e-12, limit=500)
-        tail, _ = integrate.quad(f, mid, np.inf, epsrel=1e-12, limit=200)
-    return head + tail
+def _shaped_like(x, out: np.ndarray):
+    """out as a float when x is a scalar, else as the array."""
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def hyp2f0(n: int, q: int, x):
     """2F0(n, q; -x) for positive integers n, q and x >= 0 (scalar or array).
 
-    Evaluated by generalized Gauss-Laguerre quadrature on the defining
-    integral, with the larger of (n, q) taken as the weight order (the
-    function is symmetric in its parameters).  The node count doubles from
-    64 until successive results agree to 1e-10 relative (cap 1024); any
-    entry still unconverged at the cap is finished by adaptive quadrature.
-    Values lie in (0, 1], equal 1 at x = 0, and decrease in x.
+    The defining integral, with nw, ne = max(n, q), min(n, q) (the function
+    is symmetric in its parameters), is taken to the variable s = ln t:
+
+        2F0(n, q; -x) = int exp(nw s - e^s - lnGamma(nw) - ne log1p(x e^s)) ds.
+
+    The integrand is analytic in a strip around the real axis and decays
+    double-exponentially to the right and like e^(nw s) to the left, so the
+    trapezoid rule converges geometrically; the 1/x knee of (1+xt)^-ne is an
+    O(1)-wide bend at s = -ln x and needs no special treatment.  The lattice
+    has step min(0.2, 0.5/sqrt(nw)), is anchored at s = ln(nw + 12 sqrt(nw)
+    + 40), and runs down to where e^(nw s)/Gamma(nw) falls below 1e-18 times
+    the Jensen lower bound (1 + x nw)^-ne of the result.  A vector x shares
+    one lattice (sized for its largest entry), so a vector call agrees with
+    scalar calls to round-off.  Agreement with the confluent hypergeometric
+    form x^-n U(n, n-q+1, 1/x) is about 1e-13 relative for n <= 72,
+    q <= 16 and x up to 1e11.  Values lie in (0, 1], equal 1 at x = 0, and
+    decrease in x; results below the double range underflow to 0.
     """
     if n < 1 or q < 1:
         raise ValueError("parameters must be positive integers")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xv < 0.0):
-        raise ValueError("argument x must be nonnegative")
-    nw, ne = max(n, q), min(n, q)
-
-    cur = np.ones_like(xv)
-    conv = xv == 0.0
-    prev = None
-    for deg in _DEGREES:
-        t, w = gauss_laguerre_prob(deg, nw - 1)
-        cur = np.exp(-ne * np.log1p(np.outer(xv, t))) @ w
-        if prev is not None:
-            conv = np.abs(cur - prev) <= _RTOL * np.maximum(cur, _TINY)
-            if conv.all():
-                break
-        prev = cur
-    if not conv.all():
-        for i in np.nonzero(~conv)[0]:
-            cur[i] = _hyp2f0_quad(nw, ne, float(xv[i]))
-    cur[xv == 0.0] = 1.0
-    # the integrand never exceeds the weight, so round-off above 1 is noise
-    np.minimum(cur, 1.0, out=cur)
-    return float(cur[0]) if scalar else cur
+    xv = _nonneg_vector(x, "argument x")
+    out = np.ones_like(xv)
+    pos = np.nonzero(xv > 0.0)[0]
+    if pos.size:
+        nw, ne = max(n, q), min(n, q)
+        lg = math.lgamma(nw)
+        h = min(0.2, 0.5 / math.sqrt(nw))
+        s_hi = math.log(nw + 12.0 * math.sqrt(nw) + 40.0)
+        s_lo = (lg + _LOG_TAIL - ne * math.log1p(float(xv[pos].max()) * nw)) / nw
+        s = s_hi - h * np.arange(math.ceil((s_hi - s_lo) / h) + 1)
+        t = np.exp(s)
+        logw = nw * s - t - lg + math.log(h)
+        # bound the node-by-entry temporaries to _BATCH doubles
+        step = max(1, _BATCH // s.size)
+        for lo in range(0, pos.size, step):
+            idx = pos[lo : lo + step]
+            out[idx] = np.exp(logw - ne * np.log1p(np.outer(xv[idx], t))).sum(axis=1)
+        # the integrand never exceeds the weight, so round-off above 1 is noise
+        np.minimum(out, 1.0, out=out)
+    return _shaped_like(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +166,25 @@ def characteristic_coefficients(spec: Spectrum) -> CharCoefficients:
 # log-scaled determinants
 # ---------------------------------------------------------------------------
 
-def _det_scaled(logmag: np.ndarray, sign: np.ndarray) -> tuple[float, float]:
+def _det_scaled(logmag: np.ndarray, sign: np.ndarray):
     """(sign, log|det|) of the matrix sign*exp(logmag), via row/column
-    balancing so the scaled matrix feeds slogdet with O(1) entries."""
-    with np.errstate(invalid="ignore"):
-        r = logmag.max(axis=1)
-        if not np.all(np.isfinite(r)):
-            return 0.0, -np.inf
-        c = (logmag - r[:, None]).max(axis=0)
-        c = np.where(np.isfinite(c), c, 0.0)
-        m = sign * np.exp(logmag - r[:, None] - c[None, :])
+    balancing so the scaled matrix feeds slogdet with O(1) entries.
+
+    Stacked (..., m, m) inputs give arrays of shape (...); a single matrix
+    gives two floats.  A matrix with an all-zero row is (0, -inf)."""
+    r = logmag.max(axis=-1)
+    dead = ~np.isfinite(r).all(axis=-1)
+    r = np.where(np.isfinite(r), r, 0.0)
+    c = (logmag - r[..., None]).max(axis=-2)
+    c = np.where(np.isfinite(c), c, 0.0)
+    m = sign * np.exp(logmag - r[..., None] - c[..., None, :])
     s, ld = np.linalg.slogdet(m)
-    if s == 0.0:
-        return 0.0, -np.inf
-    return float(s), float(ld + r.sum() + c.sum())
+    dead |= s == 0.0
+    s = np.where(dead, 0.0, s)
+    ld = np.where(dead, -np.inf, ld + r.sum(axis=-1) + c.sum(axis=-1))
+    if logmag.ndim == 2:
+        return float(s), float(ld)
+    return s, ld
 
 
 def _poch(a: int, k: int) -> float:
@@ -436,48 +442,37 @@ def quadratic_form_eigen_pdf(lams, n: int, beta_spec: Spectrum) -> float:
 # ---------------------------------------------------------------------------
 
 def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum,
-                          xi: float) -> float:
+                          xi):
     """E det(I + xi A (x) XX^H)^(-1) for X m x n (m <= n) with row covariance
-    Sigma and a PSD matrix A; arguments are the two spectra and xi >= 0."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
+    Sigma and a PSD matrix A; arguments are the two spectra and xi >= 0
+    (scalar or vector; one stacked determinant per entry)."""
+    xv = _nonneg_vector(xi, "xi")
     if sigma_spec.dim != m or n < m:
         raise ValueError("need sigma spectrum of dimension m and n >= m")
     coeffs = characteristic_coefficients(a_spec)
 
-    olog = np.empty((m, m))
-    osign = np.empty((m, m))
+    olog = np.empty((xv.size, m, m))
+    osign = np.empty((xv.size, m, m))
     col = 0
     for val, mult in sigma_spec.distinct:
-        lv = math.log(val)
         # entries depend on (i, j) through s = i + j; evaluate each s once
-        svals = {}
+        slog, ssign = {}, {}
+        for s in range(2, m + mult + 1):
+            inner = sum(x * hyp2f0(n - m + s - 1, jj, xv * av * val)
+                        for _, av, jj, x in coeffs.items())
+            with np.errstate(divide="ignore"):
+                slog[s] = (math.lgamma(n - m + s - 1) + (n - m + s - 1) * math.log(val)
+                           + np.log(np.abs(inner)))
+            ssign[s] = np.sign(inner)
         for j in range(1, mult + 1):
             for i in range(1, m + 1):
-                s = i + j
-                if s not in svals:
-                    inner = sum(
-                        x * hyp2f0(n - m + s - 1, jj, xi * av * val)
-                        for _, av, jj, x in coeffs.items()
-                    )
-                    svals[s] = inner
-                inner = svals[s]
-                if inner == 0.0:
-                    olog[i - 1, col] = -np.inf
-                    osign[i - 1, col] = 0.0
-                else:
-                    olog[i - 1, col] = (math.lgamma(n - m + s - 1)
-                                        + (n - m + s - 1) * lv
-                                        + math.log(abs(inner)))
-                    osign[i - 1, col] = math.copysign(1.0, inner)
+                olog[:, i - 1, col] = slog[i + j]
+                osign[:, i - 1, col] = ssign[i + j]
             col += 1
     num_s, num_l = _det_scaled(olog, osign)
     den_s, den_l = _det_scaled(*_conf_vandermonde_blocks(sigma_spec, m, n))
     log_k = sum(math.lgamma(n - i + 1) for i in range(1, m + 1))
-    sign = num_s * den_s
-    if sign == 0.0:
-        return 0.0
-    return sign * math.exp(num_l - den_l - log_k)
+    return _shaped_like(xi, num_s * den_s * np.exp(num_l - den_l - log_k))
 
 
 def uncorrelated_hankel(m: int, n: int, nu: int, xi) -> np.ndarray:
@@ -492,19 +487,20 @@ def uncorrelated_hankel(m: int, n: int, nu: int, xi) -> np.ndarray:
     return out[0] if np.isscalar(xi) or np.ndim(xi) == 0 else out
 
 
-def _uncorr_hankel_logdet(m: int, n: int, nu: int, xi: float) -> float:
-    llog = np.empty((m, m))
+def _uncorr_hankel(m: int, n: int, nu: int, xi: np.ndarray) -> np.ndarray:
+    """Log-scaled Hankel determinant ratio, one stacked determinant per xi."""
+    logf = np.empty((xi.size, 2 * m - 1))
     for s in range(2, 2 * m + 1):
-        f = hyp2f0(n - m + s - 1, nu, xi)
-        lv = math.lgamma(n - m + s - 1) + (math.log(f) if f > 0 else -np.inf)
-        for i in range(max(1, s - m), min(m, s - 1) + 1):
-            llog[i - 1, s - i - 1] = lv
-    sgn, log = _det_scaled(llog, np.ones((m, m)))
+        with np.errstate(divide="ignore"):
+            logf[:, s - 2] = np.log(hyp2f0(n - m + s - 1, nu, xi))
+        logf[:, s - 2] += math.lgamma(n - m + s - 1)
+    sgn, log = _det_scaled(logf[:, np.add.outer(np.arange(m), np.arange(m))],
+                           np.ones((m, m)))
     log_a = sum(math.lgamma(n - k + 1) + math.lgamma(k) for k in range(1, m + 1))
-    return 0.0 if sgn == 0.0 else sgn * math.exp(log - log_a)
+    return sgn * np.exp(log - log_a)
 
 
-def _uncorr_gram(m: int, n: int, nu: int, xi: float) -> float:
+def _uncorr_gram(m: int, n: int, nu: int, xi: np.ndarray) -> np.ndarray:
     """Same expectation through the orthonormal-polynomial Gram determinant:
     det of int p_i p_j (1+xi t)^(-nu) dmu over the Laguerre measure of order
     n-m.  No factorials appear, so this stays accurate for n in the
@@ -515,12 +511,13 @@ def _uncorr_gram(m: int, n: int, nu: int, xi: float) -> float:
     for deg in (256, 512, 1024, 2048):
         t, w = gauss_laguerre_prob(deg, alpha)
         p = orthonormal_laguerre(t, alpha, m)
-        g = (p * (w * np.exp(-nu * np.log1p(xi * t)))) @ p.T
-        val = float(np.linalg.det(g))
-        if prev is not None and abs(val - prev) <= 1e-11 * max(abs(val), _TINY):
-            return val
-        prev = val
-    return val
+        wf = w * np.exp(-nu * np.log1p(np.outer(xi, t)))
+        vals = np.linalg.det(np.einsum("ad,id,jd->aij", wf, p, p))
+        if prev is not None and np.all(np.abs(vals - prev)
+                                       <= 1e-11 * np.maximum(np.abs(vals), _TINY)):
+            return vals
+        prev = vals
+    return vals
 
 
 #: n above which the Hankel route's factorial cancellation (growing like
@@ -528,39 +525,36 @@ def _uncorr_gram(m: int, n: int, nu: int, xi: float) -> float:
 _HANKEL_MAX_N = 64
 
 
-def expected_inv_det_uncorr(m: int, n: int, nu: int, xi: float,
-                            method: str = "auto") -> float:
+def expected_inv_det_uncorr(m: int, n: int, nu: int, xi, method: str = "auto"):
     """E det(I + xi XX^H)^(-nu) for an m x n i.i.d. standard complex Gaussian
     X with m <= n; equals the Hankel determinant ratio of the uncorrelated
-    reduction.  method: "hankel", "gram", or "auto" (hankel for n <= 64)."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
+    reduction.  xi >= 0 is a scalar or a vector.  method: "hankel", "gram",
+    or "auto" (hankel for n <= 64)."""
+    xv = _nonneg_vector(xi, "xi")
     if m > n:
         raise ValueError("need m <= n")
-    if xi == 0.0:
-        return 1.0
     if method == "auto":
         method = "hankel" if n <= _HANKEL_MAX_N else "gram"
-    if method == "hankel":
-        return _uncorr_hankel_logdet(m, n, nu, xi)
-    if method == "gram":
-        return _uncorr_gram(m, n, nu, xi)
-    raise ValueError(f"unknown method {method!r}")
+    routes = {"hankel": _uncorr_hankel, "gram": _uncorr_gram}
+    if method not in routes:
+        raise ValueError(f"unknown method {method!r}")
+    out = np.ones_like(xv)
+    pos = xv > 0.0
+    if pos.any():
+        out[pos] = routes[method](m, n, nu, xv[pos])
+    return _shaped_like(xi, out)
 
 
-def expected_inv_det_miso(sigma_spec: Spectrum, psi_spec: Spectrum,
-                          xi: float) -> float:
+def expected_inv_det_miso(sigma_spec: Spectrum, psi_spec: Spectrum, xi):
     """E det(I + xi XX^H)^(-1) for X with row covariance Sigma and column
     covariance Psi: a quadruple sum of characteristic-coefficient products
-    against 2F0 kernels.  Symmetric in the two spectra."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
-    if xi == 0.0:
-        return 1.0
+    against 2F0 kernels, xi >= 0 a scalar or a vector.  Symmetric in the two
+    spectra."""
+    xv = _nonneg_vector(xi, "xi")
     cs = characteristic_coefficients(sigma_spec)
     cp = characteristic_coefficients(psi_spec)
-    total = 0.0
+    total = np.zeros_like(xv)
     for _, sv, i, xs in cs.items():
         for _, pv, j, xp in cp.items():
-            total += xs * xp * hyp2f0(i, j, xi * sv * pv)
-    return float(total)
+            total += xs * xp * hyp2f0(i, j, xv * sv * pv)
+    return _shaped_like(xi, np.where(xv == 0.0, 1.0, total))

@@ -26,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import detform
-from .detform import characteristic_coefficients, hyp2f0
+from .detform import (expected_inv_det_kron, expected_inv_det_miso,
+                      expected_inv_det_uncorr)
 from .matstat import Scenario
 from .quadrule import gauss_legendre
 
@@ -122,42 +122,7 @@ def sep_mpsk_uncorrelated(scn: Scenario, psk: PskConstellation, snr: float,
         raise ValueError("uncorrelated formula needs identity correlations")
     xi, w = _xi_of_theta(scn, psk, snr, nodes)
     n1, n2 = min(scn.n_t, scn.n_s), max(scn.n_t, scn.n_s)
-    vals = _mgf_uncorr_vec(n1, n2, scn.n_r, xi)
-    return float(vals @ w) / math.pi
-
-
-def _mgf_uncorr_vec(m: int, n: int, nu: int, xi: np.ndarray) -> np.ndarray:
-    if n <= detform._HANKEL_MAX_N:
-        logf = np.empty((2 * m - 1, xi.size))
-        for s in range(2, 2 * m + 1):
-            f = hyp2f0(n - m + s - 1, nu, xi)
-            with np.errstate(divide="ignore"):
-                logf[s - 2] = math.lgamma(n - m + s - 1) + np.log(f)
-        log_a = sum(math.lgamma(n - k + 1) + math.lgamma(k) for k in range(1, m + 1))
-        out = np.empty(xi.size)
-        lmat = np.empty((m, m))
-        for a in range(xi.size):
-            for i in range(m):
-                lmat[i] = logf[i : i + m, a]
-            sgn, log = detform._det_scaled(lmat, np.ones((m, m)))
-            out[a] = 0.0 if sgn == 0.0 else sgn * math.exp(log - log_a)
-        return out
-    # large second dimension: factorial-free Gram determinant route
-    from .quadrule import gauss_laguerre_prob, orthonormal_laguerre
-
-    alpha = n - m
-    prev = None
-    for deg in (256, 512, 1024, 2048):
-        t, wq = gauss_laguerre_prob(deg, alpha)
-        p = orthonormal_laguerre(t, alpha, m)
-        wf = wq * np.exp(-nu * np.log1p(np.outer(xi, t)))
-        g = np.einsum("ad,id,jd->aij", wf, p, p)
-        vals = np.linalg.det(g)
-        if prev is not None and np.all(np.abs(vals - prev)
-                                       <= 1e-11 * np.maximum(np.abs(vals), 1e-300)):
-            return vals
-        prev = vals
-    return vals
+    return float(expected_inv_det_uncorr(n1, n2, scn.n_r, xi) @ w) / math.pi
 
 
 def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float,
@@ -177,47 +142,9 @@ def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float,
             f"doubly-correlated closed form needs n_s >= n_t, got ({scn.n_s}, {scn.n_t})"
         )
     xi, w = _xi_of_theta(scn, psk, snr, nodes)
-    m, n = scn.n_t, scn.n_s
-    spec_t = scn.phi_t.spectrum
-    coef_r = characteristic_coefficients(scn.phi_r.spectrum)
-
-    # inner 2F0 sums, one theta-vector per (transmit block, anti-diagonal)
-    inner = {}
-    for k, (tv, tm) in enumerate(spec_t.distinct):
-        for s in range(2, 2 * m + 1):
-            acc = np.zeros(xi.size)
-            for _, rv, q, x in coef_r.items():
-                acc += x * hyp2f0(n - m + s - 1, q, xi * rv * tv)
-            inner[(k, s)] = acc
-
-    den_s, den_l = detform._det_scaled(
-        *detform._conf_vandermonde_blocks(spec_t, m, n))
-    log_k = sum(math.lgamma(n - i + 1) for i in range(1, m + 1))
-
-    out = np.empty(xi.size)
-    llog = np.empty((m, m))
-    lsign = np.empty((m, m))
-    for a in range(xi.size):
-        col = 0
-        for k, (tv, tm) in enumerate(spec_t.distinct):
-            ltv = math.log(tv)
-            for j in range(1, tm + 1):
-                for i in range(1, m + 1):
-                    s = i + j
-                    v = inner[(k, s)][a]
-                    if v == 0.0:
-                        llog[i - 1, col] = -np.inf
-                        lsign[i - 1, col] = 0.0
-                    else:
-                        llog[i - 1, col] = (math.lgamma(n - m + s - 1)
-                                            + (n - m + s - 1) * ltv
-                                            + math.log(abs(v)))
-                        lsign[i - 1, col] = math.copysign(1.0, v)
-                col += 1
-        num_s, num_l = detform._det_scaled(llog, lsign)
-        sgn = num_s * den_s
-        out[a] = 0.0 if sgn == 0.0 else sgn * math.exp(num_l - den_l - log_k)
-    return float(out @ w) / math.pi
+    mgf = expected_inv_det_kron(scn.n_t, scn.n_s, scn.phi_t.spectrum,
+                                scn.phi_r.spectrum, xi)
+    return float(mgf @ w) / math.pi
 
 
 def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float,
@@ -232,13 +159,8 @@ def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float,
     if scn.n_r != 1:
         raise ValueError("MISO formula needs n_r = 1")
     xi, w = _xi_of_theta(scn, psk, snr, nodes)
-    cs = characteristic_coefficients(scn.phi_s.spectrum)
-    ct = characteristic_coefficients(scn.phi_t.spectrum)
-    acc = np.zeros(xi.size)
-    for _, sv, i, xs in cs.items():
-        for _, tv, j, xt in ct.items():
-            acc += (xs * xt) * hyp2f0(i, j, xi * sv * tv)
-    return float(acc @ w) / math.pi
+    mgf = expected_inv_det_miso(scn.phi_s.spectrum, scn.phi_t.spectrum, xi)
+    return float(mgf @ w) / math.pi
 
 
 def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: float,

@@ -24,7 +24,7 @@ from dsmimo.sep import (PskConstellation, sep_mpsk, sep_mpsk_doubly_correlated,
                         sep_mpsk_uncorrelated)
 
 from conftest import cgauss
-from test_detform import max_eig_cdf, oracle_2f0
+from oracles import max_eig_cdf, oracle_2f0
 
 
 def db(x):

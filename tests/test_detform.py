@@ -1,6 +1,5 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,31 +7,20 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from dsmimo.corrmat import Spectrum, constant_corr
-from dsmimo.detform import (CharCoefficients, HypKernelId,
+from dsmimo.detform import (CharCoefficients, HypKernelId, _det_scaled,
                             characteristic_coefficients, expected_inv_det_kron,
                             expected_inv_det_miso, expected_inv_det_uncorr,
                             hyp2f0, hyp_det_two_matrix, quadratic_form_eigen_pdf,
                             uncorrelated_hankel, wishart_eigen_pdf)
 
 from conftest import cgauss
+from oracles import max_eig_cdf, oracle_2f0, oracle_2f0_hyperu
 
 
 def spec_of(vals, mults=None):
     if mults is None:
         mults = [1] * len(vals)
     return Spectrum(tuple(float(v) for v in vals), tuple(mults), sum(mults))
-
-
-def oracle_2f0(n, q, x, dps=40):
-    """High-precision quadrature of the defining integral, independent of the
-    production Gauss-Laguerre path."""
-    if x == 0:
-        return 1.0
-    with mp.workdps(dps):
-        xm = mp.mpf(x)
-        f = lambda t: (1 + xm * t) ** (-q) * t ** (n - 1) * mp.e ** (-t)
-        val = mp.quad(f, [0, 1 / xm, n, mp.inf]) / mp.factorial(n - 1)
-        return float(val)
 
 
 class TestHyp2f0:
@@ -95,6 +83,56 @@ class TestHyp2f0:
         v = hyp2f0(n, q, x)
         assert 0.0 < v <= 1.0
         assert v == pytest.approx(hyp2f0(q, n, x), rel=1e-9)
+
+
+#: grid over the kernel's verified domain: n in [1, 72], q in [1, 16],
+#: x in {0} and [1e-3, 1e11]
+WIDE_N = (1, 2, 3, 4, 6, 9, 13, 18, 27, 40, 55, 72)
+WIDE_Q = (1, 2, 3, 5, 8, 12, 16)
+WIDE_X = (0.0, 1e-3, 0.04, 0.7, 12.0, 350.0, 1.1e4, 3.1e6, 1.2e9, 1e11)
+
+
+class TestHyp2f0WideDomain:
+    @pytest.mark.parametrize("n", WIDE_N)
+    def test_matches_hyperu_oracle(self, n):
+        for q in WIDE_Q:
+            for x in WIDE_X:
+                assert hyp2f0(n, q, x) == pytest.approx(
+                    oracle_2f0_hyperu(n, q, x), rel=1e-12, abs=0.0), (n, q, x)
+
+    def test_large_argument_beyond_quad_oracle(self):
+        # the mp.quad oracle returns 2.83e-97 here; U gives the true value
+        ref = oracle_2f0_hyperu(13, 16, 3.1e6)
+        assert ref == pytest.approx(6.36e-97, rel=1e-3)
+        assert hyp2f0(13, 16, 3.1e6) == pytest.approx(ref, rel=1e-12)
+        assert hyp2f0(18, 17, 1.2e9) == pytest.approx(
+            oracle_2f0_hyperu(18, 17, 1.2e9), rel=1e-12)
+
+    @pytest.mark.parametrize("n", WIDE_N)
+    def test_vector_matches_scalar_calls(self, n):
+        xs = np.array(WIDE_X)
+        for q in WIDE_Q:
+            v = hyp2f0(n, q, xs)
+            ref = np.array([hyp2f0(n, q, float(x)) for x in xs])
+            np.testing.assert_allclose(v, ref, rtol=1e-14, atol=0.0)
+
+
+class TestDetScaled:
+    def test_stacked_equals_loop(self, rng):
+        logmag = rng.uniform(-40.0, 40.0, size=(6, 4, 4))
+        sign = rng.choice([-1.0, 1.0], size=(6, 4, 4))
+        logmag[1, 2] = -np.inf          # an all-zero row
+        logmag[3, :, 0] = -np.inf       # an all-zero column
+        logmag[4, 0] = logmag[4, 3]     # two equal rows: singular
+        sign[4, 0] = sign[4, 3]
+        s, ld = _det_scaled(logmag, sign)
+        assert s.shape == ld.shape == (6,)
+        for k in range(6):
+            sk, lk = _det_scaled(logmag[k], sign[k])
+            assert isinstance(sk, float) and isinstance(lk, float)
+            assert (s[k], ld[k]) == (sk, lk)
+        assert (s[1], ld[1]) == (0.0, -np.inf)
+        assert (s[3], ld[3]) == (0.0, -np.inf)
 
 
 class TestCharacteristicCoefficients:
@@ -252,28 +290,6 @@ class TestQuadraticFormEigenPdf:
             lambda l2, l1: quadratic_form_eigen_pdf([l1, l2], 2, beta), 0, 120,
             0, lambda l1: l1, epsabs=1e-9, epsrel=1e-9)
         assert val == pytest.approx(1.0, abs=1e-6)
-
-
-def max_eig_cdf(pdf2, grid):
-    """CDF of the largest of two ordered eigenvalues from a joint pdf, by
-    nested quadrature on a grid, returned as an interpolant."""
-    from scipy.interpolate import PchipInterpolator
-
-    gx, gw = np.polynomial.legendre.leggauss(96)
-    dens = np.empty_like(grid)
-    for i, x in enumerate(grid):
-        t = 0.5 * x * (gx + 1)
-        w = 0.5 * x * gw
-        dens[i] = sum(wi * pdf2(x, ti) for ti, wi in zip(t, w))
-    cdf_vals = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
-    interp = PchipInterpolator(grid, np.clip(cdf_vals, 0, 1))
-    top = float(cdf_vals[-1])
-
-    def cdf(x):
-        x = np.asarray(x, float)
-        return np.where(x >= grid[-1], top, np.clip(interp(np.clip(x, 0, grid[-1])), 0, 1))
-
-    return cdf
 
 
 class TestEigenPdfVsSampling:

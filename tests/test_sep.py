@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
 
+import dsmimo
 from dsmimo.codes import alamouti, g4
-from dsmimo.corrmat import Spectrum, constant_corr, identity_corr
-from dsmimo.detform import expected_inv_det_miso
+from dsmimo.corrmat import Spectrum, constant_corr, exponential_corr, identity_corr
+from dsmimo.detform import characteristic_coefficients, expected_inv_det_miso
 from dsmimo.matstat import Scenario
 from dsmimo.mc import MonteCarloConfig, mc_sep
 from dsmimo.quadrule import gauss_legendre
@@ -17,6 +23,8 @@ from dsmimo.sep import (PskConstellation, UnsupportedScenarioError,
                         sep_mpsk_iid_rayleigh, sep_mpsk_miso,
                         sep_mpsk_no_double_scattering, sep_mpsk_uncorrelated,
                         sep_theta_integral)
+
+from oracles import oracle_2f0_hyperu
 
 
 def db(x):
@@ -222,6 +230,30 @@ class TestMiso:
         with pytest.raises(ValueError):
             sep_mpsk_miso(scn, PskConstellation(4), 10.0)
 
+    def test_partial_fraction_sum_matches_mpmath_kernels(self):
+        # 4x10x1, exponential rho=0.5 on transmit and scatterer sides: the
+        # coefficient products sum to |X| = 4096, so kernel errors are
+        # amplified ~4000x at 30 dB; the float coefficients are kept and
+        # only the 2F0 kernels are swapped for the U-function oracle
+        psk = PskConstellation(8)
+        snr = db(30.0)
+        scn = Scenario(4, 10, 1, exponential_corr(4, 0.5), exponential_corr(10, 0.5),
+                       identity_corr(1), g4())
+        th, w = gauss_legendre(128, psk.theta_max)
+        xi = psk.g * snr / (scn.n_s * scn.n_t * float(scn.rate) * np.sin(th) ** 2)
+        cs = characteristic_coefficients(scn.phi_s.spectrum)
+        ct = characteristic_coefficients(scn.phi_t.spectrum)
+        ref = mp.mpf(0)
+        with mp.workdps(40):
+            for x, wk in zip(xi, w):
+                mgf = mp.fsum(mp.mpf(xs) * mp.mpf(xt)
+                              * mp.mpf(oracle_2f0_hyperu(i, j, x * sv * tv, dps=20))
+                              for _, sv, i, xs in cs.items()
+                              for _, tv, j, xt in ct.items())
+                ref += mgf * mp.mpf(wk)
+            ref = float(ref / mp.pi)
+        assert sep_mpsk(scn, psk, snr) == pytest.approx(ref, rel=1e-6)
+
 
 class TestNoDoubleScattering:
     def test_identity_matches_iid_reference(self):
@@ -292,3 +324,18 @@ class TestDispatchAndInvariants:
             seps = [sep_mpsk(scn, psk, db(s)) for s in grid]
             assert all(0 < v <= psk.sep_ceiling + 1e-12 for v in seps)
             assert all(a > b for a, b in zip(seps, seps[1:]))
+
+
+def test_closed_form_leaves_scipy_integrate_unloaded():
+    # the closed forms need no adaptive quadrature; importing it costs
+    # about 0.3 s of start-up
+    code = ("import sys, dsmimo\n"
+            "scn = dsmimo.Scenario.uncorrelated(4, 10, 4, dsmimo.g4())\n"
+            "dsmimo.sep_mpsk(scn, dsmimo.PskConstellation(8), 100.0)\n"
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'\n")
+    src = str(Path(dsmimo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
