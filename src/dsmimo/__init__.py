@@ -14,12 +14,11 @@ from .detform import (CharCoefficients, HypKernelId, characteristic_coefficients
 from .lowsnr import (LowSnrMetrics, ebn0_min, ebn0_min_received_db, eff_stbc,
                      lowsnr_capacity_curve, lowsnr_metrics, s0_general,
                      s0_ostbc, schur_order_eigs)
-from .matstat import (GaussianMatrixSpec, Scenario, double_product_moments,
-                      expected_trace_square, kurtosis_frobenius,
-                      sample_channel, sample_gaussian, trace_quadratic_cumulant)
+from .matstat import (Scenario, double_product_moments, expected_trace_square,
+                      kurtosis_frobenius, sample_channel, trace_quadratic_cumulant)
 from .mc import (Estimate, MonteCarloConfig, fit_diversity_slope, mc_capacity,
                  mc_kurtosis_eff, mc_sep, substream)
-from .sep import (PskConstellation, SepResult, UnsupportedScenarioError,
+from .sep import (PskConstellation, UnsupportedScenarioError,
                   conditional_sep_mpsk, diversity_order, ostbc_snr_scale,
                   sep_mpsk, sep_mpsk_doubly_correlated, sep_mpsk_iid_rayleigh,
                   sep_mpsk_miso, sep_mpsk_no_double_scattering,

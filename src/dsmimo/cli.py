@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .corrmat import (CorrelationMatrix, constant_corr, exponential_corr,
                       identity_corr, majorizes, tridiagonal_corr)
 from .matstat import Scenario, kurtosis_frobenius
 from .mc import MonteCarloConfig, mc_kurtosis_eff, mc_sep, mc_capacity
-from .sep import PskConstellation, SepResult, UnsupportedScenarioError
+from .sep import PskConstellation, UnsupportedScenarioError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,7 +155,6 @@ class RunConfig:
     trials: int
     seed: int
     output: str | None
-    extras: dict[str, str] = field(default_factory=dict)
 
     def scenario(self, n_s: int | None = None, rho: float | None = None) -> Scenario:
         """Build the configured scenario, optionally overriding n_s or the
@@ -189,10 +188,6 @@ class RunConfig:
     def mc(self) -> MonteCarloConfig:
         return MonteCarloConfig(trials=self.trials, seed=self.seed)
 
-    def scenario_id(self) -> str:
-        tag = "nods" if self.no_double_scattering else f"ns{self.n_s}"
-        return f"{self.n_t}x{self.n_r}-{tag}-{self.code_name}-{self.psk_m}psk"
-
 
 def build_run_config(raw: dict[str, str], args) -> RunConfig:
     n_t = _get_int(raw, "scenario.n_t", 1)
@@ -210,7 +205,9 @@ def build_run_config(raw: dict[str, str], args) -> RunConfig:
         raise ConfigError("key 'snr.step_db': must be positive")
     if stop < start:
         raise ConfigError("key 'snr.stop_db': must be >= snr.start_db")
-    trials = args.trials if args.trials is not None else _get_int(raw, "mc.trials", 1)
+    trials = args.trials if args.trials is not None else _get_int(raw, "mc.trials")
+    if trials < 1:
+        raise ConfigError(f"key 'mc.trials': must be >= 1, got {trials}")
     seed = args.seed if args.seed is not None else _get_int(raw, "mc.seed")
     if not 0 <= seed < 2**64:
         raise ConfigError("key 'mc.seed': must fit in 64 bits")
@@ -266,6 +263,17 @@ def _require_output(cfg: RunConfig) -> str:
     return cfg.output
 
 
+def _write_rows(out: str, header: list[str], rows: list[list]) -> int:
+    """Write the result CSV, or exit 4 without writing when any value is
+    non-finite."""
+    if _has_bad_number(rows):
+        print("numeric failure: non-finite value in results", file=sys.stderr)
+        return EXIT_NUMERIC
+    write_csv(out, header, rows)
+    print(f"wrote {len(rows)} rows to {out}")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -274,31 +282,21 @@ def cmd_sep_curve(cfg: RunConfig) -> int:
     out = _require_output(cfg)
     scn = cfg.scenario()
     psk = cfg.psk()
-    sid = cfg.scenario_id()
     d = float(sep_mod.diversity_order(scn))
     rows = []
     for snr_db in cfg.snr_grid_db():
         snr = 10.0 ** (snr_db / 10.0)
         try:
-            cf = SepResult(snr_db, sep_mod.sep_mpsk(scn, psk, snr),
-                           "closed_form", sid)
+            cf = sep_mod.sep_mpsk(scn, psk, snr)
         except UnsupportedScenarioError:
             cf = None
         est = mc_sep(scn, psk, snr, cfg.mc())
-        mc = SepResult(snr_db, est.value, "monte_carlo", sid)
         # values below the numeric floor are reported as computed, flagged,
         # never clamped
-        flag = ("below numeric floor"
-                if cf is not None and 0 < cf.sep < 1e-12 else "")
-        rows.append([snr_db, cf.sep if cf else None, mc.sep, est.std_error, d,
-                     flag])
-    if _has_bad_number(rows):
-        print("numeric failure: non-finite value in results", file=sys.stderr)
-        return EXIT_NUMERIC
-    write_csv(out, ["snr_db", "sep_closed_form", "sep_mc", "mc_std_err",
-                    "diversity_order", "flag"], rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return EXIT_OK
+        flag = "below numeric floor" if cf is not None and 0 < cf < 1e-12 else ""
+        rows.append([snr_db, cf, est.value, est.std_error, d, flag])
+    return _write_rows(out, ["snr_db", "sep_closed_form", "sep_mc", "mc_std_err",
+                             "diversity_order", "flag"], rows)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -328,12 +326,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             cf = None
         est = mc_sep(scn, psk, snr, cfg.mc())
         rows.append([float(tok), cf, est.value, est.std_error])
-    if _has_bad_number(rows):
-        print("numeric failure: non-finite value in results", file=sys.stderr)
-        return EXIT_NUMERIC
-    write_csv(out, [axis, "sep_closed_form", "sep_mc", "mc_std_err"], rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return EXIT_OK
+    return _write_rows(out, [axis, "sep_closed_form", "sep_mc", "mc_std_err"], rows)
 
 
 def cmd_lowsnr(cfg: RunConfig) -> int:
@@ -372,13 +365,8 @@ def cmd_lowsnr(cfg: RunConfig) -> int:
             ebn0_rx_db = 10.0 * math.log10(scn.n_r * snr / est.value)
             rows.append([f"mc_{mode}", ebn0_rx_db, est.value, snr_db,
                          est.std_error])
-    if _has_bad_number(rows):
-        print("numeric failure: non-finite value in results", file=sys.stderr)
-        return EXIT_NUMERIC
-    write_csv(out, ["series", "ebn0_received_db", "capacity_bits_per_s_hz",
-                    "snr_db", "std_err"], rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return EXIT_OK
+    return _write_rows(out, ["series", "ebn0_received_db", "capacity_bits_per_s_hz",
+                             "snr_db", "std_err"], rows)
 
 
 def cmd_diversity(cfg: RunConfig) -> int:
@@ -439,10 +427,14 @@ def cmd_validate(cfg: RunConfig) -> int:
         hi = constant_corr(dim, 0.6).spectrum.expand()
         ok_chain &= majorizes(lo, hi)
     record("majorization_chain_constant", 0.0 if ok_chain else 1.0, 0.0, ok_chain)
-    if min(scn.n_t, scn.n_s, scn.n_r) >= 2:
-        k_lo = kurtosis_frobenius(cfg.scenario(rho=0.3)) if _any_correlated(cfg) else None
-        if k_lo is not None:
+    if min(scn.n_t, scn.n_s, scn.n_r) >= 2 and _any_correlated(cfg):
+        try:
+            k_lo = kurtosis_frobenius(cfg.scenario(rho=0.3))
             k_hi = kurtosis_frobenius(cfg.scenario(rho=0.6))
+        except ConfigError:
+            record("kurtosis_mis_in_rho", 0.0, 0.0, True,
+                   "probe rho outside a side's model range; skipped")
+        else:
             record("kurtosis_mis_in_rho", k_lo - k_hi, 0.0, k_lo <= k_hi)
 
     # 4. analytic vs Monte Carlo kurtosis
@@ -511,9 +503,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override mc.seed")
     parser.add_argument("--trials", type=int, default=None, help="override mc.trials")
     args = parser.parse_args(argv)
-
-    # advisory only; results never depend on it
-    os.environ.get("DSMIMO_THREADS")
 
     try:
         with open(args.config, encoding="utf-8") as f:

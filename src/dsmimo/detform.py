@@ -475,18 +475,6 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
     return _shaped_like(xi, num_s * den_s * np.exp(num_l - den_l - log_k))
 
 
-def uncorrelated_hankel(m: int, n: int, nu: int, xi) -> np.ndarray:
-    """The m x m Hankel matrix with entries
-    (n-m+i+j-2)! 2F0(n-m+i+j-1, nu; -xi); xi may be a vector (leading axis)."""
-    xv = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.empty((xv.size, m, m))
-    for s in range(2, 2 * m + 1):
-        vals = math.factorial(n - m + s - 2) * hyp2f0(n - m + s - 1, nu, xv)
-        for i in range(max(1, s - m), min(m, s - 1) + 1):
-            out[:, i - 1, s - i - 1] = vals
-    return out[0] if np.isscalar(xi) or np.ndim(xi) == 0 else out
-
-
 def _uncorr_hankel(m: int, n: int, nu: int, xi: np.ndarray) -> np.ndarray:
     """Log-scaled Hankel determinant ratio, one stacked determinant per xi."""
     logf = np.empty((xi.size, 2 * m - 1))
@@ -525,23 +513,19 @@ def _uncorr_gram(m: int, n: int, nu: int, xi: np.ndarray) -> np.ndarray:
 _HANKEL_MAX_N = 64
 
 
-def expected_inv_det_uncorr(m: int, n: int, nu: int, xi, method: str = "auto"):
+def expected_inv_det_uncorr(m: int, n: int, nu: int, xi):
     """E det(I + xi XX^H)^(-nu) for an m x n i.i.d. standard complex Gaussian
     X with m <= n; equals the Hankel determinant ratio of the uncorrelated
-    reduction.  xi >= 0 is a scalar or a vector.  method: "hankel", "gram",
-    or "auto" (hankel for n <= 64)."""
+    reduction.  xi >= 0 is a scalar or a vector.  The Hankel route serves
+    n <= 64, the Gram route larger n."""
     xv = _nonneg_vector(xi, "xi")
     if m > n:
         raise ValueError("need m <= n")
-    if method == "auto":
-        method = "hankel" if n <= _HANKEL_MAX_N else "gram"
-    routes = {"hankel": _uncorr_hankel, "gram": _uncorr_gram}
-    if method not in routes:
-        raise ValueError(f"unknown method {method!r}")
+    route = _uncorr_hankel if n <= _HANKEL_MAX_N else _uncorr_gram
     out = np.ones_like(xv)
     pos = xv > 0.0
     if pos.any():
-        out[pos] = routes[method](m, n, nu, xv[pos])
+        out[pos] = route(m, n, nu, xv[pos])
     return _shaped_like(xi, out)
 
 

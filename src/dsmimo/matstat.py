@@ -14,41 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .codes import OstbcCode
-from .corrmat import CorrelationMatrix, Spectrum, correlation_figure, matrix_sqrt
-
-
-@dataclass(frozen=True)
-class GaussianMatrixSpec:
-    """Zero-mean matrix Gaussian: rows x cols with row/column covariances."""
-
-    rows: int
-    cols: int
-    row_cov: np.ndarray
-    col_cov: np.ndarray
-
-    def __post_init__(self):
-        r = np.atleast_2d(np.asarray(self.row_cov))
-        c = np.atleast_2d(np.asarray(self.col_cov))
-        if r.shape != (self.rows, self.rows) or c.shape != (self.cols, self.cols):
-            raise ValueError("covariance dimensions must match rows/cols")
-        object.__setattr__(self, "row_cov", r)
-        object.__setattr__(self, "col_cov", c)
-        for name, m in (("row_cov", r), ("col_cov", c)):
-            if np.min(np.linalg.eigvalsh(m)) <= 0:
-                raise ValueError(f"{name} must be positive definite")
-
-    @cached_property
-    def _row_sqrt(self) -> np.ndarray:
-        return matrix_sqrt(self.row_cov)
-
-    @cached_property
-    def _col_sqrt(self) -> np.ndarray:
-        return matrix_sqrt(self.col_cov)
+from .corrmat import CorrelationMatrix, Spectrum, correlation_figure
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,15 +78,6 @@ def _std_complex(rng: np.random.Generator, shape) -> np.ndarray:
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z *= math.sqrt(0.5)
     return z
-
-
-def sample_gaussian(spec: GaussianMatrixSpec, rng: np.random.Generator,
-                    size: int | None = None) -> np.ndarray:
-    """Draw from the matrix Gaussian; size=None for one matrix, else a batch
-    of shape (size, rows, cols)."""
-    shape = (spec.rows, spec.cols) if size is None else (size, spec.rows, spec.cols)
-    g = _std_complex(rng, shape)
-    return spec._row_sqrt @ g @ spec._col_sqrt
 
 
 def sample_channel(scn: Scenario, rng: np.random.Generator,

@@ -8,10 +8,9 @@ orders of magnitude relative to symbol-level simulation and makes tight
 
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from a Philox
-substream keyed by (seed, b), and reduction follows block order, so results
-are bit-identical regardless of any advisory worker count.  Standard errors
-come from 32 batch means over the trial index, which stays honest for the
-ratio estimators (kurtosis) as well as plain means.
+substream keyed by (seed, b), and reduction follows block order.  Standard
+errors come from 32 batch means over the trial index, which stays honest
+for the ratio estimators (kurtosis) as well as plain means.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codes import OstbcCode, alamouti, code_by_name, g4, ostbc_rate  # noqa: F401
 from .matstat import Scenario, sample_channel
 from .sep import PskConstellation, conditional_sep_mpsk, ostbc_snr_scale
 
@@ -41,13 +39,10 @@ def substream(seed: int, index: int) -> np.random.Generator:
 class MonteCarloConfig:
     trials: int
     seed: int = 0
-    workers: int = 1  # advisory; never affects results
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)

@@ -66,14 +66,6 @@ class PskConstellation:
         return 1.0 - 1.0 / self.m
 
 
-@dataclass(frozen=True)
-class SepResult:
-    snr_db: float
-    sep: float
-    method: str  # "closed_form" | "monte_carlo"
-    scenario_id: str = ""
-
-
 def ostbc_snr_scale(scn: Scenario) -> float:
     """Factor mapping gbar*||H||_F^2 to the per-subchannel SNR: 1/(n_t*rate)."""
     return float(1 / (scn.n_t * scn.rate))
@@ -101,13 +93,16 @@ def conditional_sep_mpsk(gamma, psk: PskConstellation, nodes: int = THETA_NODES)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
-def _xi_of_theta(scn: Scenario, psk: PskConstellation, snr: float,
-                 nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
+                  n_s: int = 1, nodes: int = THETA_NODES) -> float:
+    """The angular average shared by every closed form: (1/pi) int_0^Theta
+    mgf(xi) dtheta at xi = g*snr/(n_s*n_t*rate*sin^2 theta); n_s = 1 drops
+    the double-scattering normalization."""
     if snr <= 0:
         raise ValueError("snr must be positive")
-    th, w = gauss_legendre(nodes, psk.theta_max)
-    xi = psk.g * snr / (scn.n_s * scn.n_t * float(scn.rate) * np.sin(th) ** 2)
-    return xi, w
+    d = n_s * n_t * float(rate)
+    return sep_theta_integral(lambda th: mgf(psk.g * snr / (d * np.sin(th) ** 2)),
+                              psk.theta_max, nodes)
 
 
 def sep_mpsk_uncorrelated(scn: Scenario, psk: PskConstellation, snr: float,
@@ -120,9 +115,9 @@ def sep_mpsk_uncorrelated(scn: Scenario, psk: PskConstellation, snr: float,
     """
     if not (scn.phi_t.is_identity and scn.phi_s.is_identity and scn.phi_r.is_identity):
         raise ValueError("uncorrelated formula needs identity correlations")
-    xi, w = _xi_of_theta(scn, psk, snr, nodes)
     n1, n2 = min(scn.n_t, scn.n_s), max(scn.n_t, scn.n_s)
-    return float(expected_inv_det_uncorr(n1, n2, scn.n_r, xi) @ w) / math.pi
+    return _sep_from_mgf(lambda xi: expected_inv_det_uncorr(n1, n2, scn.n_r, xi),
+                         psk, snr, scn.n_t, scn.rate, scn.n_s, nodes)
 
 
 def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float,
@@ -141,10 +136,10 @@ def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float,
         raise UnsupportedScenarioError(
             f"doubly-correlated closed form needs n_s >= n_t, got ({scn.n_s}, {scn.n_t})"
         )
-    xi, w = _xi_of_theta(scn, psk, snr, nodes)
-    mgf = expected_inv_det_kron(scn.n_t, scn.n_s, scn.phi_t.spectrum,
-                                scn.phi_r.spectrum, xi)
-    return float(mgf @ w) / math.pi
+    return _sep_from_mgf(
+        lambda xi: expected_inv_det_kron(scn.n_t, scn.n_s, scn.phi_t.spectrum,
+                                         scn.phi_r.spectrum, xi),
+        psk, snr, scn.n_t, scn.rate, scn.n_s, nodes)
 
 
 def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float,
@@ -158,9 +153,9 @@ def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float,
     """
     if scn.n_r != 1:
         raise ValueError("MISO formula needs n_r = 1")
-    xi, w = _xi_of_theta(scn, psk, snr, nodes)
-    mgf = expected_inv_det_miso(scn.phi_s.spectrum, scn.phi_t.spectrum, xi)
-    return float(mgf @ w) / math.pi
+    return _sep_from_mgf(
+        lambda xi: expected_inv_det_miso(scn.phi_s.spectrum, scn.phi_t.spectrum, xi),
+        psk, snr, scn.n_t, scn.rate, scn.n_s, nodes)
 
 
 def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: float,
@@ -169,54 +164,51 @@ def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: flo
     prod_{i,j} (1 + g*gbar*lt_i*lr_j/(n_t*rate*sin^2))^(-1) over transmit and
     receive eigenvalues.  With identity correlations this is the i.i.d.
     Rayleigh reference curve."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    th, w = gauss_legendre(nodes, psk.theta_max)
-    c = psk.g * snr / (scn.n_t * float(scn.rate) * np.sin(th) ** 2)
     pairs = np.multiply.outer(scn.phi_t.spectrum.expand(),
                               scn.phi_r.spectrum.expand()).ravel()
-    mgf = np.exp(-np.log1p(np.outer(c, pairs)).sum(axis=1))
-    return float(mgf @ w) / math.pi
+    return _sep_from_mgf(lambda c: np.exp(-np.log1p(np.outer(c, pairs)).sum(axis=1)),
+                         psk, snr, scn.n_t, scn.rate, nodes=nodes)
 
 
 def sep_mpsk_iid_rayleigh(n_t: int, n_r: int, rate, psk: PskConstellation,
                           snr: float, nodes: int = THETA_NODES) -> float:
     """i.i.d. Rayleigh reference: (1/pi) int (1 + g*gbar/(n_t*rate*sin^2))^(-n_t*n_r)."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    th, w = gauss_legendre(nodes, psk.theta_max)
-    c = psk.g * snr / (n_t * float(rate) * np.sin(th) ** 2)
-    return float((1.0 + c) ** (-n_t * n_r) @ w) / math.pi
+    return _sep_from_mgf(lambda c: (1.0 + c) ** (-n_t * n_r), psk, snr, n_t, rate,
+                         nodes=nodes)
 
 
-def sep_mpsk(scn: Scenario, psk: PskConstellation, snr: float,
-             nodes: int = THETA_NODES) -> float:
-    """Closed-form SEP dispatcher.
+def _closed_form_family(scn: Scenario):
+    """The family function whose closed form covers scn, or None.
 
     Order: rich-scattering limit when flagged, else uncorrelated, then MISO,
     then doubly correlated; scenarios fitting several formulas agree to
     within quadrature accuracy, so the first applicable one is returned.
-    Raises UnsupportedScenarioError when no closed form exists.
+    The functions are looked up as module globals on every call, so a
+    wrapper installed on the module attribute is the one dispatched to.
     """
     if scn.no_double_scattering:
-        return sep_mpsk_no_double_scattering(scn, psk, snr, nodes)
+        return sep_mpsk_no_double_scattering
     if scn.phi_t.is_identity and scn.phi_s.is_identity and scn.phi_r.is_identity:
-        return sep_mpsk_uncorrelated(scn, psk, snr, nodes)
+        return sep_mpsk_uncorrelated
     if scn.n_r == 1:
-        return sep_mpsk_miso(scn, psk, snr, nodes)
+        return sep_mpsk_miso
     if scn.phi_s.is_identity and scn.n_s >= scn.n_t:
-        return sep_mpsk_doubly_correlated(scn, psk, snr, nodes)
-    raise UnsupportedScenarioError(
-        "no closed form: needs identity correlations, n_r = 1, or identity "
-        "scatterer correlation with n_s >= n_t"
-    )
+        return sep_mpsk_doubly_correlated
+    return None
+
+
+def sep_mpsk(scn: Scenario, psk: PskConstellation, snr: float,
+             nodes: int = THETA_NODES) -> float:
+    """Closed-form SEP dispatcher: the first applicable family formula.
+    Raises UnsupportedScenarioError when no closed form exists."""
+    family = _closed_form_family(scn)
+    if family is None:
+        raise UnsupportedScenarioError(
+            "no closed form: needs identity correlations, n_r = 1, or identity "
+            "scatterer correlation with n_s >= n_t"
+        )
+    return family(scn, psk, snr, nodes)
 
 
 def has_closed_form(scn: Scenario) -> bool:
-    if scn.no_double_scattering:
-        return True
-    if scn.phi_t.is_identity and scn.phi_s.is_identity and scn.phi_r.is_identity:
-        return True
-    if scn.n_r == 1:
-        return True
-    return scn.phi_s.is_identity and scn.n_s >= scn.n_t
+    return _closed_form_family(scn) is not None

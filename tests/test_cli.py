@@ -72,6 +72,13 @@ class TestParseConfig:
         cfg = BASE.replace("scenario.n_t = 4", "scenario.n_t = 2")
         assert main(["diversity", "--config", write(tmp_path, cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_override_validated(self, tmp_path, trials):
+        # the override obeys the same mc.trials >= 1 rule as the config key
+        assert main(["sep-curve", "--config", write(tmp_path, BASE),
+                     "--out", str(tmp_path / "o.csv"),
+                     f"--trials={trials}"]) == EXIT_CONFIG
+
 
 class TestSepCurve:
     def test_csv_contract_and_rederivability(self, tmp_path):
@@ -249,6 +256,15 @@ mc.seed = 3
 """
         assert main(["validate", "--config", write(tmp_path, cfg)]) == EXIT_OK
         assert "unsupported formula" in capsys.readouterr().out
+
+    def test_probe_rho_outside_model_range_skipped(self, tmp_path, capsys):
+        # rho = 0.3 is a valid tridiagonal coefficient at n = 10, but the
+        # kurtosis probe's rho = 0.6 is above that model's bound of 0.52
+        cfg = (BASE.replace("scenario.n_r = 2", "scenario.n_r = 4")
+               + "corr.sc.model = tridiagonal\ncorr.sc.rho = 0.3\n")
+        assert main(["validate", "--config", write(tmp_path, cfg)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "kurtosis_mis_in_rho" in out and "skipped" in out
 
     def test_report_csv(self, tmp_path):
         out = str(tmp_path / "report.csv")

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dsmimo.codes import g4
-from dsmimo.corrmat import Spectrum, constant_corr, identity_corr, spectrum_of
-from dsmimo.matstat import (GaussianMatrixSpec, Scenario, double_product_moments,
+from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
+                            identity_corr, spectrum_of)
+from dsmimo.matstat import (Scenario, double_product_moments,
                             expected_trace_square, frobenius_moments,
-                            kurtosis_frobenius, sample_channel, sample_gaussian,
+                            kurtosis_frobenius, sample_channel,
                             trace_quadratic_cumulant)
 
 from conftest import random_correlation
@@ -20,20 +21,30 @@ def spec_of(vals, mults=None):
     return Spectrum(tuple(float(v) for v in vals), tuple(mults), dim)
 
 
+def gaussian_scenario(row_cov, col_cov):
+    """Rich-scattering scenario whose channel is the matrix Gaussian with row
+    covariance row_cov (receive side) and column covariance col_cov
+    (transmit side)."""
+    return Scenario(col_cov.dim, 1, row_cov.dim, col_cov, identity_corr(1),
+                    row_cov, no_double_scattering=True)
+
+
 class TestSampleGaussian:
+    """sample_channel without double scattering: phi_r^(1/2) G phi_t^(1/2)."""
+
     N = 1_000_000
 
     def test_unit_variance_convention(self, rng):
-        spec = GaussianMatrixSpec(1, 1, np.eye(1), np.eye(1))
-        x = sample_gaussian(spec, rng, size=self.N)[:, 0, 0]
+        scn = gaussian_scenario(identity_corr(1), identity_corr(1))
+        x = sample_channel(scn, rng, size=self.N)[:, 0, 0]
         m2 = np.mean(np.abs(x) ** 2)
         se = np.std(np.abs(x) ** 2) / math.sqrt(self.N)
         assert abs(m2 - 1.0) < 3 * se
 
     def test_row_covariance(self, rng):
         sig = constant_corr(2, 0.6).entries
-        spec = GaussianMatrixSpec(2, 2, sig, np.eye(2))
-        x = sample_gaussian(spec, rng, size=self.N)
+        scn = gaussian_scenario(constant_corr(2, 0.6), identity_corr(2))
+        x = sample_channel(scn, rng, size=self.N)
         emp = np.einsum("bik,bjk->ij", x, x.conj()) / self.N
         # E[X X^H] = n * Sigma; per-entry 3 sigma gate
         se = 2.0 / math.sqrt(self.N)
@@ -41,21 +52,22 @@ class TestSampleGaussian:
 
     def test_col_covariance(self, rng):
         psi = constant_corr(3, 0.4).entries
-        spec = GaussianMatrixSpec(2, 3, np.eye(2), psi)
-        x = sample_gaussian(spec, rng, size=self.N)
+        scn = gaussian_scenario(identity_corr(2), constant_corr(3, 0.4))
+        x = sample_channel(scn, rng, size=self.N)
         emp = np.einsum("bki,bkj->ij", x.conj(), x) / self.N
         se = 2.0 / math.sqrt(self.N)
         assert np.all(np.abs(emp - 2 * psi) < 3 * se + 1e-12)
 
     def test_single_draw_shape(self, rng):
-        spec = GaussianMatrixSpec(3, 2, np.eye(3), np.eye(2))
-        assert sample_gaussian(spec, rng).shape == (3, 2)
+        scn = gaussian_scenario(identity_corr(3), identity_corr(2))
+        assert sample_channel(scn, rng).shape == (3, 2)
 
     def test_rejects_bad_covariance(self):
         with pytest.raises(ValueError):
-            GaussianMatrixSpec(2, 2, np.eye(3), np.eye(2))
+            Scenario(2, 1, 2, identity_corr(2), identity_corr(1),
+                     identity_corr(3), no_double_scattering=True)
         with pytest.raises(ValueError):
-            GaussianMatrixSpec(2, 2, np.diag([1.0, -1.0]), np.eye(2))
+            CorrelationMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestSampleChannel:
@@ -120,8 +132,7 @@ class TestTraceQuadraticCumulant:
             psi = random_correlation(rng, n)
             s1 = spectrum_of(_herm_prod(a.entries, sig.entries))
             s2 = spectrum_of(_herm_prod(psi.entries, b.entries))
-            x = sample_gaussian(GaussianMatrixSpec(m, n, sig.entries, psi.entries),
-                                rng, size=200_000)
+            x = sample_channel(gaussian_scenario(sig, psi), rng, size=200_000)
             t = np.einsum("ij,bjk,kl,bil->b", a.entries, x, b.entries,
                           x.conj()).real
             mu, var = t.mean(), t.var()
@@ -162,8 +173,8 @@ class TestExpectedTraceSquare:
         a = np.diag(sp1.expand())
         b = np.diag(sp2.expand())
         m, n = a.shape[0], b.shape[0]
-        x = sample_gaussian(GaussianMatrixSpec(m, n, np.eye(m), np.eye(n)),
-                            rng, size=1_000_000)
+        x = sample_channel(gaussian_scenario(identity_corr(m), identity_corr(n)),
+                           rng, size=1_000_000)
         w = np.einsum("ij,bjk,kl->bil", a, x, b) @ x.conj().transpose(0, 2, 1)
         t = np.einsum("bij,bji->b", w, w).real
         expect = expected_trace_square(sp1, sp2)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import dsmimo.mc as mc_mod
-from dsmimo.codes import g4
+from dsmimo.codes import g4, ostbc_rate
 from dsmimo.corrmat import constant_corr, identity_corr
 from dsmimo.matstat import (Scenario, double_product_moments, frobenius_moments,
                             kurtosis_frobenius)
 from dsmimo.mc import (Estimate, MonteCarloConfig, fit_diversity_slope,
-                       mc_capacity, mc_kurtosis_eff, mc_sep, ostbc_rate,
-                       substream)
+                       mc_capacity, mc_kurtosis_eff, mc_sep, substream)
 from dsmimo.sep import (PskConstellation, sep_mpsk, sep_mpsk_uncorrelated,
                         sep_theta_integral)
 from dsmimo.corrmat import Spectrum
@@ -39,13 +38,6 @@ class TestDeterminism:
         cfg = MonteCarloConfig(trials=70_000, seed=123)  # crosses a block edge
         a = mc_sep(scn, psk, 10.0, cfg)
         b = mc_sep(scn, psk, 10.0, cfg)
-        assert (a.value, a.std_error) == (b.value, b.std_error)
-
-    def test_workers_never_change_results(self):
-        scn = Scenario.uncorrelated(2, 3, 2)
-        psk = PskConstellation(4)
-        a = mc_sep(scn, psk, 10.0, MonteCarloConfig(trials=50_000, seed=9, workers=1))
-        b = mc_sep(scn, psk, 10.0, MonteCarloConfig(trials=50_000, seed=9, workers=8))
         assert (a.value, a.std_error) == (b.value, b.std_error)
 
     def test_seed_changes_results(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -324,6 +325,59 @@ class TestDispatchAndInvariants:
             seps = [sep_mpsk(scn, psk, db(s)) for s in grid]
             assert all(0 < v <= psk.sep_ceiling + 1e-12 for v in seps)
             assert all(a > b for a, b in zip(seps, seps[1:]))
+
+    @pytest.mark.parametrize("tx,sc,rx,n_r,n_s,rich", [
+        case for case in itertools.product((False, True), (False, True),
+                                           (False, True), (1, 2), (2, 4),
+                                           (False, True))
+        if not (case[2] and case[3] == 1)  # a 1x1 correlation is the identity
+    ])
+    def test_has_closed_form_iff_sep_mpsk_returns(self, tx, sc, rx, n_r, n_s, rich):
+        # n_t = 3 puts n_s = 2 below it and n_s = 4 above it
+        def side(n, correlated):
+            return constant_corr(n, 0.4) if correlated else identity_corr(n)
+
+        scn = Scenario(3, n_s, n_r, side(3, tx), side(n_s, sc), side(n_r, rx),
+                       no_double_scattering=rich)
+        try:
+            sep_mpsk(scn, PskConstellation(4), db(10.0))
+        except UnsupportedScenarioError:
+            assert not has_closed_form(scn)
+        else:
+            assert has_closed_form(scn)
+
+
+def test_benchmark_tracer_sees_every_family():
+    # the benchmark's tracer wraps the family functions' module attributes,
+    # so the dispatcher must call each family through that attribute
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from tracing import Tracer
+    finally:
+        sys.path.pop(0)
+    psk = PskConstellation(8)
+    cases = {
+        "sep.family.no_double_scattering":
+            Scenario.uncorrelated(4, 9, 2, g4(), no_double_scattering=True),
+        "sep.family.uncorrelated": Scenario.uncorrelated(4, 3, 2, g4()),
+        "sep.family.miso": Scenario(4, 1, 1, constant_corr(4, 0.5), identity_corr(1),
+                                    identity_corr(1), g4()),
+        "sep.family.doubly_correlated":
+            Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                     constant_corr(4, 0.5), g4()),
+    }
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for scn in cases.values():
+            dsmimo.sep.sep_mpsk(scn, psk, db(12.0))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    totals = tracer.layer_totals()
+    assert totals["sep.sep_mpsk"]["calls"] == len(cases)
+    for name in cases:
+        assert totals[name]["calls"] == 1, name
 
 
 def test_closed_form_leaves_scipy_integrate_unloaded():
