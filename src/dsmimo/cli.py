@@ -9,7 +9,8 @@ row and 17-significant-digit reals, written atomically (temp file + rename)
 so a config+seed pair always reproduces byte-identical output.
 
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
-4 numeric failure (NaN/Inf anywhere in the results).
+4 numeric failure (NaN/Inf anywhere in the results, or a closed form that
+raised NumericFailure); no CSV is written on exit 4.
 
 The CLI adds no computation of its own: every emitted closed-form value is
 a direct library call with the same inputs.
@@ -32,6 +33,7 @@ from . import sep as sep_mod
 from .codes import code_by_name
 from .corrmat import (CorrelationMatrix, constant_corr, exponential_corr,
                       identity_corr, majorizes, tridiagonal_corr)
+from .detform import NumericFailure
 from .matstat import Scenario, kurtosis_frobenius
 from .mc import MonteCarloConfig, mc_kurtosis_eff, mc_sep, mc_capacity
 from .sep import PskConstellation, UnsupportedScenarioError
@@ -318,7 +320,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         try:
             scn = (cfg.scenario(rho=float(tok)) if axis == "rho"
                    else cfg.scenario(n_s=int(tok)))
-        except ValueError:
+        except (ValueError, ConfigError):
             raise ConfigError(f"key 'sweep.values': bad entry {tok!r}")
         try:
             cf = sep_mod.sep_mpsk(scn, psk, snr)
@@ -515,6 +517,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except NumericFailure as e:
+        print(f"numeric failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

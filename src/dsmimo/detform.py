@@ -14,10 +14,14 @@ Everything here reduces to three ingredients:
 * block determinants with confluent (multiplicity-aware) columns, evaluated
   in log-scaled form so factorials and eigenvalue powers never overflow,
   and stacked so a whole vector of xi goes through one batched slogdet.
+  An eigenvalue of multiplicity t owns t adjacent derivative columns;
+  `_columns` lists them once, and every Vandermonde-type block comes from
+  the one vectorized builder `_vandermonde_blocks`.
 
 The expected-inverse-determinant evaluators take xi as a scalar or a
 vector and return values in (0, 1]; they are the moment generating
-functions behind every closed-form SEP.
+functions behind every closed-form SEP.  A partial-fraction sum that fails
+its sum-to-one gate raises NumericFailure.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ _TINY = 1e-300
 _LOG_TAIL = math.log(1e-18)
 #: node-by-entry elements per 2F0 block (512 KiB of doubles)
 _BATCH = 1 << 16
+
+
+class NumericFailure(ValueError):
+    """A closed form lost its accuracy: a partial-fraction sum failed its
+    gate or a result left its mathematical range."""
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +129,7 @@ class CharCoefficients:
         # eps * sum|X|; widen the 1e-10 gate accordingly
         tol = max(1e-10, 64 * np.finfo(float).eps * mag)
         if abs(total - 1.0) > tol:
-            raise ValueError(f"characteristic coefficients sum to {total}, not 1")
+            raise NumericFailure(f"characteristic coefficients sum to {total}, not 1")
 
     def items(self):
         """Yield (p, eigenvalue, j, X_pj) over all coefficients (j is 1-based)."""
@@ -194,46 +203,44 @@ def _poch(a: int, k: int) -> float:
     return out
 
 
-def _derivative_vandermonde_blocks(spec: Spectrum, nrows: int):
-    """(logmag, sign) of the stacked sigma-derivative Vandermonde blocks with
-    entries (i-j+1)_(j-1) sigma<k>^(i-j): column j of block k is the (j-1)th
-    derivative of (sigma^0, ..., sigma^(nrows-1)) at sigma<k>."""
-    dim = sum(spec.mults)
-    logmag = np.full((nrows, dim), -np.inf)
-    sign = np.zeros((nrows, dim))
-    col = 0
-    for val, mult in spec.distinct:
-        lv = math.log(abs(val))
-        sv = 1.0 if val > 0 else -1.0
-        for j in range(1, mult + 1):
-            for i in range(j, nrows + 1):
-                p = _poch(i - j + 1, j - 1)
-                logmag[i - 1, col] = math.log(p) + (i - j) * lv
-                sign[i - 1, col] = sv ** (i - j)
-            col += 1
-    return logmag, sign
+def _log_vandermonde(lams: np.ndarray) -> tuple[float, float]:
+    """(sign, log|det|) of the matrix (lams_j^(i-1))."""
+    i, j = np.triu_indices(lams.size, 1)
+    d = lams[j] - lams[i]
+    with np.errstate(divide="ignore"):
+        return float(np.prod(np.sign(d))), float(np.log(np.abs(d)).sum())
 
 
-def _conf_vandermonde_blocks(spec: Spectrum, nrows: int, power_offset: int):
-    """(logmag, sign) of the stacked confluent-Vandermonde-style blocks with
-    entries (-1)^(i-j) (i-j+1)_(j-1) sigma<k>^(power_offset - i + j)."""
-    dim = sum(spec.mults)
-    logmag = np.full((nrows, dim), -np.inf)
-    sign = np.zeros((nrows, dim))
-    col = 0
-    for val, mult in spec.distinct:
-        lv = math.log(abs(val))
-        sv = 1.0 if val > 0 else -1.0
-        for j in range(1, mult + 1):
-            for i in range(1, nrows + 1):
-                p = _poch(i - j + 1, j - 1)
-                if p == 0.0:
-                    continue
-                pw = power_offset - i + j
-                logmag[i - 1, col] = math.log(abs(p)) + pw * lv
-                sign[i - 1, col] = math.copysign(1.0, p) * (-1.0) ** (i - j) * sv**pw
-            col += 1
-    return logmag, sign
+def _columns(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalue, derivative order j >= 1) of every confluent column: a
+    distinct eigenvalue of multiplicity t owns t adjacent columns j = 1..t."""
+    return spec.expand(), np.concatenate([np.arange(1, t + 1) for t in spec.mults])
+
+
+def _vandermonde_blocks(spec: Spectrum, nrows: int, power_offset: int | None = None):
+    """(logmag, sign) of the stacked confluent Vandermonde blocks: row i of
+    column (sigma, j) holds (i-j+1)_(j-1) b^(i-j) for i >= j and 0 above.
+
+    With no offset b = sigma, so column j is the (j-1)th sigma-derivative of
+    (1, sigma, ..., sigma^(nrows-1)); with an offset b = -1/sigma and the
+    column is scaled by sigma^power_offset."""
+    vals, order = _columns(spec)
+    d = np.arange(1, nrows + 1)[:, None] - order  # i - j
+    live = d >= 0
+    # poch[d, k] = (d+1)_k as the running product (d+1)(d+2)..., rounded
+    # exactly like _poch; past the double range it is inf, as there
+    steps = np.arange(1.0, nrows + 1)[:, None] + np.arange(order.max() - 1)
+    with np.errstate(over="ignore"):
+        poch = np.cumprod(np.hstack([np.ones((nrows, 1)), steps]), axis=1)
+    logp = np.log(poch)[np.where(live, d, 0), order - 1]
+    lv = np.array([math.log(abs(v)) for v in vals])
+    sv = np.sign(vals)
+    if power_offset is None:
+        pw, sign = d, sv ** d
+    else:
+        pw = power_offset - d
+        sign = (-1.0) ** d * sv ** pw
+    return np.where(live, logp + pw * lv, -np.inf), np.where(live, sign, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +280,16 @@ def _kernel_chi(kernel: HypKernelId, n: int, nu: int) -> float:
     return 1.0 / (_poch(a1 - n + 1, nu) * _poch(a2 - n + 1, nu))
 
 
-def _kernel_h_log(kernel: HypKernelId, n: int, nu: int, x: float) -> tuple[float, float]:
-    """(sign, log|H|) of the kernel value H_{p,q}^{n,nu}(x)."""
+def _kernel_h_log(kernel: HypKernelId, n: int, nu: int, x: np.ndarray):
+    """(sign, log|H|) of the kernel values H_{p,q}^{n,nu}(x), vectorized over x."""
     if kernel.tag == "exp":
-        return 1.0, x
+        return np.ones_like(x), x
     a1, a2 = kernel.params
-    if x > 0:
+    if np.any(x > 0):
         raise ValueError("2f0 kernel requires a nonpositive argument")
     val = hyp2f0(a1 - n + nu, a2 - n + nu, -x)
-    return (1.0, math.log(val)) if val > 0 else (0.0, -np.inf)
+    with np.errstate(divide="ignore"):
+        return np.sign(val), np.log(val)
 
 
 def hyp_det_two_matrix(lambda_spec: Spectrum, sigma_spec: Spectrum,
@@ -310,41 +318,27 @@ def hyp_det_two_matrix(lambda_spec: Spectrum, sigma_spec: Spectrum,
     lams = np.array(lambda_spec.values)
 
     # numerator: (n-m) derivative-Vandermonde rows over m kernel rows
-    top_log, top_sign = _derivative_vandermonde_blocks(sigma_spec, n - m)
-    bot_log = np.full((m, n), -np.inf)
-    bot_sign = np.zeros((m, n))
-    col = 0
-    for val, mult in sigma_spec.distinct:
-        for j in range(1, mult + 1):
-            chi = _kernel_chi(kernel, n, j - 1)
-            for i in range(m):
-                hs, hl = _kernel_h_log(kernel, n, j, lams[i] * val)
-                if hs == 0.0:
-                    continue
-                lm = (j - 1) * math.log(abs(lams[i])) - math.log(abs(chi)) + hl
-                bot_log[i, col] = lm
-                bot_sign[i, col] = (np.sign(lams[i]) ** (j - 1)
-                                    * math.copysign(1.0, chi) * hs)
-            col += 1
+    top_log, top_sign = _vandermonde_blocks(sigma_spec, n - m)
+    bot_log = np.empty((m, n))
+    bot_sign = np.empty((m, n))
+    for col, (val, j) in enumerate(zip(*_columns(sigma_spec))):
+        chi = _kernel_chi(kernel, n, j - 1)
+        hs, hl = _kernel_h_log(kernel, n, j, lams * val)
+        bot_log[:, col] = (j - 1) * np.log(np.abs(lams)) - math.log(abs(chi)) + hl
+        bot_sign[:, col] = np.sign(lams) ** (j - 1) * math.copysign(1.0, chi) * hs
     num_s, num_l = _det_scaled(np.vstack([top_log, bot_log]),
                                np.vstack([top_sign, bot_sign]))
-    den_s, den_l = _det_scaled(*_derivative_vandermonde_blocks(sigma_spec, n))
+    den_s, den_l = _det_scaled(*_vandermonde_blocks(sigma_spec, n))
 
     log_k = sum(math.log(abs(_kernel_chi(kernel, n, n - i))) + math.lgamma(n - i + 1)
                 for i in range(1, m + 1))
     sign_k = math.prod(math.copysign(1.0, _kernel_chi(kernel, n, n - i))
                        for i in range(1, m + 1))
 
-    vdm = 1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            vdm *= lams[j] - lams[i]
-
+    vs, vl = _log_vandermonde(lams)
     det_lam = float(np.prod(lams))
-    sign = (num_s * den_s * sign_k * math.copysign(1.0, vdm)
-            * math.copysign(1.0, det_lam) ** (n - m))
-    log = (num_l - den_l + log_k - (n - m) * math.log(abs(det_lam))
-           - math.log(abs(vdm)))
+    sign = num_s * den_s * sign_k * vs * math.copysign(1.0, det_lam) ** (n - m)
+    log = num_l - den_l + log_k - (n - m) * math.log(abs(det_lam)) - vl
     return sign * math.exp(log)
 
 
@@ -363,18 +357,11 @@ def _check_ordered_positive(lams) -> np.ndarray:
     return v
 
 
-def _log_vandermonde(lams: np.ndarray) -> tuple[float, float]:
-    """(sign, log|det|) of the matrix (lams_j^(i-1))."""
-    sign, log = 1.0, 0.0
-    m = lams.size
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = lams[j] - lams[i]
-            if d == 0.0:
-                return 0.0, -np.inf
-            sign *= math.copysign(1.0, d)
-            log += math.log(abs(d))
-    return sign, log
+def _exp_kernel_columns(v: np.ndarray, spec: Spectrum) -> np.ndarray:
+    """log of the kernel block v_i^(j-1) e^(-v_i/sigma) over the confluent
+    columns (sigma, j) of spec; every entry is positive."""
+    vals, order = _columns(spec)
+    return (order - 1) * np.log(v)[:, None] - v[:, None] / vals
 
 
 def wishart_eigen_pdf(lams, n: int, sigma_spec: Spectrum) -> float:
@@ -388,16 +375,8 @@ def wishart_eigen_pdf(lams, n: int, sigma_spec: Spectrum) -> float:
     if n < m:
         raise ValueError("need n >= m")
 
-    glog = np.empty((m, m))
-    gsign = np.empty((m, m))
-    col = 0
-    for val, mult in sigma_spec.distinct:
-        for j in range(1, mult + 1):
-            glog[:, col] = (j - 1) * np.log(v) - v / val
-            gsign[:, col] = 1.0
-            col += 1
-    gs, gl = _det_scaled(glog, gsign)
-    bs, bl = _det_scaled(*_conf_vandermonde_blocks(sigma_spec, m, n))
+    gs, gl = _det_scaled(_exp_kernel_columns(v, sigma_spec), 1.0)
+    bs, bl = _det_scaled(*_vandermonde_blocks(sigma_spec, m, n))
     vs, vl = _log_vandermonde(v)
     log_k = sum(math.lgamma(n - i + 1) for i in range(1, m + 1))
 
@@ -417,17 +396,11 @@ def quadratic_form_eigen_pdf(lams, n: int, beta_spec: Spectrum) -> float:
     if n < m:
         raise ValueError("need n >= m")
 
-    top_log, top_sign = _conf_vandermonde_blocks(beta_spec, n - m, 0)
-    qlog = np.empty((m, n))
-    qsign = np.ones((m, n))
-    col = 0
-    for val, mult in beta_spec.distinct:
-        for j in range(1, mult + 1):
-            qlog[:, col] = (j - 1) * np.log(v) - v / val
-            col += 1
+    top_log, top_sign = _vandermonde_blocks(beta_spec, n - m, 0)
+    qlog = _exp_kernel_columns(v, beta_spec)
     num_s, num_l = _det_scaled(np.vstack([top_log, qlog]),
-                               np.vstack([top_sign, qsign]))
-    den_s, den_l = _det_scaled(*_conf_vandermonde_blocks(beta_spec, n, 0))
+                               np.vstack([top_sign, np.ones_like(qlog)]))
+    den_s, den_l = _det_scaled(*_vandermonde_blocks(beta_spec, n, 0))
     vs, vl = _log_vandermonde(v)
     log_k = sum(math.lgamma(m - i + 1) for i in range(1, m + 1))
     log_det_apsi = float(sum(mu * math.log(val) for val, mu in beta_spec.distinct))
@@ -453,24 +426,19 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
 
     olog = np.empty((xv.size, m, m))
     osign = np.empty((xv.size, m, m))
-    col = 0
-    for val, mult in sigma_spec.distinct:
-        # entries depend on (i, j) through s = i + j; evaluate each s once
-        slog, ssign = {}, {}
-        for s in range(2, m + mult + 1):
-            inner = sum(x * hyp2f0(n - m + s - 1, jj, xv * av * val)
-                        for _, av, jj, x in coeffs.items())
-            with np.errstate(divide="ignore"):
-                slog[s] = (math.lgamma(n - m + s - 1) + (n - m + s - 1) * math.log(val)
-                           + np.log(np.abs(inner)))
-            ssign[s] = np.sign(inner)
-        for j in range(1, mult + 1):
-            for i in range(1, m + 1):
-                olog[:, i - 1, col] = slog[i + j]
-                osign[:, i - 1, col] = ssign[i + j]
-            col += 1
+    memo = {}  # entries depend on (i, j) only through (sigma, i + j)
+    for col, (val, j) in enumerate(zip(*_columns(sigma_spec))):
+        for i in range(1, m + 1):
+            if (val, i + j) not in memo:
+                a = n - m + i + j - 1
+                inner = sum(x * hyp2f0(a, jj, xv * av * val)
+                            for _, av, jj, x in coeffs.items())
+                with np.errstate(divide="ignore"):
+                    memo[val, i + j] = (math.lgamma(a) + a * math.log(val)
+                                        + np.log(np.abs(inner)), np.sign(inner))
+            olog[:, i - 1, col], osign[:, i - 1, col] = memo[val, i + j]
     num_s, num_l = _det_scaled(olog, osign)
-    den_s, den_l = _det_scaled(*_conf_vandermonde_blocks(sigma_spec, m, n))
+    den_s, den_l = _det_scaled(*_vandermonde_blocks(sigma_spec, m, n))
     log_k = sum(math.lgamma(n - i + 1) for i in range(1, m + 1))
     return _shaped_like(xi, num_s * den_s * np.exp(num_l - den_l - log_k))
 

@@ -43,13 +43,11 @@ def eff_stbc(scn: Scenario) -> float:
     return 10.0 * math.log10(zt * zr + zt * zs + zr * zs)
 
 
-def ebn0_min(n_r: int, mode: str = "general") -> float:
+def ebn0_min(n_r: int) -> float:
     """Minimum transmit Eb/N0 (natural units): ln2/n_r for both signaling
     modes; orthogonal coding costs nothing in minimum bit energy."""
     if n_r < 1:
         raise ValueError("n_r must be positive")
-    if mode not in ("general", "ostbc"):
-        raise ValueError(f"unknown mode {mode!r}")
     return math.log(2.0) / n_r
 
 

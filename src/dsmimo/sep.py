@@ -26,13 +26,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detform import (expected_inv_det_kron, expected_inv_det_miso,
+from .detform import (NumericFailure, expected_inv_det_kron, expected_inv_det_miso,
                       expected_inv_det_uncorr)
 from .matstat import Scenario
 from .quadrule import gauss_legendre
 
-#: Default Gauss-Legendre node count for the angular integral; doubling it
-#: moves the shipped scenarios by less than 1e-10.
+#: Gauss-Legendre node count of the angular integrals, read at call time;
+#: doubling it moves the shipped scenarios by less than 1e-10.
 THETA_NODES = 128
 
 _SUPPORTED_M = (2, 4, 8, 16, 32, 64)
@@ -84,29 +84,32 @@ def sep_theta_integral(integrand, theta_max: float, nodes: int = THETA_NODES) ->
     return float(np.asarray(integrand(th)) @ w) / math.pi
 
 
-def conditional_sep_mpsk(gamma, psk: PskConstellation, nodes: int = THETA_NODES):
+def conditional_sep_mpsk(gamma, psk: PskConstellation):
     """Exact M-PSK SEP conditioned on an instantaneous SNR gamma (vectorized):
     (1/pi) int_0^Theta exp(-g*gamma/sin^2 theta) dtheta."""
-    th, w = gauss_legendre(nodes, psk.theta_max)
+    th, w = gauss_legendre(THETA_NODES, psk.theta_max)
     gv = np.atleast_1d(np.asarray(gamma, dtype=float))
     out = np.exp(-np.outer(gv, psk.g / np.sin(th) ** 2)) @ w / math.pi
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
 def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
-                  n_s: int = 1, nodes: int = THETA_NODES) -> float:
+                  n_s: int = 1) -> float:
     """The angular average shared by every closed form: (1/pi) int_0^Theta
     mgf(xi) dtheta at xi = g*snr/(n_s*n_t*rate*sin^2 theta); n_s = 1 drops
-    the double-scattering normalization."""
+    the double-scattering normalization.  A result outside [0, (M-1)/M]
+    raises NumericFailure."""
     if snr <= 0:
         raise ValueError("snr must be positive")
     d = n_s * n_t * float(rate)
-    return sep_theta_integral(lambda th: mgf(psk.g * snr / (d * np.sin(th) ** 2)),
-                              psk.theta_max, nodes)
+    sep = sep_theta_integral(lambda th: mgf(psk.g * snr / (d * np.sin(th) ** 2)),
+                             psk.theta_max, THETA_NODES)
+    if not 0.0 <= sep <= psk.sep_ceiling:
+        raise NumericFailure(f"closed-form SEP {sep!r} outside [0, {psk.sep_ceiling!r}]")
+    return sep
 
 
-def sep_mpsk_uncorrelated(scn: Scenario, psk: PskConstellation, snr: float,
-                          nodes: int = THETA_NODES) -> float:
+def sep_mpsk_uncorrelated(scn: Scenario, psk: PskConstellation, snr: float) -> float:
     """SEP with all three correlation matrices equal to identity.
 
     The MGF is the n1 x n1 Hankel determinant in (n1, n2) = sorted
@@ -117,11 +120,10 @@ def sep_mpsk_uncorrelated(scn: Scenario, psk: PskConstellation, snr: float,
         raise ValueError("uncorrelated formula needs identity correlations")
     n1, n2 = min(scn.n_t, scn.n_s), max(scn.n_t, scn.n_s)
     return _sep_from_mgf(lambda xi: expected_inv_det_uncorr(n1, n2, scn.n_r, xi),
-                         psk, snr, scn.n_t, scn.rate, scn.n_s, nodes)
+                         psk, snr, scn.n_t, scn.rate, scn.n_s)
 
 
-def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float,
-                               nodes: int = THETA_NODES) -> float:
+def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float) -> float:
     """SEP with transmit and receive correlation, identity scatterer
     correlation, and n_s >= n_t.
 
@@ -139,11 +141,10 @@ def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float,
     return _sep_from_mgf(
         lambda xi: expected_inv_det_kron(scn.n_t, scn.n_s, scn.phi_t.spectrum,
                                          scn.phi_r.spectrum, xi),
-        psk, snr, scn.n_t, scn.rate, scn.n_s, nodes)
+        psk, snr, scn.n_t, scn.rate, scn.n_s)
 
 
-def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float,
-                  nodes: int = THETA_NODES) -> float:
+def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float) -> float:
     """SEP for n_r = 1: quadruple sum of scatterer/transmit characteristic
     coefficients against angular 2F0 integrals.
 
@@ -155,11 +156,10 @@ def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float,
         raise ValueError("MISO formula needs n_r = 1")
     return _sep_from_mgf(
         lambda xi: expected_inv_det_miso(scn.phi_s.spectrum, scn.phi_t.spectrum, xi),
-        psk, snr, scn.n_t, scn.rate, scn.n_s, nodes)
+        psk, snr, scn.n_t, scn.rate, scn.n_s)
 
 
-def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: float,
-                                  nodes: int = THETA_NODES) -> float:
+def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: float) -> float:
     """SEP in the rich-scattering limit (single Gaussian factor): the MGF is
     prod_{i,j} (1 + g*gbar*lt_i*lr_j/(n_t*rate*sin^2))^(-1) over transmit and
     receive eigenvalues.  With identity correlations this is the i.i.d.
@@ -167,14 +167,13 @@ def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: flo
     pairs = np.multiply.outer(scn.phi_t.spectrum.expand(),
                               scn.phi_r.spectrum.expand()).ravel()
     return _sep_from_mgf(lambda c: np.exp(-np.log1p(np.outer(c, pairs)).sum(axis=1)),
-                         psk, snr, scn.n_t, scn.rate, nodes=nodes)
+                         psk, snr, scn.n_t, scn.rate)
 
 
 def sep_mpsk_iid_rayleigh(n_t: int, n_r: int, rate, psk: PskConstellation,
-                          snr: float, nodes: int = THETA_NODES) -> float:
+                          snr: float) -> float:
     """i.i.d. Rayleigh reference: (1/pi) int (1 + g*gbar/(n_t*rate*sin^2))^(-n_t*n_r)."""
-    return _sep_from_mgf(lambda c: (1.0 + c) ** (-n_t * n_r), psk, snr, n_t, rate,
-                         nodes=nodes)
+    return _sep_from_mgf(lambda c: (1.0 + c) ** (-n_t * n_r), psk, snr, n_t, rate)
 
 
 def _closed_form_family(scn: Scenario):
@@ -197,17 +196,17 @@ def _closed_form_family(scn: Scenario):
     return None
 
 
-def sep_mpsk(scn: Scenario, psk: PskConstellation, snr: float,
-             nodes: int = THETA_NODES) -> float:
+def sep_mpsk(scn: Scenario, psk: PskConstellation, snr: float) -> float:
     """Closed-form SEP dispatcher: the first applicable family formula.
-    Raises UnsupportedScenarioError when no closed form exists."""
+    Raises UnsupportedScenarioError when no closed form exists and
+    NumericFailure when the formula's value leaves [0, (M-1)/M]."""
     family = _closed_form_family(scn)
     if family is None:
         raise UnsupportedScenarioError(
             "no closed form: needs identity correlations, n_r = 1, or identity "
             "scatterer correlation with n_s >= n_t"
         )
-    return family(scn, psk, snr, nodes)
+    return family(scn, psk, snr)
 
 
 def has_closed_form(scn: Scenario) -> bool:

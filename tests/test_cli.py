@@ -2,8 +2,8 @@ import csv
 
 import pytest
 
-from dsmimo.cli import (ConfigError, EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION,
-                        _fmt, _has_bad_number, main, parse_config)
+from dsmimo.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
+                        EXIT_VALIDATION, _fmt, _has_bad_number, main, parse_config)
 from dsmimo.codes import g4
 from dsmimo.matstat import Scenario
 from dsmimo.mc import MonteCarloConfig, mc_sep
@@ -120,14 +120,6 @@ class TestSepCurve:
         assert r1[1][1] == r2[1][1]  # closed form unchanged
         assert r1[1][2] != r2[1][2]  # mc column follows the seed
 
-    def test_threads_env_does_not_change_results(self, tmp_path, monkeypatch):
-        cfgp = write(tmp_path, BASE)
-        o1, o2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        main(["sep-curve", "--config", cfgp, "--out", o1])
-        monkeypatch.setenv("DSMIMO_THREADS", "8")
-        main(["sep-curve", "--config", cfgp, "--out", o2])
-        assert open(o1, "rb").read() == open(o2, "rb").read()
-
     def test_mc_only_when_no_closed_form(self, tmp_path):
         cfg = BASE + ("corr.tx.model = constant\ncorr.tx.rho = 0.5\n"
                       "corr.sc.model = constant\ncorr.sc.rho = 0.5\n"
@@ -191,6 +183,35 @@ class TestSweep:
         cfg = BASE + "sweep.values = 0.1\nsweep.snr_db = 15\n"
         assert main(["sweep", "--config", write(tmp_path, cfg),
                      "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
+
+    def test_out_of_range_value_names_sweep_values(self, tmp_path, capsys):
+        # rho = 0.6 is outside the 10x10 tridiagonal model's range; the
+        # config's own corr.sc.rho = 0.3 is fine and must not be blamed
+        cfg = BASE.replace("scenario.n_r = 2", "scenario.n_r = 4") + (
+            "corr.sc.model = tridiagonal\ncorr.sc.rho = 0.3\n"
+            "sweep.axis = rho\nsweep.values = 0.2,0.6\nsweep.snr_db = 15\n")
+        out = str(tmp_path / "s.csv")
+        assert main(["sweep", "--config", write(tmp_path, cfg), "--out", out,
+                     "--trials", "1000"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'sweep.values'" in err and "'0.6'" in err
+        assert "corr.sc.rho" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_numeric_failure_exits_4_without_csv(self, tmp_path, capsys):
+        # MISO 2x50x1 exponential rho=0.45: the n_s = 50 closed form loses
+        # every digit to partial-fraction cancellation
+        cfg = BASE.replace("scenario.n_t = 4", "scenario.n_t = 2").replace(
+            "scenario.n_r = 2", "scenario.n_r = 1").replace(
+            "code = g4", "code = alamouti").replace("psk.m = 8", "psk.m = 4") + (
+            "corr.tx.model = exponential\ncorr.tx.rho = 0.45\n"
+            "corr.sc.model = exponential\ncorr.sc.rho = 0.45\n"
+            "sweep.axis = ns\nsweep.values = 10,50\nsweep.snr_db = 10\n")
+        out = str(tmp_path / "s.csv")
+        assert main(["sweep", "--config", write(tmp_path, cfg), "--out", out,
+                     "--trials", "1000"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestLowsnr:

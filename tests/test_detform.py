@@ -8,7 +8,7 @@ from scipy import integrate, stats
 
 from dsmimo.corrmat import Spectrum, constant_corr
 from dsmimo.detform import (CharCoefficients, HypKernelId, _det_scaled,
-                            _uncorr_gram, _uncorr_hankel,
+                            _uncorr_gram, _uncorr_hankel, _vandermonde_blocks,
                             characteristic_coefficients, expected_inv_det_kron,
                             expected_inv_det_miso, expected_inv_det_uncorr,
                             hyp2f0, hyp_det_two_matrix, quadratic_form_eigen_pdf,
@@ -134,6 +134,73 @@ class TestDetScaled:
             assert (s[k], ld[k]) == (sk, lk)
         assert (s[1], ld[1]) == (0.0, -np.inf)
         assert (s[3], ld[3]) == (0.0, -np.inf)
+
+
+def blocks(spec, nrows, power_offset=None):
+    logmag, sign = _vandermonde_blocks(spec, nrows, power_offset)
+    return sign * np.exp(logmag)
+
+
+class TestVandermondeBlocks:
+    SIGMAS = [3.0, 1.5, 0.4, 0.1]
+
+    def test_simple_derivative_form_is_vandermonde(self):
+        for nrows in (1, 4, 7):
+            assert np.allclose(blocks(spec_of(self.SIGMAS), nrows),
+                               np.vander(self.SIGMAS, nrows, increasing=True).T,
+                               rtol=1e-14, atol=0.0)
+
+    def test_simple_offset_form(self):
+        sig = np.array(self.SIGMAS)
+        i = np.arange(1, 7)[:, None]
+        for offset in (0, 2, 9):
+            assert np.allclose(blocks(spec_of(sig), 6, offset),
+                               sig ** offset * (-1.0 / sig) ** (i - 1),
+                               rtol=1e-14, atol=0.0)
+
+    def test_repeated_column_is_central_difference(self):
+        # sigma = 2 with multiplicity 2: column j = 2 is d/db of column j = 1
+        sig, h, nrows = 2.0, 1e-5, 6
+        spec = spec_of([sig, 0.7], [2, 1])
+        i = np.arange(1, nrows + 1)
+        deriv = blocks(spec, nrows)[:, 1]
+        diff = (blocks(spec_of([sig + h]), nrows)[:, 0]
+                - blocks(spec_of([sig - h]), nrows)[:, 0]) / (2 * h)
+        assert deriv[0] == 0.0
+        assert np.allclose(deriv[1:], diff[1:], rtol=1e-6, atol=0.0)
+        b = -1.0 / sig
+        offset = blocks(spec, nrows, 3)[:, 1]
+        diff = sig ** 3 * ((b + h) ** (i - 1) - (b - h) ** (i - 1)) / (2 * h)
+        assert offset[0] == 0.0
+        assert np.allclose(offset[1:], diff[1:], rtol=1e-6, atol=0.0)
+
+    def test_matches_entrywise_loop(self):
+        # reference: entry by entry, (-1)^(i-j) (i-j+1)_(j-1) sigma^(offset-i+j)
+        # with an offset and (i-j+1)_(j-1) sigma^(i-j) without; zero for i < j
+        eps = np.finfo(float).eps
+        for vals, mults in [([3.0, 1.5, 0.4], [1, 1, 1]), ([2.5, 0.5], [1, 3]),
+                            ([4.0, 1.5, 0.3], [2, 1, 2]), ([1.3], [4])]:
+            spec = spec_of(vals, mults)
+            for nrows in (0, 3, 6):
+                for offset in (None, 0, 7):
+                    logmag, sign = _vandermonde_blocks(spec, nrows, offset)
+                    assert logmag.shape == sign.shape == (nrows, spec.dim)
+                    col = 0
+                    for val, mult in spec.distinct:
+                        for j in range(1, mult + 1):
+                            for i in range(1, nrows + 1):
+                                if i < j:
+                                    assert sign[i - 1, col] == 0.0
+                                    assert logmag[i - 1, col] == -np.inf
+                                    continue
+                                pw = i - j if offset is None else offset - i + j
+                                ref = (math.log(math.prod(range(i - j + 1, i)))
+                                       + pw * math.log(val))
+                                assert logmag[i - 1, col] == pytest.approx(
+                                    ref, rel=4 * eps, abs=4 * eps)
+                                flip = 1.0 if offset is None else (-1.0) ** (i - j)
+                                assert sign[i - 1, col] == flip
+                            col += 1
 
 
 class TestCharacteristicCoefficients:

@@ -51,14 +51,9 @@ class TestEbn0Min:
             assert received == pytest.approx(-1.5917, abs=0.001)
         assert ebn0_min_received_db() == pytest.approx(-1.59, abs=0.01)
 
-    def test_modes_equal(self):
-        assert ebn0_min(3, "general") == ebn0_min(3, "ostbc")
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ebn0_min(0)
-        with pytest.raises(ValueError):
-            ebn0_min(2, "beamforming")
 
 
 class TestLowSnrSlopes:

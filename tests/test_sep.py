@@ -14,7 +14,8 @@ from scipy import special
 import dsmimo
 from dsmimo.codes import alamouti, g4
 from dsmimo.corrmat import Spectrum, constant_corr, exponential_corr, identity_corr
-from dsmimo.detform import characteristic_coefficients, expected_inv_det_miso
+from dsmimo.detform import (NumericFailure, characteristic_coefficients,
+                            expected_inv_det_miso)
 from dsmimo.matstat import Scenario
 from dsmimo.mc import MonteCarloConfig, mc_sep
 from dsmimo.quadrule import gauss_legendre
@@ -83,12 +84,14 @@ class TestThetaIntegral:
         assert conditional_sep_mpsk(1.0, psk) == pytest.approx(
             0.5 * special.erfc(1.0), abs=1e-12)
 
-    def test_node_doubling_stability(self):
+    def test_node_doubling_stability(self, monkeypatch):
         psk = PskConstellation(8)
         scn = Scenario.uncorrelated(4, 3, 2, g4())
         for snr_db in (5.0, 15.0, 25.0):
-            a = sep_mpsk_uncorrelated(scn, psk, db(snr_db), nodes=64)
-            b = sep_mpsk_uncorrelated(scn, psk, db(snr_db), nodes=128)
+            monkeypatch.setattr(dsmimo.sep, "THETA_NODES", 64)
+            a = sep_mpsk_uncorrelated(scn, psk, db(snr_db))
+            monkeypatch.setattr(dsmimo.sep, "THETA_NODES", 128)
+            b = sep_mpsk_uncorrelated(scn, psk, db(snr_db))
             assert abs(a - b) < 1e-10 * max(a, 1e-300) + 1e-300
 
 
@@ -254,6 +257,14 @@ class TestMiso:
                 ref += mgf * mp.mpf(wk)
             ref = float(ref / mp.pi)
         assert sep_mpsk(scn, psk, snr) == pytest.approx(ref, rel=1e-6)
+
+    def test_cancelled_partial_fractions_raise(self):
+        # 2x50x1, exponential rho=0.45: the partial-fraction sum cancels
+        # away every digit; unguarded it is 22.25, above the 3/4 ceiling
+        scn = Scenario(2, 50, 1, exponential_corr(2, 0.45), exponential_corr(50, 0.45),
+                       identity_corr(1), alamouti())
+        with pytest.raises(NumericFailure):
+            sep_mpsk(scn, PskConstellation(4), db(10.0))
 
 
 class TestNoDoubleScattering:
