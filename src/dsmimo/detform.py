@@ -2,15 +2,15 @@
 
 Everything here reduces to three ingredients:
 
-* a scalar 2F0 kernel, defined (not merely represented) by the integral
-      2F0(n, q; -x) = (1/(n-1)!) int_0^inf (1+x t)^(-q) t^(n-1) e^-t dt,
-  which is the quantity the closed-form error-probability and
-  inverse-determinant expressions call for (the hypergeometric series
-  itself is divergent).  It is evaluated, vectorized over x, by one
-  fixed-cost trapezoid rule in s = ln t, accurate to about 1e-13 relative
-  for n <= 72, q <= 16 and x up to 1e11;
+* one Gamma-lattice rule (`_gamma_lattice`, `_product_mean`): a fixed-cost
+  trapezoid rule in s = ln t for the expectation over t ~ Gamma(nw) of a
+  product of factors (1 + x c_k t)^(-m_k).  It gives the 2F0 kernel
+      2F0(n, q; -x) = (1/(n-1)!) int_0^inf (1+x t)^(-q) t^(n-1) e^-t dt
+  (the hypergeometric series itself is divergent), the Kronecker kernel
+  entries, the MISO expectation and the Gram route;
 * characteristic coefficients: the partial-fraction expansion of
-  det(I + xi A)^(-1) over the distinct eigenvalues of A;
+  det(I + xi A)^(-1) over the distinct eigenvalues of A, gated against
+  cancellation; only the smaller MISO side uses them;
 * block determinants with confluent (multiplicity-aware) columns, evaluated
   in log-scaled form so factorials and eigenvalue powers never overflow,
   and stacked so a whole vector of xi goes through one batched slogdet.
@@ -20,8 +20,8 @@ Everything here reduces to three ingredients:
 
 The expected-inverse-determinant evaluators take xi as a scalar or a
 vector and return values in (0, 1]; they are the moment generating
-functions behind every closed-form SEP.  A partial-fraction sum that fails
-its sum-to-one gate raises NumericFailure.
+functions behind every closed-form SEP.  Coefficients that fail their
+gate raise NumericFailure.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrmat import Spectrum
-from .quadrule import gauss_laguerre_prob, orthonormal_laguerre
+from .quadrule import orthonormal_laguerre
 
-_TINY = 1e-300
-#: log of the relative size of the dropped left tail of the 2F0 lattice
+#: log of the relative size of the dropped left tail of a Gamma lattice
 _LOG_TAIL = math.log(1e-18)
-#: node-by-entry elements per 2F0 block (512 KiB of doubles)
+#: elements per lattice block (512 KiB of doubles)
 _BATCH = 1 << 16
+#: terms of the MISO density series (each at most 2^n/n!, below 1e-21 from n = 28)
+_SERIES_TERMS = 28
 
 
 class NumericFailure(ValueError):
@@ -47,64 +48,81 @@ class NumericFailure(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# scalar kernel
+# Gamma lattice and the 2F0 kernel
 # ---------------------------------------------------------------------------
 
-def _nonneg_vector(x, name: str) -> np.ndarray:
+def _gamma_lattice(nw: int, log_floor: float):
+    """Nodes t and log-weights of the trapezoid rule in s = ln t for E f(t),
+    t ~ Gamma(nw), geometrically convergent for f analytic near the real s
+    axis: step min(0.2, 0.5/sqrt(nw)) from s = ln(nw + 12 sqrt(nw) + 40) down
+    to where e^(nw s)/Gamma(nw) falls below 1e-18 e^log_floor, log_floor
+    being the log of a lower bound on E f."""
+    lg = math.lgamma(nw)
+    h = min(0.2, 0.5 / math.sqrt(nw))
+    s_hi = math.log(nw + 12.0 * math.sqrt(nw) + 40.0)
+    s_lo = (lg + _LOG_TAIL + log_floor) / nw
+    s = s_hi - h * np.arange(math.ceil((s_hi - s_lo) / h) + 1)
+    t = np.exp(s)
+    return t, nw * s - t - lg + math.log(h)
+
+
+def _product_mean(logw: np.ndarray, t: np.ndarray, c, mult, x: np.ndarray):
+    """sum_i exp(logw_i - sum_k mult_k log1p(x c_k t_i)) for each entry of
+    x: a lattice expectation of prod_k (1 + x c_k t)^(-mult_k)."""
+    ct = np.multiply.outer(c, t)
+    out = np.empty(x.size)
+    # bound the entry-by-factor-by-node temporaries to _BATCH doubles
+    step = max(1, _BATCH // ct.size)
+    for lo in range(0, x.size, step):
+        e = mult @ np.log1p(np.multiply.outer(x[lo : lo + step], ct))
+        out[lo : lo + step] = np.exp(logw - e).sum(axis=1)
+    return out
+
+
+def _log_floor(scales: np.ndarray, c: np.ndarray, mult: np.ndarray, xmax: float) -> float:
+    """log of a lower bound on E prod_k (1 + xmax c_k V)^(-mult_k) for
+    V = sum_i scales_i E_i, E_i unit exponentials: the product at v0 times
+    P(V <= v0) >= prod_i (1 - e^(-v0/(d scales_i))), at
+    v0 = min(d min(scales), d/(xmax sum_k mult_k c_k))."""
+    d = scales.size
+    v0 = min(d * float(scales.min()), d / (xmax * float(mult @ c)))
+    return float(np.log(-np.expm1(-v0 / (d * scales))).sum()
+                 - mult @ np.log1p(xmax * c * v0))
+
+
+def _at_positive(x, fn):
+    """fn over the positive entries of x >= 0 (a scalar or a vector) and 1
+    at x = 0; a float for a scalar x, else an array."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xv < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
-    return xv
-
-
-def _shaped_like(x, out: np.ndarray):
-    """out as a float when x is a scalar, else as the array."""
+        raise ValueError("argument must be nonnegative")
+    out = np.ones_like(xv)
+    pos = xv > 0.0
+    if pos.any():
+        out[pos] = fn(xv[pos])
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def hyp2f0(n: int, q: int, x):
-    """2F0(n, q; -x) for positive integers n, q and x >= 0 (scalar or array).
-
-    The defining integral, with nw, ne = max(n, q), min(n, q) (the function
-    is symmetric in its parameters), is taken to the variable s = ln t:
-
-        2F0(n, q; -x) = int exp(nw s - e^s - lnGamma(nw) - ne log1p(x e^s)) ds.
-
-    The integrand is analytic in a strip around the real axis and decays
-    double-exponentially to the right and like e^(nw s) to the left, so the
-    trapezoid rule converges geometrically; the 1/x knee of (1+xt)^-ne is an
-    O(1)-wide bend at s = -ln x and needs no special treatment.  The lattice
-    has step min(0.2, 0.5/sqrt(nw)), is anchored at s = ln(nw + 12 sqrt(nw)
-    + 40), and runs down to where e^(nw s)/Gamma(nw) falls below 1e-18 times
-    the Jensen lower bound (1 + x nw)^-ne of the result.  A vector x shares
-    one lattice (sized for its largest entry), so a vector call agrees with
-    scalar calls to round-off.  Agreement with the confluent hypergeometric
-    form x^-n U(n, n-q+1, 1/x) is about 1e-13 relative for n <= 72,
-    q <= 16 and x up to 1e11.  Values lie in (0, 1], equal 1 at x = 0, and
-    decrease in x; results below the double range underflow to 0.
+    """2F0(n, q; -x) for positive integers n, q and x >= 0 (scalar or array):
+    the Gamma(nw) expectation of (1 + x t)^-ne, nw, ne = max(n, q), min(n, q)
+    (the function is symmetric in its parameters), on `_gamma_lattice`
+    floored at the Jensen bound (1 + x nw)^-ne.  A vector x shares one
+    lattice (sized for its largest entry), so it agrees with scalar calls to
+    round-off.  Agreement with x^-n U(n, n-q+1, 1/x) is about 1e-13 relative
+    for n <= 72, q <= 16 and x up to 1e11.  Values lie in (0, 1], equal 1 at
+    x = 0, and decrease in x; results below the double range underflow to 0.
     """
     if n < 1 or q < 1:
         raise ValueError("parameters must be positive integers")
-    xv = _nonneg_vector(x, "argument x")
-    out = np.ones_like(xv)
-    pos = np.nonzero(xv > 0.0)[0]
-    if pos.size:
-        nw, ne = max(n, q), min(n, q)
-        lg = math.lgamma(nw)
-        h = min(0.2, 0.5 / math.sqrt(nw))
-        s_hi = math.log(nw + 12.0 * math.sqrt(nw) + 40.0)
-        s_lo = (lg + _LOG_TAIL - ne * math.log1p(float(xv[pos].max()) * nw)) / nw
-        s = s_hi - h * np.arange(math.ceil((s_hi - s_lo) / h) + 1)
-        t = np.exp(s)
-        logw = nw * s - t - lg + math.log(h)
-        # bound the node-by-entry temporaries to _BATCH doubles
-        step = max(1, _BATCH // s.size)
-        for lo in range(0, pos.size, step):
-            idx = pos[lo : lo + step]
-            out[idx] = np.exp(logw - ne * np.log1p(np.outer(xv[idx], t))).sum(axis=1)
+    nw, ne = max(n, q), min(n, q)
+
+    def mean(xv):
+        t, logw = _gamma_lattice(nw, -ne * math.log1p(float(xv.max()) * nw))
         # the integrand never exceeds the weight, so round-off above 1 is noise
-        np.minimum(out, 1.0, out=out)
-    return _shaped_like(x, out)
+        return np.minimum(_product_mean(logw, t, [1.0], [ne], xv), 1.0)
+
+    return _at_positive(x, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +143,9 @@ class CharCoefficients:
     def __post_init__(self):
         total = sum(c for row in self.coeffs for c in row)
         mag = sum(abs(c) for row in self.coeffs for c in row)
-        # float summation of large alternating coefficients cannot beat
-        # eps * sum|X|; widen the 1e-10 gate accordingly
-        tol = max(1e-10, 64 * np.finfo(float).eps * mag)
-        if abs(total - 1.0) > tol:
-            raise NumericFailure(f"characteristic coefficients sum to {total}, not 1")
+        # a sum of alternating coefficients is only good to eps * sum|X|
+        if abs(total - 1.0) > 1e-10 or np.finfo(float).eps * mag > 1e-10:
+            raise NumericFailure(f"characteristic coefficients: sum {total}, sum|X| {mag:.3g}")
 
     def items(self):
         """Yield (p, eigenvalue, j, X_pj) over all coefficients (j is 1-based)."""
@@ -418,29 +434,32 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
                           xi):
     """E det(I + xi A (x) XX^H)^(-1) for X m x n (m <= n) with row covariance
     Sigma and a PSD matrix A; arguments are the two spectra and xi >= 0
-    (scalar or vector; one stacked determinant per entry)."""
-    xv = _nonneg_vector(xi, "xi")
+    (scalar or vector; one stacked determinant per entry).  Each entry is
+    a Gamma expectation of prod_k (1 + xi sigma r_k t)^(-m_k) over A's r."""
     if sigma_spec.dim != m or n < m:
         raise ValueError("need sigma spectrum of dimension m and n >= m")
-    coeffs = characteristic_coefficients(a_spec)
+    r = np.array(a_spec.values)
+    mult = np.array(a_spec.mults, dtype=float)
 
-    olog = np.empty((xv.size, m, m))
-    osign = np.empty((xv.size, m, m))
-    memo = {}  # entries depend on (i, j) only through (sigma, i + j)
-    for col, (val, j) in enumerate(zip(*_columns(sigma_spec))):
-        for i in range(1, m + 1):
-            if (val, i + j) not in memo:
-                a = n - m + i + j - 1
-                inner = sum(x * hyp2f0(a, jj, xv * av * val)
-                            for _, av, jj, x in coeffs.items())
-                with np.errstate(divide="ignore"):
-                    memo[val, i + j] = (math.lgamma(a) + a * math.log(val)
-                                        + np.log(np.abs(inner)), np.sign(inner))
-            olog[:, i - 1, col], osign[:, i - 1, col] = memo[val, i + j]
-    num_s, num_l = _det_scaled(olog, osign)
-    den_s, den_l = _det_scaled(*_vandermonde_blocks(sigma_spec, m, n))
-    log_k = sum(math.lgamma(n - i + 1) for i in range(1, m + 1))
-    return _shaped_like(xi, num_s * den_s * np.exp(num_l - den_l - log_k))
+    def mgf(xv):
+        olog = np.empty((xv.size, m, m))
+        memo = {}  # entries depend on (i, j) only through (sigma, i + j)
+        for col, (val, j) in enumerate(zip(*_columns(sigma_spec))):
+            for i in range(1, m + 1):
+                if (val, i + j) not in memo:
+                    a = n - m + i + j - 1
+                    c = val * r
+                    t, logw = _gamma_lattice(a, _log_floor(np.ones(a), c, mult, xv.max()))
+                    with np.errstate(divide="ignore"):
+                        memo[val, i + j] = (math.lgamma(a) + a * math.log(val)
+                                            + np.log(_product_mean(logw, t, c, mult, xv)))
+                olog[:, i - 1, col] = memo[val, i + j]
+        num_s, num_l = _det_scaled(olog, 1.0)
+        den_s, den_l = _det_scaled(*_vandermonde_blocks(sigma_spec, m, n))
+        log_k = sum(math.lgamma(n - i + 1) for i in range(1, m + 1))
+        return num_s * den_s * np.exp(num_l - den_l - log_k)
+
+    return _at_positive(xi, mgf)
 
 
 def _uncorr_hankel(m: int, n: int, nu: int, xi: np.ndarray) -> np.ndarray:
@@ -458,22 +477,15 @@ def _uncorr_hankel(m: int, n: int, nu: int, xi: np.ndarray) -> np.ndarray:
 
 def _uncorr_gram(m: int, n: int, nu: int, xi: np.ndarray) -> np.ndarray:
     """Same expectation through the orthonormal-polynomial Gram determinant:
-    det of int p_i p_j (1+xi t)^(-nu) dmu over the Laguerre measure of order
-    n-m.  No factorials appear, so this stays accurate for n in the
-    thousands; it loses accuracy only for xi >> 1 with nu >= n-m+1, a corner
-    the Hankel route owns."""
+    det of int p_i p_j (1+xi t)^(-nu) dmu over the Gamma(n-m+1) lattice,
+    floored at the Jensen bound (1 + xi n)^(-m nu).  No factorials appear,
+    so this stays accurate for n in the thousands; it loses accuracy only
+    for xi >> 1 with nu >= n-m+1, a corner the Hankel route owns."""
     alpha = n - m
-    prev = None
-    for deg in (256, 512, 1024, 2048):
-        t, w = gauss_laguerre_prob(deg, alpha)
-        p = orthonormal_laguerre(t, alpha, m)
-        wf = w * np.exp(-nu * np.log1p(np.outer(xi, t)))
-        vals = np.linalg.det(np.einsum("ad,id,jd->aij", wf, p, p))
-        if prev is not None and np.all(np.abs(vals - prev)
-                                       <= 1e-11 * np.maximum(np.abs(vals), _TINY)):
-            return vals
-        prev = vals
-    return vals
+    t, logw = _gamma_lattice(alpha + 1, -m * nu * math.log1p(float(xi.max()) * n))
+    p = orthonormal_laguerre(t, alpha, m)
+    wf = np.exp(logw - nu * np.log1p(np.outer(xi, t)))
+    return np.linalg.det(np.einsum("ad,id,jd->aij", wf, p, p))
 
 
 #: n above which the Hankel route's factorial cancellation (growing like
@@ -486,27 +498,48 @@ def expected_inv_det_uncorr(m: int, n: int, nu: int, xi):
     X with m <= n; equals the Hankel determinant ratio of the uncorrelated
     reduction.  xi >= 0 is a scalar or a vector.  The Hankel route serves
     n <= 64, the Gram route larger n."""
-    xv = _nonneg_vector(xi, "xi")
     if m > n:
         raise ValueError("need m <= n")
     route = _uncorr_hankel if n <= _HANKEL_MAX_N else _uncorr_gram
-    out = np.ones_like(xv)
-    pos = xv > 0.0
-    if pos.any():
-        out[pos] = route(m, n, nu, xv[pos])
-    return _shaped_like(xi, out)
+    return _at_positive(xi, lambda xv: route(m, n, nu, xv))
 
 
 def expected_inv_det_miso(sigma_spec: Spectrum, psi_spec: Spectrum, xi):
     """E det(I + xi XX^H)^(-1) for X with row covariance Sigma and column
-    covariance Psi: a quadruple sum of characteristic-coefficient products
-    against 2F0 kernels, xi >= 0 a scalar or a vector.  Symmetric in the two
-    spectra."""
-    xv = _nonneg_vector(xi, "xi")
-    cs = characteristic_coefficients(sigma_spec)
-    cp = characteristic_coefficients(psi_spec)
-    total = np.zeros_like(xv)
-    for _, sv, i, xs in cs.items():
-        for _, pv, j, xp in cp.items():
-            total += xs * xp * hyp2f0(i, j, xv * sv * pv)
-    return _shaped_like(xi, np.where(xv == 0.0, 1.0, total))
+    covariance Psi, xi >= 0 a scalar or a vector; symmetric in the spectra.
+
+    With a (dimension d) the smaller spectrum and b the larger, this is the
+    expectation over V = sum_k a_k E_k of prod_l (1 + xi b_l V)^(-1), on one
+    Gamma(d) lattice in t = V/max(a).  V's density is e^(-t) times a power
+    series as far as that keeps its digits, the smaller side's gated partial
+    fractions beyond."""
+    small, large = sorted((sigma_spec, psi_spec), key=lambda s: s.dim)
+    a = small.expand()
+    d, amin, amax = a.size, float(a.min()), float(a.max())
+    log_kappa = float(np.log(amax / a).sum())
+    b = np.array(large.values)
+    mult = np.array(large.mults, dtype=float)
+    # e^(V/amax) V's density over its V -> 0 limit: sum_n h_n(amin/amax -
+    # amin/a) (V/amin)^n / (d)_n, terms at most (V/amin - V/amax)^n / n!
+    series = np.eye(1, _SERIES_TERMS)[0]
+    for y in amin / amax - amin / a:
+        series = np.convolve(series, y ** np.arange(_SERIES_TERMS))[:_SERIES_TERMS]
+    series /= np.cumprod(np.r_[1.0, d + np.arange(_SERIES_TERMS - 1.0)])
+
+    def mgf(xv):
+        # V's density is at most kappa t^(d-1)/Gamma(d): lower the floor by kappa
+        t, logw = _gamma_lattice(d, _log_floor(a, b, mult, xv.max()) - log_kappa)
+        low = t * (amax / amin - 1.0) <= 2.0  # the series' reach: 2^n/n! terms
+        hi = t[~low]
+        # V's density over the Gamma(d) weight t^d e^-t / Gamma(d) of t
+        ratio = np.zeros_like(t)
+        ratio[low] = np.exp(log_kappa) * np.polynomial.polynomial.polyval(
+            t[low] * amax / amin, series)
+        for _, av, j, x in (characteristic_coefficients(small).items() if hi.size else ()):
+            ratio[~low] += x * np.exp(j * np.log(hi * amax / av) - hi * amax / av
+                                      - math.lgamma(j) - d * np.log(hi) + hi + math.lgamma(d))
+        # the density is positive: a negative ratio is round-off
+        with np.errstate(divide="ignore"):
+            return _product_mean(logw + np.log(np.maximum(ratio, 0.0)), amax * t, b, mult, xv)
+
+    return _at_positive(xi, mgf)

@@ -1,17 +1,9 @@
-"""Quadrature rules shared across the package.
-
-Two families are provided:
-
-* Gauss-Legendre rules on [0, b], used for the finite angular integrals
-  in the error-probability expressions.
-* Generalized Gauss-Laguerre rules with weight t^alpha e^-t, normalized
-  so the weights sum to one (i.e. quadrature against the Gamma(alpha+1)
-  probability measure).  Normalization keeps everything finite for alpha
-  in the thousands, where the raw weights would overflow through the
-  Gamma(alpha+1) mass factor.
-
-Rules are cached by (degree, parameter); computing a fresh Laguerre rule
-costs one symmetric tridiagonal eigendecomposition (Golub-Welsch).
+"""Quadrature pieces shared across the package: Gauss-Legendre rules on
+[0, b] for the angular integrals of the error probabilities (cached by
+degree and length), and orthonormal Laguerre polynomials against the
+Gamma(alpha+1) probability measure, the Gram-route basis; normalizing the
+measure keeps them finite for alpha in the thousands.  Gamma expectations
+themselves are taken on the lattice of `detform._gamma_lattice`.
 """
 
 from __future__ import annotations
@@ -19,10 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 _GL_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
-_LAG_CACHE: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def gauss_legendre(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -38,35 +28,13 @@ def gauss_legendre(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[key]
 
 
-def gauss_laguerre_prob(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized Gauss-Laguerre rule against t^alpha e^-t / Gamma(alpha+1).
-
-    sum_i w_i f(t_i) ~ (1/Gamma(alpha+1)) * int_0^inf f(t) t^alpha e^-t dt,
-    exact for polynomials of degree < 2n.  Weights sum to 1 by construction,
-    so the rule stays representable for arbitrarily large alpha.
-    """
-    if alpha <= -1:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
-    key = (n, float(alpha))
-    if key not in _LAG_CACHE:
-        k = np.arange(n, dtype=float)
-        diag = 2.0 * k + alpha + 1.0
-        off = np.sqrt(k[1:] * (k[1:] + alpha))
-        nodes, vecs = eigh_tridiagonal(diag, off)
-        weights = vecs[0] ** 2
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        _LAG_CACHE[key] = (nodes, weights)
-    return _LAG_CACHE[key]
-
-
 def orthonormal_laguerre(t: np.ndarray, alpha: float, kmax: int) -> np.ndarray:
     """Evaluate the first kmax orthonormal Laguerre polynomials at t.
 
-    Orthonormal against the Gamma(alpha+1)-normalized measure used by
-    gauss_laguerre_prob: int p_i p_j dmu = delta_ij.  Returned array has
-    shape (kmax, len(t)).  Three-term recurrence with coefficients
-    a_k = 2k+alpha+1, b_k = sqrt(k(k+alpha)).
+    Orthonormal against the Gamma(alpha+1) probability measure:
+    int p_i p_j dmu = delta_ij.  Returned array has shape (kmax, len(t)).
+    Three-term recurrence with coefficients a_k = 2k+alpha+1,
+    b_k = sqrt(k(k+alpha)).
     """
     t = np.asarray(t, dtype=float)
     out = np.empty((kmax, t.shape[0]))

@@ -9,8 +9,8 @@ only in which expected-inverse-determinant identity evaluates the MGF:
 
 * spatially uncorrelated: Hankel determinant of 2F0 kernels;
 * doubly correlated (transmit/receive correlation, identity scatterers,
-  n_s >= n_t): confluent block determinant with characteristic coefficients;
-* MISO (n_r = 1): quadruple characteristic-coefficient sum.
+  n_s >= n_t): confluent block determinant of Gamma expectations;
+* MISO (n_r = 1): one Gamma-lattice expectation over the smaller side.
 
 A fourth closed form covers the no-double-scattering (rich scattering)
 limit, where the MGF is a plain product over transmit/receive eigenvalue
@@ -128,9 +128,8 @@ def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float)
     correlation, and n_s >= n_t.
 
     Confluent block determinant over the distinct transmit eigenvalues,
-    entries mixing receive-side characteristic coefficients with 2F0
-    kernels; the normalizer is the matching block determinant of pure
-    eigenvalue powers, computed once per scenario.
+    each entry a Gamma expectation of a product over the receive
+    eigenvalues; the normalizer is a block determinant of eigenvalue powers.
     """
     if not scn.phi_s.is_identity:
         raise ValueError("doubly-correlated formula needs an identity scatterer correlation")
@@ -145,12 +144,11 @@ def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float)
 
 
 def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float) -> float:
-    """SEP for n_r = 1: quadruple sum of scatterer/transmit characteristic
-    coefficients against angular 2F0 integrals.
-
-    The partial-fraction coefficients grow combinatorially when many nearly
-    equal eigenvalues occur on one side; with the named one-coefficient
-    models and the paper-scale dimensions the cancellation stays benign.
+    """SEP for n_r = 1: the MGF is the expectation, over the smaller of the
+    transmit and scatterer sides' weighted sums of exponentials, of a
+    product over the larger side's eigenvalues, so the larger side may have
+    any dimension.  The smaller side's partial fractions grow when its
+    eigenvalues nearly coincide; past their gate they raise NumericFailure.
     """
     if scn.n_r != 1:
         raise ValueError("MISO formula needs n_r = 1")

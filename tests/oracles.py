@@ -1,5 +1,7 @@
 """Reference evaluators shared by the kernel and acceptance tests."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 from scipy import integrate
@@ -27,6 +29,29 @@ def oracle_2f0_hyperu(n, q, x, dps=40):
     with mp.workdps(dps):
         xm = mp.mpf(x)
         return float(xm ** (-n) * mp.hyperu(n, n - q + 1, 1 / xm))
+
+
+def oracle_miso_mgf(a, b, xi, dps=30):
+    """E_V prod_l (1 + xi b_l V)^-1 for V = sum_k a_k E_k (E_k unit
+    exponentials, the a_k distinct) by mpmath quadrature over V's density
+    sum_k a_k^(d-2) e^(-v/a_k) / prod_(j != k) (a_k - a_j), which is summed
+    with dps digits because it cancels where it vanishes like v^(d-1).  The
+    product is summed in double precision (about 1e-14 relative), so a
+    thousand factors cost one numpy call per node."""
+    b = np.asarray(b, dtype=float)
+    with mp.workdps(dps):
+        am = [mp.mpf(float(v)) for v in a]
+        coef = [ak ** (len(am) - 2) / mp.fprod(ak - aj for aj in am if aj is not ak)
+                for ak in am]
+
+        def f(v):
+            prod = math.exp(-float(np.log1p(xi * float(v) * b).sum()))
+            return mp.fsum(c * mp.exp(-v / ak) for c, ak in zip(coef, am)) * prod
+
+        knee = 1 / (mp.mpf(xi) * float(b.sum()))
+        pts = sorted({mp.mpf(0), *(knee * 4 ** i for i in range(-3, 6)),
+                      *(max(am) * s for s in (1, 8, 40))})
+        return float(mp.quad(f, pts + [mp.inf]))
 
 
 def max_eig_cdf(pdf2, grid):

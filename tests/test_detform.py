@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from dsmimo.corrmat import Spectrum, constant_corr
-from dsmimo.detform import (CharCoefficients, HypKernelId, _det_scaled,
+from dsmimo.corrmat import Spectrum, constant_corr, exponential_corr
+from dsmimo.detform import (CharCoefficients, HypKernelId, NumericFailure, _det_scaled,
                             _uncorr_gram, _uncorr_hankel, _vandermonde_blocks,
                             characteristic_coefficients, expected_inv_det_kron,
                             expected_inv_det_miso, expected_inv_det_uncorr,
@@ -15,7 +15,7 @@ from dsmimo.detform import (CharCoefficients, HypKernelId, _det_scaled,
                             wishart_eigen_pdf)
 
 from conftest import cgauss
-from oracles import max_eig_cdf, oracle_2f0, oracle_2f0_hyperu
+from oracles import max_eig_cdf, oracle_2f0, oracle_2f0_hyperu, oracle_miso_mgf
 
 
 def spec_of(vals, mults=None):
@@ -445,7 +445,7 @@ class TestExpectedInvDetUncorr:
 
     def test_hankel_and_gram_agree(self):
         for m, n, nu, xi in [(2, 4, 2, 0.3), (4, 4, 2, 1.7), (3, 9, 3, 0.8),
-                             (1, 2, 1, 5.0)]:
+                             (1, 2, 1, 5.0), (4, 4, 2, 300.0), (4, 4, 2, 1e3)]:
             h = _uncorr_hankel(m, n, nu, np.array([xi]))[0]
             g = _uncorr_gram(m, n, nu, np.array([xi]))[0]
             assert g == pytest.approx(h, rel=1e-9)
@@ -488,6 +488,24 @@ class TestExpectedInvDetMiso:
         s2 = constant_corr(2, 0.5).spectrum
         vals = [expected_inv_det_miso(s1, s2, x) for x in np.logspace(-2, 2, 20)]
         assert all(1 >= a > b > 0 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_large_side_against_mpmath_quad(self, n):
+        small = exponential_corr(2, 0.45).spectrum
+        large = exponential_corr(n, 0.45).spectrum
+        xs = np.array([1e-2, 1.0, 1e2, 1e5])
+        got = expected_inv_det_miso(small, large, xs)
+        for x, g in zip(xs, got):
+            ref = oracle_miso_mgf(small.values, large.expand(), float(x))
+            assert g == pytest.approx(ref, rel=1e-10)
+
+    def test_cancelled_smaller_side_raises(self):
+        # two 50-dimensional sides: the coefficients of the side kept in
+        # partial fractions reach sum|X| ~ 1e17 and fail their gate (the
+        # all-partial-fraction sum returned 1.4e16)
+        spec = exponential_corr(50, 0.45).spectrum
+        with pytest.raises(NumericFailure):
+            expected_inv_det_miso(spec, spec, 1.0)
 
 
 class TestEtrLemmaConsistency:

@@ -9,11 +9,14 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import dsmimo
 from dsmimo.codes import alamouti, g4
-from dsmimo.corrmat import Spectrum, constant_corr, exponential_corr, identity_corr
+from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_corr,
+                            tridiagonal_corr)
 from dsmimo.detform import (NumericFailure, characteristic_coefficients,
                             expected_inv_det_miso)
 from dsmimo.matstat import Scenario
@@ -25,7 +28,9 @@ from dsmimo.sep import (PskConstellation, UnsupportedScenarioError,
                         sep_mpsk_iid_rayleigh, sep_mpsk_miso,
                         sep_mpsk_no_double_scattering, sep_mpsk_uncorrelated,
                         sep_theta_integral)
+from dsmimo.sep import _sep_from_mgf
 
+from conftest import random_correlation
 from oracles import oracle_2f0_hyperu
 
 
@@ -97,8 +102,8 @@ class TestThetaIntegral:
 
 class TestUncorrelated:
     def test_keyhole_reduces_to_scalar_kernel_form(self):
-        # n_s = 1: the Hankel collapses; same value through the
-        # quadruple-sum identity with identity spectra
+        # n_s = 1: the Hankel collapses; same value through the MISO
+        # identity with identity spectra
         scn = Scenario.uncorrelated(4, 1, 2, g4())
         psk = PskConstellation(8)
         snr = db(12.0)
@@ -187,6 +192,27 @@ class TestDoublyCorrelated:
         est = mc_sep(scn, psk, snr, MonteCarloConfig(trials=300_000, seed=5))
         assert abs(est.value - cf) < 3 * est.std_error
 
+    def test_many_receive_antennas_keep_improving(self):
+        # the receive side enters only as a product over its eigenvalues;
+        # its partial fractions rose from n_r = 20 to 40 and raised at 60
+        psk = PskConstellation(4)
+        seps = [sep_mpsk(self._receive_scenario(n_r), psk, db(10.0)) for n_r in (20, 40, 60)]
+        assert seps[0] > seps[1] > seps[2] > 0.0
+
+    @pytest.mark.parametrize("n_r", [20, 40, 60])
+    def test_many_receive_antennas_against_monte_carlo(self, n_r):
+        scn = self._receive_scenario(n_r)
+        psk = PskConstellation(4)
+        snr = db(-10.0)
+        cf = sep_mpsk_doubly_correlated(scn, psk, snr)
+        est = mc_sep(scn, psk, snr, MonteCarloConfig(trials=1 << 16, seed=7))
+        assert abs(est.value - cf) < 3 * est.std_error
+
+    @staticmethod
+    def _receive_scenario(n_r):
+        return Scenario(2, 4, n_r, exponential_corr(2, 0.45), identity_corr(4),
+                        exponential_corr(n_r, 0.45), alamouti())
+
     def test_needs_enough_scatterers(self):
         scn = Scenario(4, 2, 4, constant_corr(4, 0.5), identity_corr(2),
                        constant_corr(4, 0.5), g4())
@@ -258,13 +284,18 @@ class TestMiso:
             ref = float(ref / mp.pi)
         assert sep_mpsk(scn, psk, snr) == pytest.approx(ref, rel=1e-6)
 
-    def test_cancelled_partial_fractions_raise(self):
-        # 2x50x1, exponential rho=0.45: the partial-fraction sum cancels
-        # away every digit; unguarded it is 22.25, above the 3/4 ceiling
-        scn = Scenario(2, 50, 1, exponential_corr(2, 0.45), exponential_corr(50, 0.45),
-                       identity_corr(1), alamouti())
-        with pytest.raises(NumericFailure):
-            sep_mpsk(scn, PskConstellation(4), db(10.0))
+    @pytest.mark.parametrize("model", [exponential_corr, tridiagonal_corr, constant_corr])
+    @pytest.mark.parametrize("n_s", [50, 100])
+    def test_many_scatterers_against_monte_carlo(self, model, n_s):
+        # the scatterer side enters only as a product over its eigenvalues;
+        # its partial fractions returned 22.25 at 2x50x1 exponential
+        scn = Scenario(2, n_s, 1, model(2, 0.45), model(n_s, 0.45), identity_corr(1),
+                       alamouti())
+        psk = PskConstellation(4)
+        snr = db(10.0)
+        cf = sep_mpsk(scn, psk, snr)
+        est = mc_sep(scn, psk, snr, MonteCarloConfig(trials=1 << 16, seed=7))
+        assert abs(est.value - cf) < 3 * est.std_error
 
 
 class TestNoDoubleScattering:
@@ -299,6 +330,36 @@ class TestDispatchAndInvariants:
         assert a == pytest.approx(b, rel=1e-9)
         assert a == pytest.approx(c, rel=1e-9)
         assert sep_mpsk(scn, psk, snr) == a
+
+    def test_out_of_range_mgf_raises(self):
+        # an MGF of 2 integrates to 2 Theta / pi = 1.5, above the 3/4 ceiling
+        with pytest.raises(NumericFailure):
+            _sep_from_mgf(lambda xi: np.full_like(xi, 2.0), PskConstellation(4),
+                          db(10.0), 2, 1)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 60),
+           st.booleans(), st.floats(0.05, 3.0), st.sampled_from([2, 4, 8, 16]),
+           st.floats(-10.0, 40.0))
+    @settings(max_examples=30, deadline=None)
+    def test_random_spectra_bounded_or_numeric_failure(self, seed, n_t, n_big, miso,
+                                                       strength, m, snr_db):
+        # MISO with random transmit and scatterer correlations, or doubly
+        # correlated with random transmit and receive correlations
+        rng = np.random.default_rng(seed)
+        tx = random_correlation(rng, n_t, strength)
+        if miso:
+            scn = Scenario(n_t, n_big, 1, tx, random_correlation(rng, n_big, strength),
+                           identity_corr(1))
+        else:
+            n_s = n_t + int(rng.integers(0, 4))
+            scn = Scenario(n_t, n_s, n_big, tx, identity_corr(n_s),
+                           random_correlation(rng, n_big, strength))
+        psk = PskConstellation(m)
+        try:
+            v = sep_mpsk(scn, psk, db(snr_db))
+        except NumericFailure:
+            return
+        assert 0.0 <= v <= psk.sep_ceiling
 
     def test_dispatch_unsupported(self):
         scn = Scenario(2, 3, 2, constant_corr(2, 0.5), constant_corr(3, 0.5),
@@ -384,20 +445,32 @@ def test_benchmark_tracer_sees_every_family():
             dsmimo.sep.sep_mpsk(scn, psk, db(12.0))
     finally:
         tracer.uninstall()
-    assert tracer.missing == []
+    # perfbench still lists the Gauss-Laguerre rule the library deleted
+    assert tracer.missing == ["dsmimo.quadrule.gauss_laguerre_prob"]
     totals = tracer.layer_totals()
     assert totals["sep.sep_mpsk"]["calls"] == len(cases)
     for name in cases:
         assert totals[name]["calls"] == 1, name
 
 
-def test_closed_form_leaves_scipy_integrate_unloaded():
-    # the closed forms need no adaptive quadrature; importing it costs
-    # about 0.3 s of start-up
-    code = ("import sys, dsmimo\n"
-            "scn = dsmimo.Scenario.uncorrelated(4, 10, 4, dsmimo.g4())\n"
-            "dsmimo.sep_mpsk(scn, dsmimo.PskConstellation(8), 100.0)\n"
-            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate loaded'\n")
+def test_runtime_leaves_scipy_unloaded():
+    # scipy is a test dependency only: the library, every closed-form
+    # family (the n > 64 Gram route included) and Monte Carlo run without it
+    code = ("import sys, dsmimo as d\n"
+            "psk = d.PskConstellation(8)\n"
+            "for scn in [d.Scenario.uncorrelated(4, 10, 4, d.g4()),\n"
+            "            d.Scenario.uncorrelated(4, 200, 4, d.g4()),\n"
+            "            d.Scenario(4, 10, 4, d.constant_corr(4, 0.5), d.identity_corr(10),\n"
+            "                       d.constant_corr(4, 0.5), d.g4()),\n"
+            "            d.Scenario(4, 10, 1, d.exponential_corr(4, 0.5),\n"
+            "                       d.exponential_corr(10, 0.5), d.identity_corr(1), d.g4()),\n"
+            "            d.Scenario.uncorrelated(4, 1, 2, d.g4(), no_double_scattering=True)]:\n"
+            "    d.sep_mpsk(scn, psk, 100.0)\n"
+            "d.sep_mpsk_iid_rayleigh(4, 2, 1, psk, 100.0)\n"
+            "d.mc_sep(d.Scenario.uncorrelated(4, 10, 4, d.g4()), psk, 100.0,\n"
+            "         d.MonteCarloConfig(trials=4096, seed=1))\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
     src = str(Path(dsmimo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
