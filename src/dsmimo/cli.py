@@ -108,9 +108,12 @@ def _get_float(raw, key, default=None):
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError:
         raise ConfigError(f"key {key!r}: expected a number, got {raw[key]!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {raw[key]!r}")
+    return value
 
 
 def _get_bool(raw, key, default=False):
@@ -306,6 +309,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     axis = cfg.raw.get("sweep.axis")
     if axis not in ("rho", "ns"):
         raise ConfigError("key 'sweep.axis': expected rho or ns")
+    if axis == "rho" and not _any_correlated(cfg):
+        raise ConfigError("key 'sweep.axis': rho needs a side with a correlation model, "
+                          "but every side is identity")
     values_raw = cfg.raw.get("sweep.values", "")
     if not values_raw.strip():
         raise ConfigError("key 'sweep.values': empty values list")

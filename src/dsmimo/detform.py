@@ -10,7 +10,9 @@ Everything here reduces to three ingredients:
   entries, the MISO expectation and the Gram route;
 * characteristic coefficients: the partial-fraction expansion of
   det(I + xi A)^(-1) over the distinct eigenvalues of A, gated against
-  cancellation; only the smaller MISO side uses them;
+  cancellation; a public reference that no evaluator calls (the smaller
+  MISO side's density is the nonnegative matrix exponential
+  `_log_density_ratio`);
 * block determinants with confluent (multiplicity-aware) columns, evaluated
   in log-scaled form so factorials and eigenvalue powers never overflow,
   and stacked so a whole vector of xi goes through one batched slogdet.
@@ -38,8 +40,6 @@ from .quadrule import orthonormal_laguerre
 _LOG_TAIL = math.log(1e-18)
 #: elements per lattice block (512 KiB of doubles)
 _BATCH = 1 << 16
-#: terms of the MISO density series (each at most 2^n/n!, below 1e-21 from n = 28)
-_SERIES_TERMS = 28
 
 
 class NumericFailure(ValueError):
@@ -504,42 +504,67 @@ def expected_inv_det_uncorr(m: int, n: int, nu: int, xi):
     return _at_positive(xi, lambda xv: route(m, n, nu, xv))
 
 
+def _log_density_ratio(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """log of the density of T = sum_j E_j/mu_j (E_j unit exponentials,
+    min(mu) = 1) over the Gamma(d) density, at nodes t in descending order,
+    by additions of nonnegative numbers only.
+
+    T is the absorption time of a pure-birth chain with rates mu: its density
+    is mu_d e^(-max(mu) t) [e^(Bt)]_(1,d), B nonnegative with diagonal
+    x = max(mu) - mu and superdiagonal mu.  e^(Bt) is the k-th square of
+    e^(Bt/2^k) (2^k > 2 max(x) t per node), each power kept under the
+    diagonal similarity that makes its exponent's superdiagonal s = d/e, so
+    [e^(Bt)]_(1,d) = E_(1,d) prod_(j<d) mu_j t/s.  The first power is a
+    Taylor polynomial of degree d + 16 (the corner needs d - 1 steps; every
+    entry is then good to 2^-18/18!); each square halves entry (i, j) j - i
+    times to reach the next similarity and is rescaled by a power of two."""
+    d, s = mu.size, mu.size / math.e
+    x = mu.max() - mu
+    k = np.maximum(np.frexp(x.max() * t)[1] + 1, 0)  # t descends, so k does
+    # Horner on (d, d, nodes) arrays: P e is diag * e plus s * (e shifted up)
+    diag, eye = np.ldexp(np.multiply.outer(x, t), -k)[:, None], np.eye(d)[:, :, None]
+    e = eye
+    for n in range(d + 16, 0, -1):
+        pe = diag * e
+        pe[:-1] += s * e[1:]
+        e = eye + pe / n
+    e = np.ascontiguousarray(e.transpose(2, 0, 1))
+    i = np.arange(d)
+    shift = i[:, None] - i  # entry (i, j) of a square is halved j - i times
+    log2 = np.zeros_like(k)  # the kept power is e * 2^log2
+    for j in range(int(k.max())):
+        live = np.count_nonzero(k > j)  # the nodes still to square: a prefix
+        sq = e[:live] @ e[:live]
+        ex = np.frexp(sq.max(axis=(1, 2)))[1]
+        e[:live] = np.ldexp(sq, shift - ex[:, None, None])
+        log2[:live] = 2 * log2[:live] + ex
+    return (float(np.log(mu).sum()) + math.lgamma(d) - (d - 1) * math.log(s) - x.max() * t
+            + log2 * math.log(2.0) + np.log(e[:, 0, -1]))
+
+
 def expected_inv_det_miso(sigma_spec: Spectrum, psi_spec: Spectrum, xi):
     """E det(I + xi XX^H)^(-1) for X with row covariance Sigma and column
     covariance Psi, xi >= 0 a scalar or a vector; symmetric in the spectra.
 
     With a (dimension d) the smaller spectrum and b the larger, this is the
     expectation over V = sum_k a_k E_k of prod_l (1 + xi b_l V)^(-1), on one
-    Gamma(d) lattice in t = V/max(a).  V's density is e^(-t) times a power
-    series as far as that keeps its digits, the smaller side's gated partial
-    fractions beyond."""
+    Gamma(d) lattice in t = V/max(a), weighted by V's density from
+    `_log_density_ratio` (any eigenvalue pattern, no cancellation)."""
     small, large = sorted((sigma_spec, psi_spec), key=lambda s: s.dim)
     a = small.expand()
-    d, amin, amax = a.size, float(a.min()), float(a.max())
+    d, amax = a.size, float(a.max())
     log_kappa = float(np.log(amax / a).sum())
     b = np.array(large.values)
     mult = np.array(large.mults, dtype=float)
-    # e^(V/amax) V's density over its V -> 0 limit: sum_n h_n(amin/amax -
-    # amin/a) (V/amin)^n / (d)_n, terms at most (V/amin - V/amax)^n / n!
-    series = np.eye(1, _SERIES_TERMS)[0]
-    for y in amin / amax - amin / a:
-        series = np.convolve(series, y ** np.arange(_SERIES_TERMS))[:_SERIES_TERMS]
-    series /= np.cumprod(np.r_[1.0, d + np.arange(_SERIES_TERMS - 1.0)])
 
     def mgf(xv):
         # V's density is at most kappa t^(d-1)/Gamma(d): lower the floor by kappa
         t, logw = _gamma_lattice(d, _log_floor(a, b, mult, xv.max()) - log_kappa)
-        low = t * (amax / amin - 1.0) <= 2.0  # the series' reach: 2^n/n! terms
-        hi = t[~low]
-        # V's density over the Gamma(d) weight t^d e^-t / Gamma(d) of t
-        ratio = np.zeros_like(t)
-        ratio[low] = np.exp(log_kappa) * np.polynomial.polynomial.polyval(
-            t[low] * amax / amin, series)
-        for _, av, j, x in (characteristic_coefficients(small).items() if hi.size else ()):
-            ratio[~low] += x * np.exp(j * np.log(hi * amax / av) - hi * amax / av
-                                      - math.lgamma(j) - d * np.log(hi) + hi + math.lgamma(d))
-        # the density is positive: a negative ratio is round-off
+        step = max(1, _BATCH // (d * d))  # node-by-d-by-d blocks of _BATCH doubles
+        # past d ~ 300 the corner of far-tail nodes underflows: they drop out
         with np.errstate(divide="ignore"):
-            return _product_mean(logw + np.log(np.maximum(ratio, 0.0)), amax * t, b, mult, xv)
+            ratio = [_log_density_ratio(amax / a, t[lo : lo + step])
+                     for lo in range(0, t.size, step)]
+        return _product_mean(logw + np.concatenate(ratio), amax * t, b, mult, xv)
 
     return _at_positive(xi, mgf)

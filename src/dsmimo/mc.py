@@ -124,8 +124,8 @@ def mc_sep(scn: Scenario, psk: PskConstellation, snr: float,
            cfg: MonteCarloConfig) -> Estimate:
     """Semi-analytic SEP estimate: average over channel draws of the exact
     conditional M-PSK SEP at gamma = snr*||H||_F^2/(n_t*rate)."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    if not 0 < snr < math.inf:
+        raise ValueError("snr must be positive and finite")
     scale = snr * ostbc_snr_scale(scn)
 
     def per_trial(rng, n):
@@ -171,8 +171,8 @@ def mc_capacity(scn: Scenario, snr: float, mode: str,
     mode "general": E log2 det(I + (snr/n_t) H H^H);
     mode "ostbc":   rate * E log2(1 + snr*||H||_F^2/(n_t*rate)).
     """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    if not 0 < snr < math.inf:
+        raise ValueError("snr must be positive and finite")
     if mode == "ostbc":
         scale = snr * ostbc_snr_scale(scn)
         rate = float(scn.rate)

@@ -97,10 +97,10 @@ def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
                   n_s: int = 1) -> float:
     """The angular average shared by every closed form: (1/pi) int_0^Theta
     mgf(xi) dtheta at xi = g*snr/(n_s*n_t*rate*sin^2 theta); n_s = 1 drops
-    the double-scattering normalization.  A result outside [0, (M-1)/M]
-    raises NumericFailure."""
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    the double-scattering normalization.  An snr that is not positive and
+    finite raises ValueError, a result outside [0, (M-1)/M] NumericFailure."""
+    if not 0 < snr < math.inf:
+        raise ValueError("snr must be positive and finite")
     d = n_s * n_t * float(rate)
     sep = sep_theta_integral(lambda th: mgf(psk.g * snr / (d * np.sin(th) ** 2)),
                              psk.theta_max, THETA_NODES)
@@ -147,8 +147,8 @@ def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float) -> float:
     """SEP for n_r = 1: the MGF is the expectation, over the smaller of the
     transmit and scatterer sides' weighted sums of exponentials, of a
     product over the larger side's eigenvalues, so the larger side may have
-    any dimension.  The smaller side's partial fractions grow when its
-    eigenvalues nearly coincide; past their gate they raise NumericFailure.
+    any dimension.  The smaller side's density is a nonnegative matrix
+    exponential, exact for any eigenvalue pattern (nearly equal included).
     """
     if scn.n_r != 1:
         raise ValueError("MISO formula needs n_r = 1")

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import integrate
+from scipy.special import gammaln, xlogy
 
 
 def oracle_2f0(n, q, x, dps=40):
@@ -31,27 +32,45 @@ def oracle_2f0_hyperu(n, q, x, dps=40):
         return float(xm ** (-n) * mp.hyperu(n, n - q + 1, 1 / xm))
 
 
-def oracle_miso_mgf(a, b, xi, dps=30):
+def oracle_miso_mgf(a, b, xi):
     """E_V prod_l (1 + xi b_l V)^-1 for V = sum_k a_k E_k (E_k unit
-    exponentials, the a_k distinct) by mpmath quadrature over V's density
-    sum_k a_k^(d-2) e^(-v/a_k) / prod_(j != k) (a_k - a_j), which is summed
-    with dps digits because it cancels where it vanishes like v^(d-1).  The
-    product is summed in double precision (about 1e-14 relative), so a
-    thousand factors cost one numpy call per node."""
+    exponentials, any a_k > 0), integrated over V's density in its
+    all-positive (uniformization) form: with lam = 1/a and X = max(lam) -
+    min(lam),
+        f(v) = prod(lam) v^(d-1) e^(-min(lam) v) / Gamma(d)
+               * sum_n Poisson(n; X v) G_n,
+    where G_n in [0, 1] is the mean of the degree-n monomials in
+    y = (max(lam) - lam)/X, built by a recurrence of convex combinations.
+    Nothing cancels, so the density and the product are summed in double
+    precision (about 1e-14 relative; a thousand factors cost one numpy call
+    per node), and QUADPACK integrates them adaptively to 1e-13 relative
+    between the knees of the product and of the density.  V beyond
+    max(a)(d + 12 sqrt(d) + 100), where less than 1e-40 of its mass lies,
+    is left out."""
     b = np.asarray(b, dtype=float)
-    with mp.workdps(dps):
-        am = [mp.mpf(float(v)) for v in a]
-        coef = [ak ** (len(am) - 2) / mp.fprod(ak - aj for aj in am if aj is not ak)
-                for ak in am]
+    lam = 1.0 / np.asarray(a, dtype=float)
+    d, big = lam.size, float(lam.max() - lam.min())
+    v_end = (d + 12 * math.sqrt(d) + 100) / float(lam.min())
+    n = np.arange(int(big * v_end + 15 * math.sqrt(big * v_end) + 50))
+    # g[m] = G_m over the first k variables: G_m <- ((k-1) G_m + m y_k G_(m-1)) / (k+m-1)
+    g = np.zeros(n.size)
+    for k, y in enumerate((lam.max() - lam) / (big or 1.0), start=1):
+        g[0] = 1.0
+        for m in range(1, n.size):
+            g[m] = ((k - 1) * g[m] + m * y * g[m - 1]) / (k + m - 1)
+    log_c = float(np.log(lam).sum()) - math.lgamma(d)
 
-        def f(v):
-            prod = math.exp(-float(np.log1p(xi * float(v) * b).sum()))
-            return mp.fsum(c * mp.exp(-v / ak) for c, ak in zip(coef, am)) * prod
+    def f(v):
+        pois = np.exp(xlogy(n, big * v) - big * v - gammaln(n + 1))
+        return math.exp(log_c + xlogy(d - 1, v) - float(lam.min()) * v
+                        - float(np.log1p(xi * v * b).sum())) * float(pois @ g)
 
-        knee = 1 / (mp.mpf(xi) * float(b.sum()))
-        pts = sorted({mp.mpf(0), *(knee * 4 ** i for i in range(-3, 6)),
-                      *(max(am) * s for s in (1, 8, 40))})
-        return float(mp.quad(f, pts + [mp.inf]))
+    knee = 1.0 / (xi * float(b.sum()))
+    pts = sorted({0.0, v_end, *(knee * 4.0 ** i for i in range(-3, 6)),
+                  *(s / float(lam.min()) for s in (1, 8, 40))})
+    pts = [p for p in pts if p <= v_end]
+    return sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(pts, pts[1:]))
 
 
 def max_eig_cdf(pdf2, grid):

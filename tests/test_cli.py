@@ -74,6 +74,18 @@ class TestParseConfig:
         cfg = BASE.replace("scenario.n_t = 4", "scenario.n_t = 2")
         assert main(["diversity", "--config", write(tmp_path, cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("cmd, key, old, new", [("sep-curve", "snr.start_db", "6", "nan"),
+                                                    ("sweep", "sweep.snr_db", "15", "inf")])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, cmd, key, old, new):
+        # a NaN start used to crash the SNR grid with a traceback
+        cfg = BASE + ("corr.tx.model = constant\ncorr.tx.rho = 0.3\n"
+                      "sweep.axis = rho\nsweep.values = 0.1\nsweep.snr_db = 15\n")
+        cfg = cfg.replace(f"{key} = {old}\n", f"{key} = {new}\n")
+        out = tmp_path / "o.csv"
+        assert main([cmd, "--config", write(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_override_validated(self, tmp_path, trials):
         # the override obeys the same mc.trials >= 1 rule as the config key
@@ -185,6 +197,16 @@ class TestSweep:
         cfg = BASE + "sweep.values = 0.1\nsweep.snr_db = 15\n"
         assert main(["sweep", "--config", write(tmp_path, cfg),
                      "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
+
+    def test_rho_axis_needs_a_correlated_side(self, tmp_path, capsys):
+        # with every side identity the rho override changes nothing, so every
+        # row would repeat one scenario
+        cfg = BASE + "sweep.axis = rho\nsweep.values = 0.1,0.5\nsweep.snr_db = 15\n"
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", write(tmp_path, cfg), "--out", str(out),
+                     "--trials", "1000"]) == EXIT_CONFIG
+        assert "config error: key 'sweep.axis'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_of_range_value_names_sweep_values(self, tmp_path, capsys):
         # rho = 0.6 is outside the 10x10 tridiagonal model's range; the

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from dsmimo.corrmat import Spectrum, constant_corr, exponential_corr
-from dsmimo.detform import (CharCoefficients, HypKernelId, NumericFailure, _det_scaled,
+from dsmimo.corrmat import Spectrum, constant_corr, exponential_corr, tridiagonal_corr
+from dsmimo.detform import (CharCoefficients, HypKernelId, _det_scaled,
                             _uncorr_gram, _uncorr_hankel, _vandermonde_blocks,
                             characteristic_coefficients, expected_inv_det_kron,
                             expected_inv_det_miso, expected_inv_det_uncorr,
@@ -499,13 +499,25 @@ class TestExpectedInvDetMiso:
             ref = oracle_miso_mgf(small.values, large.expand(), float(x))
             assert g == pytest.approx(ref, rel=1e-10)
 
-    def test_cancelled_smaller_side_raises(self):
-        # two 50-dimensional sides: the coefficients of the side kept in
-        # partial fractions reach sum|X| ~ 1e17 and fail their gate (the
-        # all-partial-fraction sum returned 1.4e16)
+    def test_fifty_dimensional_smaller_side(self):
+        # two 50-dimensional sides: their characteristic coefficients reach
+        # sum|X| ~ 1e17, so no partial-fraction density survives here
         spec = exponential_corr(50, 0.45).spectrum
-        with pytest.raises(NumericFailure):
-            expected_inv_det_miso(spec, spec, 1.0)
+        ref = oracle_miso_mgf(spec.expand(), spec.expand(), 1.0)
+        assert expected_inv_det_miso(spec, spec, 1.0) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("rho", [0.001, 0.01, 0.05])
+    @pytest.mark.parametrize("model", [exponential_corr, tridiagonal_corr])
+    def test_nearly_equal_smaller_side(self, model, rho):
+        # 4x10x1 with nearly equal but distinct eigenvalues on both sides;
+        # at rho = 0.01 the smaller side's partial fractions cancel past
+        # their gate
+        small, large = model(4, rho).spectrum, model(10, rho).spectrum
+        xs = np.array([1e-2, 1.0, 1e2, 1e5])
+        got = expected_inv_det_miso(small, large, xs)
+        for x, g in zip(xs, got):
+            ref = oracle_miso_mgf(small.expand(), large.expand(), float(x))
+            assert g == pytest.approx(ref, rel=1e-12)
 
 
 class TestEtrLemmaConsistency:

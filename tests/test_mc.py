@@ -10,8 +10,8 @@ from dsmimo.matstat import (Scenario, double_product_moments, frobenius_moments,
                             kurtosis_frobenius)
 from dsmimo.mc import (Estimate, MonteCarloConfig, fit_diversity_slope,
                        mc_capacity, mc_kurtosis_eff, mc_sep, substream)
-from dsmimo.sep import (PskConstellation, sep_mpsk, sep_mpsk_uncorrelated,
-                        sep_theta_integral)
+from dsmimo.sep import (PskConstellation, sep_mpsk, sep_mpsk_iid_rayleigh,
+                        sep_mpsk_uncorrelated, sep_theta_integral)
 from dsmimo.corrmat import Spectrum
 
 
@@ -185,6 +185,22 @@ class TestFitDiversitySlope:
             fit_diversity_slope([(0, 1e-1), (2, 1e-2), (4, 1e-3), (6, 1e-4)])
         with pytest.raises(ValueError):
             fit_diversity_slope([(0, 1e-1), (5, 1e-2), (10, 0.0), (12, 1e-4)])
+
+
+@pytest.mark.parametrize("snr", [0.0, -1.0, math.nan, math.inf])
+def test_snr_must_be_positive_and_finite(snr):
+    # the README scenario: 4x10x4, constant rho = 0.5 transmit and receive
+    scn = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                   constant_corr(4, 0.5), g4())
+    psk, cfg = PskConstellation(8), MonteCarloConfig(trials=1024, seed=1)
+    calls = [lambda: sep_mpsk(scn, psk, snr),
+             lambda: sep_mpsk_iid_rayleigh(4, 4, scn.rate, psk, snr),
+             lambda: mc_sep(scn, psk, snr, cfg),
+             lambda: mc_capacity(scn, snr, "general", cfg),
+             lambda: mc_capacity(scn, snr, "ostbc", cfg)]
+    for call in calls:
+        with pytest.raises(ValueError, match="snr must be positive and finite"):
+            call()
 
 
 def test_rate_formula_examples():

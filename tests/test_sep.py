@@ -358,6 +358,8 @@ class TestDispatchAndInvariants:
         try:
             v = sep_mpsk(scn, psk, db(snr_db))
         except NumericFailure:
+            # only the doubly-correlated branch may raise
+            assert not miso
             return
         assert 0.0 <= v <= psk.sep_ceiling
 
