@@ -74,10 +74,66 @@ class Scenario:
         return zt, zs, zr
 
 
+#: Trials per slice of a batched channel draw: one slice's temporaries
+#: (a few hundred kB for 4x10x4) stay in cache.
+SLICE = 4096
+
+
 def _std_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Unit-power circular Gaussians: every real part, then every imaginary
+    part, drawn slice by slice into one array.  Consecutive draws give the
+    same variates as one large draw, so slicing changes no bit."""
+    z = np.empty(shape, dtype=complex)
+    for part in (z.real, z.imag):
+        for lo in range(0, shape[0], SLICE):
+            part[lo:lo + SLICE] = rng.standard_normal(part[lo:lo + SLICE].shape)
     z *= math.sqrt(0.5)
     return z
+
+
+def _sqrt_factor(phi: CorrelationMatrix) -> np.ndarray | None:
+    """phi^(1/2), or None when it is exactly the identity: X @ I == X
+    exactly, so skipping the product changes no bit."""
+    s = phi.sqrt
+    return None if np.array_equal(s, np.eye(phi.dim)) else s
+
+
+def _chain(*factors) -> np.ndarray:
+    """Left-to-right product of the factors that are not None."""
+    factors = [f for f in factors if f is not None]
+    out = factors[0]
+    for f in factors[1:]:
+        out = out @ f
+    return out
+
+
+def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
+    """Yield (start, H) for consecutive slices of at most SLICE trials of a
+    batch of `size` channels, never holding the whole (size, n_r, n_t) batch.
+
+    The draw order is that of one batched draw: H1's real then imaginary
+    parts, then H2's real parts (all trials), then H2's imaginary parts, one
+    slice at a time; a slice is yielded as soon as its last variate is
+    drawn.  Without double scattering the single factor G plays H2's part.
+    """
+    sr, st = _sqrt_factor(scn.phi_r), _sqrt_factor(scn.phi_t)
+    if scn.no_double_scattering:
+        h1 = ss = None
+        shape = (scn.n_r, scn.n_t)
+    else:
+        h1 = _std_complex(rng, (size, scn.n_r, scn.n_s))
+        ss = _sqrt_factor(scn.phi_s)
+        shape = (scn.n_s, scn.n_t)
+    re = rng.standard_normal((size, *shape))
+    for lo in range(0, size, SLICE):
+        h2 = np.empty(re[lo:lo + SLICE].shape, dtype=complex)
+        h2.real = re[lo:lo + SLICE]
+        h2.imag = rng.standard_normal(h2.shape)
+        h2 *= math.sqrt(0.5)
+        if h1 is None:
+            yield lo, _chain(sr, h2, st)
+        else:
+            yield lo, _chain(sr, h1[lo:lo + SLICE], ss, h2, st) / math.sqrt(scn.n_s)
 
 
 def sample_channel(scn: Scenario, rng: np.random.Generator,
@@ -90,13 +146,9 @@ def sample_channel(scn: Scenario, rng: np.random.Generator,
     """
     one = size is None
     b = 1 if one else size
-    sr, st = scn.phi_r.sqrt, scn.phi_t.sqrt
-    if scn.no_double_scattering:
-        h = sr @ _std_complex(rng, (b, scn.n_r, scn.n_t)) @ st
-    else:
-        h1 = _std_complex(rng, (b, scn.n_r, scn.n_s))
-        h2 = _std_complex(rng, (b, scn.n_s, scn.n_t))
-        h = (sr @ h1 @ scn.phi_s.sqrt @ h2 @ st) / math.sqrt(scn.n_s)
+    h = np.empty((b, scn.n_r, scn.n_t), dtype=complex)
+    for lo, piece in channel_slices(scn, rng, b):
+        h[lo:lo + len(piece)] = piece
     return h[0] if one else h
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .detform import (NumericFailure, expected_inv_det_kron, expected_inv_det_miso,
                       expected_inv_det_uncorr)
-from .matstat import Scenario
+from .matstat import SLICE, Scenario
 from .quadrule import gauss_legendre
 
 #: Gauss-Legendre node count of the angular integrals, read at call time;
@@ -88,8 +88,15 @@ def conditional_sep_mpsk(gamma, psk: PskConstellation):
     """Exact M-PSK SEP conditioned on an instantaneous SNR gamma (vectorized):
     (1/pi) int_0^Theta exp(-g*gamma/sin^2 theta) dtheta."""
     th, w = gauss_legendre(THETA_NODES, psk.theta_max)
-    gv = np.atleast_1d(np.asarray(gamma, dtype=float))
-    out = np.exp(-np.outer(gv, psk.g / np.sin(th) ** 2)) @ w / math.pi
+    c = psk.g / np.sin(th) ** 2
+    gv = np.asarray(gamma, dtype=float).ravel()
+    out = np.empty(gv.size)
+    # One (SLICE, THETA_NODES) exponent at a time instead of the whole one.
+    # A one-row tail joins the slice before it: numpy evaluates a one-row
+    # product as a dot, which rounds differently from a longer gemv.
+    cuts = [0, *range(SLICE, gv.size - 1, SLICE), gv.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        out[lo:hi] = np.exp(-np.outer(gv[lo:hi], c)) @ w / math.pi
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 

@@ -6,10 +6,11 @@ import pytest
 from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                             identity_corr, spectrum_of)
-from dsmimo.matstat import (Scenario, double_product_moments,
+from dsmimo.matstat import (SLICE, Scenario, double_product_moments,
                             expected_trace_square, frobenius_moments,
                             kurtosis_frobenius, sample_channel,
                             trace_quadratic_cumulant)
+from dsmimo.mc import substream
 
 from conftest import random_correlation
 
@@ -94,6 +95,45 @@ class TestSampleChannel:
         # bounded away from zero, the third at round-off level
         assert np.all(sv[:, 1] > 1e-8)
         assert np.all(sv[:, 2] < 1e-12 * sv[:, 0])
+
+    @staticmethod
+    def one_shot(scn, rng, size):
+        """The whole batch drawn at once: every factor's real parts, then its
+        imaginary parts, and the full square-root chain."""
+        b = 1 if size is None else size
+
+        def std_complex(shape):
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            z *= math.sqrt(0.5)
+            return z
+
+        sr, st = scn.phi_r.sqrt, scn.phi_t.sqrt
+        if scn.no_double_scattering:
+            h = sr @ std_complex((b, scn.n_r, scn.n_t)) @ st
+        else:
+            h1 = std_complex((b, scn.n_r, scn.n_s))
+            h2 = std_complex((b, scn.n_s, scn.n_t))
+            h = (sr @ h1 @ scn.phi_s.sqrt @ h2 @ st) / math.sqrt(scn.n_s)
+        return h
+
+    @pytest.mark.parametrize("size", [None, 1, SLICE - 1, SLICE + 1, 3 * SLICE + 5])
+    @pytest.mark.parametrize("sides", ["iii", "rrr", "ccc", "rii", "ici", "iic",
+                                       "rich ii", "rich cr"])
+    def test_slices_equal_one_shot_draw(self, size, sides):
+        rng = np.random.default_rng(11)
+        corr = {"i": identity_corr,
+                "r": lambda n: constant_corr(n, 0.45),
+                "c": lambda n: random_correlation(rng, n)}
+        if sides.startswith("rich"):
+            t, r = sides[-2:]
+            scn = Scenario(3, 1, 2, corr[t](3), identity_corr(1), corr[r](2),
+                           no_double_scattering=True)
+        else:
+            t, s, r = sides
+            scn = Scenario(3, 4, 2, corr[t](3), corr[s](4), corr[r](2))
+        got = sample_channel(scn, substream(9, 2), size=size)
+        ref = self.one_shot(scn, substream(9, 2), size)
+        assert np.array_equal(got, ref[0] if size is None else ref)
 
     def test_scenario_dimension_checks(self):
         with pytest.raises(ValueError):

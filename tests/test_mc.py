@@ -1,14 +1,18 @@
+import concurrent.futures
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
 import dsmimo.mc as mc_mod
+from dsmimo.cli import EXIT_OK, main
 from dsmimo.codes import g4, ostbc_rate
-from dsmimo.corrmat import constant_corr, identity_corr
+from dsmimo.corrmat import constant_corr, exponential_corr, identity_corr
 from dsmimo.matstat import (Scenario, double_product_moments, frobenius_moments,
-                            kurtosis_frobenius)
-from dsmimo.mc import (Estimate, MonteCarloConfig, fit_diversity_slope,
+                            kurtosis_frobenius, sample_channel)
+from dsmimo.mc import (BLOCK_SIZE, Estimate, MonteCarloConfig, fit_diversity_slope,
                        mc_capacity, mc_kurtosis_eff, mc_sep, substream)
 from dsmimo.sep import (PskConstellation, sep_mpsk, sep_mpsk_iid_rayleigh,
                         sep_mpsk_uncorrelated, sep_theta_integral)
@@ -46,6 +50,69 @@ class TestDeterminism:
         a = mc_sep(scn, psk, 10.0, MonteCarloConfig(trials=50_000, seed=1))
         b = mc_sep(scn, psk, 10.0, MonteCarloConfig(trials=50_000, seed=2))
         assert a.value != b.value
+
+    def test_worker_count_never_changes_a_result(self, monkeypatch):
+        # 3 full blocks plus a partial one, through the generic channel
+        # sampler; the pinned values fix the stream layout, so a change to
+        # the draw order fails here
+        scn = Scenario(2, 3, 2, exponential_corr(2, 0.5), identity_corr(3),
+                       constant_corr(2, 0.3))
+        cfg = MonteCarloConfig(3 * BLOCK_SIZE + 4321, seed=2026)
+
+        def run():
+            kurt, eff = mc_kurtosis_eff(scn, cfg)
+            return (mc_sep(scn, PskConstellation(8), 10.0, cfg), kurt, eff,
+                    mc_capacity(scn, 10.0, "ostbc", cfg))
+
+        # more workers (4, one per block) than cores, switching threads often;
+        # the scenario's lazily computed square roots are first read here
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert repr(pooled) == repr(run())
+        pinned = [("0x1.401517995bcabp-4", "0x1.0f5f650640f05p-12"),
+                  ("0x1.bc0be24af46e4p+0", "0x1.20a8dbc534a7bp-8"),
+                  ("-0x1.56f9c8f1f07a7p+0", "0x1.aaa9c9c99326bp-6"),
+                  ("0x1.004815ae477fcp+2", "0x1.59101efa243c0p-9")]
+        assert [(e.value.hex(), e.std_error.hex()) for e in pooled] == pinned
+
+    def test_single_block_calls_start_no_thread(self, monkeypatch, tmp_path):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        scn = Scenario.uncorrelated(2, 3, 2)
+        psk = PskConstellation(4)
+        one_block = MonteCarloConfig(BLOCK_SIZE, seed=1)
+        mc_sep(scn, psk, 10.0, one_block)
+        mc_capacity(scn, 10.0, "general", one_block)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("scenario.n_t = 2\nscenario.n_s = 3\nscenario.n_r = 2\n"
+                        "code = alamouti\npsk.m = 4\nsnr.start_db = 0\nsnr.stop_db = 4\n"
+                        "snr.step_db = 2\nmc.seed = 1\n", encoding="utf-8")
+        assert main(["sep-curve", "--config", str(cfgp), "--out",
+                     str(tmp_path / "c.csv"), "--trials", "8192"]) == EXIT_OK
+        # the patch is live: a second block does reach the pool
+        with pytest.raises(AssertionError, match="thread pool started"):
+            mc_sep(scn, psk, 10.0, MonteCarloConfig(BLOCK_SIZE + 1, seed=1))
+
+    def test_estimator_field_types(self):
+        scn = Scenario(2, 3, 2, exponential_corr(2, 0.5), identity_corr(3),
+                       identity_corr(2))
+        cfg = MonteCarloConfig(20_000, seed=8)
+        estimates = [mc_sep(scn, PskConstellation(4), 10.0, cfg),
+                     *mc_kurtosis_eff(scn, cfg),
+                     mc_capacity(scn, 10.0, "general", cfg),
+                     mc_capacity(scn, 10.0, "ostbc", cfg)]
+        for e in estimates:
+            assert type(e.value) is float and type(e.std_error) is float
+            assert type(e.trials) is int and e.flag is None
 
 
 class TestMcSep:
@@ -158,6 +225,32 @@ class TestMcCapacity:
         first = scn.n_r * math.log2(math.e)
         second = 0.5 * math.log2(math.e) * m2_hh_sq / scn.n_t**2
         assert abs(est.value / snr - (first - snr * second)) < 3 * est.std_error / snr
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("dims", [(4, 10, 4), (2, 5, 3), (3, 4, 2), (3, 1, 4), (4, 1, 3)])
+    def test_log_det_matches_eigenvalue_form(self, dims, c):
+        n_t, n_s, n_r = dims
+        if n_s > 1:
+            scn = Scenario(n_t, n_s, n_r, exponential_corr(n_t, 0.6),
+                           identity_corr(n_s), constant_corr(n_r, 0.4))
+        else:
+            scn = Scenario.uncorrelated(n_t, n_s, n_r)
+        h = sample_channel(scn, substream(3, 0), size=2000)
+        got = mc_mod._log2_det_eye_plus(c, h)
+        m = min(n_t, n_r)
+        if n_s > 1:
+            hh = h.conj().transpose(0, 2, 1)
+            gram = h @ hh if n_r <= n_t else hh @ h
+            ref = np.log2(1.0 + c * np.linalg.eigvalsh(gram)).sum(axis=1)
+        else:
+            # keyhole: the Gram matrix has rank one, so the exact value is
+            # log2(1 + c ||H||_F^2); eigvalsh's round-off eigenvalues
+            # (~eps ||G||, times c) would put the eigenvalue form itself
+            # 2e-12 off at c = 1e3
+            ref = np.log1p(c * np.einsum("bij,bij->b", h, h.conj()).real) / math.log(2)
+        # each log of a rounded 1 + x carries ~eps absolute error whatever
+        # x is, hence a floor of a few eps per eigenvalue for small values
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=8 * m * np.finfo(float).eps)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):

@@ -89,6 +89,31 @@ class TestThetaIntegral:
         assert conditional_sep_mpsk(1.0, psk) == pytest.approx(
             0.5 * special.erfc(1.0), abs=1e-12)
 
+    def test_conditional_sep_slices_equal_one_shot(self):
+        # The one-shot product is one gemv, which a multithreaded BLAS splits
+        # at row counts that depend on its length, so the reference is only
+        # well defined on one BLAS thread: compare in a pinned interpreter.
+        code = (
+            "import math, numpy as np\n"
+            "from dsmimo.matstat import SLICE\n"
+            "from dsmimo.quadrule import gauss_legendre\n"
+            "from dsmimo.sep import THETA_NODES, PskConstellation, conditional_sep_mpsk\n"
+            "psk, rng = PskConstellation(8), np.random.default_rng(5)\n"
+            "th, w = gauss_legendre(THETA_NODES, psk.theta_max)\n"
+            "for n in (0, 1, 2, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1, 3 * SLICE + 5):\n"
+            "    gamma = rng.exponential(5.0, size=n)\n"
+            "    ref = np.exp(-np.outer(gamma, psk.g / np.sin(th) ** 2)) @ w / math.pi\n"
+            "    assert np.array_equal(conditional_sep_mpsk(gamma, psk), ref), n\n"
+            "assert conditional_sep_mpsk(gamma[0], psk) == (\n"
+            "    np.exp(-np.outer(gamma[:1], psk.g / np.sin(th) ** 2)) @ w / math.pi)[0]\n")
+        src = str(Path(dsmimo.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_node_doubling_stability(self, monkeypatch):
         psk = PskConstellation(8)
         scn = Scenario.uncorrelated(4, 3, 2, g4())
