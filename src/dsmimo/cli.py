@@ -116,6 +116,19 @@ def _get_float(raw, key, default=None):
     return value
 
 
+def _db_grid(raw, prefix: str, default=(None, None, None)) -> np.ndarray:
+    """The grid start, start + step, ... up to stop (dB) from the keys
+    <prefix>start_db, <prefix>stop_db and <prefix>step_db, or their
+    defaults; the step must be positive and stop >= start."""
+    start, stop, step = (_get_float(raw, f"{prefix}{name}_db", d)
+                         for name, d in zip(("start", "stop", "step"), default))
+    if step <= 0:
+        raise ConfigError(f"key '{prefix}step_db': must be positive")
+    if stop < start:
+        raise ConfigError(f"key '{prefix}stop_db': must be >= {prefix}start_db")
+    return start + step * np.arange(math.floor((stop - start) / step + 1e-9) + 1)
+
+
 def _get_bool(raw, key, default=False):
     if key not in raw:
         return default
@@ -154,9 +167,7 @@ class RunConfig:
     no_double_scattering: bool
     code_name: str
     psk_m: int
-    snr_start_db: float
-    snr_stop_db: float
-    snr_step_db: float
+    snr_db: np.ndarray
     trials: int
     seed: int
     output: str | None
@@ -186,10 +197,6 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError(str(e))
 
-    def snr_grid_db(self) -> np.ndarray:
-        n = int(math.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9))
-        return self.snr_start_db + self.snr_step_db * np.arange(n + 1)
-
     def mc(self) -> MonteCarloConfig:
         return MonteCarloConfig(trials=self.trials, seed=self.seed)
 
@@ -203,13 +210,7 @@ def build_run_config(raw: dict[str, str], args) -> RunConfig:
         raise ConfigError("missing required key 'code'")
     if code_name not in ("alamouti", "g4"):
         raise ConfigError(f"key 'code': expected alamouti or g4, got {code_name!r}")
-    start = _get_float(raw, "snr.start_db")
-    stop = _get_float(raw, "snr.stop_db")
-    step = _get_float(raw, "snr.step_db")
-    if step <= 0:
-        raise ConfigError("key 'snr.step_db': must be positive")
-    if stop < start:
-        raise ConfigError("key 'snr.stop_db': must be >= snr.start_db")
+    snr_db = _db_grid(raw, "snr.")
     trials = args.trials if args.trials is not None else _get_int(raw, "mc.trials")
     if trials < 1:
         raise ConfigError(f"key 'mc.trials': must be >= 1, got {trials}")
@@ -221,7 +222,7 @@ def build_run_config(raw: dict[str, str], args) -> RunConfig:
         raw=raw, n_t=n_t, n_s=n_s, n_r=n_r,
         no_double_scattering=_get_bool(raw, "scenario.no_double_scattering"),
         code_name=code_name, psk_m=_get_int(raw, "psk.m", 2),
-        snr_start_db=start, snr_stop_db=stop, snr_step_db=step,
+        snr_db=snr_db,
         trials=trials, seed=seed, output=output,
     )
     cfg.scenario()  # validate dimensions/models eagerly
@@ -289,7 +290,7 @@ def cmd_sep_curve(cfg: RunConfig) -> int:
     psk = cfg.psk()
     d = float(sep_mod.diversity_order(scn))
     rows = []
-    for snr_db in cfg.snr_grid_db():
+    for snr_db in cfg.snr_db:
         snr = 10.0 ** (snr_db / 10.0)
         try:
             cf = sep_mod.sep_mpsk(scn, psk, snr)
@@ -339,6 +340,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_lowsnr(cfg: RunConfig) -> int:
     out = _require_output(cfg)
+    ebn0_db = _db_grid(cfg.raw, "lowsnr.ebn0_", (-1.5, 8.0, 0.5))
+    snr_grid = _db_grid(cfg.raw, "lowsnr.snr_", (-22.0, 2.0, 3.0))
     scn = cfg.scenario()
     met = lowsnr_mod.lowsnr_metrics(scn)
     print(f"ebn0_min_transmit_db = {met.ebn0_min_transmit_db:.6f}")
@@ -347,25 +350,12 @@ def cmd_lowsnr(cfg: RunConfig) -> int:
     print(f"s0_ostbc = {met.s0_ostbc:.6f} bits/s/Hz per 3 dB")
     print(f"eff_db = {met.eff_db:.6f}")
 
-    e_start = _get_float(cfg.raw, "lowsnr.ebn0_start_db", -1.5)
-    e_stop = _get_float(cfg.raw, "lowsnr.ebn0_stop_db", 8.0)
-    e_step = _get_float(cfg.raw, "lowsnr.ebn0_step_db", 0.5)
-    if e_step <= 0:
-        raise ConfigError("key 'lowsnr.ebn0_step_db': must be positive")
-    grid = np.arange(e_start, e_stop + 1e-9, e_step)
-
     rows = []
     for mode in ("general", "ostbc"):
-        for e, c in lowsnr_mod.lowsnr_capacity_curve(scn, mode, grid):
+        for e, c in lowsnr_mod.lowsnr_capacity_curve(scn, mode, ebn0_db):
             rows.append([f"approx_{mode}", e, c, "", ""])
-
-    s_start = _get_float(cfg.raw, "lowsnr.snr_start_db", -22.0)
-    s_stop = _get_float(cfg.raw, "lowsnr.snr_stop_db", 2.0)
-    s_step = _get_float(cfg.raw, "lowsnr.snr_step_db", 3.0)
-    if s_step <= 0:
-        raise ConfigError("key 'lowsnr.snr_step_db': must be positive")
     for mode in ("general", "ostbc"):
-        for snr_db in np.arange(s_start, s_stop + 1e-9, s_step):
+        for snr_db in snr_grid:
             snr = 10.0 ** (snr_db / 10.0)
             est = mc_capacity(scn, snr, mode, cfg.mc())
             if est.value <= 0:
@@ -401,12 +391,15 @@ def cmd_validate(cfg: RunConfig) -> int:
         checks.append((name, measured, tol, ok, note))
 
     # 1. closed form vs Monte Carlo at the middle of the SNR grid
-    grid = cfg.snr_grid_db()
-    snr_db = float(grid[len(grid) // 2])
+    grid = cfg.snr_db
+    mid = len(grid) // 2
+    snr_db = float(grid[mid])
     snr = 10.0 ** (snr_db / 10.0)
+    seps = ([sep_mod.sep_mpsk(scn, psk, 10.0 ** (s / 10.0)) for s in grid]
+            if sep_mod.has_closed_form(scn) else None)
     est = mc_sep(scn, psk, snr, cfg.mc())
-    if sep_mod.has_closed_form(scn):
-        cf = sep_mod.sep_mpsk(scn, psk, snr)
+    if seps is not None:
+        cf = seps[mid]
         dev = abs(cf - est.value)
         tol = max(sigma * est.std_error, rel_tol * cf)
         record(f"sep_closed_vs_mc@{snr_db:g}dB", dev, tol, dev <= tol)
@@ -414,17 +407,13 @@ def cmd_validate(cfg: RunConfig) -> int:
         record("sep_closed_vs_mc", 0.0, 0.0, True,
                "unsupported formula; MC-only validation")
 
-    # 2. formula reductions on the identity-correlation counterpart
-    ident = Scenario.uncorrelated(scn.n_t, scn.n_s, scn.n_r, scn.code)
-    base = sep_mod.sep_mpsk_uncorrelated(ident, psk, snr)
-    if ident.n_r == 1:
-        other = sep_mod.sep_mpsk_miso(ident, psk, snr)
-        dev = abs(other - base) / base
+    # 2. the MISO formula against the uncorrelated one on the identity
+    # counterpart (two independent evaluators of one MGF)
+    if scn.n_r == 1:
+        ident = Scenario.uncorrelated(scn.n_t, scn.n_s, scn.n_r, scn.code)
+        base = sep_mod.sep_mpsk_uncorrelated(ident, psk, snr)
+        dev = abs(sep_mod.sep_mpsk_miso(ident, psk, snr) - base) / base
         record("reduction_miso_vs_uncorrelated", dev, 1e-9, dev <= 1e-9)
-    if ident.n_s >= ident.n_t:
-        other = sep_mod.sep_mpsk_doubly_correlated(ident, psk, snr)
-        dev = abs(other - base) / base
-        record("reduction_dc_vs_uncorrelated", dev, 1e-9, dev <= 1e-9)
 
     # 3. majorization chains and kurtosis monotonicity (constant family)
     ok_chain = True
@@ -454,10 +443,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     record("kurtosis_analytic_vs_mc", dev, tol, dev <= tol)
 
     # 5. closed-form SEP decreasing across the grid
-    if sep_mod.has_closed_form(scn):
-        seps = [sep_mod.sep_mpsk(scn, psk, 10.0 ** (s / 10.0)) for s in grid]
+    if seps is not None:
         mono = all(a > b for a, b in zip(seps, seps[1:]))
-        inrange = all(0.0 < s <= psk.sep_ceiling + 1e-12 for s in seps)
+        inrange = all(0.0 < s <= psk.sep_ceiling for s in seps)
         record("sep_monotone_in_snr", 0.0 if (mono and inrange) else 1.0, 0.0,
                mono and inrange)
 

@@ -6,8 +6,9 @@ Everything here reduces to three ingredients:
   trapezoid rule in s = ln t for the expectation over t ~ Gamma(nw) of a
   product of factors (1 + x c_k t)^(-m_k).  It gives the 2F0 kernel
       2F0(n, q; -x) = (1/(n-1)!) int_0^inf (1+x t)^(-q) t^(n-1) e^-t dt
-  (the hypergeometric series itself is divergent), the Kronecker kernel
-  entries, the MISO expectation and the Gram route;
+  (the hypergeometric series itself is divergent), the MISO expectation,
+  and the measures whose orthonormal polynomials (`_lanczos`) carry the
+  uncorrelated and doubly-correlated MGF;
 * characteristic coefficients: the partial-fraction expansion of
   det(I + xi A)^(-1) over the distinct eigenvalues of A, gated against
   cancellation; a public reference that no evaluator calls (the smaller
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrmat import Spectrum
-from .quadrule import orthonormal_laguerre
 
 #: log of the relative size of the dropped left tail of a Gamma lattice
 _LOG_TAIL = math.log(1e-18)
@@ -51,15 +51,17 @@ class NumericFailure(ValueError):
 # Gamma lattice and the 2F0 kernel
 # ---------------------------------------------------------------------------
 
-def _gamma_lattice(nw: int, log_floor: float):
+def _gamma_lattice(nw: int, log_floor: float, deg: int = 0):
     """Nodes t and log-weights of the trapezoid rule in s = ln t for E f(t),
     t ~ Gamma(nw), geometrically convergent for f analytic near the real s
-    axis: step min(0.2, 0.5/sqrt(nw)) from s = ln(nw + 12 sqrt(nw) + 40) down
-    to where e^(nw s)/Gamma(nw) falls below 1e-18 e^log_floor, log_floor
-    being the log of a lower bound on E f."""
+    axis and growing at most like t^deg: with top = nw + deg, step
+    min(0.2, 0.5/sqrt(top)) from s = ln(top + 12 sqrt(top) + 40) down to
+    where e^(nw s)/Gamma(nw) falls below 1e-18 e^log_floor, log_floor being
+    the log of a lower bound on E |f|."""
     lg = math.lgamma(nw)
-    h = min(0.2, 0.5 / math.sqrt(nw))
-    s_hi = math.log(nw + 12.0 * math.sqrt(nw) + 40.0)
+    top = nw + deg
+    h = min(0.2, 0.5 / math.sqrt(top))
+    s_hi = math.log(top + 12.0 * math.sqrt(top) + 40.0)
     s_lo = (lg + _LOG_TAIL + log_floor) / nw
     s = s_hi - h * np.arange(math.ceil((s_hi - s_lo) / h) + 1)
     t = np.exp(s)
@@ -430,78 +432,109 @@ def quadratic_form_eigen_pdf(lams, n: int, beta_spec: Spectrum) -> float:
 # expected inverse determinants (the SEP kernels)
 # ---------------------------------------------------------------------------
 
+def _lanczos(t: np.ndarray, logmu: np.ndarray, k: int):
+    """The first k orthonormal polynomials p_j of the discrete measures
+    exp(logmu - shift) (stacked over leading axes, shift = max logmu) on the
+    nodes t, by Lanczos with full reorthogonalisation (multiply the last
+    vector by t, orthogonalise twice, normalise): the vectors sqrt(mu) p_j(t)
+    (k, ..., nodes), alpha_j = <t p_j, p_j> (j < k - 1), log b_j (the norms,
+    sums of squares; p_j has leading coefficient 1/(b_0 ... b_j)) and shift."""
+    shift = logmu.max(axis=-1)
+    w = np.exp(0.5 * (logmu - shift[..., None]))
+    vecs = np.empty((k, *logmu.shape))
+    alpha, norm = np.empty((2, k, *shift.shape))
+    for j in range(k):
+        if j:
+            v = vecs[:j]
+            first = np.einsum("k...n,...n->k...", v, w)
+            w -= np.einsum("k...n,k...->...n", v, first)
+            again = np.einsum("k...n,...n->k...", v, w)
+            w -= np.einsum("k...n,k...->...n", v, again)
+            alpha[j - 1] = first[j - 1] + again[j - 1]
+        norm[j] = np.sqrt(np.einsum("...n,...n->...", w, w))
+        np.divide(w, norm[j, ..., None], out=vecs[j])
+        w = t * vecs[j]
+    return vecs, alpha, np.log(norm), shift
+
+
 def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum,
                           xi):
     """E det(I + xi A (x) XX^H)^(-1) for X m x n (m <= n) with row covariance
-    Sigma and a PSD matrix A; arguments are the two spectra and xi >= 0
-    (scalar or vector; one stacked determinant per entry).  Each entry is
-    a Gamma expectation of prod_k (1 + xi sigma r_k t)^(-m_k) over A's r."""
+    Sigma and a PSD matrix A, from their spectra; xi >= 0 a scalar or vector.
+    By Andreief's identity this is det N(xi) / det N(0), N(xi) the matrix of
+    int q_i(l) c_gj(l) l^(n-m) e^(-l/sigma_g) prod_k (1 + xi r_k l)^(-m_k) dl
+    over rows of degree i < m and the confluent columns (g, j < t_g) of the
+    eigenvalues sigma_g of Sigma, each divided by its polynomial's leading
+    coefficient, whatever the polynomials.  Here column (g, j) holds p_j of
+    mu_g = Gamma(n-m+1) prod_k (1 + xi sigma_g r_k t)^(-m_k), t = l/sigma_g,
+    and row i p_i of mu_s at sigma_g t/sigma_s, s the smallest eigenvalue of
+    largest multiplicity (larger ones then see the rows where their leading
+    terms dominate, as monomials would).  The block of s is [I; 0], so det N
+    is that of the rows t_s.. over the other columns: 1 with one eigenvalue,
+    where the MGF is a ratio of products of Lanczos norms."""
     if sigma_spec.dim != m or n < m:
         raise ValueError("need sigma spectrum of dimension m and n >= m")
-    r = np.array(a_spec.values)
+    sig = np.array(sigma_spec.values)
+    tg = np.array(sigma_spec.mults)
+    c = np.multiply.outer(sig, a_spec.values)
     mult = np.array(a_spec.mults, dtype=float)
+    s = int(tg.size - 1 - np.argmax(tg[::-1]))  # values decrease
+    other = np.flatnonzero(np.arange(sig.size) != s)
+    k_o = int(tg[other].max(initial=0))
+    # dividing by the leading coefficients multiplies by powers of the b_j:
+    # row i and column (s, i) by b_0 .. b_i of mu_s, column (g, j) by those of mu_g
+    lead_s = (m - np.arange(m)) + np.maximum(tg[s] - np.arange(m), 0)
+    lead_o = np.maximum(tg[other, None] - np.arange(k_o), 0)
+    scale = (sig[other] / sig[s])[:, None]
+
+    def log_det(x, t, logw):
+        """(sign, log) of det N(x) over its leading coefficients, x a vector."""
+        logmu = logw - np.einsum("k,xgkn->xgn", mult,
+                                 np.log1p(np.multiply.outer(np.multiply.outer(x, c), t)))
+        _, a, lb, shift_s = _lanczos(t, logmu[:, s], m)
+        vo, _, lbo, shift_o = _lanczos(t, logmu[:, other], k_o)
+        log = (lead_s @ lb + np.einsum("gj,jxg->x", lead_o, lbo)
+               + tg[s] * shift_s + shift_o @ tg[other])
+        # rows q_(t_s) .. q_(m-1) at sigma_g t/sigma_s times the root of mu_g,
+        # against the columns of g (the scales e^-shift are restored in log)
+        u, b, a = scale * t, np.exp(lb)[..., None, None], a[..., None, None]
+        root = np.exp(0.5 * (logmu[:, other] - shift_o[..., None]))
+        rows = np.empty((m - tg[s], *root.shape))
+        q_prev, q = 0.0, np.broadcast_to(1.0 / b[0], root.shape)
+        for i in range(m):
+            if i >= tg[s]:
+                rows[i - tg[s]] = q * root
+            if i + 1 < m:
+                q_prev, q = q, ((u - a[i]) * q - b[i] * q_prev) / b[i + 1]
+        blk = np.einsum("ixgn,jxgn->xgij", rows, vo)
+        # lead_o > 0 marks the columns (g, j < t_g)
+        sign, ld = np.linalg.slogdet(np.swapaxes(blk, 1, 2)[:, :, lead_o > 0])
+        return sign, log + ld
 
     def mgf(xv):
-        olog = np.empty((xv.size, m, m))
-        memo = {}  # entries depend on (i, j) only through (sigma, i + j)
-        for col, (val, j) in enumerate(zip(*_columns(sigma_spec))):
-            for i in range(1, m + 1):
-                if (val, i + j) not in memo:
-                    a = n - m + i + j - 1
-                    c = val * r
-                    t, logw = _gamma_lattice(a, _log_floor(np.ones(a), c, mult, xv.max()))
-                    with np.errstate(divide="ignore"):
-                        memo[val, i + j] = (math.lgamma(a) + a * math.log(val)
-                                            + np.log(_product_mean(logw, t, c, mult, xv)))
-                olog[:, i - 1, col] = memo[val, i + j]
-        num_s, num_l = _det_scaled(olog, 1.0)
-        den_s, den_l = _det_scaled(*_vandermonde_blocks(sigma_spec, m, n))
-        log_k = sum(math.lgamma(n - i + 1) for i in range(1, m + 1))
-        return num_s * den_s * np.exp(num_l - den_l - log_k)
+        # every mu_g has at least its product's value at the Gamma mean (Jensen);
+        # the integrands are mu_g times polynomials of degree <= 2m - 2
+        floor = -float(mult @ np.log1p(xv.max() * c.max(axis=0) * n))
+        t, logw = _gamma_lattice(n - m + 1, floor, 2 * m - 2)
+        x = np.concatenate([[0.0], xv])  # N(0), the normaliser, rides in the first block
+        # equal blocks of entries whose entry-by-eigenvalue-by-degree-by-node
+        # arrays stay within 2 _BATCH doubles
+        size = x.size * sig.size * max(m, mult.size) * t.size
+        blocks = np.array_split(x, -(-size // (2 * _BATCH)))
+        sign, log = map(np.concatenate, zip(*(log_det(xs, t, logw) for xs in blocks)))
+        return sign[1:] * sign[0] * np.exp(log[1:] - log[0])
 
     return _at_positive(xi, mgf)
 
 
-def _uncorr_hankel(m: int, n: int, nu: int, xi: np.ndarray) -> np.ndarray:
-    """Log-scaled Hankel determinant ratio, one stacked determinant per xi."""
-    logf = np.empty((xi.size, 2 * m - 1))
-    for s in range(2, 2 * m + 1):
-        with np.errstate(divide="ignore"):
-            logf[:, s - 2] = np.log(hyp2f0(n - m + s - 1, nu, xi))
-        logf[:, s - 2] += math.lgamma(n - m + s - 1)
-    sgn, log = _det_scaled(logf[:, np.add.outer(np.arange(m), np.arange(m))],
-                           np.ones((m, m)))
-    log_a = sum(math.lgamma(n - k + 1) + math.lgamma(k) for k in range(1, m + 1))
-    return sgn * np.exp(log - log_a)
-
-
-def _uncorr_gram(m: int, n: int, nu: int, xi: np.ndarray) -> np.ndarray:
-    """Same expectation through the orthonormal-polynomial Gram determinant:
-    det of int p_i p_j (1+xi t)^(-nu) dmu over the Gamma(n-m+1) lattice,
-    floored at the Jensen bound (1 + xi n)^(-m nu).  No factorials appear,
-    so this stays accurate for n in the thousands; it loses accuracy only
-    for xi >> 1 with nu >= n-m+1, a corner the Hankel route owns."""
-    alpha = n - m
-    t, logw = _gamma_lattice(alpha + 1, -m * nu * math.log1p(float(xi.max()) * n))
-    p = orthonormal_laguerre(t, alpha, m)
-    wf = np.exp(logw - nu * np.log1p(np.outer(xi, t)))
-    return np.linalg.det(np.einsum("ad,id,jd->aij", wf, p, p))
-
-
-#: n above which the Hankel route's factorial cancellation (growing like
-#: n^(m(m-1)/2) in units of eps) is traded for the Gram route.
-_HANKEL_MAX_N = 64
-
-
 def expected_inv_det_uncorr(m: int, n: int, nu: int, xi):
     """E det(I + xi XX^H)^(-nu) for an m x n i.i.d. standard complex Gaussian
-    X with m <= n; equals the Hankel determinant ratio of the uncorrelated
-    reduction.  xi >= 0 is a scalar or a vector.  The Hankel route serves
-    n <= 64, the Gram route larger n."""
+    X with m <= n, xi >= 0 a scalar or a vector: `expected_inv_det_kron`
+    with identity spectra."""
     if m > n:
         raise ValueError("need m <= n")
-    route = _uncorr_hankel if n <= _HANKEL_MAX_N else _uncorr_gram
-    return _at_positive(xi, lambda xv: route(m, n, nu, xv))
+    ident = Spectrum((1.0,), (m,), m)
+    return expected_inv_det_kron(m, n, ident, Spectrum((1.0,), (nu,), nu), xi)
 
 
 def _log_density_ratio(mu: np.ndarray, t: np.ndarray) -> np.ndarray:

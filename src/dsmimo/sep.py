@@ -7,9 +7,10 @@ and g = sin^2(pi/M).  The MGF argument always enters through the composite
 xi = g*gbar/(n_s*n_t*rate*sin^2 theta); the three scenario families differ
 only in which expected-inverse-determinant identity evaluates the MGF:
 
-* spatially uncorrelated: Hankel determinant of 2F0 kernels;
-* doubly correlated (transmit/receive correlation, identity scatterers,
-  n_s >= n_t): confluent block determinant of Gamma expectations;
+* spatially uncorrelated, and doubly correlated (transmit/receive
+  correlation, identity scatterers, n_s >= n_t): one determinant in
+  orthonormal polynomial bases of xi-weighted Gamma measures
+  (`detform.expected_inv_det_kron`; identity spectra for the first);
 * MISO (n_r = 1): one Gamma-lattice expectation over the smaller side.
 
 A fourth closed form covers the no-double-scattering (rich scattering)
@@ -119,9 +120,9 @@ def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
 def sep_mpsk_uncorrelated(scn: Scenario, psk: PskConstellation, snr: float) -> float:
     """SEP with all three correlation matrices equal to identity.
 
-    The MGF is the n1 x n1 Hankel determinant in (n1, n2) = sorted
-    (n_t, n_s) with 2F0 entries of order n_r; evaluation is symmetric under
-    swapping n_t and n_s.
+    The MGF is E det(I + xi XX^H)^(-n_r) for an n1 x n2 Gaussian X,
+    (n1, n2) = sorted (n_t, n_s), so evaluation is symmetric under swapping
+    n_t and n_s.
     """
     if not (scn.phi_t.is_identity and scn.phi_s.is_identity and scn.phi_r.is_identity):
         raise ValueError("uncorrelated formula needs identity correlations")
@@ -134,9 +135,10 @@ def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float)
     """SEP with transmit and receive correlation, identity scatterer
     correlation, and n_s >= n_t.
 
-    Confluent block determinant over the distinct transmit eigenvalues,
-    each entry a Gamma expectation of a product over the receive
-    eigenvalues; the normalizer is a block determinant of eigenvalue powers.
+    The MGF is one m x m determinant over the confluent columns of the
+    distinct transmit eigenvalues, in orthonormal polynomial bases of Gamma
+    measures weighted by a product over the receive eigenvalues, so n_s in
+    the thousands loses no digits.
     """
     if not scn.phi_s.is_identity:
         raise ValueError("doubly-correlated formula needs an identity scatterer correlation")

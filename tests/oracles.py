@@ -32,6 +32,51 @@ def oracle_2f0_hyperu(n, q, x, dps=40):
         return float(xm ** (-n) * mp.hyperu(n, n - q + 1, 1 / xm))
 
 
+def _gamma_integral_mp(a, c, mult, x):
+    """int_0^inf t^(a-1) e^-t prod_k (1 + x c_k t)^(-mult_k) dt at the working
+    precision: Gamma(a) (x c)^-a U(a, a - mult + 1, 1/(x c)) for one factor,
+    else mpmath's quadrature split at the factors' knees and the Gamma bulk."""
+    if x == 0:
+        return mp.gamma(a)
+    if len(c) == 1:
+        z = x * c[0]
+        return mp.gamma(a) * z ** (-a) * mp.hyperu(a, a - mult[0] + 1, 1 / z)
+    f = lambda t: t ** (a - 1) * mp.exp(-t) * mp.fprod(
+        (1 + x * ck * t) ** (-mk) for ck, mk in zip(c, mult))
+    bulk = [a - 1 + k * mp.sqrt(a) for k in (-6, 0, 6)]
+    pts = sorted({mp.mpf(0), *(1 / (x * ck) for ck in c), *(p for p in bulk if p > 0)})
+    return mp.quad(f, pts + [mp.inf])
+
+
+def oracle_kron_mgf(m, n, sigma_spec, a_spec, xi, dps=60):
+    """E det(I + xi A (x) XX^H)^(-1) (X m x n, row covariance Sigma) as the
+    Andreief determinant ratio with monomial rows: entry (i, (sigma, j)) is
+    int l^(n-m+i+j-2) e^(-l/sigma) prod_k (1 + xi r_k l)^(-m_k) dl, with
+    column (sigma, j) scaled by sigma^-(n-m+j) so that mp.det sees O(1)
+    pivots.  Entries with one distinct r_k go through mpmath's U (fast;
+    slow only where 1/(xi sigma r) is close to n), others through
+    mp.quad."""
+    with mp.workdps(dps):
+        x = mp.mpf(xi)
+        c = [mp.mpf(v) for v in a_spec.values]
+        cols = [(mp.mpf(v), j) for v, t in sigma_spec.distinct for j in range(1, t + 1)]
+        memo = {}
+
+        def det(xx):
+            for sig, j in cols:
+                for i in range(1, m + 1):
+                    a = n - m + i + j - 1
+                    if (sig, a) not in memo:
+                        memo[sig, a] = _gamma_integral_mp(a, [sig * ck for ck in c],
+                                                          a_spec.mults, xx)
+            return mp.det(mp.matrix([[sig ** (i - 1) * memo[sig, n - m + i + j - 1]
+                                      for sig, j in cols] for i in range(1, m + 1)]))
+
+        num = det(x)
+        memo.clear()
+        return float(num / det(0))
+
+
 def oracle_miso_mgf(a, b, xi):
     """E_V prod_l (1 + xi b_l V)^-1 for V = sum_k a_k E_k (E_k unit
     exponentials, any a_k > 0), integrated over V's density in its

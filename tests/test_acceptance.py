@@ -24,7 +24,7 @@ from dsmimo.sep import (PskConstellation, sep_mpsk, sep_mpsk_doubly_correlated,
                         sep_mpsk_uncorrelated)
 
 from conftest import cgauss
-from oracles import max_eig_cdf, oracle_2f0
+from oracles import max_eig_cdf, oracle_2f0, oracle_kron_mgf
 
 
 def db(x):
@@ -285,19 +285,21 @@ def test_criterion_9_property_suites():
     ok &= mono
     notes.append(f"MIS/MDS={'ok' if mono else 'broken'}")
 
-    # formula reductions at identity correlations
+    # formula reductions at identity correlations, against the 128-node
+    # angular rule over oracle_kron_mgf (60 digits) and the oracle itself
     psk = PskConstellation(8)
     scn = Scenario.uncorrelated(4, 6, 1, g4())
     snr = db(15.0)
+    ref = 0.015171211791731896
     base = sep_mpsk_uncorrelated(scn, psk, snr)
-    red_dc = abs(sep_mpsk_doubly_correlated(scn, psk, snr) - base) / base
+    red_dc = abs(sep_mpsk_doubly_correlated(scn, psk, snr) - ref) / ref
     red_miso = abs(sep_mpsk_miso(scn, psk, snr) - base) / base
-    red_kron = max(
-        abs(expected_inv_det_kron(m, n, Spectrum((1.0,), (m,), m),
-                                  Spectrum((1.0,), (nu,), nu), xi)
-            - expected_inv_det_uncorr(m, n, nu, xi))
-        / expected_inv_det_uncorr(m, n, nu, xi)
-        for m, n, nu, xi in [(2, 4, 2, 0.3), (3, 5, 2, 1.0)])
+    red_kron = 0.0
+    for m, n, nu, xi in [(2, 4, 2, 0.3), (3, 5, 2, 1.0)]:
+        ident, recv = Spectrum((1.0,), (m,), m), Spectrum((1.0,), (nu,), nu)
+        mgf = oracle_kron_mgf(m, n, ident, recv, xi)
+        red_kron = max(red_kron, abs(expected_inv_det_kron(m, n, ident, recv, xi) - mgf) / mgf,
+                       abs(expected_inv_det_uncorr(m, n, nu, xi) - mgf) / mgf)
     ok &= red_dc <= 1e-9 and red_miso <= 1e-9 and red_kron <= 1e-10
     notes.append(f"reductions dc={red_dc:.1e} miso={red_miso:.1e} kron={red_kron:.1e}")
 

@@ -271,6 +271,16 @@ lowsnr.snr_step_db = 5
         series = {r[0] for r in rows[1:]}
         assert {"approx_general", "approx_ostbc", "mc_general", "mc_ostbc"} <= series
 
+    @pytest.mark.parametrize("grid", ["snr", "ebn0"])
+    def test_reversed_grid_rejected(self, tmp_path, capsys, grid):
+        # a reversed grid is a config error, not an empty curve
+        cfg = (self.CFG.replace("lowsnr.snr_start_db = -10\nlowsnr.snr_stop_db = -5\n", "")
+               + f"lowsnr.{grid}_start_db = 5\nlowsnr.{grid}_stop_db = 1\n")
+        out = tmp_path / "low.csv"
+        assert main(["lowsnr", "--config", write(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"lowsnr.{grid}_stop_db" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_default_passes(self, tmp_path, capsys):
@@ -312,6 +322,28 @@ mc.seed = 3
         assert main(["validate", "--config", write(tmp_path, cfg)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "kurtosis_mis_in_rho" in out and "skipped" in out
+
+    def test_readme_config_with_many_scatterers_passes(self, tmp_path, capsys):
+        # the README's doubly-correlated example at n_s = 100, where a
+        # monomial-moment determinant loses about 1e-9 relative
+        cfg = """\
+scenario.n_t = 4
+scenario.n_s = 100
+scenario.n_r = 4
+corr.tx.model = constant
+corr.tx.rho = 0.5
+corr.rx.model = constant
+corr.rx.rho = 0.5
+code = g4
+psk.m = 8
+snr.start_db = 0
+snr.stop_db = 20
+snr.step_db = 2
+mc.trials = 20000
+mc.seed = 42
+"""
+        assert main(["validate", "--config", write(tmp_path, cfg)]) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_report_csv(self, tmp_path):
         out = str(tmp_path / "report.csv")

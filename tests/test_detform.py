@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from dsmimo.corrmat import Spectrum, constant_corr, exponential_corr, tridiagonal_corr
-from dsmimo.detform import (CharCoefficients, HypKernelId, _det_scaled,
-                            _uncorr_gram, _uncorr_hankel, _vandermonde_blocks,
+from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_corr,
+                            tridiagonal_corr)
+from dsmimo.detform import (CharCoefficients, HypKernelId, _det_scaled, _vandermonde_blocks,
                             characteristic_coefficients, expected_inv_det_kron,
                             expected_inv_det_miso, expected_inv_det_uncorr,
                             hyp2f0, hyp_det_two_matrix, quadratic_form_eigen_pdf,
                             wishart_eigen_pdf)
 
 from conftest import cgauss
-from oracles import max_eig_cdf, oracle_2f0, oracle_2f0_hyperu, oracle_miso_mgf
+from oracles import (max_eig_cdf, oracle_2f0, oracle_2f0_hyperu, oracle_kron_mgf,
+                     oracle_miso_mgf)
 
 
 def spec_of(vals, mults=None):
@@ -394,12 +395,48 @@ class TestExpectedInvDetKron:
                                   constant_corr(2, 0.6).spectrum, 0.0)
         assert v == pytest.approx(1.0, rel=1e-12)
 
-    def test_identity_reduces_to_uncorrelated(self):
+    def test_identity_matches_oracle(self):
         for m, n, nu, xi in [(2, 4, 2, 0.3), (3, 5, 2, 0.4), (1, 3, 4, 2.0)]:
+            ref = oracle_kron_mgf(m, n, spec_of([1.0], [m]), spec_of([1.0], [nu]), xi)
             a = expected_inv_det_kron(m, n, spec_of([1.0], [m]),
                                       spec_of([1.0], [nu]), xi)
-            b = expected_inv_det_uncorr(m, n, nu, xi)
-            assert a == pytest.approx(b, rel=1e-12)
+            assert a == pytest.approx(ref, rel=1e-12, abs=0)
+
+    # The oracle grid: m in {2, 4}, n - m in {0, 1, 6, 36, 196} and
+    # xi in {1e-3, 1e-1, 10, 1e3, 1e5}.  Spectrum pairs with one distinct
+    # receive eigenvalue have U-function oracle entries and run on the whole
+    # grid (constant rho = 0.1 keeps 1/(xi sigma) clear of n..3n, where
+    # mpmath's U takes seconds); pairs with several need mp.quad entries
+    # (seconds each), so they run where cancellation threatens most: few
+    # degrees of freedom, large xi.
+    @pytest.mark.parametrize("xi", [1e-3, 1e-1, 10.0, 1e3, 1e5])
+    @pytest.mark.parametrize("d", [0, 1, 6, 36, 196])
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_oracle_grid_one_receive_eigenvalue(self, m, d, xi):
+        for tx, rx in [(identity_corr(m), identity_corr(m)),
+                       (constant_corr(m, 0.1), identity_corr(2))]:
+            ref = oracle_kron_mgf(m, m + d, tx.spectrum, rx.spectrum, xi)
+            got = expected_inv_det_kron(m, m + d, tx.spectrum, rx.spectrum, xi)
+            assert got == pytest.approx(ref, rel=1e-12 if d >= 36 else 1e-9, abs=0)
+
+    @pytest.mark.parametrize("tx, rx, d, xi", [
+        (exponential_corr(4, 0.5), exponential_corr(4, 0.5), 0, 1e5),
+        (constant_corr(4, 0.5), constant_corr(4, 0.5), 0, 1e5),
+        (constant_corr(4, 0.5), constant_corr(4, 0.5), 36, 1e5),
+        (identity_corr(4), constant_corr(2, 0.5), 6, 10.0),
+    ])
+    def test_oracle_grid_several_receive_eigenvalues(self, tx, rx, d, xi):
+        ref = oracle_kron_mgf(4, 4 + d, tx.spectrum, rx.spectrum, xi)
+        got = expected_inv_det_kron(4, 4 + d, tx.spectrum, rx.spectrum, xi)
+        assert got == pytest.approx(ref, rel=1e-12 if d >= 36 else 1e-9, abs=0)
+
+    def test_identity_many_scatterers_matches_oracle(self):
+        # 4 x 1000; mpmath's U is slow where 1/xi is close to n, so xi skips 1e-3
+        xs = np.array([1e-4, 1e-2, 1.0, 1e2, 1e5])
+        ident = identity_corr(4).spectrum
+        got = expected_inv_det_kron(4, 1000, ident, ident, xs)
+        for x, g in zip(xs, got):
+            assert g == pytest.approx(oracle_kron_mgf(4, 1000, ident, ident, x), rel=1e-12, abs=0)
 
     def test_scalar_case(self):
         # E[1/(1+|g|^2)] = e*E1(1)
@@ -443,19 +480,18 @@ class TestExpectedInvDetUncorr:
         se = dets.std() / math.sqrt(trials)
         assert abs(dets.mean() - v) < 3 * se
 
-    def test_hankel_and_gram_agree(self):
+    def test_matches_oracle(self):
         for m, n, nu, xi in [(2, 4, 2, 0.3), (4, 4, 2, 1.7), (3, 9, 3, 0.8),
                              (1, 2, 1, 5.0), (4, 4, 2, 300.0), (4, 4, 2, 1e3)]:
-            h = _uncorr_hankel(m, n, nu, np.array([xi]))[0]
-            g = _uncorr_gram(m, n, nu, np.array([xi]))[0]
-            assert g == pytest.approx(h, rel=1e-9)
+            ref = oracle_kron_mgf(m, n, spec_of([1.0], [m]), spec_of([1.0], [nu]), xi)
+            assert expected_inv_det_uncorr(m, n, nu, xi) == pytest.approx(ref, rel=1e-9, abs=0)
 
     def test_monotone_decreasing_in_xi(self):
         xs = np.logspace(-2, 2, 25)
         vals = [expected_inv_det_uncorr(2, 4, 2, x) for x in xs]
         assert all(1 >= a > b > 0 for a, b in zip(vals, vals[1:]))
 
-    def test_large_n_gram_matches_lln_limit(self):
+    def test_large_n_matches_lln_limit(self):
         # XX^H concentrates at n I_m: E det(I + xi XX^H)^-nu -> (1+xi n)^(-m nu)
         m, nu, n = 4, 2, 10_000
         xi = 2.0 / n
