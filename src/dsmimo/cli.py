@@ -505,10 +505,7 @@ def main(argv=None) -> int:
             raw = parse_config(f.read())
         cfg = build_run_config(raw, args)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as e:
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericFailure as e:

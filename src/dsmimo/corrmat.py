@@ -8,21 +8,27 @@ degenerate boundary values are rejected rather than limit-handled.
 Spectra are kept as (distinct eigenvalue, multiplicity) lists because the
 determinantal machinery downstream is discontinuous in the multiplicity
 structure: whether two eigenvalues count as equal decides which confluent
-block form applies.  Clustering is centralized in `spectrum_of` with a
-single relative tolerance knob.
+block form applies.  Clustering is centralized in `spectrum_of` with one
+fixed relative tolerance.
+
+Two kinds of side share one type.  A general `CorrelationMatrix(entries)`
+(user input, the exponential and tridiagonal models) is checked on
+construction and its spectrum is clustered from numeric eigenvalues.  The
+identity and constant models are spectrum-first: they hold their exact
+spectrum and build the n x n entries only when something reads them, so
+an identity side of any dimension costs a few bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 #: Relative tolerance used to decide when two numerical eigenvalues are
 #: the same distinct eigenvalue.
-DEFAULT_CLUSTER_TOL = 1e-8
-
+_CLUSTER_TOL = 1e-8
 _DIAG_TOL = 1e-12
 _NEG_EIG_TOL = -1e-10
 _SQRT_FLOOR = 1e-14
@@ -66,29 +72,26 @@ class Spectrum:
         return float(sum(m * v**k for v, m in self.distinct))
 
     @classmethod
-    def from_eigenvalues(cls, eigs, cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                         dim: int | None = None) -> "Spectrum":
+    def from_eigenvalues(cls, eigs) -> "Spectrum":
         """Cluster a raw eigenvalue vector into a Spectrum.
 
         Two eigenvalues join the same group when they differ by less than
-        cluster_tol*(1+|lambda|); the group representative is the mean of
-        its members.
+        1e-8*(1+|lambda|); the group representative is the mean of its
+        members.
         """
         e = np.sort(np.asarray(eigs, dtype=float))[::-1]
-        if dim is None:
-            dim = e.size
         values, mults = [], []
         start = 0
         for i in range(1, e.size + 1):
-            if i == e.size or (e[i - 1] - e[i]) >= cluster_tol * (1.0 + abs(e[i])):
+            if i == e.size or (e[i - 1] - e[i]) >= _CLUSTER_TOL * (1.0 + abs(e[i])):
                 group = e[start:i]
                 values.append(float(group.mean()))
                 mults.append(int(group.size))
                 start = i
-        return cls(tuple(values), tuple(mults), dim)
+        return cls(tuple(values), tuple(mults), e.size)
 
 
-def spectrum_of(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
+def spectrum_of(matrix) -> Spectrum:
     """Spectrum of a Hermitian matrix (or CorrelationMatrix) with eigenvalue
     clustering."""
     if isinstance(matrix, CorrelationMatrix):
@@ -96,21 +99,19 @@ def spectrum_of(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("input must be a square matrix")
-    eigs = np.linalg.eigvalsh(a)
-    return Spectrum.from_eigenvalues(eigs, cluster_tol=cluster_tol)
+    return Spectrum.from_eigenvalues(np.linalg.eigvalsh(a))
 
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """Hermitian positive-definite matrix with all diagonal entries 1.
-
-    `known_spectrum` lets the model constructors install an exact spectrum
-    (the constant model has a two-point closed-form spectrum); otherwise
-    the spectrum is computed lazily by clustering numeric eigenvalues.
-    """
+    """Hermitian positive-definite matrix with all diagonal entries 1; the
+    spectrum is computed lazily by clustering numeric eigenvalues."""
 
     entries: np.ndarray
-    known_spectrum: Spectrum | None = field(default=None, repr=False)
+
+    #: True only for `identity_corr`'s result: a fact of how the side was
+    #: built, never a comparison of entries.
+    is_identity = False
 
     def __post_init__(self):
         a = np.asarray(self.entries)
@@ -121,18 +122,7 @@ class CorrelationMatrix:
             raise ValueError("correlation matrix must be exactly Hermitian as stored")
         if np.max(np.abs(np.diagonal(a) - 1.0)) > _DIAG_TOL:
             raise ValueError("all diagonal entries must equal 1")
-        if self.known_spectrum is not None:
-            # model constructors supply exact spectra; a trace consistency
-            # check replaces the O(n^3) eigendecomposition (matters for the
-            # scatterer side at n in the thousands)
-            spec = self.known_spectrum
-            if spec.dim != a.shape[0]:
-                raise ValueError("known spectrum dimension mismatch")
-            if abs(spec.trace_power(1) - float(np.trace(a).real)) > 1e-9 * spec.dim:
-                raise ValueError("known spectrum inconsistent with the matrix trace")
-            if spec.values[-1] <= 0.0:
-                raise ValueError("correlation matrix must be positive definite")
-        elif np.min(np.linalg.eigvalsh(a)) <= 0.0:
+        if np.min(np.linalg.eigvalsh(a)) <= 0.0:
             raise ValueError("correlation matrix must be positive definite")
 
     @property
@@ -141,47 +131,54 @@ class CorrelationMatrix:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        if self.known_spectrum is not None:
-            return self.known_spectrum
         return spectrum_of(self.entries)
 
     @cached_property
     def sqrt(self) -> np.ndarray:
         return matrix_sqrt(self)
 
+
+class _ConstantSide(CorrelationMatrix):
+    """The constant model (identity at rho = 0) held as its exact spectrum
+    {1+(n-1)rho once, 1-rho n-1 times}; unit diagonal, Hermitian and
+    positive definite by construction, so nothing is checked."""
+
+    def __init__(self, n: int, rho: float):
+        e1, e2 = 1.0 + (n - 1) * rho, 1.0 - rho
+        # below float resolution of rho the two branches coincide at 1
+        spec = Spectrum((e1, e2), (1, n - 1), n) if e1 > e2 else Spectrum((1.0,), (n,), n)
+        # fills the cached attributes directly: the parent is frozen
+        vars(self).update(spectrum=spec, _rho=float(rho), is_identity=(rho == 0.0))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.dim}, rho={self._rho!r})"
+
+    @property
+    def dim(self) -> int:
+        return self.spectrum.dim
+
     @cached_property
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.entries, np.eye(self.dim)))
+    def entries(self) -> np.ndarray:
+        return np.where(np.eye(self.dim, dtype=bool), 1.0, self._rho)
 
 
 def identity_corr(n: int) -> CorrelationMatrix:
     """The uncorrelated (identity) model."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    return CorrelationMatrix(np.eye(n), Spectrum((1.0,), (n,), n))
+    return _ConstantSide(n, 0.0)
 
 
 def constant_corr(n: int, rho: float) -> CorrelationMatrix:
-    """Constant model: every off-diagonal entry equals rho.
-
-    Spectrum is {1+(n-1)rho with multiplicity 1, 1-rho with multiplicity
-    n-1}, installed exactly.  rho=1 is rank one and rejected.
-    """
+    """Constant model: every off-diagonal entry equals rho.  rho=1 is rank
+    one and rejected."""
     if n < 1:
         raise ValueError("dimension must be positive")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"constant model needs rho in [0, 1), got {rho}")
     if rho == 0.0 or n == 1:
         return identity_corr(n)
-    m = np.full((n, n), float(rho))
-    np.fill_diagonal(m, 1.0)
-    e1, e2 = 1.0 + (n - 1) * rho, 1.0 - rho
-    if e1 > e2:
-        spec = Spectrum((e1, e2), (1, n - 1), n)
-    else:
-        # rho below float resolution: the two branches coincide at 1
-        spec = Spectrum((1.0,), (n,), n)
-    return CorrelationMatrix(m, spec)
+    return _ConstantSide(n, rho)
 
 
 def exponential_corr(n: int, rho: float) -> CorrelationMatrix:
@@ -217,6 +214,8 @@ def tridiagonal_corr(n: int, rho: float) -> CorrelationMatrix:
 
 def correlation_figure(phi: CorrelationMatrix) -> float:
     """tr(Phi^2)/n^2; ranges over [1/n, 1] for unit-diagonal PD matrices."""
+    if phi.is_identity:
+        return 1.0 / phi.dim
     a = phi.entries
     n = phi.dim
     # tr(Phi^2) = ||Phi||_F^2 for Hermitian Phi

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import OstbcCode
-from .corrmat import CorrelationMatrix, Spectrum, correlation_figure
+from .corrmat import CorrelationMatrix, Spectrum, correlation_figure, identity_corr
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +56,6 @@ class Scenario:
     @classmethod
     def uncorrelated(cls, n_t: int, n_s: int, n_r: int, code: OstbcCode | None = None,
                      no_double_scattering: bool = False) -> "Scenario":
-        from .corrmat import identity_corr
-
         return cls(n_t, n_s, n_r, identity_corr(n_t), identity_corr(n_s),
                    identity_corr(n_r), code, no_double_scattering)
 
@@ -92,10 +90,9 @@ def _std_complex(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _sqrt_factor(phi: CorrelationMatrix) -> np.ndarray | None:
-    """phi^(1/2), or None when it is exactly the identity: X @ I == X
-    exactly, so skipping the product changes no bit."""
-    s = phi.sqrt
-    return None if np.array_equal(s, np.eye(phi.dim)) else s
+    """phi^(1/2), or None for an identity side: X @ I == X exactly, so
+    skipping the product changes no bit."""
+    return None if phi.is_identity else phi.sqrt
 
 
 def _chain(*factors) -> np.ndarray:

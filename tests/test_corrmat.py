@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                             correlation_figure, exponential_corr, identity_corr,
                             majorizes, matrix_sqrt, spectrum_of,
                             tridiagonal_corr)
+from dsmimo.matstat import Scenario, sample_channel
+from dsmimo.mc import substream
 
 from conftest import cgauss, random_correlation
 
@@ -161,7 +166,7 @@ class TestMatrixSqrt:
 
 class TestSpectrumOf:
     def test_identity(self):
-        assert spectrum_of(np.eye(4), 1e-8).distinct == ((1.0, 4),)
+        assert spectrum_of(np.eye(4)).distinct == ((1.0, 4),)
 
     def test_constant_numeric(self):
         spec = spectrum_of(constant_corr(4, 0.5).entries)
@@ -174,7 +179,7 @@ class TestSpectrumOf:
 
     def test_cluster_tolerance_merges(self):
         m = np.diag([1.0, 1.0 + 1e-10, 2.0])
-        assert spectrum_of(m, cluster_tol=1e-8).distinct == (
+        assert spectrum_of(m).distinct == (
             (2.0, 1), (1.0 + 5e-11, 2))
 
 
@@ -215,6 +220,71 @@ class TestCorrelationMatrixInvariants:
     def test_unit_trace_sum(self, rng):
         phi = random_correlation(rng, 5)
         assert phi.spectrum.expand().sum() == pytest.approx(5.0, abs=1e-10)
+
+
+class TestSpectrumFirstSides:
+    """Identity and constant sides hold their exact spectrum and build the
+    dense matrix only when something reads it."""
+
+    def test_large_sides_cost_no_dense_matrix(self):
+        tracemalloc.start()
+        try:
+            scn = Scenario.uncorrelated(4, 10_000, 2, g4())
+            spec = constant_corr(10_000, 0.5).spectrum
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert scn.phi_s.spectrum.distinct == ((1.0, 10_000),)
+        assert spec.distinct == ((1.0 + 9_999 * 0.5, 1), (0.5, 9_999))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_identity_entries_are_the_dense_identity(self, n):
+        a = identity_corr(n).entries
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.tobytes() == np.eye(n).tobytes()
+        assert CorrelationMatrix(a).spectrum.distinct == ((1.0, n),)
+
+    @pytest.mark.parametrize("n", [2, 5, 33])
+    @pytest.mark.parametrize("rho", [1e-17, 1e-9, 0.3, 0.5, 0.999])
+    def test_constant_entries_are_the_dense_matrix(self, n, rho):
+        dense = np.full((n, n), rho)
+        np.fill_diagonal(dense, 1.0)
+        phi = constant_corr(n, rho)
+        assert phi.entries.dtype == np.float64 and phi.entries.flags.c_contiguous
+        assert phi.entries.tobytes() == dense.tobytes()
+        CorrelationMatrix(phi.entries)  # passes every check of a general side
+        numeric = np.sort(np.linalg.eigvalsh(phi.entries))[::-1]
+        np.testing.assert_allclose(numeric, phi.spectrum.expand(), rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("model", [constant_corr, exponential_corr, tridiagonal_corr])
+    def test_is_identity_truth_table(self, model):
+        assert identity_corr(3).is_identity
+        assert model(4, 0.0).is_identity
+        assert model(1, 0.3).is_identity
+        assert not model(4, 0.3).is_identity
+        assert not model(4, 1e-17).is_identity
+
+    def test_is_identity_is_how_the_side_was_built(self):
+        # constant_corr(4, 1e-17) has the spectrum {1 x 4} but is no identity
+        phi = constant_corr(4, 1e-17)
+        assert phi.spectrum.distinct == ((1.0, 4),)
+        assert not phi.is_identity
+        # a hand-built unit matrix is a general side
+        assert not CorrelationMatrix(np.eye(3)).is_identity
+
+    def test_channel_draw_never_builds_identity_entries(self):
+        scn = Scenario(2, 3, 2, constant_corr(2, 0.5), identity_corr(3),
+                       identity_corr(2))
+        sample_channel(scn, substream(1, 0), 5)
+        for phi in (scn.phi_s, scn.phi_r):
+            assert "entries" not in vars(phi) and "sqrt" not in vars(phi)
+        assert "sqrt" in vars(scn.phi_t)
+
+    def test_identity_correlation_figure_needs_no_entries(self):
+        phi = identity_corr(5000)
+        assert correlation_figure(phi) == 5000 / (5000 * 5000)
+        assert "entries" not in vars(phi)
 
 
 class TestSchurMonotonicity:

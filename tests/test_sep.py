@@ -127,8 +127,8 @@ class TestThetaIntegral:
 
 class TestUncorrelated:
     def test_keyhole_reduces_to_scalar_kernel_form(self):
-        # n_s = 1: the Hankel collapses; same value through the MISO
-        # identity with identity spectra
+        # n_s = 1 (keyhole): the determinant evaluator must give the same
+        # value as the MISO expectation with identity spectra
         scn = Scenario.uncorrelated(4, 1, 2, g4())
         psk = PskConstellation(8)
         snr = db(12.0)
@@ -167,7 +167,7 @@ class TestUncorrelated:
         assert abs(est.value - cf) < 3 * est.std_error
 
     def test_transmit_scatterer_swap_symmetry(self):
-        # swapping n_t and n_s relabels the Hankel through (n1, n2) only; at
+        # the MGF sees n_t and n_s only through the sorted pair (n1, n2); at
         # matched composite scale xi = g*snr/(n_s*n_t*rate*sin^2) the two
         # scenarios produce the same SEP
         psk = PskConstellation(8)
