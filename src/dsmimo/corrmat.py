@@ -8,20 +8,20 @@ degenerate boundary values are rejected rather than limit-handled.
 Spectra are kept as (distinct eigenvalue, multiplicity) lists because the
 determinantal machinery downstream is discontinuous in the multiplicity
 structure: whether two eigenvalues count as equal decides which confluent
-block form applies.  Clustering is centralized in `spectrum_of` with one
-fixed relative tolerance.
+block form applies.  Clustering is centralized in
+`Spectrum.from_eigenvalues` with one fixed relative tolerance.
 
 Two kinds of side share one type.  A general `CorrelationMatrix(entries)`
 (user input, the exponential and tridiagonal models) is checked on
-construction and its spectrum is clustered from numeric eigenvalues.  The
-identity and constant models are spectrum-first: they hold their exact
-spectrum and build the n x n entries only when something reads them, so
-an identity side of any dimension costs a few bytes.
+construction, and its spectrum is clustered from the eigenvalues of that
+check.  The identity and constant models are spectrum-first: they hold
+their exact spectrum and build the n x n entries only when something reads
+them, so an identity side of any dimension costs a few bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -95,7 +95,7 @@ def spectrum_of(matrix) -> Spectrum:
     """Spectrum of a Hermitian matrix (or CorrelationMatrix) with eigenvalue
     clustering."""
     if isinstance(matrix, CorrelationMatrix):
-        matrix = matrix.entries
+        return matrix.spectrum
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("input must be a square matrix")
@@ -105,9 +105,10 @@ def spectrum_of(matrix) -> Spectrum:
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """Hermitian positive-definite matrix with all diagonal entries 1; the
-    spectrum is computed lazily by clustering numeric eigenvalues."""
+    spectrum clusters the eigenvalues of the positive-definite check."""
 
     entries: np.ndarray
+    spectrum: Spectrum = field(init=False, repr=False)
 
     #: True only for `identity_corr`'s result: a fact of how the side was
     #: built, never a comparison of entries.
@@ -122,16 +123,14 @@ class CorrelationMatrix:
             raise ValueError("correlation matrix must be exactly Hermitian as stored")
         if np.max(np.abs(np.diagonal(a) - 1.0)) > _DIAG_TOL:
             raise ValueError("all diagonal entries must equal 1")
-        if np.min(np.linalg.eigvalsh(a)) <= 0.0:
+        eigs = np.linalg.eigvalsh(a)
+        if np.min(eigs) <= 0.0:
             raise ValueError("correlation matrix must be positive definite")
+        object.__setattr__(self, "spectrum", Spectrum.from_eigenvalues(eigs))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @cached_property
-    def spectrum(self) -> Spectrum:
-        return spectrum_of(self.entries)
 
     @cached_property
     def sqrt(self) -> np.ndarray:
@@ -147,7 +146,7 @@ class _ConstantSide(CorrelationMatrix):
         e1, e2 = 1.0 + (n - 1) * rho, 1.0 - rho
         # below float resolution of rho the two branches coincide at 1
         spec = Spectrum((e1, e2), (1, n - 1), n) if e1 > e2 else Spectrum((1.0,), (n,), n)
-        # fills the cached attributes directly: the parent is frozen
+        # fills the attributes directly: the parent is frozen
         vars(self).update(spectrum=spec, _rho=float(rho), is_identity=(rho == 0.0))
 
     def __repr__(self) -> str:
@@ -213,13 +212,9 @@ def tridiagonal_corr(n: int, rho: float) -> CorrelationMatrix:
 
 
 def correlation_figure(phi: CorrelationMatrix) -> float:
-    """tr(Phi^2)/n^2; ranges over [1/n, 1] for unit-diagonal PD matrices."""
-    if phi.is_identity:
-        return 1.0 / phi.dim
-    a = phi.entries
-    n = phi.dim
-    # tr(Phi^2) = ||Phi||_F^2 for Hermitian Phi
-    return float(np.vdot(a, a).real) / (n * n)
+    """tr(Phi^2)/n^2 from the spectrum; ranges over [1/n, 1] for
+    unit-diagonal PD matrices."""
+    return phi.spectrum.trace_power(2) / (phi.dim * phi.dim)
 
 
 def matrix_sqrt(phi) -> np.ndarray:

@@ -78,13 +78,10 @@ SLICE = 4096
 
 
 def _std_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-power circular Gaussians: every real part, then every imaginary
-    part, drawn slice by slice into one array.  Consecutive draws give the
-    same variates as one large draw, so slicing changes no bit."""
+    """Unit-power circular Gaussians: every real part, then every imaginary part."""
     z = np.empty(shape, dtype=complex)
-    for part in (z.real, z.imag):
-        for lo in range(0, shape[0], SLICE):
-            part[lo:lo + SLICE] = rng.standard_normal(part[lo:lo + SLICE].shape)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
     z *= math.sqrt(0.5)
     return z
 
@@ -108,29 +105,19 @@ def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
     """Yield (start, H) for consecutive slices of at most SLICE trials of a
     batch of `size` channels, never holding the whole (size, n_r, n_t) batch.
 
-    The draw order is that of one batched draw: H1's real then imaginary
-    parts, then H2's real parts (all trials), then H2's imaginary parts, one
-    slice at a time; a slice is yielded as soon as its last variate is
-    drawn.  Without double scattering the single factor G plays H2's part.
+    Each slice draws its own factors in turn: H1 (real parts, then
+    imaginary parts), then H2 the same way.  Without double scattering the
+    single factor G is drawn in H2's place.
     """
     sr, st = _sqrt_factor(scn.phi_r), _sqrt_factor(scn.phi_t)
-    if scn.no_double_scattering:
-        h1 = ss = None
-        shape = (scn.n_r, scn.n_t)
-    else:
-        h1 = _std_complex(rng, (size, scn.n_r, scn.n_s))
-        ss = _sqrt_factor(scn.phi_s)
-        shape = (scn.n_s, scn.n_t)
-    re = rng.standard_normal((size, *shape))
     for lo in range(0, size, SLICE):
-        h2 = np.empty(re[lo:lo + SLICE].shape, dtype=complex)
-        h2.real = re[lo:lo + SLICE]
-        h2.imag = rng.standard_normal(h2.shape)
-        h2 *= math.sqrt(0.5)
-        if h1 is None:
-            yield lo, _chain(sr, h2, st)
+        b = min(SLICE, size - lo)
+        if scn.no_double_scattering:
+            yield lo, _chain(sr, _std_complex(rng, (b, scn.n_r, scn.n_t)), st)
         else:
-            yield lo, _chain(sr, h1[lo:lo + SLICE], ss, h2, st) / math.sqrt(scn.n_s)
+            h1 = _std_complex(rng, (b, scn.n_r, scn.n_s))
+            h2 = _std_complex(rng, (b, scn.n_s, scn.n_t))
+            yield lo, _chain(sr, h1, _sqrt_factor(scn.phi_s), h2, st) / math.sqrt(scn.n_s)
 
 
 def sample_channel(scn: Scenario, rng: np.random.Generator,

@@ -8,8 +8,9 @@ orders of magnitude relative to symbol-level simulation and makes tight
 
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from a Philox
-substream keyed by (seed, b).  Within a block the draw order is H1's real
-parts, H1's imaginary parts, H2's real parts, then H2's imaginary parts.
+substream keyed by (seed, b).  A block is drawn in slices of 4096 trials
+(matstat.SLICE); each slice draws H1's real parts, H1's imaginary parts,
+H2's real parts, then H2's imaginary parts before the next slice starts.
 Blocks run concurrently on up to os.cpu_count() threads, and their sums are
 reduced in block order, so results are bit-identical for any worker count.
 Standard errors come from 32 batch means over the trial index, which stays

@@ -73,15 +73,24 @@ def ostbc_snr_scale(scn: Scenario) -> float:
 
 
 def diversity_order(scn: Scenario) -> Fraction:
-    """n_t*n_s*n_r / max(n_t, n_s, n_r); n_t*n_r without double scattering."""
+    """The closed-form SEP's high-SNR exponent: min over k = 0..m of
+    k(n-m+k) + (m-k)n_r, with m, n = min, max of (n_t, n_s); n_t*n_r
+    without double scattering.
+
+    k counts the eigenvalues of the m x m Wishart factor near 1/snr.  The
+    endpoints k = 0, m give the paper's n_t*n_s*n_r / max(n_t, n_s, n_r);
+    an interior k is smaller exactly when n-m+1 < n_r < n+m-1.  When two k
+    tie, the SEP carries an extra log(snr) factor.
+    """
     if scn.no_double_scattering:
         return Fraction(scn.n_t * scn.n_r)
-    return Fraction(scn.n_t * scn.n_s * scn.n_r, max(scn.n_t, scn.n_s, scn.n_r))
+    m, n = sorted((scn.n_t, scn.n_s))
+    return Fraction(min(k * (n - m + k) + (m - k) * scn.n_r for k in range(m + 1)))
 
 
-def sep_theta_integral(integrand, theta_max: float, nodes: int = THETA_NODES) -> float:
+def sep_theta_integral(integrand, theta_max: float) -> float:
     """(1/pi) int_0^theta_max integrand(theta) dtheta by Gauss-Legendre."""
-    th, w = gauss_legendre(nodes, theta_max)
+    th, w = gauss_legendre(THETA_NODES, theta_max)
     return float(np.asarray(integrand(th)) @ w) / math.pi
 
 
@@ -111,7 +120,7 @@ def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
         raise ValueError("snr must be positive and finite")
     d = n_s * n_t * float(rate)
     sep = sep_theta_integral(lambda th: mgf(psk.g * snr / (d * np.sin(th) ** 2)),
-                             psk.theta_max, THETA_NODES)
+                             psk.theta_max)
     if not 0.0 <= sep <= psk.sep_ceiling:
         raise NumericFailure(f"closed-form SEP {sep!r} outside [0, {psk.sep_ceiling!r}]")
     return sep

@@ -10,6 +10,7 @@ from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                             correlation_figure, exponential_corr, identity_corr,
                             majorizes, matrix_sqrt, spectrum_of,
                             tridiagonal_corr)
+from dsmimo.lowsnr import lowsnr_metrics
 from dsmimo.matstat import Scenario, sample_channel
 from dsmimo.mc import substream
 
@@ -285,6 +286,15 @@ class TestSpectrumFirstSides:
         phi = identity_corr(5000)
         assert correlation_figure(phi) == 5000 / (5000 * 5000)
         assert "entries" not in vars(phi)
+
+    def test_constant_side_figures_need_no_entries(self):
+        # kurtosis, EFF and the low-SNR slopes read the exact spectrum
+        scn = Scenario(4, 200, 2, constant_corr(4, 0.5), constant_corr(200, 0.3),
+                       constant_corr(2, 0.2), g4())
+        assert correlation_figure(scn.phi_s) == pytest.approx(0.09455, rel=1e-15)
+        lowsnr_metrics(scn)
+        for phi in (scn.phi_t, scn.phi_s, scn.phi_r):
+            assert "entries" not in vars(phi)
 
 
 class TestSchurMonotonicity:

@@ -97,9 +97,10 @@ class TestSampleChannel:
         assert np.all(sv[:, 2] < 1e-12 * sv[:, 0])
 
     @staticmethod
-    def one_shot(scn, rng, size):
-        """The whole batch drawn at once: every factor's real parts, then its
-        imaginary parts, and the full square-root chain."""
+    def slice_wise(scn, rng, size):
+        """The batch drawn slice by slice: per slice of at most SLICE trials,
+        each factor's real parts, then its imaginary parts, and the full
+        square-root chain."""
         b = 1 if size is None else size
 
         def std_complex(shape):
@@ -108,13 +109,16 @@ class TestSampleChannel:
             return z
 
         sr, st = scn.phi_r.sqrt, scn.phi_t.sqrt
-        if scn.no_double_scattering:
-            h = sr @ std_complex((b, scn.n_r, scn.n_t)) @ st
-        else:
-            h1 = std_complex((b, scn.n_r, scn.n_s))
-            h2 = std_complex((b, scn.n_s, scn.n_t))
-            h = (sr @ h1 @ scn.phi_s.sqrt @ h2 @ st) / math.sqrt(scn.n_s)
-        return h
+        out = []
+        for lo in range(0, b, SLICE):
+            k = min(SLICE, b - lo)
+            if scn.no_double_scattering:
+                out.append(sr @ std_complex((k, scn.n_r, scn.n_t)) @ st)
+            else:
+                h1 = std_complex((k, scn.n_r, scn.n_s))
+                h2 = std_complex((k, scn.n_s, scn.n_t))
+                out.append((sr @ h1 @ scn.phi_s.sqrt @ h2 @ st) / math.sqrt(scn.n_s))
+        return np.concatenate(out)
 
     @pytest.mark.parametrize("size", [None, 1, SLICE - 1, SLICE + 1, 3 * SLICE + 5])
     @pytest.mark.parametrize("sides", ["iii", "rrr", "ccc", "rii", "ici", "iic",
@@ -132,8 +136,18 @@ class TestSampleChannel:
             t, s, r = sides
             scn = Scenario(3, 4, 2, corr[t](3), corr[s](4), corr[r](2))
         got = sample_channel(scn, substream(9, 2), size=size)
-        ref = self.one_shot(scn, substream(9, 2), size)
+        ref = self.slice_wise(scn, substream(9, 2), size)
         assert np.array_equal(got, ref[0] if size is None else ref)
+
+    @pytest.mark.parametrize("rich", [False, True])
+    def test_longer_draw_extends_shorter(self, rich):
+        # a slice's variates never depend on the batch size, so a batch is a
+        # prefix of any longer batch from the same stream
+        scn = Scenario(3, 4, 2, constant_corr(3, 0.3), identity_corr(4),
+                       constant_corr(2, 0.6), no_double_scattering=rich)
+        short = sample_channel(scn, substream(9, 3), size=2 * SLICE)
+        long = sample_channel(scn, substream(9, 3), size=3 * SLICE + 5)
+        assert np.array_equal(short, long[:2 * SLICE])
 
     def test_scenario_dimension_checks(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_
 from dsmimo.detform import (NumericFailure, characteristic_coefficients,
                             expected_inv_det_miso)
 from dsmimo.matstat import Scenario
-from dsmimo.mc import MonteCarloConfig, mc_sep
+from dsmimo.mc import MonteCarloConfig, fit_diversity_slope, mc_sep
 from dsmimo.quadrule import gauss_legendre
 from dsmimo.sep import (PskConstellation, UnsupportedScenarioError,
                         conditional_sep_mpsk, diversity_order, has_closed_form,
@@ -61,10 +61,26 @@ class TestSnrScaleAndDiversity:
 
     @pytest.mark.parametrize("dims,expect", [
         ((4, 1, 2), 2), ((4, 2, 2), 4), ((4, 3, 2), 6),
-        ((2, 10, 11), 20), ((3, 3, 3), 9), ((5, 5, 5), 25),
+        ((2, 10, 11), 20), ((3, 3, 3), 7), ((5, 5, 5), 19),
     ])
     def test_diversity_order(self, dims, expect):
         assert diversity_order(Scenario.uncorrelated(*dims)) == Fraction(expect)
+
+    @pytest.mark.parametrize("dims,expect", [((2, 2, 2), 3), ((2, 3, 3), 5),
+                                             ((4, 4, 2), 7)])
+    def test_diversity_order_is_closed_form_slope(self, dims, expect):
+        # an interior k is the unique minimiser here, below the paper's
+        # n_t*n_s*n_r/max(n_t, n_s, n_r) (4, 6 and 8), with no log factor
+        scn = Scenario.uncorrelated(*dims)
+        psk = PskConstellation(4)
+        curve = [(s, sep_mpsk(scn, psk, db(s))) for s in range(60, 71, 2)]
+        assert diversity_order(scn) == expect
+        assert fit_diversity_slope(curve) == pytest.approx(expect, rel=0.02)
+
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12))
+    def test_diversity_order_transmit_receive_symmetry(self, n_t, n_s, n_r):
+        assert (diversity_order(Scenario.uncorrelated(n_t, n_s, n_r))
+                == diversity_order(Scenario.uncorrelated(n_r, n_s, n_t)))
 
     def test_diversity_no_double_scattering(self):
         scn = Scenario.uncorrelated(4, 7, 2, no_double_scattering=True)
@@ -75,6 +91,11 @@ class TestThetaIntegral:
     def test_constant_integrand(self):
         v = sep_theta_integral(lambda th: np.ones_like(th), math.pi / 2)
         assert v == pytest.approx(0.5, abs=1e-14)
+
+    def test_node_count_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(dsmimo.sep, "THETA_NODES", 64)
+        v = sep_theta_integral(lambda th: np.full_like(th, th.size), math.pi / 2)
+        assert v == pytest.approx(32.0, rel=1e-14)
 
     def test_awgn_bpsk_is_q_function(self):
         # (1/pi) int_0^{pi/2} exp(-gamma/sin^2) = Q(sqrt(2 gamma)) at gamma=1
