@@ -3,20 +3,16 @@ double-scattering channels.
 
 Every formula is the angular average of the SNR moment generating function:
 SEP = (1/pi) int_0^Theta MGF(g/sin^2 theta) dtheta with Theta = pi - pi/M
-and g = sin^2(pi/M).  The MGF argument always enters through the composite
-xi = g*gbar/(n_s*n_t*rate*sin^2 theta); the three scenario families differ
-only in which expected-inverse-determinant identity evaluates the MGF:
+and g = sin^2(pi/M), the argument entering through the composite
+xi = g*gbar/(n_s*n_t*rate*sin^2 theta).  One table (`_closed_form_family`)
+picks the MGF evaluator: the first of three rows that applies.
 
-* spatially uncorrelated, and doubly correlated (transmit/receive
-  correlation, identity scatterers, n_s >= n_t): one determinant in
-  orthonormal polynomial bases of xi-weighted Gamma measures
-  (`detform.expected_inv_det_kron`; identity spectra for the first);
-* MISO (n_r = 1): one Gamma-lattice expectation over the smaller side.
-
-A fourth closed form covers the no-double-scattering (rich scattering)
-limit, where the MGF is a plain product over transmit/receive eigenvalue
-pairs; with identity correlations it is the i.i.d. Rayleigh reference curve
-the figures compare against.
+* Rich scattering: a product over transmit/receive eigenvalue pairs; with
+  identity correlations, the i.i.d. Rayleigh reference curve.
+* n_r, n_t or n_s = 1, unless every side is uncorrelated:
+  `detform.expected_inv_det_miso` on the other two sides.
+* A hop whose larger side is uncorrelated: `detform.expected_inv_det_kron`,
+  at either end since ||H||_F = ||H^T||_F.
 """
 
 from __future__ import annotations
@@ -27,8 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detform import (NumericFailure, expected_inv_det_kron, expected_inv_det_miso,
-                      expected_inv_det_uncorr)
+from .detform import NumericFailure, expected_inv_det_kron, expected_inv_det_miso
 from .matstat import SLICE, Scenario
 from .quadrule import gauss_legendre
 
@@ -101,12 +96,15 @@ def conditional_sep_mpsk(gamma, psk: PskConstellation):
     c = psk.g / np.sin(th) ** 2
     gv = np.asarray(gamma, dtype=float).ravel()
     out = np.empty(gv.size)
-    # One (SLICE, THETA_NODES) exponent at a time instead of the whole one.
-    # A one-row tail joins the slice before it: numpy evaluates a one-row
-    # product as a dot, which rounds differently from a longer gemv.
+    # One (SLICE, THETA_NODES) exponent at a time, in one buffer reused for
+    # every slice.  A one-row tail joins the slice before it: numpy evaluates
+    # a one-row product as a dot, which rounds differently from a longer gemv.
+    buf = np.empty((min(gv.size, SLICE + 1), c.size))
     cuts = [0, *range(SLICE, gv.size - 1, SLICE), gv.size]
     for lo, hi in zip(cuts, cuts[1:]):
-        out[lo:hi] = np.exp(-np.outer(gv[lo:hi], c)) @ w / math.pi
+        e = buf[: hi - lo]
+        np.exp(np.multiply.outer(-gv[lo:hi], c, out=e), out=e)
+        out[lo:hi] = e @ w / math.pi
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
@@ -127,52 +125,29 @@ def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
 
 
 def sep_mpsk_uncorrelated(scn: Scenario, psk: PskConstellation, snr: float) -> float:
-    """SEP with all three correlation matrices equal to identity.
-
-    The MGF is E det(I + xi XX^H)^(-n_r) for an n1 x n2 Gaussian X,
-    (n1, n2) = sorted (n_t, n_s), so evaluation is symmetric under swapping
-    n_t and n_s.
-    """
+    """SEP with all three correlations identity, over the Kronecker row."""
     if not (scn.phi_t.is_identity and scn.phi_s.is_identity and scn.phi_r.is_identity):
         raise ValueError("uncorrelated formula needs identity correlations")
-    n1, n2 = min(scn.n_t, scn.n_s), max(scn.n_t, scn.n_s)
-    return _sep_from_mgf(lambda xi: expected_inv_det_uncorr(n1, n2, scn.n_r, xi),
-                         psk, snr, scn.n_t, scn.rate, scn.n_s)
+    return sep_mpsk_doubly_correlated(scn, psk, snr)
 
 
 def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float) -> float:
-    """SEP with transmit and receive correlation, identity scatterer
-    correlation, and n_s >= n_t.
-
-    The MGF is one m x m determinant over the confluent columns of the
-    distinct transmit eigenvalues, in orthonormal polynomial bases of Gamma
-    measures weighted by a product over the receive eigenvalues, so n_s in
-    the thousands loses no digits.
-    """
-    if not scn.phi_s.is_identity:
-        raise ValueError("doubly-correlated formula needs an identity scatterer correlation")
-    if scn.n_s < scn.n_t:
-        raise UnsupportedScenarioError(
-            f"doubly-correlated closed form needs n_s >= n_t, got ({scn.n_s}, {scn.n_t})"
-        )
-    return _sep_from_mgf(
-        lambda xi: expected_inv_det_kron(scn.n_t, scn.n_s, scn.phi_t.spectrum,
-                                         scn.phi_r.spectrum, xi),
-        psk, snr, scn.n_t, scn.rate, scn.n_s)
+    """SEP over the Kronecker row (`_kron_args`): one m x m determinant in
+    orthonormal polynomial bases of Gamma measures weighted by a product over
+    the far side's eigenvalues, so n in the thousands loses no digits."""
+    m, n, sigma, far = _applicable(_kron_args, scn)
+    return _sep_from_mgf(lambda xi: expected_inv_det_kron(m, n, sigma, far, xi),
+                         psk, snr, scn.n_t, scn.rate, scn.n_s)
 
 
 def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float) -> float:
-    """SEP for n_r = 1: the MGF is the expectation, over the smaller of the
-    transmit and scatterer sides' weighted sums of exponentials, of a
-    product over the larger side's eigenvalues, so the larger side may have
-    any dimension.  The smaller side's density is a nonnegative matrix
-    exponential, exact for any eigenvalue pattern (nearly equal included).
-    """
-    if scn.n_r != 1:
-        raise ValueError("MISO formula needs n_r = 1")
-    return _sep_from_mgf(
-        lambda xi: expected_inv_det_miso(scn.phi_s.spectrum, scn.phi_t.spectrum, xi),
-        psk, snr, scn.n_t, scn.rate, scn.n_s)
+    """SEP over the MISO row (`_miso_args`): the expectation, over the smaller
+    remaining side's weighted sum of exponentials (a nonnegative matrix-
+    exponential density, exact for any eigenvalue pattern), of a product over
+    the larger side's eigenvalues, so the larger side may have any dimension."""
+    sigma, psi = _applicable(_miso_args, scn)
+    return _sep_from_mgf(lambda xi: expected_inv_det_miso(sigma, psi, xi),
+                         psk, snr, scn.n_t, scn.rate, scn.n_s)
 
 
 def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: float) -> float:
@@ -192,37 +167,57 @@ def sep_mpsk_iid_rayleigh(n_t: int, n_r: int, rate, psk: PskConstellation,
     return _sep_from_mgf(lambda c: (1.0 + c) ** (-n_t * n_r), psk, snr, n_t, rate)
 
 
-def _closed_form_family(scn: Scenario):
-    """The family function whose closed form covers scn, or None.
+def _kron_args(scn: Scenario):
+    """(m, n, Sigma, A) of `expected_inv_det_kron` from the first hop (t,s),
+    (s,t), (r,s), (s,r) whose larger side is uncorrelated, or None: hop (x, y)
+    with n_x <= n_y and phi_y = I leaves an n_x x n_x Wishart factor with n_y
+    degrees and covariance phi_x, and its far side is A (by ||H|| = ||H^T||)."""
+    t, s, r = (scn.n_t, scn.phi_t), (scn.n_s, scn.phi_s), (scn.n_r, scn.phi_r)
+    for (m, sigma), (n, larger), (_, far) in ((t, s, r), (s, t, r), (r, s, t), (s, r, t)):
+        if m <= n and larger.is_identity:
+            return m, n, sigma.spectrum, far.spectrum
+    return None
 
-    Order: rich-scattering limit when flagged, else uncorrelated, then MISO,
-    then doubly correlated; scenarios fitting several formulas agree to
-    within quadrature accuracy, so the first applicable one is returned.
-    The functions are looked up as module globals on every call, so a
-    wrapper installed on the module attribute is the one dispatched to.
-    """
+
+def _miso_args(scn: Scenario):
+    """The two spectra of `expected_inv_det_miso` when n_r, n_t or n_s is 1
+    (the first in that order), or None: ||H||_F^2 is then the product of
+    independent quadratic forms in the other two sides."""
+    s, t, r = scn.phi_s.spectrum, scn.phi_t.spectrum, scn.phi_r.spectrum
+    for n, pair in ((scn.n_r, (s, t)), (scn.n_t, (s, r)), (scn.n_s, (t, r))):
+        if n == 1:
+            return pair
+    return None
+
+
+def _applicable(row, scn: Scenario):
+    """row(scn), or UnsupportedScenarioError where that is None."""
+    found = row(scn)
+    if found is None:
+        raise UnsupportedScenarioError("no closed form: needs rich scattering, n_r, n_t "
+                                       "or n_s = 1, or a hop with an uncorrelated larger side")
+    return found
+
+
+def _closed_form_family(scn: Scenario):
+    """The family function of the first row covering scn, or None.  MISO goes
+    before Kronecker, which cancels for nearly equal Sigma eigenvalues, unless
+    all sides are I.  A wrapper on a family's module attribute is called."""
     if scn.no_double_scattering:
         return sep_mpsk_no_double_scattering
-    if scn.phi_t.is_identity and scn.phi_s.is_identity and scn.phi_r.is_identity:
-        return sep_mpsk_uncorrelated
-    if scn.n_r == 1:
+    uncorrelated = scn.phi_t.is_identity and scn.phi_s.is_identity and scn.phi_r.is_identity
+    if not uncorrelated and _miso_args(scn) is not None:
         return sep_mpsk_miso
-    if scn.phi_s.is_identity and scn.n_s >= scn.n_t:
+    if _kron_args(scn) is not None:
         return sep_mpsk_doubly_correlated
     return None
 
 
 def sep_mpsk(scn: Scenario, psk: PskConstellation, snr: float) -> float:
-    """Closed-form SEP dispatcher: the first applicable family formula.
+    """Closed-form SEP dispatcher: the first applicable row's formula.
     Raises UnsupportedScenarioError when no closed form exists and
     NumericFailure when the formula's value leaves [0, (M-1)/M]."""
-    family = _closed_form_family(scn)
-    if family is None:
-        raise UnsupportedScenarioError(
-            "no closed form: needs identity correlations, n_r = 1, or identity "
-            "scatterer correlation with n_s >= n_t"
-        )
-    return family(scn, psk, snr)
+    return _applicable(_closed_form_family, scn)(scn, psk, snr)
 
 
 def has_closed_form(scn: Scenario) -> bool:

@@ -314,6 +314,19 @@ mc.seed = 3
         assert main(["validate", "--config", write(tmp_path, cfg)]) == EXIT_OK
         assert "unsupported formula" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n_s,n_r,check", [
+        (2, 2, "PASS  sep_closed_vs_mc@"),  # the receive hop of the Kronecker row
+        (1, 4, "PASS  reduction_miso_vs_uncorrelated"),  # keyhole: the MISO row
+    ])
+    def test_transposed_and_keyhole_rows_validated(self, tmp_path, capsys, n_s, n_r, check):
+        cfg = (BASE.replace("scenario.n_s = 10", f"scenario.n_s = {n_s}")
+               .replace("scenario.n_r = 2", f"scenario.n_r = {n_r}")
+               + "corr.tx.model = constant\ncorr.tx.rho = 0.5\n"
+               "corr.rx.model = exponential\ncorr.rx.rho = 0.3\n")
+        assert main(["validate", "--config", write(tmp_path, cfg)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert check in out and "unsupported formula" not in out
+
     def test_probe_rho_outside_model_range_skipped(self, tmp_path, capsys):
         # rho = 0.3 is a valid tridiagonal coefficient at n = 10, but the
         # kurtosis probe's rho = 0.6 is above that model's bound of 0.52

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
 
 from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_corr,
                             tridiagonal_corr)
@@ -15,8 +14,7 @@ from dsmimo.detform import (CharCoefficients, HypKernelId, _det_scaled, _vanderm
                             wishart_eigen_pdf)
 
 from conftest import cgauss
-from oracles import (max_eig_cdf, oracle_2f0, oracle_2f0_hyperu, oracle_kron_mgf,
-                     oracle_miso_mgf)
+from oracles import oracle_2f0, oracle_2f0_hyperu, oracle_kron_mgf, oracle_miso_mgf
 
 
 def spec_of(vals, mults=None):
@@ -326,13 +324,6 @@ class TestWishartEigenPdf:
             assert wishart_eigen_pdf([l1, l2], 2, sig) == pytest.approx(
                 direct, rel=1e-10)
 
-    def test_normalization_correlated(self):
-        sig = spec_of([2.0, 1.0])
-        val, _ = integrate.dblquad(
-            lambda l2, l1: wishart_eigen_pdf([l1, l2], 3, sig), 0, 60,
-            0, lambda l1: l1, epsabs=1e-9, epsrel=1e-9)
-        assert val == pytest.approx(1.0, abs=1e-6)
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             wishart_eigen_pdf([1.0, 2.0], 3, spec_of([1.0], [2]))  # increasing
@@ -352,41 +343,6 @@ class TestQuadraticFormEigenPdf:
         for x in (0.3, 1.0, 4.0):
             assert quadratic_form_eigen_pdf([x], 2, spec_of([2.0, 1.0])) == pytest.approx(
                 math.exp(-x / 2) - math.exp(-x), rel=1e-11)
-
-    def test_normalization(self):
-        beta = spec_of([3.0, 1.0])
-        val, _ = integrate.dblquad(
-            lambda l2, l1: quadratic_form_eigen_pdf([l1, l2], 2, beta), 0, 120,
-            0, lambda l1: l1, epsabs=1e-9, epsrel=1e-9)
-        assert val == pytest.approx(1.0, abs=1e-6)
-
-
-class TestEigenPdfVsSampling:
-    def test_wishart_max_eig_ks(self, rng):
-        sig_m = np.diag([2.0, 1.0])
-        sig = spec_of([2.0, 1.0])
-        n = 100_000
-        x = cgauss(rng, n, 2, 3)
-        x = np.sqrt(np.diag(sig_m))[None, :, None] * x
-        w = x @ x.conj().transpose(0, 2, 1)
-        samples = np.linalg.eigvalsh(w)[:, -1]
-        grid = np.linspace(1e-9, samples.max() * 1.05, 400)
-        cdf = max_eig_cdf(lambda a, b: wishart_eigen_pdf([a, b], 3, sig), grid)
-        res = stats.ks_1samp(samples, cdf)
-        assert res.pvalue > 1e-3
-
-    def test_quadratic_form_max_eig_ks(self, rng):
-        beta = spec_of([3.0, 1.0])
-        n = 100_000
-        x = cgauss(rng, n, 2, 2)
-        a = np.diag([1.0, 3.0])
-        w = x @ a @ x.conj().transpose(0, 2, 1)
-        samples = np.linalg.eigvalsh(w)[:, -1]
-        grid = np.linspace(1e-9, samples.max() * 1.05, 400)
-        cdf = max_eig_cdf(lambda a_, b_: quadratic_form_eigen_pdf([a_, b_], 2, beta),
-                          grid)
-        res = stats.ks_1samp(samples, cdf)
-        assert res.pvalue > 1e-3
 
 
 class TestExpectedInvDetKron:

@@ -447,7 +447,7 @@ class TestDispatchAndInvariants:
 
     @pytest.mark.parametrize("tx,sc,rx,n_r,n_s,rich", [
         case for case in itertools.product((False, True), (False, True),
-                                           (False, True), (1, 2), (2, 4),
+                                           (False, True), (1, 2, 4), (2, 4),
                                            (False, True))
         if not (case[2] and case[3] == 1)  # a 1x1 correlation is the identity
     ])
@@ -465,6 +465,41 @@ class TestDispatchAndInvariants:
         else:
             assert has_closed_form(scn)
 
+    @pytest.mark.parametrize("scn,family", [
+        # receive hop (r,s): ||H||_F = ||H^T||_F puts the receive side in the Wishart factor
+        (Scenario(4, 2, 2, constant_corr(4, 0.5), identity_corr(2), exponential_corr(2, 0.3),
+                  g4()), sep_mpsk_doubly_correlated),
+        # SIMO with correlated scatterers: the MISO row on the scatterer and receive sides
+        (Scenario(1, 3, 4, identity_corr(1), constant_corr(3, 0.5), exponential_corr(4, 0.3)),
+         sep_mpsk_miso),
+        # keyhole: the MISO row on the transmit and receive sides
+        (Scenario(4, 1, 4, constant_corr(4, 0.5), identity_corr(1), exponential_corr(4, 0.3),
+                  g4()), sep_mpsk_miso),
+        # hop (s,t): identity transmit side, correlated scatterers in the Wishart factor
+        (Scenario(4, 2, 3, identity_corr(4), constant_corr(2, 0.5), exponential_corr(3, 0.3),
+                  g4()), sep_mpsk_doubly_correlated),
+    ], ids=["transpose_4x2x2", "simo_1x3x4", "keyhole_4x1x4", "identity_tx_4x2x3"])
+    def test_table_row_against_monte_carlo(self, scn, family):
+        assert dsmimo.sep._closed_form_family(scn) is family
+        psk = PskConstellation(4)
+        snr = db(10.0)
+        cf = sep_mpsk(scn, psk, snr)
+        assert cf == family(scn, psk, snr)
+        est = mc_sep(scn, psk, snr, MonteCarloConfig(trials=1 << 18, seed=7))
+        assert abs(est.value - cf) < 3 * est.std_error
+
+    @pytest.mark.parametrize("rho", [1e-4, 1e-3])
+    def test_miso_row_precedes_kronecker_row(self, rho):
+        # nearly equal transmit eigenvalues cancel in the Kronecker
+        # determinant (its Sigma would be phi_t here); the MISO evaluator
+        # is exact for any eigenvalue pattern, so a scenario both rows cover
+        # takes the MISO one
+        scn = Scenario(4, 10, 1, exponential_corr(4, rho), identity_corr(10), identity_corr(1))
+        psk = PskConstellation(4)
+        assert dsmimo.sep._closed_form_family(scn) is sep_mpsk_miso
+        assert sep_mpsk(scn, psk, db(10.0)) == pytest.approx(
+            sep_mpsk_miso(scn, psk, db(10.0)), rel=1e-12)
+
 
 def test_benchmark_tracer_sees_every_family():
     # the benchmark's tracer wraps the family functions' module attributes,
@@ -475,10 +510,11 @@ def test_benchmark_tracer_sees_every_family():
     finally:
         sys.path.pop(0)
     psk = PskConstellation(8)
+    # (uncorrelated scenarios dispatch to the Kronecker row, so
+    # sep.family.uncorrelated is no dispatch target)
     cases = {
         "sep.family.no_double_scattering":
             Scenario.uncorrelated(4, 9, 2, g4(), no_double_scattering=True),
-        "sep.family.uncorrelated": Scenario.uncorrelated(4, 3, 2, g4()),
         "sep.family.miso": Scenario(4, 1, 1, constant_corr(4, 0.5), identity_corr(1),
                                     identity_corr(1), g4()),
         "sep.family.doubly_correlated":
@@ -498,6 +534,7 @@ def test_benchmark_tracer_sees_every_family():
     assert totals["sep.sep_mpsk"]["calls"] == len(cases)
     for name in cases:
         assert totals[name]["calls"] == 1, name
+    assert "sep.family.uncorrelated" not in totals
 
 
 def test_runtime_leaves_scipy_unloaded():
