@@ -132,10 +132,6 @@ class CorrelationMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        return matrix_sqrt(self)
-
 
 class _ConstantSide(CorrelationMatrix):
     """The constant model (identity at rho = 0) held as its exact spectrum

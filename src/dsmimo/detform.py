@@ -457,6 +457,17 @@ def _lanczos(t: np.ndarray, logmu: np.ndarray, k: int):
     return vecs, alpha, np.log(norm), shift
 
 
+def _poisson_tails(k: int, z: np.ndarray) -> np.ndarray:
+    """P(N >= K) for N ~ Poisson(z), K = 0 .. k on a leading axis: 1 - P(N < K)
+    where that head is below 1/2, else the pmf summed from the top (N up to
+    3k + 40, past which the pmf is below 1e-17 of the sum for such z)."""
+    ks = np.arange(3 * k + 41.0).reshape(-1, *([1] * z.ndim))
+    pmf = np.exp(ks * np.log(np.maximum(z, np.finfo(float).tiny)) - z
+                 - np.cumsum(np.log(np.maximum(ks, 1.0)), axis=0))
+    head = np.cumsum(pmf[:k + 1], axis=0) - pmf[:k + 1]
+    return np.where(head < 0.5, 1.0 - head, np.cumsum(pmf[::-1], axis=0)[:-k - 2:-1])
+
+
 def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum,
                           xi):
     """E det(I + xi A (x) XX^H)^(-1) for X m x n (m <= n) with row covariance
@@ -467,18 +478,21 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
     eigenvalues sigma_g of Sigma, each divided by its polynomial's leading
     coefficient, whatever the polynomials.  Here column (g, j) holds p_j of
     mu_g = Gamma(n-m+1) prod_k (1 + xi sigma_g r_k t)^(-m_k), t = l/sigma_g,
-    and row i p_i of mu_s at sigma_g t/sigma_s, s the smallest eigenvalue of
-    largest multiplicity (larger ones then see the rows where their leading
-    terms dominate, as monomials would).  The block of s is [I; 0], so det N
-    is that of the rows t_s.. over the other columns: 1 with one eigenvalue,
-    where the MGF is a ratio of products of Lanczos norms."""
+    and row i p_i of mu_s at sigma_g t/sigma_s, s the smallest eigenvalue
+    (larger ones then see the rows where their leading terms dominate, as
+    monomials would).  The block of s is [I; 0], so det N is that of the rows
+    t_s.. over the other columns: 1 with one eigenvalue, where the MGF is a
+    ratio of products of Lanczos norms.  mu_g is mu_s e^(beta l), beta =
+    1/sigma_s - 1/sigma_g > 0, and row i annihilates the Taylor terms of
+    e^(beta l) below degree i - j, so entry (i, (g, j)) keeps only the weight
+    P(Poisson(beta l) >= i - j): close eigenvalues cost no digits."""
     if sigma_spec.dim != m or n < m:
         raise ValueError("need sigma spectrum of dimension m and n >= m")
     sig = np.array(sigma_spec.values)
     tg = np.array(sigma_spec.mults)
     c = np.multiply.outer(sig, a_spec.values)
     mult = np.array(a_spec.mults, dtype=float)
-    s = int(tg.size - 1 - np.argmax(tg[::-1]))  # values decrease
+    s = sig.size - 1  # values decrease
     other = np.flatnonzero(np.arange(sig.size) != s)
     k_o = int(tg[other].max(initial=0))
     # dividing by the leading coefficients multiplies by powers of the b_j:
@@ -486,8 +500,9 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
     lead_s = (m - np.arange(m)) + np.maximum(tg[s] - np.arange(m), 0)
     lead_o = np.maximum(tg[other, None] - np.arange(k_o), 0)
     scale = (sig[other] / sig[s])[:, None]
+    tail_k = np.maximum(np.subtract.outer(np.arange(tg[s], m), np.arange(k_o)), 0)
 
-    def log_det(x, t, logw):
+    def log_det(x, t, logw, tails):
         """(sign, log) of det N(x) over its leading coefficients, x a vector."""
         logmu = logw - np.einsum("k,xgkn->xgn", mult,
                                  np.log1p(np.multiply.outer(np.multiply.outer(x, c), t)))
@@ -506,7 +521,7 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
                 rows[i - tg[s]] = q * root
             if i + 1 < m:
                 q_prev, q = q, ((u - a[i]) * q - b[i] * q_prev) / b[i + 1]
-        blk = np.einsum("ixgn,jxgn->xgij", rows, vo)
+        blk = np.einsum("ixgn,jxgn,ijgn->xgij", rows, vo, tails)
         # lead_o > 0 marks the columns (g, j < t_g)
         sign, ld = np.linalg.slogdet(np.swapaxes(blk, 1, 2)[:, :, lead_o > 0])
         return sign, log + ld
@@ -516,12 +531,13 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
         # the integrands are mu_g times polynomials of degree <= 2m - 2
         floor = -float(mult @ np.log1p(xv.max() * c.max(axis=0) * n))
         t, logw = _gamma_lattice(n - m + 1, floor, 2 * m - 2)
+        tails = _poisson_tails(m - 1, (scale - 1.0) * t)[tail_k]
         x = np.concatenate([[0.0], xv])  # N(0), the normaliser, rides in the first block
         # equal blocks of entries whose entry-by-eigenvalue-by-degree-by-node
         # arrays stay within 2 _BATCH doubles
         size = x.size * sig.size * max(m, mult.size) * t.size
         blocks = np.array_split(x, -(-size // (2 * _BATCH)))
-        sign, log = map(np.concatenate, zip(*(log_det(xs, t, logw) for xs in blocks)))
+        sign, log = map(np.concatenate, zip(*(log_det(xs, t, logw, tails) for xs in blocks)))
         return sign[1:] * sign[0] * np.exp(log[1:] - log[0])
 
     return _at_positive(xi, mgf)

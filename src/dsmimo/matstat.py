@@ -3,7 +3,8 @@
 Conventions: a circular complex Gaussian entry has i.i.d. real and
 imaginary parts of variance 1/2, so E|g|^2 = 1 and channel entries are
 unit power.  A matrix-variate Gaussian X with row covariance S and column
-covariance P is realized as S^(1/2) G P^(1/2) with G i.i.d. standard.
+covariance P is S^(1/2) G P^(1/2) in law, G i.i.d. standard; it is drawn
+in the eigenbases of S and P (channel_slices).
 
 The moment/cumulant evaluators consume spectra rather than matrices: the
 quantities depend on the eigenvalues only, and callers often have exact
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -77,62 +79,57 @@ class Scenario:
 SLICE = 4096
 
 
-def _std_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-power circular Gaussians: every real part, then every imaginary part."""
-    z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
-    z *= math.sqrt(0.5)
-    return z
-
-
-def _sqrt_factor(phi: CorrelationMatrix) -> np.ndarray | None:
-    """phi^(1/2), or None for an identity side: X @ I == X exactly, so
-    skipping the product changes no bit."""
-    return None if phi.is_identity else phi.sqrt
-
-
-def _chain(*factors) -> np.ndarray:
-    """Left-to-right product of the factors that are not None."""
-    factors = [f for f in factors if f is not None]
-    out = factors[0]
-    for f in factors[1:]:
-        out = out @ f
-    return out
+def _std_complex(rng: np.random.Generator, count: int, scales) -> list[np.ndarray]:
+    """`count` draws of each complex factor, in turn, from one buffer (two
+    would grow the allocator's heap, and the peak RSS); a factor's scale
+    holds the standard deviation of each real, then imaginary, part."""
+    sizes = [count * f.size for f in scales]
+    parts = np.split(rng.standard_normal(sum(sizes)), np.cumsum(sizes)[:-1])
+    out = [z.reshape(count, *f.shape) for z, f in zip(parts, scales)]
+    for z, f in zip(out, scales):
+        z *= f
+    return [z.view(complex) for z in out]
 
 
 def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
-    """Yield (start, H) for consecutive slices of at most SLICE trials of a
-    batch of `size` channels, never holding the whole (size, n_r, n_t) batch.
-
-    Each slice draws its own factors in turn: H1 (real parts, then
-    imaginary parts), then H2 the same way.  Without double scattering the
-    single factor G is drawn in H2's place.
-    """
-    sr, st = _sqrt_factor(scn.phi_r), _sqrt_factor(scn.phi_t)
+    """Yield (start, D) for consecutive slices of at most SLICE trials of a
+    batch of `size` channels in the sides' eigenbases, never holding the
+    whole batch.  With r, s, t the expanded spectra of phi_r, phi_s, phi_t, a
+    slice draws D = (sqrt(r) o H1)(sqrt(s) sqrt(t)^T o H2)/sqrt(n_s), H1 then
+    H2, or D = sqrt(r) sqrt(t)^T o G without double scattering.  Gaussian
+    factors are invariant under unitary rotation, so H has the law of
+    U_r D U_t^H (sample_channel) and shares ||D||_F and the eigenvalues of
+    D D^H."""
+    r = np.sqrt(0.5 * scn.phi_r.spectrum.expand())
+    t = np.sqrt(scn.phi_t.spectrum.expand())
+    scales = ([np.outer(r, t)] if scn.no_double_scattering else
+              [np.outer(r / math.sqrt(scn.n_s), np.ones(scn.n_s)),
+               np.outer(np.sqrt(0.5 * scn.phi_s.spectrum.expand()), t)])
+    scales = [np.repeat(f, 2, axis=1) for f in scales]  # as complex entries are stored
     for lo in range(0, size, SLICE):
         b = min(SLICE, size - lo)
-        if scn.no_double_scattering:
-            yield lo, _chain(sr, _std_complex(rng, (b, scn.n_r, scn.n_t)), st)
-        else:
-            h1 = _std_complex(rng, (b, scn.n_r, scn.n_s))
-            h2 = _std_complex(rng, (b, scn.n_s, scn.n_t))
-            yield lo, _chain(sr, h1, _sqrt_factor(scn.phi_s), h2, st) / math.sqrt(scn.n_s)
+        yield lo, reduce(np.matmul, _std_complex(rng, b, scales))
 
 
 def sample_channel(scn: Scenario, rng: np.random.Generator,
                    size: int | None = None) -> np.ndarray:
     """Draw channel matrices H of shape (n_r, n_t), batched when size is set.
 
-    Double-scattering: H = phi_r^(1/2) H1 phi_s^(1/2) H2 phi_t^(1/2)/sqrt(n_s)
-    with independent standard H1 (n_r x n_s) and H2 (n_s x n_t).  Without
-    double scattering: H = phi_r^(1/2) G phi_t^(1/2), one Gaussian factor.
+    H has the law of phi_r^(1/2) H1 phi_s^(1/2) H2 phi_t^(1/2)/sqrt(n_s), H1
+    (n_r x n_s) and H2 (n_s x n_t) independent standard, or of
+    phi_r^(1/2) G phi_t^(1/2) without double scattering: channel_slices' D
+    rotated into the antenna frame, H = U_r D U_t^H (eigh's ascending
+    eigenvectors, reversed to the order of spectrum.expand()).
     """
+    ur, ut = (None if p.is_identity else np.linalg.eigh(p.entries)[1][:, ::-1]
+              for p in (scn.phi_r, scn.phi_t))
     one = size is None
     b = 1 if one else size
     h = np.empty((b, scn.n_r, scn.n_t), dtype=complex)
-    for lo, piece in channel_slices(scn, rng, b):
-        h[lo:lo + len(piece)] = piece
+    for lo, d in channel_slices(scn, rng, b):
+        if ur is not None:
+            d = ur @ d
+        h[lo:lo + len(d)] = d if ut is None else d @ ut.conj().T
     return h[0] if one else h
 
 

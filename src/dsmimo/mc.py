@@ -4,17 +4,19 @@ Estimators are semi-analytic where possible: each trial draws a channel and
 accumulates an exactly computed conditional quantity (the conditional M-PSK
 SEP integral, the instantaneous capacity), which collapses the variance by
 orders of magnitude relative to symbol-level simulation and makes tight
-3-sigma cross-checks against the closed forms affordable.
+3-sigma cross-checks against the closed forms affordable.  Each reads H only
+through ||H||_F^2 or det(I + c H H^H), so it takes the unrotated draw in the
+sides' eigenbases (matstat.channel_slices).
 
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
-are processed in fixed-size blocks of 2^16; block b draws from a Philox
-substream keyed by (seed, b).  A block is drawn in slices of 4096 trials
-(matstat.SLICE); each slice draws H1's real parts, H1's imaginary parts,
-H2's real parts, then H2's imaginary parts before the next slice starts.
-Blocks run concurrently on up to os.cpu_count() threads, and their sums are
-reduced in block order, so results are bit-identical for any worker count.
-Standard errors come from 32 batch means over the trial index, which stays
-honest for the ratio estimators (kurtosis) as well as plain means.
+are processed in fixed-size blocks of 2^16; block b draws from the SFC64
+child stream SeedSequence(seed, spawn_key=(b,)).  A block is drawn in slices
+of 4096 trials (matstat.SLICE); each slice draws all of H1, then all of H2,
+each real part before its imaginary part.  Blocks run concurrently on up to
+os.cpu_count() threads, and their sums are reduced in block order, so
+results are bit-identical for any worker count.  Standard errors come from
+32 batch means over the trial index, which stays honest for the ratio
+estimators (kurtosis) as well as plain means.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ from .sep import PskConstellation, conditional_sep_mpsk, ostbc_snr_scale
 
 BLOCK_SIZE = 1 << 16
 N_BATCHES = 32
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream keyed by (master seed, stream index)."""
-    key = np.array([seed & _U64, index & _U64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Child stream `index`, numpy's construction for independent streams:
+    SFC64 seeded by SeedSequence(seed mod 2^64, spawn_key=(index,))."""
+    seq = np.random.SeedSequence(seed % 2**64, spawn_key=(index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 @dataclass(frozen=True)
@@ -133,25 +135,29 @@ def _frob_sq_samples(scn: Scenario, rng: np.random.Generator, count: int) -> np.
     if scn.n_t == 1 and scn.n_r == 1 and scn.phi_s.is_identity:
         q = rng.gamma(scn.n_s, size=count) / scn.n_s
         return q * rng.standard_exponential(count)
-    return _per_channel(scn, rng, count, lambda h: np.einsum(
-        "bij,bij->b", h.real, h.real) + np.einsum("bij,bij->b", h.imag, h.imag))
+    return _per_channel(scn, rng, count, lambda d: np.einsum(
+        "bij,bij->b", d.view(float), d.view(float)))
 
 
 def _per_channel(scn: Scenario, rng: np.random.Generator, count: int, fn) -> np.ndarray:
-    """fn(H) over `count` channel draws, one slice of H at a time."""
+    """fn(D) over `count` draws of the channel in the sides' eigenbases
+    (matstat.channel_slices), one slice at a time."""
     out = np.empty(count)
-    for lo, h in channel_slices(scn, rng, count):
-        out[lo:lo + len(h)] = fn(h)
+    for lo, d in channel_slices(scn, rng, count):
+        out[lo:lo + len(d)] = fn(d)
     return out
 
 
 def _log2_det_eye_plus(c: float, h: np.ndarray) -> np.ndarray:
-    """log2 det(I + c G) for a stack of channels, G the smaller of H H^H and
-    H^H H: one stacked LU log-determinant, which equals the eigenvalue sum
-    sum_i log2(1 + c lambda_i) at a fraction of eigvalsh's cost."""
-    hh = h.conj().transpose(0, 2, 1)
-    gram = h @ hh if h.shape[1] <= h.shape[2] else hh @ h
-    return np.linalg.slogdet(np.eye(gram.shape[1]) + c * gram)[1] / math.log(2.0)
+    """log2 det(I + c H H^H) for a stack of channels: 2 sum_i log2 |R_ii|, R
+    the QR factor of [I; sqrt(c) T], T the taller of H and H^H.  The Gram
+    matrix is never formed, whose round-off times c would show in the unit
+    eigenvalues of a channel of rank below min(n_r, n_t)."""
+    t = h if h.shape[1] > h.shape[2] else h.conj().transpose(0, 2, 1)
+    k = t.shape[2]
+    eye = np.broadcast_to(np.eye(k), (len(t), k, k))
+    r = np.linalg.qr(np.concatenate([eye, math.sqrt(c) * t], axis=1), mode="r")
+    return 2.0 * np.log2(np.abs(np.diagonal(r, axis1=1, axis2=2))).sum(axis=1)
 
 
 def mc_sep(scn: Scenario, psk: PskConstellation, snr: float,

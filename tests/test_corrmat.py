@@ -12,7 +12,8 @@ from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                             tridiagonal_corr)
 from dsmimo.lowsnr import lowsnr_metrics
 from dsmimo.matstat import Scenario, sample_channel
-from dsmimo.mc import substream
+from dsmimo.mc import MonteCarloConfig, mc_sep, substream
+from dsmimo.sep import PskConstellation
 
 from conftest import cgauss, random_correlation
 
@@ -275,12 +276,20 @@ class TestSpectrumFirstSides:
         assert not CorrelationMatrix(np.eye(3)).is_identity
 
     def test_channel_draw_never_builds_identity_entries(self):
+        # sample_channel rotates by the eigenbasis of a correlated end side
+        # only; Monte Carlo reads every side's spectrum and nothing else
         scn = Scenario(2, 3, 2, constant_corr(2, 0.5), identity_corr(3),
                        identity_corr(2))
         sample_channel(scn, substream(1, 0), 5)
         for phi in (scn.phi_s, scn.phi_r):
-            assert "entries" not in vars(phi) and "sqrt" not in vars(phi)
-        assert "sqrt" in vars(scn.phi_t)
+            assert "entries" not in vars(phi)
+        assert "entries" in vars(scn.phi_t)
+        scn = Scenario(2, 10_000, 2, constant_corr(2, 0.5), constant_corr(10_000, 0.3),
+                       constant_corr(2, 0.2))
+        mc_sep(scn, PskConstellation(4), 10.0, MonteCarloConfig(16, seed=1))
+        for phi in (scn.phi_t, scn.phi_s, scn.phi_r):
+            assert "entries" not in vars(phi)
+            assert not hasattr(phi, "sqrt")
 
     def test_identity_correlation_figure_needs_no_entries(self):
         phi = identity_corr(5000)

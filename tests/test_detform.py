@@ -386,6 +386,21 @@ class TestExpectedInvDetKron:
         got = expected_inv_det_kron(4, 4 + d, tx.spectrum, rx.spectrum, xi)
         assert got == pytest.approx(ref, rel=1e-12 if d >= 36 else 1e-9, abs=0)
 
+    # nearly equal Sigma eigenvalues: the transmit spectrum of the 4x4x43
+    # random-spectra example below (1.012 .. 0.993), and exponential rho to
+    # 1e-4; at large xi the columns of two such eigenvalues agree to about
+    # xi^-1 times their gap, which the plain determinant lost (up to 8e4
+    # relative at 4 x 4, nu = 43, xi = 1e3)
+    @pytest.mark.parametrize("sigma, n, nu, xi", [
+        (spec_of([1.0124365691656647, 0.9995079208599666, 0.9952857118340332,
+                  0.9927697981403352]), 4, 43, xi) for xi in (1.0, 10.0, 1e3)] + [
+        (exponential_corr(4, rho).spectrum, 10, nu, xi)
+        for rho in (1e-4, 1e-3, 1e-2) for nu, xi in ((10, 0.1), (2, 1e3))])
+    def test_nearly_equal_eigenvalues_match_oracle(self, sigma, n, nu, xi):
+        ident = spec_of([1.0], [nu])
+        got = expected_inv_det_kron(4, n, sigma, ident, xi)
+        assert got == pytest.approx(oracle_kron_mgf(4, n, sigma, ident, xi), rel=1e-12, abs=0)
+
     def test_identity_many_scatterers_matches_oracle(self):
         # 4 x 1000; mpmath's U is slow where 1/xi is close to n, so xi skips 1e-3
         xs = np.array([1e-4, 1e-2, 1.0, 1e2, 1e5])

@@ -96,29 +96,68 @@ class TestSampleChannel:
         assert np.all(sv[:, 1] > 1e-8)
         assert np.all(sv[:, 2] < 1e-12 * sv[:, 0])
 
+    @pytest.mark.parametrize("model", ["constant", "general"])
+    def test_gram_means_with_correlated_scatterers(self, rng, model):
+        # E[H H^H] = n_t phi_r and E[H^H H] = n_r phi_t whatever phi_s is;
+        # per entry, real and imaginary parts within 3 standard errors of the
+        # per-trial spread
+        if model == "constant":
+            sides = [constant_corr(3, 0.6), constant_corr(4, 0.5), constant_corr(2, 0.3)]
+        else:
+            sides = [random_correlation(rng, n) for n in (3, 4, 2)]
+        scn = Scenario(3, 4, 2, *sides)
+        n = 400_000
+        h = sample_channel(scn, rng, size=n)
+        hh = h.conj().transpose(0, 2, 1)
+        for gram, expect in [(h @ hh, scn.n_t * scn.phi_r.entries),
+                             (hh @ h, scn.n_r * scn.phi_t.entries)]:
+            for part in (np.real, np.imag):
+                g = part(gram)
+                se = g.std(axis=0) / math.sqrt(n)
+                assert np.all(np.abs(g.mean(axis=0) - part(expect)) < 3 * se + 1e-12)
+
     @staticmethod
     def slice_wise(scn, rng, size):
-        """The batch drawn slice by slice: per slice of at most SLICE trials,
-        each factor's real parts, then its imaginary parts, and the full
-        square-root chain."""
+        """The batch drawn slice by slice in the spectral frame, then rotated
+        into the antenna frame: per slice of at most SLICE trials, H1's
+        entries, then H2's (G's alone without double scattering), each
+        entry's real part followed by its imaginary part, scaled by the
+        square roots of the sides' eigenvalues; then H = U_r D U_t^H."""
         b = 1 if size is None else size
 
-        def std_complex(shape):
-            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            z *= math.sqrt(0.5)
+        def root_half(phi):
+            return np.sqrt(0.5 * phi.spectrum.expand())
+
+        def draw(k, scale):
+            x = rng.standard_normal((k, *scale.shape, 2))
+            z = np.empty((k, *scale.shape), dtype=complex)
+            z.real = x[..., 0] * scale
+            z.imag = x[..., 1] * scale
             return z
 
-        sr, st = scn.phi_r.sqrt, scn.phi_t.sqrt
+        def basis(phi):
+            w, v = np.linalg.eigh(phi.entries)
+            # eigh's ascending order, reversed, is the spectrum's order
+            np.testing.assert_allclose(w[::-1], phi.spectrum.expand(), rtol=1e-12)
+            return v[:, ::-1]
+
+        r = root_half(scn.phi_r)
+        t = np.sqrt(scn.phi_t.spectrum.expand())
         out = []
         for lo in range(0, b, SLICE):
             k = min(SLICE, b - lo)
             if scn.no_double_scattering:
-                out.append(sr @ std_complex((k, scn.n_r, scn.n_t)) @ st)
+                out.append(draw(k, r[:, None] * t))
             else:
-                h1 = std_complex((k, scn.n_r, scn.n_s))
-                h2 = std_complex((k, scn.n_s, scn.n_t))
-                out.append((sr @ h1 @ scn.phi_s.sqrt @ h2 @ st) / math.sqrt(scn.n_s))
-        return np.concatenate(out)
+                h1 = draw(k, np.repeat((r / math.sqrt(scn.n_s))[:, None], scn.n_s, axis=1))
+                h2 = draw(k, root_half(scn.phi_s)[:, None] * t)
+                out.append(h1 @ h2)
+        d = np.concatenate(out)
+        if not scn.phi_r.is_identity:
+            d = basis(scn.phi_r) @ d
+        if not scn.phi_t.is_identity:
+            d = d @ basis(scn.phi_t).conj().T
+        return d
 
     @pytest.mark.parametrize("size", [None, 1, SLICE - 1, SLICE + 1, 3 * SLICE + 5])
     @pytest.mark.parametrize("sides", ["iii", "rrr", "ccc", "rii", "ici", "iic",

@@ -10,7 +10,7 @@ import pytest
 import dsmimo.mc as mc_mod
 from dsmimo.cli import EXIT_OK, main
 from dsmimo.codes import g4, ostbc_rate
-from dsmimo.corrmat import constant_corr, exponential_corr, identity_corr
+from dsmimo.corrmat import constant_corr, exponential_corr, identity_corr, matrix_sqrt
 from dsmimo.matstat import (Scenario, double_product_moments, frobenius_moments,
                             kurtosis_frobenius, sample_channel)
 from dsmimo.mc import (BLOCK_SIZE, Estimate, MonteCarloConfig, fit_diversity_slope,
@@ -19,6 +19,8 @@ from dsmimo.sep import (PskConstellation, sep_mpsk, sep_mpsk_iid_rayleigh,
                         sep_mpsk_uncorrelated, sep_theta_integral)
 from dsmimo.corrmat import Spectrum
 
+from conftest import cgauss, random_correlation
+
 
 def db(x):
     return 10.0 ** (x / 10.0)
@@ -26,14 +28,26 @@ def db(x):
 
 class TestSubstreams:
     def test_independent_streams_differ(self):
-        a = substream(42, 0).standard_normal(8)
-        b = substream(42, 1).standard_normal(8)
-        assert not np.allclose(a, b)
+        # adjacent seeds and adjacent blocks share no variate
+        draws = {(seed, block): substream(seed, block).standard_normal(8)
+                 for seed in (41, 42, 43) for block in (0, 1, 2)}
+        keys = list(draws)
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                assert not np.any(draws[a] == draws[b]), (a, b)
 
     def test_same_key_reproduces(self):
         a = substream(42, 3).standard_normal(8)
         b = substream(42, 3).standard_normal(8)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed,block", [(0, 0), (42, 3), (2**64 - 1, 17)])
+    def test_is_seed_sequence_child_stream(self, seed, block):
+        # numpy's construction for independent child streams, on SFC64
+        ref = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(block,))))
+        np.testing.assert_array_equal(substream(seed, block).standard_normal(16),
+                                      ref.standard_normal(16))
 
 
 class TestDeterminism:
@@ -65,8 +79,7 @@ class TestDeterminism:
             return (mc_sep(scn, PskConstellation(8), 10.0, cfg), kurt, eff,
                     mc_capacity(scn, 10.0, "ostbc", cfg))
 
-        # more workers (4, one per block) than cores, switching threads often;
-        # the scenario's lazily computed square roots are first read here
+        # more workers (4, one per block) than cores, switching threads often
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -76,10 +89,10 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert repr(pooled) == repr(run())
-        pinned = [("0x1.402897089c51cp-4", "0x1.89c60f753be87p-13"),
-                  ("0x1.bc9c1f665e42fp+0", "0x1.321f322e07636p-8"),
-                  ("-0x1.53a645aa5acffp+0", "0x1.c31f4bd9b2976p-6"),
-                  ("0x1.0020de03616f2p+2", "0x1.0da8ba93e0aedp-9")]
+        pinned = [("0x1.3e7de6f4f89f3p-4", "0x1.477a575df8ac3p-13"),
+                  ("0x1.bad8108e289eap+0", "0x1.4a0698ed3812cp-8"),
+                  ("-0x1.5e1b8f5472a1bp+0", "0x1.eaf1f597c3d88p-6"),
+                  ("0x1.005e19f6cb8bbp+2", "0x1.05259bb5f6f45p-9")]
         assert [(e.value.hex(), e.std_error.hex()) for e in pooled] == pinned
 
     def test_single_block_calls_start_no_thread(self, monkeypatch, tmp_path):
@@ -338,3 +351,46 @@ def test_frobenius_shortcuts_preserve_moments():
         assert abs(x.mean() - m2) < 4 * x.std() / math.sqrt(x.size)
         x2 = x * x
         assert abs(x2.mean() - m4) < 4 * x2.std() / math.sqrt(x2.size)
+
+
+def _all_sides_correlated(model, rng):
+    """3x4x2 with every side correlated: constant models or general sides."""
+    if model == "constant":
+        sides = [constant_corr(3, 0.6), constant_corr(4, 0.5), constant_corr(2, 0.3)]
+    else:
+        sides = [random_correlation(rng, n) for n in (3, 4, 2)]
+    return Scenario(3, 4, 2, *sides)
+
+
+@pytest.mark.parametrize("model", ["constant", "general"])
+def test_generic_frobenius_draw_preserves_moments(model):
+    # the spectral-frame draw must reproduce the analytic second and fourth
+    # Frobenius moments when no side is the identity
+    scn = _all_sides_correlated(model, np.random.default_rng(5))
+    x = mc_mod._frob_sq_samples(scn, substream(8, 0), 400_000)
+    m2, m4 = frobenius_moments(scn)
+    assert abs(x.mean() - m2) < 4 * x.std() / math.sqrt(x.size)
+    x2 = x * x
+    assert abs(x2.mean() - m4) < 4 * x2.std() / math.sqrt(x2.size)
+
+
+@pytest.mark.parametrize("model", ["constant", "general"])
+def test_general_capacity_matches_square_root_chain(model):
+    # reference: phi_r^(1/2) H1 phi_s^(1/2) H2 phi_t^(1/2)/sqrt(n_s) from
+    # explicit matrix square roots and a generator of its own, with the
+    # capacity summed over the Gram eigenvalues
+    rng = np.random.default_rng(17)
+    scn = _all_sides_correlated(model, rng)
+    snr, n, chunk = 10.0, 200_000, 10_000
+    est = mc_capacity(scn, snr, "general", MonteCarloConfig(n, seed=18))
+    sr, ss, st = (matrix_sqrt(p) for p in (scn.phi_r, scn.phi_s, scn.phi_t))
+    ref = []
+    for _ in range(n // chunk):
+        h1 = cgauss(rng, chunk, scn.n_r, scn.n_s)
+        h2 = cgauss(rng, chunk, scn.n_s, scn.n_t)
+        h = sr @ h1 @ ss @ h2 @ st / math.sqrt(scn.n_s)
+        lam = np.linalg.eigvalsh(h @ h.conj().transpose(0, 2, 1))
+        ref.append(np.log2(1.0 + snr / scn.n_t * lam).sum(axis=1))
+    ref = np.concatenate(ref)
+    se = math.hypot(est.std_error, ref.std() / math.sqrt(ref.size))
+    assert abs(est.value - ref.mean()) < 3 * se

@@ -408,6 +408,18 @@ class TestDispatchAndInvariants:
         psk = PskConstellation(m)
         assert 0.0 <= sep_mpsk(scn, psk, db(snr_db)) <= psk.sep_ceiling
 
+    def test_nearly_equal_transmit_eigenvalues_keep_the_diversity_slope(self):
+        # the 4x4x43 example of the strategy above (seed 0, strength 0.125):
+        # identity scatterers, transmit eigenvalues 1.012 .. 0.993, so the
+        # Kronecker row; its BPSK SEP used to turn negative near 27 dB
+        rng = np.random.default_rng(0)
+        tx = random_correlation(rng, 4, 0.125)
+        scn = Scenario(4, 4, 43, tx, identity_corr(4), random_correlation(rng, 43, 0.125))
+        psk = PskConstellation(2)
+        curve = [(s, sep_mpsk(scn, psk, db(s))) for s in range(24, 35, 2)]
+        assert all(b < a for (_, a), (_, b) in zip(curve, curve[1:]))
+        assert fit_diversity_slope(curve) == pytest.approx(diversity_order(scn), rel=0.02)
+
     def test_dispatch_unsupported(self):
         scn = Scenario(2, 3, 2, constant_corr(2, 0.5), constant_corr(3, 0.5),
                        constant_corr(2, 0.5), alamouti())
