@@ -7,11 +7,10 @@ from .codes import OstbcCode, alamouti, code_by_name, g4, ostbc_rate
 from .corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                       correlation_figure, exponential_corr, identity_corr,
                       majorizes, matrix_sqrt, spectrum_of, tridiagonal_corr)
-from .detform import (CharCoefficients, HypKernelId, NumericFailure,
+from .detform import (CharCoefficients, NumericFailure,
                       characteristic_coefficients, expected_inv_det_kron,
                       expected_inv_det_miso, expected_inv_det_uncorr, hyp2f0,
-                      hyp_det_two_matrix, quadratic_form_eigen_pdf,
-                      wishart_eigen_pdf)
+                      quadratic_form_eigen_pdf, wishart_eigen_pdf)
 from .lowsnr import (LowSnrMetrics, ebn0_min, ebn0_min_received_db, eff_stbc,
                      lowsnr_capacity_curve, lowsnr_metrics, s0_general,
                      s0_ostbc, schur_order_eigs)

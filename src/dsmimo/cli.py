@@ -33,7 +33,7 @@ from . import lowsnr as lowsnr_mod
 from . import sep as sep_mod
 from .codes import code_by_name
 from .corrmat import (CorrelationMatrix, constant_corr, exponential_corr,
-                      identity_corr, majorizes, tridiagonal_corr)
+                      identity_corr, tridiagonal_corr)
 from .detform import NumericFailure
 from .matstat import Scenario, kurtosis_frobenius
 from .mc import MonteCarloConfig, mc_kurtosis_eff, mc_sep, mc_capacity
@@ -417,15 +417,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         dev = abs(miso - base) / base
         record("reduction_miso_vs_uncorrelated", dev, 1e-9, dev <= 1e-9)
 
-    # 3. majorization chains and kurtosis monotonicity (constant family)
-    ok_chain = True
-    for dim in {scn.n_t, scn.n_s, scn.n_r}:
-        if dim < 2:
-            continue
-        lo = constant_corr(dim, 0.3).spectrum.expand()
-        hi = constant_corr(dim, 0.6).spectrum.expand()
-        ok_chain &= majorizes(lo, hi)
-    record("majorization_chain_constant", 0.0 if ok_chain else 1.0, 0.0, ok_chain)
+    # 3. kurtosis monotonicity in rho on the config's correlated sides
     if min(scn.n_t, scn.n_s, scn.n_r) >= 2 and _any_correlated(cfg):
         try:
             k_lo = kurtosis_frobenius(cfg.scenario(rho=0.3))
@@ -450,10 +442,6 @@ def cmd_validate(cfg: RunConfig) -> int:
         inrange = all(0.0 < s <= psk.sep_ceiling for s in seps)
         record("sep_monotone_in_snr", 0.0 if (mono and inrange) else 1.0, 0.0,
                mono and inrange)
-
-    # 6. received-side minimum bit energy
-    dev = abs(lowsnr_mod.ebn0_min_received_db() - (-1.59))
-    record("ebn0_min_received_db", dev, 0.01, dev <= 0.01)
 
     failures = sum(1 for c in checks if not c[3])
     width = max(len(c[0]) for c in checks)

@@ -14,10 +14,10 @@ Everything here reduces to three ingredients:
   cancellation; a public reference that no evaluator calls (the smaller
   MISO side's density is the nonnegative matrix exponential
   `_log_density_ratio`);
-* block determinants with confluent (multiplicity-aware) columns, evaluated
-  in log-scaled form so factorials and eigenvalue powers never overflow,
-  and stacked so a whole vector of xi goes through one batched slogdet.
-  An eigenvalue of multiplicity t owns t adjacent derivative columns;
+* block determinants with confluent (multiplicity-aware) columns for the
+  two reference eigenvalue densities, one matrix at a time, evaluated in
+  log-scaled form (`_det_scaled`) so eigenvalue powers never overflow.  An
+  eigenvalue of multiplicity t owns t adjacent derivative columns;
   `_columns` lists them once, and every Vandermonde-type block comes from
   the one vectorized builder `_vandermonde_blocks`.
 
@@ -193,32 +193,18 @@ def characteristic_coefficients(spec: Spectrum) -> CharCoefficients:
 # log-scaled determinants
 # ---------------------------------------------------------------------------
 
-def _det_scaled(logmag: np.ndarray, sign: np.ndarray):
-    """(sign, log|det|) of the matrix sign*exp(logmag), via row/column
-    balancing so the scaled matrix feeds slogdet with O(1) entries.
-
-    Stacked (..., m, m) inputs give arrays of shape (...); a single matrix
-    gives two floats.  A matrix with an all-zero row is (0, -inf)."""
-    r = logmag.max(axis=-1)
-    dead = ~np.isfinite(r).all(axis=-1)
-    r = np.where(np.isfinite(r), r, 0.0)
-    c = (logmag - r[..., None]).max(axis=-2)
-    c = np.where(np.isfinite(c), c, 0.0)
-    m = sign * np.exp(logmag - r[..., None] - c[..., None, :])
-    s, ld = np.linalg.slogdet(m)
-    dead |= s == 0.0
-    s = np.where(dead, 0.0, s)
-    ld = np.where(dead, -np.inf, ld + r.sum(axis=-1) + c.sum(axis=-1))
-    if logmag.ndim == 2:
-        return float(s), float(ld)
-    return s, ld
-
-
-def _poch(a: int, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= a + i
-    return out
+def _det_scaled(logmag: np.ndarray, sign) -> tuple[float, float]:
+    """(sign, log|det|) of the square matrix sign*exp(logmag), via row/column
+    balancing so the scaled matrix feeds slogdet with O(1) entries.  A matrix
+    with an all-zero row or column (or a row maximum that overflowed) is
+    (0, -inf)."""
+    r = logmag.max(axis=1)
+    if not np.isfinite(r).all():
+        return 0.0, -math.inf
+    c = (logmag - r[:, None]).max(axis=0)
+    c[np.isinf(c)] = 0.0  # an all-zero column stays zero: slogdet gives (0, -inf)
+    s, ld = np.linalg.slogdet(sign * np.exp(logmag - r[:, None] - c))
+    return float(s), float(ld + r.sum() + c.sum())
 
 
 def _log_vandermonde(lams: np.ndarray) -> tuple[float, float]:
@@ -235,129 +221,24 @@ def _columns(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     return spec.expand(), np.concatenate([np.arange(1, t + 1) for t in spec.mults])
 
 
-def _vandermonde_blocks(spec: Spectrum, nrows: int, power_offset: int | None = None):
+def _vandermonde_blocks(spec: Spectrum, nrows: int, power_offset: int):
     """(logmag, sign) of the stacked confluent Vandermonde blocks: row i of
-    column (sigma, j) holds (i-j+1)_(j-1) b^(i-j) for i >= j and 0 above.
-
-    With no offset b = sigma, so column j is the (j-1)th sigma-derivative of
-    (1, sigma, ..., sigma^(nrows-1)); with an offset b = -1/sigma and the
-    column is scaled by sigma^power_offset."""
+    column (sigma, j) holds (i-j+1)_(j-1) b^(i-j) sigma^power_offset,
+    b = -1/sigma, for i >= j and 0 above; column j is the (j-1)th
+    b-derivative of (1, b, ..., b^(nrows-1)) scaled by sigma^power_offset."""
     vals, order = _columns(spec)
     d = np.arange(1, nrows + 1)[:, None] - order  # i - j
     live = d >= 0
-    # poch[d, k] = (d+1)_k as the running product (d+1)(d+2)..., rounded
-    # exactly like _poch; past the double range it is inf, as there
+    # poch[d, k] = (d+1)_k as the running product (d+1)(d+2)...; past the
+    # double range it is inf
     steps = np.arange(1.0, nrows + 1)[:, None] + np.arange(order.max() - 1)
     with np.errstate(over="ignore"):
         poch = np.cumprod(np.hstack([np.ones((nrows, 1)), steps]), axis=1)
     logp = np.log(poch)[np.where(live, d, 0), order - 1]
     lv = np.array([math.log(abs(v)) for v in vals])
-    sv = np.sign(vals)
-    if power_offset is None:
-        pw, sign = d, sv ** d
-    else:
-        pw = power_offset - d
-        sign = (-1.0) ** d * sv ** pw
+    pw = power_offset - d
+    sign = (-1.0) ** d * np.sign(vals) ** pw
     return np.where(live, logp + pw * lv, -np.inf), np.where(live, sign, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# generic two-matrix determinantal formula
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HypKernelId:
-    """Scalar kernel selector for the generic determinantal formula.
-
-    tag "exp" is the 0F0 kernel e^x; tag "2f0" carries the two upper
-    parameters (a1, a2) of a 2F0 kernel and requires a nonpositive argument.
-    """
-
-    tag: str
-    params: tuple[int, ...] = ()
-
-    @classmethod
-    def exp(cls) -> "HypKernelId":
-        return cls("exp")
-
-    @classmethod
-    def two_f_zero(cls, a1: int, a2: int) -> "HypKernelId":
-        return cls("2f0", (a1, a2))
-
-    def __post_init__(self):
-        if self.tag not in ("exp", "2f0"):
-            raise ValueError(f"unsupported kernel tag {self.tag!r}")
-        if self.tag == "2f0" and len(self.params) != 2:
-            raise ValueError("2f0 kernel needs exactly two upper parameters")
-
-
-def _kernel_chi(kernel: HypKernelId, n: int, nu: int) -> float:
-    if kernel.tag == "exp":
-        return 1.0
-    a1, a2 = kernel.params
-    return 1.0 / (_poch(a1 - n + 1, nu) * _poch(a2 - n + 1, nu))
-
-
-def _kernel_h_log(kernel: HypKernelId, n: int, nu: int, x: np.ndarray):
-    """(sign, log|H|) of the kernel values H_{p,q}^{n,nu}(x), vectorized over x."""
-    if kernel.tag == "exp":
-        return np.ones_like(x), x
-    a1, a2 = kernel.params
-    if np.any(x > 0):
-        raise ValueError("2f0 kernel requires a nonpositive argument")
-    val = hyp2f0(a1 - n + nu, a2 - n + nu, -x)
-    with np.errstate(divide="ignore"):
-        return np.sign(val), np.log(val)
-
-
-def hyp_det_two_matrix(lambda_spec: Spectrum, sigma_spec: Spectrum,
-                       kernel: HypKernelId) -> float:
-    """Hypergeometric function of two Hermitian matrix arguments, evaluated
-    by the confluent block-determinant formula.
-
-    The first argument's eigenvalues must be simple (multiplicity one) and
-    nonzero; repeated eigenvalues on that side are a degenerate-argument
-    error.  Second-argument multiplicities of any pattern are handled by
-    the confluent column blocks.
-    """
-    if any(m != 1 for m in lambda_spec.mults):
-        raise ValueError("first-argument eigenvalues must be distinct")
-    if any(v == 0.0 for v in lambda_spec.values):
-        raise ValueError("first-argument eigenvalues must be nonzero")
-    m = lambda_spec.dim
-    n = sigma_spec.dim
-    if m > n:
-        raise ValueError("need dim(lambda) <= dim(sigma)")
-    if kernel.tag == "2f0":
-        a1, a2 = kernel.params
-        if a1 - n + 1 < 1 or a2 - n + 1 < 1:
-            raise ValueError("2f0 kernel parameters too small for this dimension")
-
-    lams = np.array(lambda_spec.values)
-
-    # numerator: (n-m) derivative-Vandermonde rows over m kernel rows
-    top_log, top_sign = _vandermonde_blocks(sigma_spec, n - m)
-    bot_log = np.empty((m, n))
-    bot_sign = np.empty((m, n))
-    for col, (val, j) in enumerate(zip(*_columns(sigma_spec))):
-        chi = _kernel_chi(kernel, n, j - 1)
-        hs, hl = _kernel_h_log(kernel, n, j, lams * val)
-        bot_log[:, col] = (j - 1) * np.log(np.abs(lams)) - math.log(abs(chi)) + hl
-        bot_sign[:, col] = np.sign(lams) ** (j - 1) * math.copysign(1.0, chi) * hs
-    num_s, num_l = _det_scaled(np.vstack([top_log, bot_log]),
-                               np.vstack([top_sign, bot_sign]))
-    den_s, den_l = _det_scaled(*_vandermonde_blocks(sigma_spec, n))
-
-    log_k = sum(math.log(abs(_kernel_chi(kernel, n, n - i))) + math.lgamma(n - i + 1)
-                for i in range(1, m + 1))
-    sign_k = math.prod(math.copysign(1.0, _kernel_chi(kernel, n, n - i))
-                       for i in range(1, m + 1))
-
-    vs, vl = _log_vandermonde(lams)
-    det_lam = float(np.prod(lams))
-    sign = num_s * den_s * sign_k * vs * math.copysign(1.0, det_lam) ** (n - m)
-    log = num_l - den_l + log_k - (n - m) * math.log(abs(det_lam)) - vl
-    return sign * math.exp(log)
 
 
 # ---------------------------------------------------------------------------

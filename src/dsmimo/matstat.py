@@ -80,9 +80,11 @@ SLICE = 4096
 
 
 def _std_complex(rng: np.random.Generator, count: int, scales) -> list[np.ndarray]:
-    """`count` draws of each complex factor, in turn, from one buffer (two
-    would grow the allocator's heap, and the peak RSS); a factor's scale
-    holds the standard deviation of each real, then imaginary, part."""
+    """`count` draws of each complex factor from one standard_normal call (two
+    calls would grow the allocator's heap, and the peak RSS): the first
+    factor's block, then the next, each in C order over (trial, row, column)
+    with every entry stored as its (real, imaginary) pair; a factor's scale
+    holds the standard deviation of each of those reals."""
     sizes = [count * f.size for f in scales]
     parts = np.split(rng.standard_normal(sum(sizes)), np.cumsum(sizes)[:-1])
     out = [z.reshape(count, *f.shape) for z, f in zip(parts, scales)]

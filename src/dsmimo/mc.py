@@ -11,12 +11,14 @@ sides' eigenbases (matstat.channel_slices).
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from the SFC64
 child stream SeedSequence(seed, spawn_key=(b,)).  A block is drawn in slices
-of 4096 trials (matstat.SLICE); each slice draws all of H1, then all of H2,
-each real part before its imaginary part.  Blocks run concurrently on up to
-os.cpu_count() threads, and their sums are reduced in block order, so
-results are bit-identical for any worker count.  Standard errors come from
-32 batch means over the trial index, which stays honest for the ratio
-estimators (kurtosis) as well as plain means.
+of 4096 trials (matstat.SLICE); each slice takes its normals from one
+standard_normal call: first the H1 block, then the H2 block (G alone without
+double scattering), each in C order over (trial, row, column) with every
+complex entry stored as its (real, imaginary) pair.  Blocks run
+concurrently on up to os.cpu_count() threads, and their sums are reduced in
+block order, so results are bit-identical for any worker count.  Standard
+errors come from 32 batch means over the trial index, which stays honest for
+the ratio estimators (kurtosis) as well as plain means.
 """
 
 from __future__ import annotations

@@ -200,9 +200,11 @@ def _applicable(row, scn: Scenario):
 
 
 def _closed_form_family(scn: Scenario):
-    """The family function of the first row covering scn, or None.  MISO goes
-    before Kronecker, which cancels for nearly equal Sigma eigenvalues, unless
-    all sides are I.  A wrapper on a family's module attribute is called."""
+    """The family function of the first row covering scn, or None.  Unless all
+    sides are I, MISO goes before Kronecker: the MISO density adds only
+    nonnegative terms, while the Kronecker determinant still loses digits to a
+    tight cluster of Sigma eigenvalues above the smallest one.  A wrapper on a
+    family's module attribute is called."""
     if scn.no_double_scattering:
         return sep_mpsk_no_double_scattering
     uncorrelated = scn.phi_t.is_identity and scn.phi_s.is_identity and scn.phi_r.is_identity

@@ -364,6 +364,8 @@ mc.seed = 42
                      "--out", out]) == EXIT_OK
         rows = read_rows(out)
         assert rows[0] == ["check", "deviation", "tolerance", "status", "note"]
+        assert [r[0] for r in rows[1:]] == ["sep_closed_vs_mc@8dB", "kurtosis_analytic_vs_mc",
+                                            "sep_monotone_in_snr"]
         assert all(r[3] == "PASS" for r in rows[1:])
 
 

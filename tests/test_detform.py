@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_corr,
                             tridiagonal_corr)
-from dsmimo.detform import (CharCoefficients, HypKernelId, _det_scaled, _vandermonde_blocks,
+from dsmimo.detform import (CharCoefficients, _det_scaled, _vandermonde_blocks,
                             characteristic_coefficients, expected_inv_det_kron,
                             expected_inv_det_miso, expected_inv_det_uncorr,
-                            hyp2f0, hyp_det_two_matrix, quadratic_form_eigen_pdf,
-                            wishart_eigen_pdf)
+                            hyp2f0, quadratic_form_eigen_pdf, wishart_eigen_pdf)
 
 from conftest import cgauss
 from oracles import oracle_2f0, oracle_2f0_hyperu, oracle_kron_mgf, oracle_miso_mgf
@@ -118,36 +117,39 @@ class TestHyp2f0WideDomain:
 
 
 class TestDetScaled:
-    def test_stacked_equals_loop(self, rng):
-        logmag = rng.uniform(-40.0, 40.0, size=(6, 4, 4))
-        sign = rng.choice([-1.0, 1.0], size=(6, 4, 4))
-        logmag[1, 2] = -np.inf          # an all-zero row
-        logmag[3, :, 0] = -np.inf       # an all-zero column
-        logmag[4, 0] = logmag[4, 3]     # two equal rows: singular
-        sign[4, 0] = sign[4, 3]
+    def test_single_matrix_cases(self, rng):
+        logmag = rng.uniform(-5.0, 5.0, size=(4, 4))
+        sign = rng.choice([-1.0, 1.0], size=(4, 4))
         s, ld = _det_scaled(logmag, sign)
-        assert s.shape == ld.shape == (6,)
-        for k in range(6):
-            sk, lk = _det_scaled(logmag[k], sign[k])
-            assert isinstance(sk, float) and isinstance(lk, float)
-            assert (s[k], ld[k]) == (sk, lk)
-        assert (s[1], ld[1]) == (0.0, -np.inf)
-        assert (s[3], ld[3]) == (0.0, -np.inf)
+        assert isinstance(s, float) and isinstance(ld, float)
+        ref_s, ref_ld = np.linalg.slogdet(sign * np.exp(logmag))
+        assert s == ref_s and ld == pytest.approx(ref_ld, rel=1e-12, abs=1e-12)
+        # row and column offsets far past the double range only shift log|det|
+        a, b = rng.uniform(-300.0, 300.0, size=(2, 4))
+        s2, ld2 = _det_scaled(logmag + a[:, None] + b, sign)
+        assert s2 == s and ld2 == pytest.approx(ld + a.sum() + b.sum(), rel=1e-12)
+
+        zero_row = logmag.copy()
+        zero_row[2] = -np.inf
+        assert _det_scaled(zero_row, sign) == (0.0, -np.inf)
+        zero_col = logmag.copy()
+        zero_col[:, 0] = -np.inf
+        assert _det_scaled(zero_col, sign) == (0.0, -np.inf)
+
+        # two equal rows: singular, so |det| is round-off of the row scales
+        big = rng.uniform(-40.0, 40.0, size=(4, 4))
+        big[0], sign[0] = big[3], sign[3]
+        s, ld = _det_scaled(big, sign)
+        assert s == 0.0 or ld < big.max(axis=1).sum() - 25.0
 
 
-def blocks(spec, nrows, power_offset=None):
+def blocks(spec, nrows, power_offset):
     logmag, sign = _vandermonde_blocks(spec, nrows, power_offset)
     return sign * np.exp(logmag)
 
 
 class TestVandermondeBlocks:
     SIGMAS = [3.0, 1.5, 0.4, 0.1]
-
-    def test_simple_derivative_form_is_vandermonde(self):
-        for nrows in (1, 4, 7):
-            assert np.allclose(blocks(spec_of(self.SIGMAS), nrows),
-                               np.vander(self.SIGMAS, nrows, increasing=True).T,
-                               rtol=1e-14, atol=0.0)
 
     def test_simple_offset_form(self):
         sig = np.array(self.SIGMAS)
@@ -162,11 +164,6 @@ class TestVandermondeBlocks:
         sig, h, nrows = 2.0, 1e-5, 6
         spec = spec_of([sig, 0.7], [2, 1])
         i = np.arange(1, nrows + 1)
-        deriv = blocks(spec, nrows)[:, 1]
-        diff = (blocks(spec_of([sig + h]), nrows)[:, 0]
-                - blocks(spec_of([sig - h]), nrows)[:, 0]) / (2 * h)
-        assert deriv[0] == 0.0
-        assert np.allclose(deriv[1:], diff[1:], rtol=1e-6, atol=0.0)
         b = -1.0 / sig
         offset = blocks(spec, nrows, 3)[:, 1]
         diff = sig ** 3 * ((b + h) ** (i - 1) - (b - h) ** (i - 1)) / (2 * h)
@@ -174,14 +171,14 @@ class TestVandermondeBlocks:
         assert np.allclose(offset[1:], diff[1:], rtol=1e-6, atol=0.0)
 
     def test_matches_entrywise_loop(self):
-        # reference: entry by entry, (-1)^(i-j) (i-j+1)_(j-1) sigma^(offset-i+j)
-        # with an offset and (i-j+1)_(j-1) sigma^(i-j) without; zero for i < j
+        # reference: entry by entry, (-1)^(i-j) (i-j+1)_(j-1) sigma^(offset-i+j);
+        # zero for i < j
         eps = np.finfo(float).eps
         for vals, mults in [([3.0, 1.5, 0.4], [1, 1, 1]), ([2.5, 0.5], [1, 3]),
                             ([4.0, 1.5, 0.3], [2, 1, 2]), ([1.3], [4])]:
             spec = spec_of(vals, mults)
             for nrows in (0, 3, 6):
-                for offset in (None, 0, 7):
+                for offset in (0, 7):
                     logmag, sign = _vandermonde_blocks(spec, nrows, offset)
                     assert logmag.shape == sign.shape == (nrows, spec.dim)
                     col = 0
@@ -192,13 +189,12 @@ class TestVandermondeBlocks:
                                     assert sign[i - 1, col] == 0.0
                                     assert logmag[i - 1, col] == -np.inf
                                     continue
-                                pw = i - j if offset is None else offset - i + j
+                                pw = offset - i + j
                                 ref = (math.log(math.prod(range(i - j + 1, i)))
                                        + pw * math.log(val))
                                 assert logmag[i - 1, col] == pytest.approx(
                                     ref, rel=4 * eps, abs=4 * eps)
-                                flip = 1.0 if offset is None else (-1.0) ** (i - j)
-                                assert sign[i - 1, col] == flip
+                                assert sign[i - 1, col] == (-1.0) ** (i - j)
                             col += 1
 
 
@@ -246,65 +242,6 @@ class TestCharacteristicCoefficients:
             CharCoefficients(spec_of([2.0, 1.0]), ((0.5,), (0.2,)))
 
 
-def khatri_exp_ratio(lams, sigs):
-    """All-distinct classical determinant ratio for the 0F0 kernel with
-    m = n: prod (n-i)! det(e^(l_i s_j)) / (V(l) V(s))."""
-    lams = np.asarray(lams, float)
-    sigs = np.asarray(sigs, float)
-    n = lams.size
-    k = np.prod([math.factorial(n - i) for i in range(1, n + 1)])
-    num = np.linalg.det(np.exp(np.outer(lams, sigs)))
-    vl = np.prod([lams[j] - lams[i] for i in range(n) for j in range(i + 1, n)])
-    vs = np.prod([sigs[j] - sigs[i] for i in range(n) for j in range(i + 1, n)])
-    return k * num / (vl * vs)
-
-
-class TestHypDetTwoMatrix:
-    def test_scalar_exp_kernel(self):
-        v = hyp_det_two_matrix(spec_of([2.0]), spec_of([3.0]), HypKernelId.exp())
-        assert v == pytest.approx(math.exp(6.0), rel=1e-12)
-
-    def test_matches_khatri_all_distinct(self):
-        for lams, sigs in [([2.0, 0.5], [1.5, 0.7]),
-                           ([3.0, 1.0, 0.2], [2.0, 1.2, 0.3])]:
-            mine = hyp_det_two_matrix(spec_of(lams), spec_of(sigs), HypKernelId.exp())
-            assert mine == pytest.approx(khatri_exp_ratio(lams, sigs), rel=1e-9)
-
-    def test_confluent_limit_of_khatri(self):
-        # m=1, n=2, sigma = {1.0 x2}: Richardson-extrapolated limit of the
-        # distinct-eigenvalue ratio as sigma2 -> sigma1
-        lam = 1.0
-
-        def padded(eps):
-            # lambda vector padded with one zero eigenvalue (n - m = 1)
-            lams = np.array([lam, 0.0])
-            sigs = np.array([1.0 + eps, 1.0])
-            return khatri_exp_ratio(lams, sigs)
-
-        r3, r4 = padded(1e-3), padded(1e-4)
-        limit = (10 * r4 - r3) / 9.0
-        mine = hyp_det_two_matrix(spec_of([lam]), spec_of([1.0], [2]),
-                                  HypKernelId.exp())
-        assert mine == pytest.approx(limit, rel=1e-5)
-
-    def test_repeated_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            hyp_det_two_matrix(spec_of([1.0], [2]), spec_of([1.0], [2]),
-                               HypKernelId.exp())
-
-    def test_two_f_zero_kernel_consistency(self):
-        # 1x1 2F0 kernel against the scalar function: H(x) with n = 1, nu = 1
-        # reduces to 2F0(a1, a2; x)
-        a1, a2, x = 3, 2, 0.8
-        v = hyp_det_two_matrix(spec_of([-x]), spec_of([1.0]),
-                               HypKernelId.two_f_zero(a1, a2))
-        assert v == pytest.approx(hyp2f0(a1, a2, x), rel=1e-10)
-
-    def test_bad_kernel(self):
-        with pytest.raises(ValueError):
-            HypKernelId("bessel")
-
-
 class TestWishartEigenPdf:
     def test_siso_exponential(self):
         for lam in (0.2, 1.0, 3.7):
@@ -323,6 +260,34 @@ class TestWishartEigenPdf:
             direct = math.exp(-l1 - l2) * (l1 - l2) ** 2
             assert wishart_eigen_pdf([l1, l2], 2, sig) == pytest.approx(
                 direct, rel=1e-10)
+
+    def test_matches_khatri_all_distinct(self):
+        # Khatri's density for distinct Sigma eigenvalues s:
+        # prod l^(n-m) V(l) det(e^(-l_i/s_j)) / (prod (n-i)! prod s^n V(-1/s)),
+        # V(x) = prod_(i<j) (x_j - x_i)
+        for lams, n, sigs in [([2.0, 0.5], 2, [1.5, 0.7]),
+                              ([3.0, 1.0, 0.2], 5, [2.0, 1.2, 0.3])]:
+            l, s = np.array(lams), np.array(sigs)
+            m = l.size
+            vl = np.prod([l[j] - l[i] for i in range(m) for j in range(i + 1, m)])
+            b = -1.0 / s
+            vb = np.prod([b[j] - b[i] for i in range(m) for j in range(i + 1, m)])
+            ref = (np.prod(l) ** (n - m) * vl * np.linalg.det(np.exp(-np.outer(l, 1.0 / s)))
+                   / (math.prod(math.factorial(n - i) for i in range(1, m + 1))
+                      * np.prod(s) ** n * vb))
+            assert wishart_eigen_pdf(lams, n, spec_of(sigs)) == pytest.approx(ref, rel=1e-10)
+
+    def test_confluent_limit_of_distinct(self):
+        # the density is even in the split eps of {s + eps, s - eps}, so
+        # (4 f(eps/2) - f(eps)) / 3 is its limit to O(eps^4)
+        lams, n = [2.5, 1.0, 0.3], 4
+
+        def split(eps):
+            return wishart_eigen_pdf(lams, n, spec_of([2.0, 0.5 + eps, 0.5 - eps]))
+
+        limit = (4 * split(5e-4) - split(1e-3)) / 3
+        got = wishart_eigen_pdf(lams, n, spec_of([2.0, 0.5], [1, 2]))
+        assert got == pytest.approx(limit, rel=1e-7)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -343,6 +308,23 @@ class TestQuadraticFormEigenPdf:
         for x in (0.3, 1.0, 4.0):
             assert quadratic_form_eigen_pdf([x], 2, spec_of([2.0, 1.0])) == pytest.approx(
                 math.exp(-x / 2) - math.exp(-x), rel=1e-11)
+
+    def test_erlang_repeated_eigenvalue(self):
+        # |g1|^2 + |g2|^2 + |g3|^2: the Erlang density x^2 e^(-x) / 2
+        for x in (0.3, 1.0, 4.0, 40.0):
+            assert quadratic_form_eigen_pdf([x], 3, spec_of([1.0], [3])) == pytest.approx(
+                x * x * math.exp(-x) / 2, rel=1e-11)
+
+    def test_confluent_limit_of_distinct(self):
+        # as in the Wishart case: even in eps, Richardson to O(eps^4)
+        lams, n = [3.0, 0.8], 4
+
+        def split(eps):
+            return quadratic_form_eigen_pdf(lams, n, spec_of([2.5, 1.0 + eps, 1.0 - eps, 0.4]))
+
+        limit = (4 * split(5e-4) - split(1e-3)) / 3
+        got = quadratic_form_eigen_pdf(lams, n, spec_of([2.5, 1.0, 0.4], [1, 2, 1]))
+        assert got == pytest.approx(limit, rel=1e-7)
 
 
 class TestExpectedInvDetKron:
