@@ -6,6 +6,7 @@ count, each via the `sep-curve` CLI, plus the i.i.d. Rayleigh reference.
 """
 
 import argparse
+import csv
 import os
 import tempfile
 
@@ -40,14 +41,13 @@ def run(outdir, ns_list, start, stop, step, trials, seed):
         if rc != 0:
             raise SystemExit(rc)
 
-    # n_s -> infinity reference
+    # n_s -> infinity reference, on the SNR grid that sep-curve wrote
+    with open(os.path.join(outdir, f"sep_ns{ns_list[0]}.csv"), newline="",
+              encoding="utf-8") as f:
+        grid = [float(row["snr_db"]) for row in csv.DictReader(f)]
     psk = PskConstellation(8)
-    rows = []
-    snr_db = start
-    while snr_db <= stop + 1e-9:
-        sep = sep_mpsk_iid_rayleigh(4, 2, 0.75, psk, 10 ** (snr_db / 10))
-        rows.append([snr_db, sep])
-        snr_db += step
+    rows = [[snr_db, sep_mpsk_iid_rayleigh(4, 2, 0.75, psk, 10 ** (snr_db / 10))]
+            for snr_db in grid]
     write_csv(os.path.join(outdir, "sep_iid_rayleigh.csv"),
               ["snr_db", "sep_closed_form"], rows)
     print(f"wrote {outdir}/sep_iid_rayleigh.csv")

@@ -311,9 +311,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     axis = cfg.raw.get("sweep.axis")
     if axis not in ("rho", "ns"):
         raise ConfigError("key 'sweep.axis': expected rho or ns")
+    if axis == "ns" and cfg.no_double_scattering:
+        raise ConfigError("key 'sweep.axis': ns is ignored with "
+                          "scenario.no_double_scattering = true")
     if axis == "rho" and not _any_correlated(cfg):
         raise ConfigError("key 'sweep.axis': rho needs a side with a correlation model, "
-                          "but every side is identity")
+                          "but every side the scenario reads is identity")
     values_raw = cfg.raw.get("sweep.values", "")
     if not values_raw.strip():
         raise ConfigError("key 'sweep.values': empty values list")
@@ -461,8 +464,11 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def _any_correlated(cfg: RunConfig) -> bool:
+    """Whether a side the scenario reads has a correlation model; without
+    double scattering the scatterer side is not read."""
+    sides = ("tx", "rx") if cfg.no_double_scattering else _SIDES
     return any(cfg.raw.get(f"corr.{s}.model", "identity") != "identity"
-               for s in _SIDES)
+               for s in sides)
 
 
 # ---------------------------------------------------------------------------

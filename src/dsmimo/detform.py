@@ -4,11 +4,12 @@ Everything here reduces to three ingredients:
 
 * one Gamma-lattice rule (`_gamma_lattice`, `_product_mean`): a fixed-cost
   trapezoid rule in s = ln t for the expectation over t ~ Gamma(nw) of a
-  product of factors (1 + x c_k t)^(-m_k).  It gives the 2F0 kernel
-      2F0(n, q; -x) = (1/(n-1)!) int_0^inf (1+x t)^(-q) t^(n-1) e^-t dt
-  (the hypergeometric series itself is divergent), the MISO expectation,
+  product of factors (1 + x c_k t)^(-m_k).  It gives the MISO expectation
   and the measures whose orthonormal polynomials (`_lanczos`) carry the
-  uncorrelated and doubly-correlated MGF;
+  uncorrelated and doubly-correlated (Kronecker) MGF.  At m = 1 that MGF is
+  the 2F0 kernel
+      2F0(n, q; -x) = (1/(n-1)!) int_0^inf (1+x t)^(-q) t^(n-1) e^-t dt
+  (the hypergeometric series itself is divergent);
 * characteristic coefficients: the partial-fraction expansion of
   det(I + xi A)^(-1) over the distinct eigenvalues of A, gated against
   cancellation; a public reference that no evaluator calls (the smaller
@@ -24,7 +25,8 @@ Everything here reduces to three ingredients:
 The expected-inverse-determinant evaluators take xi as a scalar or a
 vector and return values in (0, 1]; they are the moment generating
 functions behind every closed-form SEP.  Coefficients that fail their
-gate raise NumericFailure.
+gate, and Kronecker values above 1 by more than round-off, raise
+NumericFailure.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class NumericFailure(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Gamma lattice and the 2F0 kernel
+# Gamma lattice
 # ---------------------------------------------------------------------------
 
 def _gamma_lattice(nw: int, log_floor: float, deg: int = 0):
@@ -103,28 +105,6 @@ def _at_positive(x, fn):
     if pos.any():
         out[pos] = fn(xv[pos])
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def hyp2f0(n: int, q: int, x):
-    """2F0(n, q; -x) for positive integers n, q and x >= 0 (scalar or array):
-    the Gamma(nw) expectation of (1 + x t)^-ne, nw, ne = max(n, q), min(n, q)
-    (the function is symmetric in its parameters), on `_gamma_lattice`
-    floored at the Jensen bound (1 + x nw)^-ne.  A vector x shares one
-    lattice (sized for its largest entry), so it agrees with scalar calls to
-    round-off.  Agreement with x^-n U(n, n-q+1, 1/x) is about 1e-13 relative
-    for n <= 72, q <= 16 and x up to 1e11.  Values lie in (0, 1], equal 1 at
-    x = 0, and decrease in x; results below the double range underflow to 0.
-    """
-    if n < 1 or q < 1:
-        raise ValueError("parameters must be positive integers")
-    nw, ne = max(n, q), min(n, q)
-
-    def mean(xv):
-        t, logw = _gamma_lattice(nw, -ne * math.log1p(float(xv.max()) * nw))
-        # the integrand never exceeds the weight, so round-off above 1 is noise
-        return np.minimum(_product_mean(logw, t, [1.0], [ne], xv), 1.0)
-
-    return _at_positive(x, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +209,10 @@ def _vandermonde_blocks(spec: Spectrum, nrows: int, power_offset: int):
     vals, order = _columns(spec)
     d = np.arange(1, nrows + 1)[:, None] - order  # i - j
     live = d >= 0
-    # poch[d, k] = (d+1)_k as the running product (d+1)(d+2)...; past the
-    # double range it is inf
-    steps = np.arange(1.0, nrows + 1)[:, None] + np.arange(order.max() - 1)
-    with np.errstate(over="ignore"):
-        poch = np.cumprod(np.hstack([np.ones((nrows, 1)), steps]), axis=1)
-    logp = np.log(poch)[np.where(live, d, 0), order - 1]
+    # logp[d, k] = log (d+1)_k = log(d+1) + log(d+2) + ... + log(d+k)
+    steps = np.log(np.arange(1.0, nrows + 1)[:, None] + np.arange(order.max() - 1))
+    logp = np.cumsum(np.hstack([np.zeros((nrows, 1)), steps]), axis=1)
+    logp = logp[np.where(live, d, 0), order - 1]
     lv = np.array([math.log(abs(v)) for v in vals])
     pw = power_offset - d
     sign = (-1.0) ** d * np.sign(vals) ** pw
@@ -366,7 +344,9 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
     ratio of products of Lanczos norms.  mu_g is mu_s e^(beta l), beta =
     1/sigma_s - 1/sigma_g > 0, and row i annihilates the Taylor terms of
     e^(beta l) below degree i - j, so entry (i, (g, j)) keeps only the weight
-    P(Poisson(beta l) >= i - j): close eigenvalues cost no digits."""
+    P(Poisson(beta l) >= i - j): close eigenvalues cost no digits.  Values
+    lie in (0, 1]: round-off above 1 becomes 1, a larger excess raises
+    NumericFailure."""
     if sigma_spec.dim != m or n < m:
         raise ValueError("need sigma spectrum of dimension m and n >= m")
     sig = np.array(sigma_spec.values)
@@ -419,7 +399,11 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
         size = x.size * sig.size * max(m, mult.size) * t.size
         blocks = np.array_split(x, -(-size // (2 * _BATCH)))
         sign, log = map(np.concatenate, zip(*(log_det(xs, t, logw, tails) for xs in blocks)))
-        return sign[1:] * sign[0] * np.exp(log[1:] - log[0])
+        v = sign[1:] * sign[0] * np.exp(log[1:] - log[0])
+        # an MGF is at most 1: round-off above it is noise, 1e-12 a failure
+        if np.any(v > 1.0 + 1e-12):
+            raise NumericFailure(f"Kronecker MGF {float(v.max())!r} exceeds 1")
+        return np.minimum(v, 1.0)
 
     return _at_positive(xi, mgf)
 
@@ -432,6 +416,18 @@ def expected_inv_det_uncorr(m: int, n: int, nu: int, xi):
         raise ValueError("need m <= n")
     ident = Spectrum((1.0,), (m,), m)
     return expected_inv_det_kron(m, n, ident, Spectrum((1.0,), (nu,), nu), xi)
+
+
+def hyp2f0(n: int, q: int, x):
+    """2F0(n, q; -x) for positive integers n, q and x >= 0 (scalar or array):
+    the Kronecker row's MGF at m = 1, E (1 + x t)^-min(n, q) over t ~
+    Gamma(max(n, q)) (2F0 is symmetric in n, q; its series diverges).  It
+    agrees with x^-n U(n, n-q+1, 1/x) to about 1e-13 relative for n <= 72,
+    q <= 16, x <= 1e11.  Values lie in (0, 1] (0 once they underflow) and
+    decrease from 1 at x = 0."""
+    if n < 1 or q < 1:
+        raise ValueError("parameters must be positive integers")
+    return expected_inv_det_uncorr(1, max(n, q), min(n, q), x)
 
 
 def _log_density_ratio(mu: np.ndarray, t: np.ndarray) -> np.ndarray:

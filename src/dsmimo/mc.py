@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -67,58 +68,49 @@ class KurtosisEff(NamedTuple):
     eff_db: Estimate
 
 
-def _accumulate(cfg: MonteCarloConfig, per_trial, width: int):
-    """Run per_trial(rng, count) over the block schedule, returning per-batch
-    sums (N_BATCHES x width) and batch counts.  per_trial returns a tuple of
-    `width` per-trial value arrays."""
+def _accumulate(cfg: MonteCarloConfig, per_trial) -> np.ndarray:
+    """The moment table of per_trial(rng, count), an array of `count`
+    per-trial values, over the block schedule: a 3 x N_BATCHES array whose
+    rows hold each batch's trial count, sum of values and sum of squares."""
     trials = cfg.trials
 
-    def block_sums(block: int):
+    def block_table(block: int):
         start = block * BLOCK_SIZE
         cnt = min(BLOCK_SIZE, trials - start)
-        cols = per_trial(substream(cfg.seed, block), cnt)
+        v = per_trial(substream(cfg.seed, block), cnt)
         batch = (start + np.arange(cnt, dtype=np.int64)) * N_BATCHES // trials
-        return (np.bincount(batch, minlength=N_BATCHES),
-                [np.bincount(batch, weights=cols[k], minlength=N_BATCHES)
-                 for k in range(width)])
+        return np.array([np.bincount(batch, weights=w, minlength=N_BATCHES)
+                         for w in (None, v, v * v)])
 
     blocks = -(-trials // BLOCK_SIZE)
     workers = min(blocks, os.cpu_count() or 1)
-    sums = np.zeros((N_BATCHES, width))
-    counts = np.zeros(N_BATCHES, dtype=np.int64)
     if workers == 1:
         # Inline, with no thread: a pool thread gets its own malloc arena,
         # which raised the peak RSS of single-block CLI runs by about 12 MB.
-        parts = map(block_sums, range(blocks))
+        parts = map(block_table, range(blocks))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(block_sums, range(blocks)))
-    for cnt, cols in parts:  # block order, whatever finished first
-        counts += cnt
-        for k in range(width):
-            sums[:, k] += cols[k]
-    return sums, counts
+            parts = list(pool.map(block_table, range(blocks)))
+    table = np.zeros((3, N_BATCHES))
+    for part in parts:  # block order, whatever finished first
+        table += part
+    return table
 
 
 def _mean_estimate(cfg: MonteCarloConfig, per_trial) -> Estimate:
     """Mean and batch-means standard error of a per-trial scalar; falls back
     to the per-trial variance when there are too few trials for 32 batches."""
-    sums, counts = _accumulate(cfg, lambda rng, n: _with_square(per_trial(rng, n)), 2)
+    counts, s1, s2 = _accumulate(cfg, per_trial)
     n = cfg.trials
-    mean = sums[:, 0].sum() / n
+    mean = s1.sum() / n
     if np.all(counts > 1):
-        bm = sums[:, 0] / counts
-        se = float(bm.std(ddof=1) / math.sqrt(N_BATCHES))
+        se = float((s1 / counts).std(ddof=1) / math.sqrt(N_BATCHES))
     else:
-        var = max(sums[:, 1].sum() / n - mean**2, 0.0)
+        var = max(s2.sum() / n - mean**2, 0.0)
         se = math.sqrt(var / n)
     return Estimate(float(mean), se, n)
-
-
-def _with_square(v):
-    return (v, v * v)
 
 
 def _frob_sq_samples(scn: Scenario, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -186,12 +178,11 @@ def mc_kurtosis_eff(scn: Scenario, cfg: MonteCarloConfig) -> KurtosisEff:
     """
     if cfg.trials < 10_000:
         raise ValueError("kurtosis estimation needs at least 1e4 trials")
-    sums, counts = _accumulate(
-        cfg, lambda rng, n: _with_square(_frob_sq_samples(scn, rng, n)), 2)
+    counts, s1, s2 = _accumulate(cfg, partial(_frob_sq_samples, scn))
     n = cfg.trials
-    m1, m2 = sums[:, 0].sum() / n, sums[:, 1].sum() / n
+    m1, m2 = s1.sum() / n, s2.sum() / n
     kappa = float(m2 / m1**2)
-    bk = (sums[:, 1] / counts) / (sums[:, 0] / counts) ** 2
+    bk = (s2 / counts) / (s1 / counts) ** 2
     se_k = float(bk.std(ddof=1) / math.sqrt(N_BATCHES))
     kurt = Estimate(kappa, se_k, n)
 

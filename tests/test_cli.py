@@ -208,6 +208,30 @@ class TestSweep:
         assert "config error: key 'sweep.axis'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ns_axis_without_double_scattering(self, tmp_path, capsys):
+        # rich scattering never reads n_s: every row would repeat one scenario
+        cfg = BASE.replace("scenario.n_t = 4", "scenario.n_t = 2").replace(
+            "code = g4", "code = alamouti") + (
+            "scenario.no_double_scattering = true\n"
+            "sweep.axis = ns\nsweep.values = 2,5,50\nsweep.snr_db = 15\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", write(tmp_path, cfg), "--out", str(out),
+                     "--trials", "1000"]) == EXIT_CONFIG
+        assert "config error: key 'sweep.axis'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rho_axis_on_an_unread_scatterer_side(self, tmp_path, capsys):
+        # without double scattering the scatterer side is never read, so a
+        # rho sweep whose only correlated side is sc changes nothing
+        cfg = BASE + ("scenario.no_double_scattering = true\n"
+                      "corr.sc.model = exponential\ncorr.sc.rho = 0.3\n"
+                      "sweep.axis = rho\nsweep.values = 0.1,0.5\nsweep.snr_db = 15\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", write(tmp_path, cfg), "--out", str(out),
+                     "--trials", "1000"]) == EXIT_CONFIG
+        assert "config error: key 'sweep.axis'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_value_names_sweep_values(self, tmp_path, capsys):
         # rho = 0.6 is outside the 10x10 tridiagonal model's range; the
         # config's own corr.sc.rho = 0.3 is fine and must not be blamed

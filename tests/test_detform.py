@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_corr,
                             tridiagonal_corr)
-from dsmimo.detform import (CharCoefficients, _det_scaled, _vandermonde_blocks,
-                            characteristic_coefficients, expected_inv_det_kron,
-                            expected_inv_det_miso, expected_inv_det_uncorr,
-                            hyp2f0, quadratic_form_eigen_pdf, wishart_eigen_pdf)
+from dsmimo.detform import (CharCoefficients, NumericFailure, _det_scaled,
+                            _vandermonde_blocks, characteristic_coefficients,
+                            expected_inv_det_kron, expected_inv_det_miso,
+                            expected_inv_det_uncorr, hyp2f0, quadratic_form_eigen_pdf,
+                            wishart_eigen_pdf)
 
 from conftest import cgauss
 from oracles import oracle_2f0, oracle_2f0_hyperu, oracle_kron_mgf, oracle_miso_mgf
@@ -75,6 +76,11 @@ class TestHyp2f0:
             hyp2f0(1, 1, -0.5)
         with pytest.raises(ValueError):
             hyp2f0(0, 1, 1.0)
+
+    @pytest.mark.parametrize("n,q", [(1, 1), (7, 2), (13, 1), (40, 16)])
+    def test_range_at_tiny_argument(self, n, q):
+        v = hyp2f0(n, q, np.array([1e-300, 1e-17, 1e-16]))
+        assert np.all(v > 0.0) and np.all(v <= 1.0)
 
     @given(st.integers(1, 12), st.integers(1, 12), st.floats(0.0, 50.0))
     @settings(max_examples=40, deadline=None)
@@ -315,6 +321,16 @@ class TestQuadraticFormEigenPdf:
             assert quadratic_form_eigen_pdf([x], 3, spec_of([1.0], [3])) == pytest.approx(
                 x * x * math.exp(-x) / 2, rel=1e-11)
 
+    @pytest.mark.parametrize("n", [172, 180])
+    def test_multiplicity_past_factorial_overflow(self, n):
+        # with beta = I_n the quadratic form is a Wishart matrix; the
+        # Pochhammer factors (d+1)_k of a multiplicity n pass 1e308
+        lams = [n + 0.8 * math.sqrt(n), n - 0.8 * math.sqrt(n)]
+        ref = wishart_eigen_pdf(lams, n, spec_of([1.0], [2]))
+        assert ref > 1e-4
+        assert quadratic_form_eigen_pdf(lams, n, spec_of([1.0], [n])) == pytest.approx(
+            ref, rel=1e-10)
+
     def test_confluent_limit_of_distinct(self):
         # as in the Wishart case: even in eps, Richardson to O(eps^4)
         lams, n = [3.0, 0.8], 4
@@ -414,6 +430,15 @@ class TestExpectedInvDetKron:
         se = dets.std() / math.sqrt(n)
         assert abs(dets.mean() - v) < 3 * se
 
+    def test_excess_over_one_raises(self):
+        # a tight cluster above the smallest Sigma eigenvalue still costs
+        # digits: at xi = 1e-9 the value is 1 + 1.4e-4, which must raise
+        # rather than be clipped to 1
+        sigma = spec_of([1.0 + 1e-6, 1.0, 1.0 - 1e-6, 0.5])
+        far = spec_of([2.0, 1.0, 0.3], [1, 2, 1])
+        with pytest.raises(NumericFailure, match="exceeds 1"):
+            expected_inv_det_kron(4, 6, sigma, far, np.array([1e-3, 1e-9]))
+
 
 class TestExpectedInvDetUncorr:
     def test_unity_at_zero(self):
@@ -438,6 +463,10 @@ class TestExpectedInvDetUncorr:
                              (1, 2, 1, 5.0), (4, 4, 2, 300.0), (4, 4, 2, 1e3)]:
             ref = oracle_kron_mgf(m, n, spec_of([1.0], [m]), spec_of([1.0], [nu]), xi)
             assert expected_inv_det_uncorr(m, n, nu, xi) == pytest.approx(ref, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("m,n,nu", [(1, 7, 2), (2, 13, 1)])
+    def test_at_most_one_at_tiny_xi(self, m, n, nu):
+        assert 0.0 < expected_inv_det_uncorr(m, n, nu, 1e-17) <= 1.0
 
     def test_monotone_decreasing_in_xi(self):
         xs = np.logspace(-2, 2, 25)

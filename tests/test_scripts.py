@@ -47,3 +47,21 @@ def test_script_writes_its_csvs(name, tmp_path, capsys):
             rows = list(csv.reader(f))
         assert rows[0] == header
         assert len(rows) > 1
+
+
+def test_iid_reference_shares_the_cli_snr_grid(tmp_path, capsys):
+    # a 0.1 dB step accumulated by repeated addition drifts from the
+    # start + step * k grid of sep-curve by its last row
+    spec = importlib.util.spec_from_file_location(
+        "script_sep_vs_snr_scatterers", SCRIPTS / "sep_vs_snr_scatterers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.run(str(tmp_path), [2], 0.0, 0.6, 0.1, 2000, 1)
+    capsys.readouterr()
+
+    def snr_column(name):
+        with open(tmp_path / name, newline="", encoding="utf-8") as f:
+            return [row["snr_db"] for row in csv.DictReader(f)]
+
+    assert len(snr_column("sep_ns2.csv")) == 7
+    assert snr_column("sep_iid_rayleigh.csv") == snr_column("sep_ns2.csv")
