@@ -44,7 +44,6 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
-_SIDES = ("tx", "sc", "rx")
 _MODELS = ("identity", "constant", "exponential", "tridiagonal")
 
 _KNOWN_KEYS = {
@@ -139,7 +138,9 @@ def _get_bool(raw, key, default=False):
     return v == "true"
 
 
-def _corr_factory(raw, side: str, dim: int) -> CorrelationMatrix:
+def _corr_factory(raw, side: str, dim: int, rho: float | None = None) -> CorrelationMatrix:
+    """The side's configured model at dimension dim; a given rho replaces a
+    non-identity model's configured coefficient."""
     model = raw.get(f"corr.{side}.model", "identity")
     if model not in _MODELS:
         raise ConfigError(f"key corr.{side}.model: unknown model {model!r}")
@@ -148,7 +149,8 @@ def _corr_factory(raw, side: str, dim: int) -> CorrelationMatrix:
         if rho_key in raw:
             raise ConfigError(f"key {rho_key!r} is not allowed for the identity model")
         return identity_corr(dim)
-    rho = _get_float(raw, rho_key)
+    if rho is None:
+        rho = _get_float(raw, rho_key)
     try:
         if model == "constant":
             return constant_corr(dim, rho)
@@ -159,76 +161,65 @@ def _corr_factory(raw, side: str, dim: int) -> CorrelationMatrix:
         raise ConfigError(f"key {rho_key!r}: {e}")
 
 
+def _scenario(raw, n_s: int | None = None, rho: float | None = None) -> Scenario:
+    """The configured scenario, optionally with another n_s or with rho as the
+    coefficient of every non-identity side (sweep support).  Without double
+    scattering the scatterer model is not read."""
+    n_t = _get_int(raw, "scenario.n_t", 1)
+    n_s = _get_int(raw, "scenario.n_s", 1) if n_s is None else n_s
+    n_r = _get_int(raw, "scenario.n_r", 1)
+    rich = _get_bool(raw, "scenario.no_double_scattering")
+    if "code" not in raw:
+        raise ConfigError("missing required key 'code'")
+    try:
+        code = code_by_name(raw["code"])
+    except ValueError as e:
+        raise ConfigError(f"key 'code': {e}")
+    phi_s = identity_corr(n_s) if rich else _corr_factory(raw, "sc", n_s, rho)
+    try:
+        return Scenario(n_t, n_s, n_r, _corr_factory(raw, "tx", n_t, rho), phi_s,
+                        _corr_factory(raw, "rx", n_r, rho), code,
+                        no_double_scattering=rich)
+    except ValueError as e:
+        raise ConfigError(str(e))
+
+
 @dataclass
 class RunConfig:
-    raw: dict[str, str]
-    n_t: int
-    n_s: int
-    n_r: int
-    no_double_scattering: bool
-    code_name: str
-    psk_m: int
-    snr_db: np.ndarray
-    trials: int
-    seed: int
-    output: str | None
+    """The parsed keys, the --out/--seed/--trials overrides and the configured
+    scenario.  psk(), snr_db() and mc() read and check their keys only when a
+    subcommand calls them, so no subcommand needs a key it ignores."""
 
-    def scenario(self, n_s: int | None = None, rho: float | None = None) -> Scenario:
-        """Build the configured scenario, optionally overriding n_s or the
-        correlation coefficient of every non-identity side (sweep support)."""
-        raw = dict(self.raw)
-        if rho is not None:
-            for side in _SIDES:
-                if raw.get(f"corr.{side}.model", "identity") != "identity":
-                    raw[f"corr.{side}.rho"] = repr(rho)
-        ns = self.n_s if n_s is None else n_s
-        try:
-            phi_t = _corr_factory(raw, "tx", self.n_t)
-            phi_s = _corr_factory(raw, "sc", ns)
-            phi_r = _corr_factory(raw, "rx", self.n_r)
-            return Scenario(self.n_t, ns, self.n_r, phi_t, phi_s, phi_r,
-                            code_by_name(self.code_name),
-                            no_double_scattering=self.no_double_scattering)
-        except ValueError as e:
-            raise ConfigError(str(e))
+    raw: dict[str, str]
+    args: argparse.Namespace
+    scn: Scenario
+
+    @property
+    def output(self) -> str | None:
+        return self.args.out if self.args.out is not None else self.raw.get("output")
 
     def psk(self) -> PskConstellation:
         try:
-            return PskConstellation(self.psk_m)
+            return PskConstellation(_get_int(self.raw, "psk.m"))
         except ValueError as e:
-            raise ConfigError(str(e))
+            raise ConfigError(f"key 'psk.m': {e}")
+
+    def snr_db(self) -> np.ndarray:
+        return _db_grid(self.raw, "snr.")
 
     def mc(self) -> MonteCarloConfig:
-        return MonteCarloConfig(trials=self.trials, seed=self.seed)
+        a = self.args
+        trials = a.trials if a.trials is not None else _get_int(self.raw, "mc.trials")
+        if trials < 1:
+            raise ConfigError(f"key 'mc.trials': must be >= 1, got {trials}")
+        seed = a.seed if a.seed is not None else _get_int(self.raw, "mc.seed")
+        if not 0 <= seed < 2**64:
+            raise ConfigError("key 'mc.seed': must fit in 64 bits")
+        return MonteCarloConfig(trials=trials, seed=seed)
 
 
 def build_run_config(raw: dict[str, str], args) -> RunConfig:
-    n_t = _get_int(raw, "scenario.n_t", 1)
-    n_s = _get_int(raw, "scenario.n_s", 1)
-    n_r = _get_int(raw, "scenario.n_r", 1)
-    code_name = raw.get("code")
-    if code_name is None:
-        raise ConfigError("missing required key 'code'")
-    if code_name not in ("alamouti", "g4"):
-        raise ConfigError(f"key 'code': expected alamouti or g4, got {code_name!r}")
-    snr_db = _db_grid(raw, "snr.")
-    trials = args.trials if args.trials is not None else _get_int(raw, "mc.trials")
-    if trials < 1:
-        raise ConfigError(f"key 'mc.trials': must be >= 1, got {trials}")
-    seed = args.seed if args.seed is not None else _get_int(raw, "mc.seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError("key 'mc.seed': must fit in 64 bits")
-    output = args.out if args.out is not None else raw.get("output")
-    cfg = RunConfig(
-        raw=raw, n_t=n_t, n_s=n_s, n_r=n_r,
-        no_double_scattering=_get_bool(raw, "scenario.no_double_scattering"),
-        code_name=code_name, psk_m=_get_int(raw, "psk.m", 2),
-        snr_db=snr_db,
-        trials=trials, seed=seed, output=output,
-    )
-    cfg.scenario()  # validate dimensions/models eagerly
-    cfg.psk()
-    return cfg
+    return RunConfig(raw, args, _scenario(raw))
 
 
 def _fmt(x) -> str:
@@ -287,17 +278,16 @@ def _write_rows(out: str, header: list[str], rows: list[list]) -> int:
 
 def cmd_sep_curve(cfg: RunConfig) -> int:
     out = _require_output(cfg)
-    scn = cfg.scenario()
-    psk = cfg.psk()
+    psk, grid, mc, scn = cfg.psk(), cfg.snr_db(), cfg.mc(), cfg.scn
     d = float(sep_mod.diversity_order(scn))
     rows = []
-    for snr_db in cfg.snr_db:
+    for snr_db in grid:
         snr = 10.0 ** (snr_db / 10.0)
         try:
             cf = sep_mod.sep_mpsk(scn, psk, snr)
         except UnsupportedScenarioError:
             cf = None
-        est = mc_sep(scn, psk, snr, cfg.mc())
+        est = mc_sep(scn, psk, snr, mc)
         # values below the numeric floor are reported as computed, flagged,
         # never clamped
         flag = "below numeric floor" if cf is not None and 0 < cf < 1e-12 else ""
@@ -308,10 +298,11 @@ def cmd_sep_curve(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     out = _require_output(cfg)
+    psk, mc = cfg.psk(), cfg.mc()
     axis = cfg.raw.get("sweep.axis")
     if axis not in ("rho", "ns"):
         raise ConfigError("key 'sweep.axis': expected rho or ns")
-    if axis == "ns" and cfg.no_double_scattering:
+    if axis == "ns" and cfg.scn.no_double_scattering:
         raise ConfigError("key 'sweep.axis': ns is ignored with "
                           "scenario.no_double_scattering = true")
     if axis == "rho" and not _any_correlated(cfg):
@@ -320,33 +311,35 @@ def cmd_sweep(cfg: RunConfig) -> int:
     values_raw = cfg.raw.get("sweep.values", "")
     if not values_raw.strip():
         raise ConfigError("key 'sweep.values': empty values list")
-    snr_db = _get_float(cfg.raw, "sweep.snr_db")
-    snr = 10.0 ** (snr_db / 10.0)
-    psk = cfg.psk()
-    rows = []
+    snr = 10.0 ** (_get_float(cfg.raw, "sweep.snr_db") / 10.0)
+    # every value is checked before the first point is computed
+    points = []
     for tok in values_raw.split(","):
         tok = tok.strip()
         if not tok:
             raise ConfigError("key 'sweep.values': empty entry in list")
         try:
-            scn = (cfg.scenario(rho=float(tok)) if axis == "rho"
-                   else cfg.scenario(n_s=int(tok)))
+            scn = (_scenario(cfg.raw, rho=float(tok)) if axis == "rho"
+                   else _scenario(cfg.raw, n_s=int(tok)))
         except (ValueError, ConfigError):
             raise ConfigError(f"key 'sweep.values': bad entry {tok!r}")
+        points.append((float(tok), scn))
+    rows = []
+    for value, scn in points:
         try:
             cf = sep_mod.sep_mpsk(scn, psk, snr)
         except UnsupportedScenarioError:
             cf = None
-        est = mc_sep(scn, psk, snr, cfg.mc())
-        rows.append([float(tok), cf, est.value, est.std_error])
+        est = mc_sep(scn, psk, snr, mc)
+        rows.append([value, cf, est.value, est.std_error])
     return _write_rows(out, [axis, "sep_closed_form", "sep_mc", "mc_std_err"], rows)
 
 
 def cmd_lowsnr(cfg: RunConfig) -> int:
     out = _require_output(cfg)
+    mc, scn = cfg.mc(), cfg.scn
     ebn0_db = _db_grid(cfg.raw, "lowsnr.ebn0_", (-1.5, 8.0, 0.5))
     snr_grid = _db_grid(cfg.raw, "lowsnr.snr_", (-22.0, 2.0, 3.0))
-    scn = cfg.scenario()
     met = lowsnr_mod.lowsnr_metrics(scn)
     print(f"ebn0_min_transmit_db = {met.ebn0_min_transmit_db:.6f}")
     print(f"ebn0_min_received_db = {met.ebn0_min_received_db:.6f}")
@@ -361,7 +354,7 @@ def cmd_lowsnr(cfg: RunConfig) -> int:
     for mode in ("general", "ostbc"):
         for snr_db in snr_grid:
             snr = 10.0 ** (snr_db / 10.0)
-            est = mc_capacity(scn, snr, mode, cfg.mc())
+            est = mc_capacity(scn, snr, mode, mc)
             if est.value <= 0:
                 continue
             ebn0_rx_db = 10.0 * math.log10(scn.n_r * snr / est.value)
@@ -372,7 +365,7 @@ def cmd_lowsnr(cfg: RunConfig) -> int:
 
 
 def cmd_diversity(cfg: RunConfig) -> int:
-    scn = cfg.scenario()
+    scn = cfg.scn
     d = sep_mod.diversity_order(scn)
     print(f"n_t={scn.n_t} n_s={scn.n_s} n_r={scn.n_r} rate={scn.rate} "
           f"diversity_order={d}")
@@ -387,21 +380,19 @@ def cmd_diversity(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     rel_tol = _get_float(cfg.raw, "validate.rel_tol", 0.05)
     sigma = _get_float(cfg.raw, "validate.sigma", 3.0)
-    scn = cfg.scenario()
-    psk = cfg.psk()
+    psk, grid, mc, scn = cfg.psk(), cfg.snr_db(), cfg.mc(), cfg.scn
     checks: list[tuple[str, float, float, bool, str]] = []
 
     def record(name, measured, tol, ok, note=""):
         checks.append((name, measured, tol, ok, note))
 
     # 1. closed form vs Monte Carlo at the middle of the SNR grid
-    grid = cfg.snr_db
     mid = len(grid) // 2
     snr_db = float(grid[mid])
     snr = 10.0 ** (snr_db / 10.0)
     seps = ([sep_mod.sep_mpsk(scn, psk, 10.0 ** (s / 10.0)) for s in grid]
             if sep_mod.has_closed_form(scn) else None)
-    est = mc_sep(scn, psk, snr, cfg.mc())
+    est = mc_sep(scn, psk, snr, mc)
     if seps is not None:
         cf = seps[mid]
         dev = abs(cf - est.value)
@@ -412,19 +403,21 @@ def cmd_validate(cfg: RunConfig) -> int:
                "unsupported formula; MC-only validation")
 
     # 2. the MISO formula against the uncorrelated one on the identity
-    # counterpart wherever sep's MISO row covers it (two evaluators, one MGF)
-    ident = Scenario.uncorrelated(scn.n_t, scn.n_s, scn.n_r, scn.code)
-    with contextlib.suppress(UnsupportedScenarioError):
-        miso = sep_mod.sep_mpsk_miso(ident, psk, snr)
-        base = sep_mod.sep_mpsk_uncorrelated(ident, psk, snr)
-        dev = abs(miso - base) / base
-        record("reduction_miso_vs_uncorrelated", dev, 1e-9, dev <= 1e-9)
+    # counterpart wherever sep's MISO row covers it (two evaluators, one MGF);
+    # that counterpart has double scattering, so a rich config skips it
+    if not scn.no_double_scattering:
+        ident = Scenario.uncorrelated(scn.n_t, scn.n_s, scn.n_r, scn.code)
+        with contextlib.suppress(UnsupportedScenarioError):
+            miso = sep_mod.sep_mpsk_miso(ident, psk, snr)
+            base = sep_mod.sep_mpsk_uncorrelated(ident, psk, snr)
+            dev = abs(miso - base) / base
+            record("reduction_miso_vs_uncorrelated", dev, 1e-9, dev <= 1e-9)
 
     # 3. kurtosis monotonicity in rho on the config's correlated sides
     if min(scn.n_t, scn.n_s, scn.n_r) >= 2 and _any_correlated(cfg):
         try:
-            k_lo = kurtosis_frobenius(cfg.scenario(rho=0.3))
-            k_hi = kurtosis_frobenius(cfg.scenario(rho=0.6))
+            k_lo = kurtosis_frobenius(_scenario(cfg.raw, rho=0.3))
+            k_hi = kurtosis_frobenius(_scenario(cfg.raw, rho=0.6))
         except ConfigError:
             record("kurtosis_mis_in_rho", 0.0, 0.0, True,
                    "probe rho outside a side's model range; skipped")
@@ -432,8 +425,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             record("kurtosis_mis_in_rho", k_lo - k_hi, 0.0, k_lo <= k_hi)
 
     # 4. analytic vs Monte Carlo kurtosis
-    kcfg = MonteCarloConfig(trials=max(cfg.trials, 10_000), seed=cfg.seed)
-    kest, _ = mc_kurtosis_eff(scn, kcfg)
+    kest, _ = mc_kurtosis_eff(scn, MonteCarloConfig(max(mc.trials, 10_000), mc.seed))
     ka = kurtosis_frobenius(scn)
     dev = abs(ka - kest.value)
     tol = max(sigma * kest.std_error, rel_tol * ka)
@@ -466,7 +458,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 def _any_correlated(cfg: RunConfig) -> bool:
     """Whether a side the scenario reads has a correlation model; without
     double scattering the scatterer side is not read."""
-    sides = ("tx", "rx") if cfg.no_double_scattering else _SIDES
+    sides = ("tx", "rx") if cfg.scn.no_double_scattering else ("tx", "sc", "rx")
     return any(cfg.raw.get(f"corr.{s}.model", "identity") != "identity"
                for s in sides)
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import dsmimo.cli
 import dsmimo.sep
 from dsmimo.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                         EXIT_VALIDATION, _fmt, _has_bad_number, main, parse_config)
@@ -246,6 +247,20 @@ class TestSweep:
         assert "corr.sc.rho" not in err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_bad_value_rejected_before_any_point(self, tmp_path, capsys, monkeypatch):
+        # every value is parsed and its scenario built before the first
+        # estimate, so a bad last entry costs no Monte Carlo
+        calls = []
+        monkeypatch.setattr(dsmimo.cli, "mc_sep", lambda *a: calls.append(a))
+        cfg = BASE + ("corr.tx.model = constant\ncorr.tx.rho = 0.3\n"
+                      "sweep.axis = rho\nsweep.values = 0.1,0.2,abc\nsweep.snr_db = 15\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", write(tmp_path, cfg), "--out", str(out),
+                     "--trials", "200000"]) == EXIT_CONFIG
+        assert "'sweep.values': bad entry 'abc'" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_numeric_failure_exits_4_without_csv(self, tmp_path, capsys, monkeypatch):
         # no shipped model is known to fail, so the MISO MGF is replaced by
         # one whose SEP leaves [0, 3/4]
@@ -351,6 +366,17 @@ mc.seed = 3
         out = capsys.readouterr().out
         assert check in out and "unsupported formula" not in out
 
+    def test_rich_config_skips_the_double_scattering_reduction(self, tmp_path):
+        # with n_r = 1 the identity counterpart is a double-scattering MISO
+        # channel, which a rich-scattering config does not describe
+        cfg = BASE.replace("scenario.n_r = 2", "scenario.n_r = 1") + (
+            "scenario.no_double_scattering = true\n")
+        out = str(tmp_path / "report.csv")
+        assert main(["validate", "--config", write(tmp_path, cfg), "--out", out]) == EXIT_OK
+        assert [r[0] for r in read_rows(out)[1:]] == ["sep_closed_vs_mc@8dB",
+                                                      "kurtosis_analytic_vs_mc",
+                                                      "sep_monotone_in_snr"]
+
     def test_probe_rho_outside_model_range_skipped(self, tmp_path, capsys):
         # rho = 0.3 is a valid tridiagonal coefficient at n = 10, but the
         # kurtosis probe's rho = 0.6 is above that model's bound of 0.52
@@ -401,6 +427,41 @@ class TestDiversity:
         assert "diversity_order=8" in capsys.readouterr().out
         rows = read_rows(out)
         assert float(rows[1][4]) == 8.0
+
+
+SCENARIO_KEYS = "scenario.n_t = 4\nscenario.n_s = 10\nscenario.n_r = 2\ncode = g4\n"
+
+
+class TestKeysPerSubcommand:
+    @pytest.mark.parametrize("cmd, extra", [
+        ("diversity", ""),
+        ("sweep", "psk.m = 8\nmc.trials = 1000\nmc.seed = 1\ncorr.tx.model = constant\n"
+                  "corr.tx.rho = 0.3\nsweep.axis = rho\nsweep.values = 0.1\n"
+                  "sweep.snr_db = 10\n"),
+        ("lowsnr", "mc.trials = 1000\nmc.seed = 1\nlowsnr.snr_start_db = -10\n"
+                   "lowsnr.snr_stop_db = -10\n"),
+        # without double scattering the scatterer model is never read
+        ("diversity", "scenario.no_double_scattering = true\n"
+                      "corr.sc.model = exponential\ncorr.sc.rho = 1.5\n"),
+    ], ids=["diversity", "sweep", "lowsnr", "diversity-rich"])
+    def test_runs_on_only_the_keys_it_reads(self, tmp_path, cmd, extra):
+        assert main([cmd, "--config", write(tmp_path, SCENARIO_KEYS + extra),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("cmd", ["diversity", "sep-curve"])
+    def test_configured_scenario_built_once(self, tmp_path, monkeypatch, cmd):
+        built = []
+        monkeypatch.setattr(dsmimo.cli, "Scenario",
+                            lambda *a, **k: built.append(a) or Scenario(*a, **k))
+        assert main([cmd, "--config", write(tmp_path, BASE), "--out",
+                     str(tmp_path / "o.csv"), "--trials", "1000"]) == EXIT_OK
+        assert len(built) == 1
+
+    def test_unsupported_psk_order_names_its_key(self, tmp_path, capsys):
+        cfg = BASE.replace("psk.m = 8", "psk.m = 3")
+        assert main(["sep-curve", "--config", write(tmp_path, cfg),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+        assert "config error: key 'psk.m': M must be one of" in capsys.readouterr().err
 
 
 class TestFormatting:

@@ -553,3 +553,52 @@ class TestEtrLemmaConsistency:
         se = emp.std() / math.sqrt(n)
         v = expected_inv_det_uncorr(1, n_t, n_r, xi)
         assert abs(emp.mean() - v) < 3 * se
+
+
+def _grid_spectrum(rng, dim):
+    """Eigenvalues k/16 (integers k >= 1) summing to dim: distinct values
+    stay at least 1/16 apart, so no tight cluster arises."""
+    return 1 + rng.multinomial(15 * dim, np.full(dim, 1.0 / dim))
+
+
+def _t_transform_pair(rng, dim):
+    """(a, b) with a one T-transform of b: k/16, at most half the gap, moves
+    from a larger eigenvalue of b to a smaller one, so a is majorized by b."""
+    while True:
+        b = _grid_spectrum(rng, dim)
+        pairs = np.flatnonzero(b[:, None] - b[None, :] >= 2)
+        if pairs.size:
+            break
+    i, j = divmod(rng.choice(pairs), dim)
+    k = rng.integers(1, (b[i] - b[j]) // 2 + 1)
+    a = b.copy()
+    a[i] -= k
+    a[j] += k
+    return Spectrum.from_eigenvalues(a / 16.0), Spectrum.from_eigenvalues(b / 16.0)
+
+
+class TestMajorization:
+    """The paper's claim that performance worsens with correlation in the
+    majorization order: on the Kronecker and MISO rows, and every side that
+    enters them, a majorized by b gives MGF(a) <= MGF(b) at every xi, hence
+    a SEP that does not fall from a to b for any M and SNR."""
+
+    XI = np.logspace(-3, 3, 13)
+    PAIRS = 60
+
+    @pytest.mark.parametrize("side", ["kron_sigma", "kron_far", "miso_smaller",
+                                      "miso_larger"])
+    def test_mgf_schur_convex(self, side):
+        rng = np.random.default_rng(20260808)
+        dims = {"kron_sigma": (4, 4), "kron_far": (4, 4), "miso_smaller": (4, 10),
+                "miso_larger": (10, 4)}[side]
+        for _ in range(self.PAIRS):
+            pair = _t_transform_pair(rng, dims[0])
+            other = Spectrum.from_eigenvalues(_grid_spectrum(rng, dims[1]) / 16.0)
+            if side == "kron_sigma":
+                mgf_a, mgf_b = (expected_inv_det_kron(4, 10, s, other, self.XI) for s in pair)
+            elif side == "kron_far":
+                mgf_a, mgf_b = (expected_inv_det_kron(4, 10, other, s, self.XI) for s in pair)
+            else:
+                mgf_a, mgf_b = (expected_inv_det_miso(s, other, self.XI) for s in pair)
+            assert np.all(mgf_a <= mgf_b * (1 + 1e-12)), (pair, other)
