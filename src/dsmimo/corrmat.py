@@ -12,11 +12,11 @@ block form applies.  Clustering is centralized in
 `Spectrum.from_eigenvalues` with one fixed relative tolerance.
 
 Two kinds of side share one type.  A general `CorrelationMatrix(entries)`
-(user input, the exponential and tridiagonal models) is checked on
-construction, and its spectrum is clustered from the eigenvalues of that
-check.  The identity and constant models are spectrum-first: they hold
-their exact spectrum and build the n x n entries only when something reads
-them, so an identity side of any dimension costs a few bytes.
+(user input, the exponential model) is checked on construction, and its
+spectrum is clustered from the eigenvalues of that check.  The identity,
+constant and tridiagonal models are spectrum-first: they hold their exact
+spectrum and build the n x n entries only when something reads them, so an
+identity side of any dimension costs a few bytes.
 """
 
 from __future__ import annotations
@@ -133,17 +133,15 @@ class CorrelationMatrix:
         return self.entries.shape[0]
 
 
-class _ConstantSide(CorrelationMatrix):
-    """The constant model (identity at rho = 0) held as its exact spectrum
-    {1+(n-1)rho once, 1-rho n-1 times}; unit diagonal, Hermitian and
-    positive definite by construction, so nothing is checked."""
+class _ModelSide(CorrelationMatrix):
+    """A single-coefficient model held as its exact spectrum; its entries
+    are unit-diagonal and Hermitian by construction, so none is checked.
+    Subclasses give the spectrum and the dense entries, built when read."""
 
     def __init__(self, n: int, rho: float):
-        e1, e2 = 1.0 + (n - 1) * rho, 1.0 - rho
-        # below float resolution of rho the two branches coincide at 1
-        spec = Spectrum((e1, e2), (1, n - 1), n) if e1 > e2 else Spectrum((1.0,), (n,), n)
         # fills the attributes directly: the parent is frozen
-        vars(self).update(spectrum=spec, _rho=float(rho), is_identity=(rho == 0.0))
+        vars(self).update(spectrum=self._spectrum(n, rho), _rho=float(rho),
+                          is_identity=(rho == 0.0))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.dim}, rho={self._rho!r})"
@@ -152,9 +150,35 @@ class _ConstantSide(CorrelationMatrix):
     def dim(self) -> int:
         return self.spectrum.dim
 
+
+class _ConstantSide(_ModelSide):
+    """The constant model (identity at rho = 0): {1+(n-1)rho once, 1-rho
+    n-1 times}."""
+
+    @staticmethod
+    def _spectrum(n: int, rho: float) -> Spectrum:
+        e1, e2 = 1.0 + (n - 1) * rho, 1.0 - rho
+        # below float resolution of rho the two branches coincide at 1
+        return Spectrum((e1, e2), (1, n - 1), n) if e1 > e2 else Spectrum((1.0,), (n,), n)
+
     @cached_property
     def entries(self) -> np.ndarray:
         return np.where(np.eye(self.dim, dtype=bool), 1.0, self._rho)
+
+
+class _TridiagonalSide(_ModelSide):
+    """The tridiagonal model: eigenvalues 1 + 2 rho cos(k pi/(n+1)),
+    k = 1..n, clustered as a general side's."""
+
+    @staticmethod
+    def _spectrum(n: int, rho: float) -> Spectrum:
+        return Spectrum.from_eigenvalues(
+            1.0 + 2.0 * rho * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        n = self.dim
+        return np.eye(n) + self._rho * (np.eye(n, k=1) + np.eye(n, k=-1))
 
 
 def identity_corr(n: int) -> CorrelationMatrix:
@@ -203,8 +227,10 @@ def tridiagonal_corr(n: int, rho: float) -> CorrelationMatrix:
         )
     if rho == 0.0 or n == 1:
         return identity_corr(n)
-    m = np.eye(n) + rho * (np.eye(n, k=1) + np.eye(n, k=-1))
-    return CorrelationMatrix(m)
+    side = _TridiagonalSide(n, rho)
+    if side.spectrum.values[-1] <= 0.0:  # rho within round-off of the bound
+        raise ValueError("correlation matrix must be positive definite")
+    return side
 
 
 def correlation_figure(phi: CorrelationMatrix) -> float:

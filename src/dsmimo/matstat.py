@@ -98,10 +98,15 @@ def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
     batch of `size` channels in the sides' eigenbases, never holding the
     whole batch.  With r, s, t the expanded spectra of phi_r, phi_s, phi_t, a
     slice draws D = (sqrt(r) o H1)(sqrt(s) sqrt(t)^T o H2)/sqrt(n_s), H1 then
-    H2, or D = sqrt(r) sqrt(t)^T o G without double scattering.  Gaussian
-    factors are invariant under unitary rotation, so H has the law of
-    U_r D U_t^H (sample_channel) and shares ||D||_F and the eigenvalues of
-    D D^H."""
+    H2, or D = sqrt(r) sqrt(t)^T o G without double scattering.  With
+    phi_s = I and n_s > min(n_t, n_r) the product is drawn in its reduced
+    form instead (_bartlett_slices).  Gaussian factors are invariant under
+    unitary rotation, so H has the law of U_r D U_t^H (sample_channel) and
+    shares ||D||_F and the eigenvalues of D D^H."""
+    if (not scn.no_double_scattering and scn.phi_s.is_identity
+            and scn.n_s > min(scn.n_t, scn.n_r)):
+        yield from _bartlett_slices(scn, rng, size)
+        return
     r = np.sqrt(0.5 * scn.phi_r.spectrum.expand())
     t = np.sqrt(scn.phi_t.spectrum.expand())
     scales = ([np.outer(r, t)] if scn.no_double_scattering else
@@ -111,6 +116,41 @@ def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
     for lo in range(0, size, SLICE):
         b = min(SLICE, size - lo)
         yield lo, reduce(np.matmul, _std_complex(rng, b, scales))
+
+
+def _bartlett_slices(scn: Scenario, rng: np.random.Generator, size: int):
+    """channel_slices for phi_s = I and n_s > m = min(n_t, n_r), with no
+    n_s-sized factor.  Write H2 = Q R_b (QR): Q is Haar and independent of
+    R_b, so H1 Q is i.i.d. and H1 H2 has the law of G R_b, with G n_r x n_t
+    standard and R_b the complex Bartlett factor: upper triangular, R_ii =
+    sqrt(Gamma(n_s - i)) for i = 0..m-1, CN(0, 1) entries above the
+    diagonal.  A slice is D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s).  When
+    n_r < n_t the H1 side is reduced by transposition: D is the transpose of
+    (sqrt(t) o G)(R_b o sqrt(r)^T)/sqrt(n_s), G then n_t x n_r.  Per slice
+    one standard_normal call draws G, then R_b's strict upper triangle in C
+    order (_std_complex's layout), and one standard_gamma call draws the
+    (trial, i) diagonal."""
+    wide = scn.n_r < scn.n_t
+    big, small = (scn.phi_t, scn.phi_r) if wide else (scn.phi_r, scn.phi_t)
+    m = small.dim
+    c = np.sqrt(small.spectrum.expand())
+    iu, ju = np.triu_indices(m, 1)
+    diag = np.arange(m)
+    shapes = (scn.n_s - diag).astype(float)
+    scales = [np.repeat(np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()),
+                                 np.ones(m)), 2, axis=1),
+              np.repeat(math.sqrt(0.5) * c[ju], 2)[None]]
+
+    def draw(b):  # its temporaries are freed before the caller reads D
+        g, upper = _std_complex(rng, b, scales)
+        rb = np.zeros((b, m, m), dtype=complex)
+        rb[:, iu, ju] = upper[:, 0]
+        rb[:, diag, diag] = np.sqrt(rng.standard_gamma(shapes, (b, m))) * c
+        d = g @ rb
+        return d.transpose(0, 2, 1).copy() if wide else d
+
+    for lo in range(0, size, SLICE):
+        yield lo, draw(min(SLICE, size - lo))
 
 
 def sample_channel(scn: Scenario, rng: np.random.Generator,

@@ -12,9 +12,15 @@ Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from the SFC64
 child stream SeedSequence(seed, spawn_key=(b,)).  A block is drawn in slices
 of 4096 trials (matstat.SLICE); each slice takes its normals from one
-standard_normal call: first the H1 block, then the H2 block (G alone without
-double scattering), each in C order over (trial, row, column) with every
-complex entry stored as its (real, imaginary) pair.  Blocks run
+standard_normal call, each factor in C order over (trial, row, column) with
+every complex entry stored as its (real, imaginary) pair: the H1 block, then
+the H2 block (G alone without double scattering).  With uncorrelated
+scatterers and n_s > m = min(n_t, n_r) the slice is drawn in reduced form,
+D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s): the call holds G (n_r x n_t,
+or n_t x n_r for the transposed D when n_r < n_t), then the strict upper
+triangle of the m x m Bartlett factor R_b, and one standard_gamma call
+follows with the (trial, i) diagonal, R_ii^2 ~ Gamma(n_s - i).  A trial then
+costs 2 n_r n_t + m(m-1) normals and m gammas whatever n_s is.  Blocks run
 concurrently on up to os.cpu_count() threads, and their sums are reduced in
 block order, so results are bit-identical for any worker count.  Standard
 errors come from 32 batch means over the trial index, which stays honest for
@@ -116,19 +122,15 @@ def _mean_estimate(cfg: MonteCarloConfig, per_trial) -> Estimate:
 def _frob_sq_samples(scn: Scenario, rng: np.random.Generator, count: int) -> np.ndarray:
     """Per-trial ||H||_F^2 draws.
 
-    Distributionally equivalent shortcuts replace the full matrix product
-    where they exist: the rich-scattering case reduces to a weighted sum of
-    exponentials over transmit/receive eigenvalue pairs, and the SISO
-    double-scattering case with uncorrelated scatterers reduces to a
-    Gamma(n_s)/n_s mixing variable times an exponential.
+    Without double scattering ||H||_F^2 is a weighted sum of exponentials
+    over transmit/receive eigenvalue pairs; otherwise it is ||D||_F^2 of the
+    channel drawn in the sides' eigenbases (matstat.channel_slices), whose
+    draw with uncorrelated scatterers holds no n_s-sized factor.
     """
     if scn.no_double_scattering:
         pairs = np.multiply.outer(scn.phi_t.spectrum.expand(),
                                   scn.phi_r.spectrum.expand()).ravel()
         return rng.standard_exponential((count, pairs.size)) @ pairs
-    if scn.n_t == 1 and scn.n_r == 1 and scn.phi_s.is_identity:
-        q = rng.gamma(scn.n_s, size=count) / scn.n_s
-        return q * rng.standard_exponential(count)
     return _per_channel(scn, rng, count, lambda d: np.einsum(
         "bij,bij->b", d.view(float), d.view(float)))
 

@@ -79,6 +79,24 @@ class TestTridiagonalCorr:
             tridiagonal_corr(n, bound)
         tridiagonal_corr(n, bound - 1e-6)
 
+    def test_rho_within_round_off_of_the_bound_rejected(self):
+        # the largest double below the bound: the smallest closed-form
+        # eigenvalue rounds to 0 at n = 13
+        n = 13
+        with pytest.raises(ValueError, match="positive definite"):
+            tridiagonal_corr(n, np.nextafter(0.5 / np.cos(np.pi / (n + 1)), 0.0))
+
+    @pytest.mark.parametrize("n", [2, 7, 120])
+    @pytest.mark.parametrize("rho", [0.2, 0.45])
+    def test_spectrum_is_closed_form_and_entries_lazy(self, n, rho):
+        phi = tridiagonal_corr(n, rho)
+        assert "entries" not in vars(phi)
+        numeric = np.sort(np.linalg.eigvalsh(phi.entries))[::-1]
+        np.testing.assert_allclose(phi.spectrum.expand(), numeric, rtol=0, atol=1e-13)
+        dense = np.eye(n) + rho * (np.eye(n, k=1) + np.eye(n, k=-1))
+        assert phi.entries.tobytes() == dense.tobytes()
+        CorrelationMatrix(phi.entries)  # passes every check of a general side
+
 
 class TestCorrelationFigure:
     def test_identity_lower_bound(self):
@@ -225,8 +243,8 @@ class TestCorrelationMatrixInvariants:
 
 
 class TestSpectrumFirstSides:
-    """Identity and constant sides hold their exact spectrum and build the
-    dense matrix only when something reads it."""
+    """Identity, constant and tridiagonal sides hold their exact spectrum and
+    build the dense matrix only when something reads it."""
 
     def test_large_sides_cost_no_dense_matrix(self):
         tracemalloc.start()

@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                             identity_corr, spectrum_of)
-from dsmimo.matstat import (SLICE, Scenario, double_product_moments,
+from dsmimo.matstat import (SLICE, Scenario, channel_slices, double_product_moments,
                             expected_trace_square, frobenius_moments,
                             kurtosis_frobenius, sample_channel,
                             trace_quadratic_cumulant)
 from dsmimo.mc import substream
 
-from conftest import random_correlation
+from conftest import cgauss, random_correlation
 
 
 def spec_of(vals, mults=None):
@@ -122,7 +123,12 @@ class TestSampleChannel:
         into the antenna frame: per slice of at most SLICE trials, H1's
         entries, then H2's (G's alone without double scattering), each
         entry's real part followed by its imaginary part, scaled by the
-        square roots of the sides' eigenvalues; then H = U_r D U_t^H."""
+        square roots of the sides' eigenvalues; then H = U_r D U_t^H.  With
+        phi_s = I and n_s > m = min(n_t, n_r) a slice is G's entries, then
+        those of the Bartlett factor's strict upper triangle row by row,
+        then one standard_gamma call for the squared diagonal, and
+        D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s), or the transpose of
+        (sqrt(t) o G)(R_b o sqrt(r)^T)/sqrt(n_s) when n_r < n_t."""
         b = 1 if size is None else size
 
         def root_half(phi):
@@ -141,6 +147,24 @@ class TestSampleChannel:
             np.testing.assert_allclose(w[::-1], phi.spectrum.expand(), rtol=1e-12)
             return v[:, ::-1]
 
+        def bartlett(k):
+            wide = scn.n_r < scn.n_t
+            big, small = (scn.phi_t, scn.phi_r) if wide else (scn.phi_r, scn.phi_t)
+            m = small.dim
+            c = np.sqrt(small.spectrum.expand())
+            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+            g = draw(k, np.repeat(np.sqrt(0.5 / scn.n_s * big.spectrum.expand())[:, None],
+                                  m, axis=1))
+            upper = draw(k, np.array([[math.sqrt(0.5) * c[j] for _, j in pairs]]))
+            gam = rng.standard_gamma(scn.n_s - np.arange(m), size=(k, m))
+            rb = np.zeros((k, m, m), dtype=complex)
+            for p, (i, j) in enumerate(pairs):
+                rb[:, i, j] = upper[:, 0, p]
+            for i in range(m):
+                rb[:, i, i] = np.sqrt(gam[:, i]) * c[i]
+            d = g @ rb
+            return d.transpose(0, 2, 1) if wide else d
+
         r = root_half(scn.phi_r)
         t = np.sqrt(scn.phi_t.spectrum.expand())
         out = []
@@ -148,6 +172,8 @@ class TestSampleChannel:
             k = min(SLICE, b - lo)
             if scn.no_double_scattering:
                 out.append(draw(k, r[:, None] * t))
+            elif scn.phi_s.is_identity and scn.n_s > min(scn.n_t, scn.n_r):
+                out.append(bartlett(k))
             else:
                 h1 = draw(k, np.repeat((r / math.sqrt(scn.n_s))[:, None], scn.n_s, axis=1))
                 h2 = draw(k, root_half(scn.phi_s)[:, None] * t)
@@ -161,19 +187,25 @@ class TestSampleChannel:
 
     @pytest.mark.parametrize("size", [None, 1, SLICE - 1, SLICE + 1, 3 * SLICE + 5])
     @pytest.mark.parametrize("sides", ["iii", "rrr", "ccc", "rii", "ici", "iic",
-                                       "rich ii", "rich cr"])
+                                       "rich ii", "rich cr", "tall cir", "edge iii",
+                                       "n_s=m iii"])
     def test_slices_equal_one_shot_draw(self, size, sides):
+        # with phi_s = I, 3x4x2 and "edge" 3x3x2 (n_s = m + 1) reduce the H1
+        # side, "tall" 2x5x3 reduces the H2 side, and "n_s=m" 3x2x2 keeps the
+        # full product
         rng = np.random.default_rng(11)
         corr = {"i": identity_corr,
                 "r": lambda n: constant_corr(n, 0.45),
                 "c": lambda n: random_correlation(rng, n)}
+        dims = {"tall": (2, 5, 3), "edge": (3, 3, 2), "n_s=m": (3, 2, 2)}
         if sides.startswith("rich"):
             t, r = sides[-2:]
             scn = Scenario(3, 1, 2, corr[t](3), identity_corr(1), corr[r](2),
                            no_double_scattering=True)
         else:
-            t, s, r = sides
-            scn = Scenario(3, 4, 2, corr[t](3), corr[s](4), corr[r](2))
+            n_t, n_s, n_r = dims.get(sides[:-4], (3, 4, 2))
+            t, s, r = sides[-3:]
+            scn = Scenario(n_t, n_s, n_r, corr[t](n_t), corr[s](n_s), corr[r](n_r))
         got = sample_channel(scn, substream(9, 2), size=size)
         ref = self.slice_wise(scn, substream(9, 2), size)
         assert np.array_equal(got, ref[0] if size is None else ref)
@@ -187,6 +219,30 @@ class TestSampleChannel:
         short = sample_channel(scn, substream(9, 3), size=2 * SLICE)
         long = sample_channel(scn, substream(9, 3), size=3 * SLICE + 5)
         assert np.array_equal(short, long[:2 * SLICE])
+
+    @pytest.mark.parametrize("n_t,n_s,n_r,rho", [(4, 10, 4, 0.5), (4, 10, 2, 0.0),
+                                                 (3, 3, 2, 0.0)])
+    def test_reduced_draw_has_the_law_of_the_full_product(self, n_t, n_s, n_r, rho):
+        # phi_s = I and n_s > min(n_t, n_r): the Bartlett draw (H2 side
+        # reduced for 4x10x4, H1 side for 4x10x2 and the edge 3x3x2) against
+        # (sqrt(r) o H1)(H2 o sqrt(t)^T)/sqrt(n_s) from a generator of its
+        # own; two-sample KS on ||D||_F^2 and log det(I + D D^H)
+        n = 1 << 15
+        scn = Scenario(n_t, n_s, n_r, constant_corr(n_t, rho), identity_corr(n_s),
+                       constant_corr(n_r, rho))
+        reduced = np.concatenate([d for _, d in channel_slices(scn, substream(21, 0), n)])
+        rng = np.random.default_rng(22)
+        r = np.sqrt(scn.phi_r.spectrum.expand())[:, None]
+        t = np.sqrt(scn.phi_t.spectrum.expand())
+        full = (r * cgauss(rng, n, n_r, n_s)) @ (cgauss(rng, n, n_s, n_t) * t) / math.sqrt(n_s)
+
+        def laws(d):
+            fro = np.einsum("bij,bij->b", d, d.conj()).real
+            logdet = np.linalg.slogdet(np.eye(n_r) + d @ d.conj().transpose(0, 2, 1))[1]
+            return fro, logdet
+
+        for a, b in zip(laws(reduced), laws(full)):
+            assert stats.ks_2samp(a, b).pvalue > 1e-3
 
     def test_scenario_dimension_checks(self):
         with pytest.raises(ValueError):

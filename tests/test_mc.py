@@ -67,9 +67,9 @@ class TestDeterminism:
         assert a.value != b.value
 
     def test_worker_count_never_changes_a_result(self, monkeypatch):
-        # 3 full blocks plus a partial one, through the generic channel
-        # sampler; the pinned values fix the stream layout, so a change to
-        # the draw order fails here
+        # 3 full blocks plus a partial one, through the reduced (Bartlett)
+        # draw of the channel sampler; the pinned values fix the stream
+        # layout, so a change to the draw order fails here
         scn = Scenario(2, 3, 2, exponential_corr(2, 0.5), identity_corr(3),
                        constant_corr(2, 0.3))
         cfg = MonteCarloConfig(3 * BLOCK_SIZE + 4321, seed=2026)
@@ -89,10 +89,10 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert repr(pooled) == repr(run())
-        pinned = [("0x1.3e7de6f4f89f3p-4", "0x1.477a575df8ac3p-13"),
-                  ("0x1.bad8108e289eap+0", "0x1.4a0698ed3812cp-8"),
-                  ("-0x1.5e1b8f5472a1bp+0", "0x1.eaf1f597c3d88p-6"),
-                  ("0x1.005e19f6cb8bbp+2", "0x1.05259bb5f6f45p-9")]
+        pinned = [("0x1.3d642a067ddf5p-4", "0x1.2164d03bbc982p-13"),
+                  ("0x1.bad85d85a494bp+0", "0x1.135f7caddae73p-8"),
+                  ("-0x1.5e19c5597c7d5p+0", "0x1.99a42cb31bd97p-6"),
+                  ("0x1.00a0e1aecb423p+2", "0x1.9f00c4122bffep-10")]
         assert [(e.value.hex(), e.std_error.hex()) for e in pooled] == pinned
 
     def test_single_block_calls_start_no_thread(self, monkeypatch, tmp_path):
@@ -180,6 +180,35 @@ class TestMcSep:
         cf = sep_mpsk_uncorrelated(scn, psk, snr)
         est = mc_sep(scn, psk, snr, MonteCarloConfig(trials=400_000, seed=23))
         assert abs(est.value - cf) < 3 * est.std_error
+
+    def test_draw_cost_does_not_grow_with_scatterers(self, monkeypatch):
+        # phi_s = I: a trial draws 2 n_r n_t + m(m-1) normals (44 for 4x4)
+        # whatever n_s is, so no n_s-sized array is drawn
+        normals = []
+
+        class Counting:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def standard_normal(self, *args, **kwargs):
+                x = self._gen.standard_normal(*args, **kwargs)
+                normals.append(x.size)
+                return x
+
+            def __getattr__(self, attr):
+                return getattr(self._gen, attr)
+
+        monkeypatch.setattr(mc_mod, "substream",
+                            lambda seed, index: Counting(substream(seed, index)))
+        trials = 16
+        per_trial = {}
+        for n_s in (10, 10_000):
+            normals.clear()
+            scn = Scenario(4, n_s, 4, constant_corr(4, 0.5), identity_corr(n_s),
+                           constant_corr(4, 0.5), g4())
+            mc_sep(scn, PskConstellation(8), 10.0, MonteCarloConfig(trials, seed=5))
+            per_trial[n_s] = sum(normals) / trials
+        assert per_trial == {10: 44, 10_000: 44}
 
     def test_estimate_fields(self):
         scn = Scenario.uncorrelated(1, 2, 1)
