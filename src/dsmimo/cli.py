@@ -413,16 +413,23 @@ def cmd_validate(cfg: RunConfig) -> int:
             dev = abs(miso - base) / base
             record("reduction_miso_vs_uncorrelated", dev, 1e-9, dev <= 1e-9)
 
-    # 3. kurtosis monotonicity in rho on the config's correlated sides
+    # 3. kurtosis, and the closed-form SEP at the middle SNR, do not fall
+    # from rho = 0.3 to 0.6 on the config's correlated sides
     if min(scn.n_t, scn.n_s, scn.n_r) >= 2 and _any_correlated(cfg):
         try:
-            k_lo = kurtosis_frobenius(_scenario(cfg.raw, rho=0.3))
-            k_hi = kurtosis_frobenius(_scenario(cfg.raw, rho=0.6))
+            probes = _scenario(cfg.raw, rho=0.3), _scenario(cfg.raw, rho=0.6)
         except ConfigError:
-            record("kurtosis_mis_in_rho", 0.0, 0.0, True,
-                   "probe rho outside a side's model range; skipped")
+            for name in ("kurtosis_mis_in_rho", "sep_mis_in_rho"):
+                record(name, 0.0, 0.0, True, "probe rho outside a side's model range; skipped")
         else:
+            k_lo, k_hi = map(kurtosis_frobenius, probes)
             record("kurtosis_mis_in_rho", k_lo - k_hi, 0.0, k_lo <= k_hi)
+            try:
+                s_lo, s_hi = (sep_mod.sep_mpsk(p, psk, snr) for p in probes)
+            except UnsupportedScenarioError:
+                record("sep_mis_in_rho", 0.0, 0.0, True, "no closed form; skipped")
+            else:
+                record("sep_mis_in_rho", s_lo - s_hi, 0.0, s_lo <= s_hi)
 
     # 4. analytic vs Monte Carlo kurtosis
     kest, _ = mc_kurtosis_eff(scn, MonteCarloConfig(max(mc.trials, 10_000), mc.seed))

@@ -93,6 +93,18 @@ def _std_complex(rng: np.random.Generator, count: int, scales) -> list[np.ndarra
     return [z.view(complex) for z in out]
 
 
+def bartlett_sides(scn: Scenario):
+    """(big, small) when channel_slices draws the reduced form, None
+    otherwise: with phi_s = I and n_s > m = min(n_t, n_r), `small` is the
+    m-dimensional end side that scales the columns of the Bartlett factor
+    (phi_t, or phi_r when n_r < n_t) and `big` the other end side, the one
+    the reduction leaves unreduced."""
+    if (scn.no_double_scattering or not scn.phi_s.is_identity
+            or scn.n_s <= min(scn.n_t, scn.n_r)):
+        return None
+    return (scn.phi_t, scn.phi_r) if scn.n_r < scn.n_t else (scn.phi_r, scn.phi_t)
+
+
 def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
     """Yield (start, D) for consecutive slices of at most SLICE trials of a
     batch of `size` channels in the sides' eigenbases, never holding the
@@ -103,8 +115,7 @@ def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
     form instead (_bartlett_slices).  Gaussian factors are invariant under
     unitary rotation, so H has the law of U_r D U_t^H (sample_channel) and
     shares ||D||_F and the eigenvalues of D D^H."""
-    if (not scn.no_double_scattering and scn.phi_s.is_identity
-            and scn.n_s > min(scn.n_t, scn.n_r)):
+    if bartlett_sides(scn) is not None:
         yield from _bartlett_slices(scn, rng, size)
         return
     r = np.sqrt(0.5 * scn.phi_r.spectrum.expand())
@@ -116,6 +127,28 @@ def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
     for lo in range(0, size, SLICE):
         b = min(SLICE, size - lo)
         yield lo, reduce(np.matmul, _std_complex(rng, b, scales))
+
+
+def _bartlett_factor(small: CorrelationMatrix, n_s: int):
+    """(scale, factor) for the m x m factor B = R_b o sqrt(c)^T, c the
+    spectrum of `small`: `scale` is _std_complex's scale of R_b's strict
+    upper triangle, and factor(rng, upper) builds B from that triangle's
+    draw (b, 1, m(m-1)/2), drawing the (trial, i) diagonal with one
+    standard_gamma call, R_ii^2 ~ Gamma(n_s - i)."""
+    m = small.dim
+    c = np.sqrt(small.spectrum.expand())
+    iu, ju = np.triu_indices(m, 1)
+    diag = np.arange(m)
+    shapes = (n_s - diag).astype(float)
+
+    def factor(rng, upper):
+        b = len(upper)
+        rb = np.zeros((b, m, m), dtype=complex)
+        rb[:, iu, ju] = upper[:, 0]
+        rb[:, diag, diag] = np.sqrt(rng.standard_gamma(shapes, (b, m))) * c
+        return rb
+
+    return np.repeat(math.sqrt(0.5) * c[ju], 2)[None], factor
 
 
 def _bartlett_slices(scn: Scenario, rng: np.random.Generator, size: int):
@@ -130,27 +163,32 @@ def _bartlett_slices(scn: Scenario, rng: np.random.Generator, size: int):
     one standard_normal call draws G, then R_b's strict upper triangle in C
     order (_std_complex's layout), and one standard_gamma call draws the
     (trial, i) diagonal."""
-    wide = scn.n_r < scn.n_t
-    big, small = (scn.phi_t, scn.phi_r) if wide else (scn.phi_r, scn.phi_t)
-    m = small.dim
-    c = np.sqrt(small.spectrum.expand())
-    iu, ju = np.triu_indices(m, 1)
-    diag = np.arange(m)
-    shapes = (scn.n_s - diag).astype(float)
+    big, small = bartlett_sides(scn)
+    upper, factor = _bartlett_factor(small, scn.n_s)
     scales = [np.repeat(np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()),
-                                 np.ones(m)), 2, axis=1),
-              np.repeat(math.sqrt(0.5) * c[ju], 2)[None]]
+                                 np.ones(small.dim)), 2, axis=1), upper]
 
     def draw(b):  # its temporaries are freed before the caller reads D
-        g, upper = _std_complex(rng, b, scales)
-        rb = np.zeros((b, m, m), dtype=complex)
-        rb[:, iu, ju] = upper[:, 0]
-        rb[:, diag, diag] = np.sqrt(rng.standard_gamma(shapes, (b, m))) * c
-        d = g @ rb
-        return d.transpose(0, 2, 1).copy() if wide else d
+        g, up = _std_complex(rng, b, scales)
+        d = g @ factor(rng, up)
+        return d.transpose(0, 2, 1).copy() if scn.n_r < scn.n_t else d
 
     for lo in range(0, size, SLICE):
         yield lo, draw(min(SLICE, size - lo))
+
+
+def bartlett_factor_slices(scn: Scenario, rng: np.random.Generator, size: int):
+    """Yield (start, B) for consecutive slices of at most SLICE trials of
+    the Bartlett factor alone, B = R_b o sqrt(c)^T (m x m, upper triangular),
+    where bartlett_sides(scn) is (big, small) and c is small's spectrum:
+    conditionally on B, D has the law of (sqrt(big) o G) B / sqrt(n_s) with
+    G i.i.d. (_bartlett_slices).  Per slice one standard_normal call draws
+    the strict upper triangle in C order, then one standard_gamma call the
+    diagonal: m(m-1) normals and m gammas a trial, whatever n_s is."""
+    upper, factor = _bartlett_factor(bartlett_sides(scn)[1], scn.n_s)
+    for lo in range(0, size, SLICE):
+        b = min(SLICE, size - lo)
+        yield lo, factor(rng, _std_complex(rng, b, [upper])[0])
 
 
 def sample_channel(scn: Scenario, rng: np.random.Generator,

@@ -8,6 +8,16 @@ orders of magnitude relative to symbol-level simulation and makes tight
 through ||H||_F^2 or det(I + c H H^H), so it takes the unrotated draw in the
 sides' eigenbases (matstat.channel_slices).
 
+With uncorrelated scatterers and n_s > m = min(n_t, n_r), mc_sep and
+mc_kurtosis_eff condition on less: D = (sqrt(rho) o G) B / sqrt(n_s) with G
+i.i.d. and B the m x m Bartlett factor (matstat.bartlett_factor_slices), so
+a trial draws B alone and integrates G exactly.  With W = B^H B and
+(rho_k, mu_k) the distinct eigenvalues of the unreduced end side Phi, a SEP
+trial is (1/pi) int prod_k det(I + x rho_k W/n_s)^(-mu_k) dtheta at
+x = snr g/(n_t rate sin^2 theta), and a kurtosis trial adds the exact
+E[||H||^2 | B] and E[||H||^4 | B].  mc_capacity, and every other scenario,
+keep the full draw.
+
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from the SFC64
 child stream SeedSequence(seed, spawn_key=(b,)).  A block is drawn in slices
@@ -15,16 +25,21 @@ of 4096 trials (matstat.SLICE); each slice takes its normals from one
 standard_normal call, each factor in C order over (trial, row, column) with
 every complex entry stored as its (real, imaginary) pair: the H1 block, then
 the H2 block (G alone without double scattering).  With uncorrelated
-scatterers and n_s > m = min(n_t, n_r) the slice is drawn in reduced form,
+scatterers and n_s > m the slice is drawn in reduced form,
 D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s): the call holds G (n_r x n_t,
 or n_t x n_r for the transposed D when n_r < n_t), then the strict upper
 triangle of the m x m Bartlett factor R_b, and one standard_gamma call
 follows with the (trial, i) diagonal, R_ii^2 ~ Gamma(n_s - i).  A trial then
-costs 2 n_r n_t + m(m-1) normals and m gammas whatever n_s is.  Blocks run
-concurrently on up to os.cpu_count() threads, and their sums are reduced in
-block order, so results are bit-identical for any worker count.  Standard
-errors come from 32 batch means over the trial index, which stays honest for
-the ratio estimators (kurtosis) as well as plain means.
+costs 2 n_r n_t + m(m-1) normals and m gammas whatever n_s is; a conditioned
+slice (mc_sep, mc_kurtosis_eff) drops G from the call, m(m-1) normals and m
+gammas a trial.  Blocks run concurrently on up to os.cpu_count() threads,
+and their sums are reduced in block order, so results are bit-identical for
+any worker count.  Standard errors come from 32 batch means over the trial
+index, which stays honest for the ratio estimators (kurtosis) as well as
+plain means.  At high SNR a conditioned SEP trial keeps a heavy tail from
+the smallest eigenvalues of W, and there the batch-means error understates
+the spread between seeds (about 1.2x at 20 dB and 1.6x at 40 dB for the
+README scenario at 2^16 trials).
 """
 
 from __future__ import annotations
@@ -32,13 +47,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .matstat import Scenario, channel_slices
-from .sep import PskConstellation, conditional_sep_mpsk, ostbc_snr_scale
+from .matstat import Scenario, bartlett_factor_slices, bartlett_sides, channel_slices
+from .sep import (PskConstellation, conditional_sep_mpsk, conditional_sep_polynomial,
+                  ostbc_snr_scale)
 
 BLOCK_SIZE = 1 << 16
 N_BATCHES = 32
@@ -75,18 +92,18 @@ class KurtosisEff(NamedTuple):
 
 
 def _accumulate(cfg: MonteCarloConfig, per_trial) -> np.ndarray:
-    """The moment table of per_trial(rng, count), an array of `count`
-    per-trial values, over the block schedule: a 3 x N_BATCHES array whose
-    rows hold each batch's trial count, sum of values and sum of squares."""
+    """The moment table of per_trial(rng, count), a pair (x, y) of arrays of
+    `count` per-trial values, over the block schedule: a 3 x N_BATCHES array
+    whose rows hold each batch's trial count, sum of x and sum of y."""
     trials = cfg.trials
 
     def block_table(block: int):
         start = block * BLOCK_SIZE
         cnt = min(BLOCK_SIZE, trials - start)
-        v = per_trial(substream(cfg.seed, block), cnt)
+        x, y = per_trial(substream(cfg.seed, block), cnt)
         batch = (start + np.arange(cnt, dtype=np.int64)) * N_BATCHES // trials
         return np.array([np.bincount(batch, weights=w, minlength=N_BATCHES)
-                         for w in (None, v, v * v)])
+                         for w in (None, x, y)])
 
     blocks = -(-trials // BLOCK_SIZE)
     workers = min(blocks, os.cpu_count() or 1)
@@ -108,7 +125,12 @@ def _accumulate(cfg: MonteCarloConfig, per_trial) -> np.ndarray:
 def _mean_estimate(cfg: MonteCarloConfig, per_trial) -> Estimate:
     """Mean and batch-means standard error of a per-trial scalar; falls back
     to the per-trial variance when there are too few trials for 32 batches."""
-    counts, s1, s2 = _accumulate(cfg, per_trial)
+
+    def with_square(rng, n):
+        v = per_trial(rng, n)
+        return v, v * v
+
+    counts, s1, s2 = _accumulate(cfg, with_square)
     n = cfg.trials
     mean = s1.sum() / n
     if np.all(counts > 1):
@@ -156,18 +178,151 @@ def _log2_det_eye_plus(c: float, h: np.ndarray) -> np.ndarray:
     return 2.0 * np.log2(np.abs(np.diagonal(r, axis1=1, axis2=2))).sum(axis=1)
 
 
+@cache
+def _minor_expansions(m: int):
+    """Laplace tables of the structurally nonzero minors of an m x m upper-
+    triangular matrix, those on rows S and columns T (sorted) with S <= T
+    elementwise: for each j = 2..m-1 the expansion of the j x j minors along
+    their last row s, one (sign, minors, entries, subs) group per column
+    position k, each term the entry (s, t_k) (flat index s*m + t_k) times
+    the (j-1) x (j-1) minor `subs` without row s and column t_k; a 1 x 1
+    minor is indexed by its flat entry.  The group k = j-1 (sign +1, minors
+    None) holds a term of every minor; the others only the nonzero terms."""
+    index = {((s,), (t,)): s * m + t for s in range(m) for t in range(s, m)}
+    levels = []
+    for j in range(2, m):
+        pairs = [(rows, cols) for rows in combinations(range(m), j)
+                 for cols in combinations(range(m), j)
+                 if all(r <= c for r, c in zip(rows, cols))]
+        groups = []
+        for k in reversed(range(j)):
+            terms = [(i, rows[-1] * m + cols[k], index[key])
+                     for i, (rows, cols) in enumerate(pairs)
+                     if (key := (rows[:-1], cols[:k] + cols[k + 1:])) in index
+                     and cols[k] >= rows[-1]]
+            if terms:
+                i, entries, subs = (np.array(c) for c in zip(*terms))
+                groups.append((1 - 2 * ((j - 1 + k) % 2), None if k == j - 1 else i,
+                               entries, subs))
+        levels.append(groups)
+        index = {pair: i for i, pair in enumerate(pairs)}
+    return levels
+
+
+def _abs2_sum(subscripts: str, z: np.ndarray) -> np.ndarray:
+    """The sum of |z|^2 that np.einsum(subscripts, z, z) takes."""
+    return np.einsum(subscripts, z.real, z.real) + np.einsum(subscripts, z.imag, z.imag)
+
+
+def _det_coefficients(b: np.ndarray, top: int | None = None) -> np.ndarray:
+    """(top+1, count) coefficients e_0..e_top of det(I + y B^H B) =
+    sum_j e_j y^j for a stack of `count` upper-triangular m x m B (all m+1
+    by default), with no eigensolve: by Cauchy-Binet e_j is the sum of
+    |minor|^2 over the nonzero j x j minors of B, each built from the
+    (j-1) x (j-1) ones (_minor_expansions), and e_m = prod |B_ii|^2.  Every
+    e_j is a sum of nonnegative terms."""
+    n, m, _ = b.shape
+    top = m if top is None else min(top, m)
+    e = np.empty((top + 1, n))
+    e[0] = 1.0
+    if m > 1:
+        minors = flat = b.reshape(n, m * m)
+        e[1] = _abs2_sum("nk,nk->n", flat)  # the zeros below the diagonal add nothing
+        for j, groups in enumerate(_minor_expansions(m)[:top - 1], start=2):
+            prev = minors
+            for sign, rows, entries, subs in groups:
+                terms = np.take(flat, entries, axis=1)
+                terms *= np.take(prev, subs, axis=1)
+                if rows is None:
+                    minors = terms
+                elif sign > 0:
+                    minors[:, rows] += terms
+                else:
+                    minors[:, rows] -= terms
+            e[j] = _abs2_sum("nk,nk->n", minors)
+    if top == m:
+        diag = np.diagonal(b, axis1=1, axis2=2)
+        e[m] = np.prod(diag.real ** 2 + diag.imag ** 2, axis=1)
+    return e
+
+
+def _fold(e: np.ndarray, factors) -> np.ndarray:
+    """Coefficients in x, (degree+1, count), of prod_k (sum_j e_j (a_k x)^j)^mu_k
+    for each column of e, (a_k, mu_k) in factors: a product of polynomials
+    with nonnegative coefficients, so no term cancels."""
+    width, n = e.shape
+    powers = np.arange(width)[:, None]
+    out = None
+    for a, mu in factors:
+        p = e * a ** powers
+        for _ in range(mu):
+            if out is None:
+                out = p
+                continue
+            nxt = np.zeros((len(out) + width - 1, n))
+            for j in range(width):
+                nxt[j:j + len(out)] += p[j] * out
+            out = nxt
+    return out
+
+
+def _bartlett_sep(scn: Scenario, psk: PskConstellation, scale: float):
+    """per_trial for mc_sep with the reduced draw (matstat.bartlett_sides):
+    with D = (sqrt(rho) o G) B / sqrt(n_s) and G i.i.d., the SNR MGF given B
+    is prod_k det(I + x rho_k W/n_s)^(-mu_k), W = B^H B and (rho_k, mu_k)
+    the distinct eigenvalues of the unreduced side, so each trial's value is
+    the SEP integral of that product (sep.conditional_sep_polynomial)."""
+    factors = [(rho / scn.n_s, mu) for rho, mu in bartlett_sides(scn)[0].spectrum.distinct]
+
+    def per_trial(rng, n):
+        out = np.empty(n)
+        for lo, b in bartlett_factor_slices(scn, rng, n):
+            e, hi = _det_coefficients(b), lo + len(b)
+            del b  # freed before the (trials x theta nodes) denominator
+            out[lo:hi] = conditional_sep_polynomial(_fold(e, factors), psk, scale)
+        return out
+
+    return per_trial
+
+
 def mc_sep(scn: Scenario, psk: PskConstellation, snr: float,
            cfg: MonteCarloConfig) -> Estimate:
     """Semi-analytic SEP estimate: average over channel draws of the exact
-    conditional M-PSK SEP at gamma = snr*||H||_F^2/(n_t*rate)."""
+    conditional M-PSK SEP at gamma = snr*||H||_F^2/(n_t*rate); with the
+    reduced draw, of the exact SEP given the Bartlett factor alone."""
     if not 0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")
     scale = snr * ostbc_snr_scale(scn)
+    if bartlett_sides(scn) is not None:
+        return _mean_estimate(cfg, _bartlett_sep(scn, psk, scale))
 
     def per_trial(rng, n):
         return conditional_sep_mpsk(scale * _frob_sq_samples(scn, rng, n), psk)
 
     return _mean_estimate(cfg, per_trial)
+
+
+def _frob_moments(scn: Scenario, rng: np.random.Generator, count: int):
+    """Per-trial (X, X^2) of X = ||H||_F^2, or with the reduced draw their
+    exact means given the Bartlett factor B: with W = B^H B and Phi the
+    unreduced side, E[X|B] = tr Phi tr W/n_s and
+    E[X^2|B] = ((tr Phi)^2 (tr W)^2 + tr Phi^2 tr W^2)/n_s^2.  tr W and
+    tr W^2 = (tr W)^2 - 2 e_2 come from _det_coefficients; since
+    tr W^2 >= (tr W)^2/m, the difference loses at most a factor m."""
+    sides = bartlett_sides(scn)
+    if sides is None:
+        x = _frob_sq_samples(scn, rng, count)
+        return x, x * x
+    phi = sides[0].spectrum
+    t1, t2 = phi.trace_power(1) / scn.n_s, phi.trace_power(2) / scn.n_s**2
+    m1, m2 = np.empty(count), np.empty(count)
+    for lo, b in bartlett_factor_slices(scn, rng, count):
+        e = _det_coefficients(b, top=2)
+        tr_w = e[1]
+        tr_w2 = tr_w * tr_w - 2.0 * e[2] if len(e) > 2 else tr_w * tr_w
+        m1[lo:lo + len(b)] = t1 * tr_w
+        m2[lo:lo + len(b)] = (t1 * tr_w) ** 2 + t2 * tr_w2
+    return m1, m2
 
 
 def mc_kurtosis_eff(scn: Scenario, cfg: MonteCarloConfig) -> KurtosisEff:
@@ -180,7 +335,7 @@ def mc_kurtosis_eff(scn: Scenario, cfg: MonteCarloConfig) -> KurtosisEff:
     """
     if cfg.trials < 10_000:
         raise ValueError("kurtosis estimation needs at least 1e4 trials")
-    counts, s1, s2 = _accumulate(cfg, partial(_frob_sq_samples, scn))
+    counts, s1, s2 = _accumulate(cfg, partial(_frob_moments, scn))
     n = cfg.trials
     m1, m2 = s1.sum() / n, s2.sum() / n
     kappa = float(m2 / m1**2)

@@ -108,6 +108,26 @@ def conditional_sep_mpsk(gamma, psk: PskConstellation):
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
+def conditional_sep_polynomial(coef: np.ndarray, psk: PskConstellation,
+                               scale: float) -> np.ndarray:
+    """Exact M-PSK SEP of each column of coef, (degree+1, trials), a trial
+    whose SNR MGF is 1/P(x), P(x) = sum_j coef_j x^j with coef_0 = 1 and
+    coef_j >= 0:
+    (1/pi) int_0^Theta 1/P(scale*g/sin^2 theta) dtheta.  P is evaluated as
+    P(x)/(1+x)^d in the basis x^j/(1+x)^d, whose entries lie in [0, 1], so
+    no power of x overflows at any SNR; the floor on the j = 0 column keeps
+    that sum positive where every basis entry underflows."""
+    th, w = gauss_legendre(THETA_NODES, psk.theta_max)
+    x = scale * psk.g / np.sin(th) ** 2
+    d = coef.shape[0] - 1
+    j = np.arange(d + 1)[:, None]
+    basis = (x / (1.0 + x)) ** j * (1.0 / (1.0 + x)) ** (d - j)
+    num = w * basis[0] / math.pi
+    basis[0] = np.maximum(basis[0], np.finfo(float).tiny)
+    den = basis.T @ coef
+    return num @ np.reciprocal(den, out=den)
+
+
 def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
                   n_s: int = 1) -> float:
     """The angular average shared by every closed form: (1/pi) int_0^Theta

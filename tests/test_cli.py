@@ -351,7 +351,9 @@ mc.trials = 20000
 mc.seed = 3
 """
         assert main(["validate", "--config", write(tmp_path, cfg)]) == EXIT_OK
-        assert "unsupported formula" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "unsupported formula" in out
+        assert "sep_mis_in_rho" in out and "no closed form; skipped" in out
 
     @pytest.mark.parametrize("n_s,n_r,check", [
         (2, 2, "PASS  sep_closed_vs_mc@"),  # the receive hop of the Kronecker row
@@ -384,7 +386,9 @@ mc.seed = 3
                + "corr.sc.model = tridiagonal\ncorr.sc.rho = 0.3\n")
         assert main(["validate", "--config", write(tmp_path, cfg)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "kurtosis_mis_in_rho" in out and "skipped" in out
+        for check in ("kurtosis_mis_in_rho", "sep_mis_in_rho"):
+            assert f"PASS  {check}" in out
+        assert out.count("probe rho outside a side's model range; skipped") == 2
 
     def test_readme_config_with_many_scatterers_passes(self, tmp_path, capsys):
         # the README's doubly-correlated example at n_s = 100, where a
@@ -417,6 +421,14 @@ mc.seed = 42
         assert [r[0] for r in rows[1:]] == ["sep_closed_vs_mc@8dB", "kurtosis_analytic_vs_mc",
                                             "sep_monotone_in_snr"]
         assert all(r[3] == "PASS" for r in rows[1:])
+        # a correlated side adds the two rho checks, which read the config
+        cfg = BASE + "corr.tx.model = constant\ncorr.tx.rho = 0.5\n"
+        assert main(["validate", "--config", write(tmp_path, cfg), "--out", out]) == EXIT_OK
+        rows = read_rows(out)
+        assert [r[0] for r in rows[1:]] == ["sep_closed_vs_mc@8dB", "kurtosis_mis_in_rho",
+                                            "sep_mis_in_rho", "kurtosis_analytic_vs_mc",
+                                            "sep_monotone_in_snr"]
+        assert all(r[3] == "PASS" and r[4] == "" for r in rows[1:])
 
 
 class TestDiversity:

@@ -3,20 +3,24 @@ import math
 import os
 import sys
 import tracemalloc
+from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 
 import dsmimo.mc as mc_mod
+import dsmimo.sep as sep_mod
 from dsmimo.cli import EXIT_OK, main
 from dsmimo.codes import g4, ostbc_rate
 from dsmimo.corrmat import constant_corr, exponential_corr, identity_corr, matrix_sqrt
-from dsmimo.matstat import (Scenario, double_product_moments, frobenius_moments,
-                            kurtosis_frobenius, sample_channel)
+from dsmimo.matstat import (Scenario, bartlett_factor_slices, double_product_moments,
+                            frobenius_moments, kurtosis_frobenius, sample_channel)
 from dsmimo.mc import (BLOCK_SIZE, Estimate, MonteCarloConfig, fit_diversity_slope,
                        mc_capacity, mc_kurtosis_eff, mc_sep, substream)
-from dsmimo.sep import (PskConstellation, sep_mpsk, sep_mpsk_iid_rayleigh,
-                        sep_mpsk_uncorrelated, sep_theta_integral)
+from dsmimo.quadrule import gauss_legendre
+from dsmimo.sep import (PskConstellation, conditional_sep_polynomial, sep_mpsk,
+                        sep_mpsk_iid_rayleigh, sep_mpsk_uncorrelated, sep_theta_integral)
 from dsmimo.corrmat import Spectrum
 
 from conftest import cgauss, random_correlation
@@ -68,8 +72,9 @@ class TestDeterminism:
 
     def test_worker_count_never_changes_a_result(self, monkeypatch):
         # 3 full blocks plus a partial one, through the reduced (Bartlett)
-        # draw of the channel sampler; the pinned values fix the stream
-        # layout, so a change to the draw order fails here
+        # draw of the channel sampler (the factor alone for mc_sep and
+        # mc_kurtosis_eff); the pinned values fix the stream layout, so a
+        # change to the draw order fails here
         scn = Scenario(2, 3, 2, exponential_corr(2, 0.5), identity_corr(3),
                        constant_corr(2, 0.3))
         cfg = MonteCarloConfig(3 * BLOCK_SIZE + 4321, seed=2026)
@@ -89,11 +94,44 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert repr(pooled) == repr(run())
-        pinned = [("0x1.3d642a067ddf5p-4", "0x1.2164d03bbc982p-13"),
-                  ("0x1.bad85d85a494bp+0", "0x1.135f7caddae73p-8"),
-                  ("-0x1.5e19c5597c7d5p+0", "0x1.99a42cb31bd97p-6"),
+        pinned = [("0x1.3e8f86656c9f4p-4", "0x1.6d50661b30023p-14"),
+                  ("0x1.bb70c8f9693d1p+0", "0x1.2eefc2b38ec92p-10"),
+                  ("-0x1.5a9043290e0a9p+0", "0x1.c1368c6269f38p-8"),
                   ("0x1.00a0e1aecb423p+2", "0x1.9f00c4122bffep-10")]
         assert [(e.value.hex(), e.std_error.hex()) for e in pooled] == pinned
+
+    def test_unconditioned_paths_keep_their_draws(self):
+        # Monte Carlo conditions on the Bartlett factor only where the draw
+        # is reduced (phi_s = I and n_s > m); phi_s != I, n_s <= m, rich
+        # scattering and both capacities keep their draws and estimates,
+        # pinned as the values before the conditional estimators existed
+        cfg = MonteCarloConfig(5000, seed=77)
+        psk = PskConstellation(4)
+        scenarios = {
+            "phi_s": Scenario(3, 4, 2, constant_corr(3, 0.6), constant_corr(4, 0.5),
+                              constant_corr(2, 0.3)),
+            "n_s<=m": Scenario(3, 2, 2, exponential_corr(3, 0.4), identity_corr(2),
+                               constant_corr(2, 0.3)),
+            "rich": Scenario(2, 3, 2, constant_corr(2, 0.5), identity_corr(3),
+                             constant_corr(2, 0.4), no_double_scattering=True)}
+        got = {}
+        for name, scn in scenarios.items():
+            got[name, "sep"] = mc_sep(scn, psk, 10.0, cfg)
+            got[name, "kurt"] = mc_kurtosis_eff(scn, MonteCarloConfig(10_000, seed=77))[0]
+        readme = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                          constant_corr(4, 0.5), g4())
+        for mode in ("general", "ostbc"):
+            got["readme", mode] = mc_capacity(readme, 10.0, mode, cfg)
+        pinned = {
+            ("phi_s", "sep"): ("0x1.0b2c054074e54p-8", "0x1.3428f000edcf0p-12"),
+            ("phi_s", "kurt"): ("0x1.cffab11eb9d04p+0", "0x1.84b5d519a9108p-6"),
+            ("n_s<=m", "sep"): ("0x1.64f8ae51e11c9p-8", "0x1.33da57d583522p-12"),
+            ("n_s<=m", "kurt"): ("0x1.b63c724e0d1a7p+0", "0x1.d827505a6f9f4p-7"),
+            ("rich", "sep"): ("0x1.9169191f1ae6fp-9", "0x1.6a7af6f23674dp-13"),
+            ("rich", "kurt"): ("0x1.5b9e3e530694cp+0", "0x1.ae8d99b12769dp-8"),
+            ("readme", "general"): ("0x1.14e416b391675p+3", "0x1.1c571c6158908p-6"),
+            ("readme", "ostbc"): ("0x1.0c66cf0105143p+2", "0x1.09d57bfab4e88p-7")}
+        assert {k: (e.value.hex(), e.std_error.hex()) for k, e in got.items()} == pinned
 
     def test_single_block_calls_start_no_thread(self, monkeypatch, tmp_path):
         def no_pool(*args, **kwargs):
@@ -182,33 +220,41 @@ class TestMcSep:
         assert abs(est.value - cf) < 3 * est.std_error
 
     def test_draw_cost_does_not_grow_with_scatterers(self, monkeypatch):
-        # phi_s = I: a trial draws 2 n_r n_t + m(m-1) normals (44 for 4x4)
+        # phi_s = I: mc_sep and mc_kurtosis_eff draw only the m x m Bartlett
+        # factor, m(m-1) normals and m gammas a trial (12 and 4 for 4x4),
         # whatever n_s is, so no n_s-sized array is drawn
-        normals = []
+        counts = {"standard_normal": 0, "standard_gamma": 0}
 
         class Counting:
             def __init__(self, gen):
                 self._gen = gen
 
-            def standard_normal(self, *args, **kwargs):
-                x = self._gen.standard_normal(*args, **kwargs)
-                normals.append(x.size)
-                return x
-
             def __getattr__(self, attr):
-                return getattr(self._gen, attr)
+                method = getattr(self._gen, attr)
+                if attr not in counts:
+                    return method
+
+                def counted(*args, **kwargs):
+                    x = method(*args, **kwargs)
+                    counts[attr] += x.size
+                    return x
+
+                return counted
 
         monkeypatch.setattr(mc_mod, "substream",
                             lambda seed, index: Counting(substream(seed, index)))
-        trials = 16
+        calls = {"mc_sep": (16, lambda scn, cfg: mc_sep(scn, PskConstellation(8), 10.0, cfg)),
+                 "mc_kurtosis_eff": (10_000, mc_kurtosis_eff)}
         per_trial = {}
-        for n_s in (10, 10_000):
-            normals.clear()
-            scn = Scenario(4, n_s, 4, constant_corr(4, 0.5), identity_corr(n_s),
-                           constant_corr(4, 0.5), g4())
-            mc_sep(scn, PskConstellation(8), 10.0, MonteCarloConfig(trials, seed=5))
-            per_trial[n_s] = sum(normals) / trials
-        assert per_trial == {10: 44, 10_000: 44}
+        for name, (trials, call) in calls.items():
+            for n_s in (10, 10_000):
+                counts.update(dict.fromkeys(counts, 0))
+                scn = Scenario(4, n_s, 4, constant_corr(4, 0.5), identity_corr(n_s),
+                               constant_corr(4, 0.5), g4())
+                call(scn, MonteCarloConfig(trials, seed=5))
+                per_trial[name, n_s] = {k: v / trials for k, v in counts.items()}
+        assert all(c == {"standard_normal": 12, "standard_gamma": 4}
+                   for c in per_trial.values()), per_trial
 
     def test_estimate_fields(self):
         scn = Scenario.uncorrelated(1, 2, 1)
@@ -217,6 +263,147 @@ class TestMcSep:
         assert isinstance(est, Estimate)
         assert est.trials == 4096
         assert est.std_error >= 0
+
+
+def _bartlett_factors(n_t, n_s, n_r, count, seed):
+    """`count` Bartlett factors of a scenario with constant rho = 0.5 end
+    sides, as mc_sep and mc_kurtosis_eff draw them."""
+    scn = Scenario(n_t, n_s, n_r, constant_corr(n_t, 0.5), identity_corr(n_s),
+                   constant_corr(n_r, 0.5))
+    return next(bartlett_factor_slices(scn, substream(seed, 0), count))[1]
+
+
+def _mp_det_coefficients(b):
+    """e_j of det(I + y B^H B) at 50 digits: sums of the principal j x j
+    minors of the Gram matrix, which mpmath forms from B's exact entries."""
+    with mpmath.workdps(50):
+        bm = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in b])
+        w = bm.H * bm
+        m = len(b)
+        return [mpmath.mpf(1)] + [
+            mpmath.re(mpmath.fsum(mpmath.det(mpmath.matrix([[w[r, c] for c in t] for r in t]))
+                                  for t in combinations(range(m), j)))
+            for j in range(1, m + 1)]
+
+
+def _mp_fold(e, factors):
+    """Coefficients of prod_k (sum_j e_j (a_k x)^j)^mu_k at 50 digits."""
+    with mpmath.workdps(50):
+        out = [mpmath.mpf(1)]
+        for a, mu in factors:
+            p = [c * mpmath.mpf(a) ** j for j, c in enumerate(e)]
+            for _ in range(mu):
+                nxt = [mpmath.mpf(0)] * (len(out) + len(p) - 1)
+                for i, u in enumerate(out):
+                    for j, v in enumerate(p):
+                        nxt[i + j] += u * v
+                out = nxt
+        return out
+
+
+class TestConditionalKernel:
+    """The e_j / polynomial code of the conditional SEP against 50-digit
+    mpmath, on Bartlett factors as drawn and on near-singular ones."""
+
+    @staticmethod
+    def factors():
+        cases = []
+        for dims, seed in [((1, 6, 1), 1), ((2, 5, 3), 2), ((3, 7, 4), 3), ((4, 10, 4), 4),
+                           ((5, 9, 5), 5)]:
+            b = _bartlett_factors(*dims, 6, seed)
+            m = b.shape[1]
+            for k, tiny in enumerate((1e-4, 1e-8)):
+                # one diagonal entry (Gamma draw) near zero: a near-singular W
+                b[k, m - 1 - k % m, m - 1 - k % m] *= tiny
+            cases.append(b)
+        return cases
+
+    def test_coefficients_match_mpmath(self):
+        for b in self.factors():
+            got = mc_mod._det_coefficients(b)
+            for i in range(len(b)):
+                ref = np.array(_mp_det_coefficients(b[i]), dtype=float)
+                np.testing.assert_allclose(got[:, i], ref, rtol=1e-12, atol=0)
+
+    def test_folded_polynomial_matches_mpmath(self):
+        factors = [(2.5 / 10, 1), (0.5 / 10, 3)]  # constant rho = 0.5, n = 4, n_s = 10
+        for b in self.factors():
+            got = mc_mod._fold(mc_mod._det_coefficients(b), factors)
+            assert got.shape == (4 * b.shape[1] + 1, len(b))
+            for i in range(len(b)):
+                ref = np.array(_mp_fold(_mp_det_coefficients(b[i]), factors), dtype=float)
+                np.testing.assert_allclose(got[:, i], ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dims", [(4, 10, 4), (4, 10, 16), (16, 20, 4)])
+    def test_theta_stage_finite_up_to_40_db(self, dims):
+        # the largest theta node at 40 dB puts x near 1e10, where x^64 of
+        # the 4x10x16 polynomial would overflow a double; the basis
+        # x^j/(1+x)^d keeps every value finite, and at 10 and 40 dB each
+        # trial matches the same Gauss-Legendre sum of 1/P(x) at 50 digits
+        n_t, n_s, n_r = dims
+        b = _bartlett_factors(n_t, n_s, n_r, 8, 6)
+        b[0, -1, -1] *= 1e-8
+        big = constant_corr(max(n_t, n_r), 0.5).spectrum
+        factors = [(rho / n_s, mu) for rho, mu in big.distinct]
+        coef = mc_mod._fold(mc_mod._det_coefficients(b), factors)
+        psk = PskConstellation(8)
+        th, w = gauss_legendre(sep_mod.THETA_NODES, psk.theta_max)
+        for snr_db in (10.0, 40.0):
+            scale = db(snr_db) / (n_t * 0.75)
+            x = scale * psk.g / np.sin(th) ** 2
+            got = conditional_sep_polynomial(coef, psk, scale)
+            assert np.all(np.isfinite(got)) and np.all((got >= 0) & (got <= psk.sep_ceiling))
+            with mpmath.workdps(50):
+                for i in (0, 1):
+                    c = [mpmath.mpf(float(v)) for v in coef[:, i]]
+                    ref = mpmath.fsum(mpmath.mpf(float(wk)) / mpmath.polyval(c[::-1],
+                                                                            mpmath.mpf(float(xk)))
+                                      for wk, xk in zip(w, x)) / mpmath.pi
+                    assert got[i] == pytest.approx(float(ref), rel=1e-12)
+
+
+class TestConditionalCalibration:
+    """mc_sep conditioned on the Bartlett factor against the closed form."""
+
+    README = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                      constant_corr(4, 0.5), g4())
+
+    def runs(self, snr_db, seeds=range(10), trials=1 << 16, scn=README):
+        psk = PskConstellation(8)
+        cf = sep_mpsk(scn, psk, db(snr_db))
+        ests = [mc_sep(scn, psk, db(snr_db), MonteCarloConfig(trials, seed)) for seed in seeds]
+        return cf, np.array([e.value for e in ests]), np.array([e.std_error for e in ests])
+
+    @pytest.mark.parametrize("snr_db", [10.0, 15.0])
+    def test_every_seed_within_3_sigma(self, snr_db):
+        cf, v, se = self.runs(snr_db)
+        assert np.all(np.abs(v - cf) <= 3 * se), (v - cf) / se
+        assert se.max() / se.min() <= 2.0, se
+
+    def test_20_db(self):
+        # the per-trial values still carry a heavy tail from the Bartlett
+        # factor's smallest eigenvalue, so at 20 dB a seed's batch-means
+        # error is not a 3-sigma gate; every seed is within 5% and the
+        # pooled estimate within 3 pooled sigma
+        cf, v, se = self.runs(20.0)
+        assert np.all(np.abs(v / cf - 1) <= 0.05), v / cf - 1
+        assert abs(v.mean() - cf) <= 3 * np.sqrt((se ** 2).sum()) / len(v)
+
+    @pytest.mark.parametrize("snr_db", [30.0, 40.0])
+    def test_high_snr_finite_and_pooled_within_3_sigma(self, snr_db):
+        cf, v, se = self.runs(snr_db)
+        assert np.all(np.isfinite(v) & (v > 0) & np.isfinite(se) & (se > 0))
+        assert abs(v.mean() - cf) <= 3 * np.sqrt((se ** 2).sum()) / len(v)
+
+    @pytest.mark.parametrize("scn", [
+        Scenario.uncorrelated(1, 6, 1),
+        # n_r < n_t: the Bartlett factor takes the receive side's spectrum
+        Scenario(4, 10, 2, constant_corr(4, 0.5), identity_corr(10),
+                 exponential_corr(2, 0.3), g4())], ids=["1x6x1", "4x10x2"])
+    @pytest.mark.parametrize("snr_db", [10.0, 20.0])
+    def test_both_orientations(self, scn, snr_db):
+        cf, v, se = self.runs(snr_db, seeds=[11], scn=scn)
+        assert abs(v[0] - cf) <= 3 * se[0]
 
 
 class TestMcKurtosisEff:
