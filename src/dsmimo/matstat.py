@@ -130,25 +130,23 @@ def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
 
 
 def _bartlett_factor(small: CorrelationMatrix, n_s: int):
-    """(scale, factor) for the m x m factor B = R_b o sqrt(c)^T, c the
+    """(scale, shapes, build) for the m x m factor B = R_b o sqrt(c)^T, c the
     spectrum of `small`: `scale` is _std_complex's scale of R_b's strict
-    upper triangle, and factor(rng, upper) builds B from that triangle's
-    draw (b, 1, m(m-1)/2), drawing the (trial, i) diagonal with one
-    standard_gamma call, R_ii^2 ~ Gamma(n_s - i)."""
+    upper triangle, `shapes` the Gamma shapes n_s - i of R_ii^2, and
+    build(upper, gam) assembles B from that triangle's draw
+    (b, 1, m(m-1)/2) and the (trial, i) diagonal draws gam."""
     m = small.dim
     c = np.sqrt(small.spectrum.expand())
     iu, ju = np.triu_indices(m, 1)
     diag = np.arange(m)
-    shapes = (n_s - diag).astype(float)
 
-    def factor(rng, upper):
-        b = len(upper)
-        rb = np.zeros((b, m, m), dtype=complex)
+    def build(upper, gam):
+        rb = np.zeros((len(upper), m, m), dtype=complex)
         rb[:, iu, ju] = upper[:, 0]
-        rb[:, diag, diag] = np.sqrt(rng.standard_gamma(shapes, (b, m))) * c
+        rb[:, diag, diag] = np.sqrt(gam) * c
         return rb
 
-    return np.repeat(math.sqrt(0.5) * c[ju], 2)[None], factor
+    return np.repeat(math.sqrt(0.5) * c[ju], 2)[None], (n_s - diag).astype(float), build
 
 
 def _bartlett_slices(scn: Scenario, rng: np.random.Generator, size: int):
@@ -164,31 +162,57 @@ def _bartlett_slices(scn: Scenario, rng: np.random.Generator, size: int):
     order (_std_complex's layout), and one standard_gamma call draws the
     (trial, i) diagonal."""
     big, small = bartlett_sides(scn)
-    upper, factor = _bartlett_factor(small, scn.n_s)
+    upper, shapes, build = _bartlett_factor(small, scn.n_s)
     scales = [np.repeat(np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()),
                                  np.ones(small.dim)), 2, axis=1), upper]
 
     def draw(b):  # its temporaries are freed before the caller reads D
         g, up = _std_complex(rng, b, scales)
-        d = g @ factor(rng, up)
+        d = g @ build(up, rng.standard_gamma(shapes, (b, small.dim)))
         return d.transpose(0, 2, 1).copy() if scn.n_r < scn.n_t else d
 
     for lo in range(0, size, SLICE):
         yield lo, draw(min(SLICE, size - lo))
 
 
-def bartlett_factor_slices(scn: Scenario, rng: np.random.Generator, size: int):
-    """Yield (start, B) for consecutive slices of at most SLICE trials of
+#: With a tilted Bartlett draw, every TILT_EVERY-th trial of a batch takes
+#: the tilted diagonal (bartlett_factor_slices); SLICE is a multiple of it.
+TILT_EVERY = 8
+
+
+def bartlett_factor_slices(scn: Scenario, rng: np.random.Generator, size: int,
+                           tilt: int = 0):
+    """Yield (start, B, w) for consecutive slices of at most SLICE trials of
     the Bartlett factor alone, B = R_b o sqrt(c)^T (m x m, upper triangular),
     where bartlett_sides(scn) is (big, small) and c is small's spectrum:
     conditionally on B, D has the law of (sqrt(big) o G) B / sqrt(n_s) with
     G i.i.d. (_bartlett_slices).  Per slice one standard_normal call draws
     the strict upper triangle in C order, then one standard_gamma call the
-    diagonal: m(m-1) normals and m gammas a trial, whatever n_s is."""
-    upper, factor = _bartlett_factor(bartlett_sides(scn)[1], scn.n_s)
+    (trial, i) diagonal: m(m-1) normals and m gammas a trial, whatever n_s
+    is.  With tilt = 0, R_ii^2 ~ Gamma(n_s - i) and w is None (every weight
+    1).  With tilt = k > 0, trials whose index in the batch is a multiple of
+    TILT_EVERY draw R_ii^2 ~ Gamma(max(n_s - i - k, 1/2)) instead, and w is
+    each trial's likelihood ratio p/q of the untilted law p to the slice's
+    mixture q = (1 - a) p + a p_tilt, a the slice's tilted share, so that
+    E[w f(B)] = E f(B) for any f, with w <= 1/(1 - a).  A function growing
+    like det(B^H B)^(-k) near singular B has most of its mean where the
+    tilted law puts its mass."""
+    _, small = bartlett_sides(scn)
+    upper, shapes, build = _bartlett_factor(small, scn.n_s)
+    tilted = np.maximum(shapes - tilt, 0.5)
+    log_ratio = sum(math.lgamma(a) - math.lgamma(t) for a, t in zip(shapes, tilted))
     for lo in range(0, size, SLICE):
         b = min(SLICE, size - lo)
-        yield lo, factor(rng, _std_complex(rng, b, [upper])[0])
+        up = _std_complex(rng, b, [upper])[0]
+        if not tilt:
+            yield lo, build(up, rng.standard_gamma(shapes, (b, small.dim))), None
+            continue
+        hit = (lo + np.arange(b)) % TILT_EVERY == 0
+        gam = rng.standard_gamma(np.where(hit[:, None], tilted, shapes))
+        a = hit.mean()
+        # p_tilt/p = prod_i Gamma(n_s - i)/Gamma(t_i) g_i^(t_i - n_s + i)
+        ratio = np.exp(log_ratio + np.log(gam) @ (tilted - shapes))
+        yield lo, build(up, gam), 1.0 / ((1.0 - a) + a * ratio)
 
 
 def sample_channel(scn: Scenario, rng: np.random.Generator,

@@ -15,8 +15,13 @@ a trial draws B alone and integrates G exactly.  With W = B^H B and
 (rho_k, mu_k) the distinct eigenvalues of the unreduced end side Phi, a SEP
 trial is (1/pi) int prod_k det(I + x rho_k W/n_s)^(-mu_k) dtheta at
 x = snr g/(n_t rate sin^2 theta), and a kurtosis trial adds the exact
-E[||H||^2 | B] and E[||H||^4 | B].  mc_capacity, and every other scenario,
-keep the full draw.
+E[||H||^2 | B] and E[||H||^4 | B].  That SEP grows like det(W)^(-n) as W
+nears singular (n the unreduced side's dimension), so mc_sep draws every
+8th trial's diagonal from the tilted Gamma(n_s - i - n) and weights each
+trial by its likelihood ratio (matstat.bartlett_factor_slices); without
+it the per-trial values are heavy-tailed at high SNR and the batch-means
+error understates the spread between seeds.  mc_capacity, and every other
+scenario, keep the full draw.
 
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from the SFC64
@@ -32,14 +37,13 @@ triangle of the m x m Bartlett factor R_b, and one standard_gamma call
 follows with the (trial, i) diagonal, R_ii^2 ~ Gamma(n_s - i).  A trial then
 costs 2 n_r n_t + m(m-1) normals and m gammas whatever n_s is; a conditioned
 slice (mc_sep, mc_kurtosis_eff) drops G from the call, m(m-1) normals and m
-gammas a trial.  Blocks run concurrently on up to os.cpu_count() threads,
+gammas a trial, mc_sep's gamma call taking the tilted shapes on trials
+whose index in the block is a multiple of 8.  Blocks run concurrently on up
+to os.cpu_count() threads,
 and their sums are reduced in block order, so results are bit-identical for
 any worker count.  Standard errors come from 32 batch means over the trial
 index, which stays honest for the ratio estimators (kurtosis) as well as
-plain means.  At high SNR a conditioned SEP trial keeps a heavy tail from
-the smallest eigenvalues of W, and there the batch-means error understates
-the spread between seeds (about 1.2x at 20 dB and 1.6x at 40 dB for the
-README scenario at 2^16 trials).
+plain means.
 """
 
 from __future__ import annotations
@@ -271,15 +275,18 @@ def _bartlett_sep(scn: Scenario, psk: PskConstellation, scale: float):
     with D = (sqrt(rho) o G) B / sqrt(n_s) and G i.i.d., the SNR MGF given B
     is prod_k det(I + x rho_k W/n_s)^(-mu_k), W = B^H B and (rho_k, mu_k)
     the distinct eigenvalues of the unreduced side, so each trial's value is
-    the SEP integral of that product (sep.conditional_sep_polynomial)."""
-    factors = [(rho / scn.n_s, mu) for rho, mu in bartlett_sides(scn)[0].spectrum.distinct]
+    the SEP integral of that product (sep.conditional_sep_polynomial),
+    times the trial's weight under the draw tilted by that side's
+    dimension, the power of det(W) the SEP falls with at high SNR."""
+    big = bartlett_sides(scn)[0]
+    factors = [(rho / scn.n_s, mu) for rho, mu in big.spectrum.distinct]
 
     def per_trial(rng, n):
         out = np.empty(n)
-        for lo, b in bartlett_factor_slices(scn, rng, n):
+        for lo, b, w in bartlett_factor_slices(scn, rng, n, tilt=big.dim):
             e, hi = _det_coefficients(b), lo + len(b)
             del b  # freed before the (trials x theta nodes) denominator
-            out[lo:hi] = conditional_sep_polynomial(_fold(e, factors), psk, scale)
+            out[lo:hi] = w * conditional_sep_polynomial(_fold(e, factors), psk, scale)
         return out
 
     return per_trial
@@ -316,7 +323,7 @@ def _frob_moments(scn: Scenario, rng: np.random.Generator, count: int):
     phi = sides[0].spectrum
     t1, t2 = phi.trace_power(1) / scn.n_s, phi.trace_power(2) / scn.n_s**2
     m1, m2 = np.empty(count), np.empty(count)
-    for lo, b in bartlett_factor_slices(scn, rng, count):
+    for lo, b, _ in bartlett_factor_slices(scn, rng, count):
         e = _det_coefficients(b, top=2)
         tr_w = e[1]
         tr_w2 = tr_w * tr_w - 2.0 * e[2] if len(e) > 2 else tr_w * tr_w
