@@ -201,18 +201,20 @@ def bartlett_factor_slices(scn: Scenario, rng: np.random.Generator, size: int,
     upper, shapes, build = _bartlett_factor(small, scn.n_s)
     tilted = np.maximum(shapes - tilt, 0.5)
     log_ratio = sum(math.lgamma(a) - math.lgamma(t) for a, t in zip(shapes, tilted))
-    for lo in range(0, size, SLICE):
-        b = min(SLICE, size - lo)
+
+    def draw(lo, b):  # its temporaries are freed before the caller reads B
         up = _std_complex(rng, b, [upper])[0]
         if not tilt:
-            yield lo, build(up, rng.standard_gamma(shapes, (b, small.dim))), None
-            continue
+            return build(up, rng.standard_gamma(shapes, (b, small.dim))), None
         hit = (lo + np.arange(b)) % TILT_EVERY == 0
         gam = rng.standard_gamma(np.where(hit[:, None], tilted, shapes))
         a = hit.mean()
         # p_tilt/p = prod_i Gamma(n_s - i)/Gamma(t_i) g_i^(t_i - n_s + i)
         ratio = np.exp(log_ratio + np.log(gam) @ (tilted - shapes))
-        yield lo, build(up, gam), 1.0 / ((1.0 - a) + a * ratio)
+        return build(up, gam), 1.0 / ((1.0 - a) + a * ratio)
+
+    for lo in range(0, size, SLICE):
+        yield lo, *draw(lo, min(SLICE, size - lo))
 
 
 def sample_channel(scn: Scenario, rng: np.random.Generator,

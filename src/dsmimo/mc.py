@@ -8,12 +8,13 @@ orders of magnitude relative to symbol-level simulation and makes tight
 through ||H||_F^2 or det(I + c H H^H), so it takes the unrotated draw in the
 sides' eigenbases (matstat.channel_slices).
 
-With uncorrelated scatterers and n_s > m = min(n_t, n_r), mc_sep and
-mc_kurtosis_eff condition on less: D = (sqrt(rho) o G) B / sqrt(n_s) with G
-i.i.d. and B the m x m Bartlett factor (matstat.bartlett_factor_slices), so
-a trial draws B alone and integrates G exactly.  With W = B^H B and
-(rho_k, mu_k) the distinct eigenvalues of the unreduced end side Phi, a SEP
-trial is (1/pi) int prod_k det(I + x rho_k W/n_s)^(-mu_k) dtheta at
+With uncorrelated scatterers and n_s > m = min(n_t, n_r), mc_kurtosis_eff,
+and mc_sep while m <= CONDITIONED_SEP_MAX_M, condition on less:
+D = (sqrt(rho) o G) B / sqrt(n_s) with G i.i.d. and B the m x m Bartlett
+factor (matstat.bartlett_factor_slices), so a trial draws B alone and
+integrates G exactly.  With W = B^H B and (rho_k, mu_k) the distinct
+eigenvalues of the unreduced end side Phi, a SEP trial is
+(1/pi) int prod_k det(I + x rho_k W/n_s)^(-mu_k) dtheta at
 x = snr g/(n_t rate sin^2 theta), and a kurtosis trial adds the exact
 E[||H||^2 | B] and E[||H||^4 | B].  That SEP grows like det(W)^(-n) as W
 nears singular (n the unreduced side's dimension), so mc_sep draws every
@@ -36,12 +37,11 @@ or n_t x n_r for the transposed D when n_r < n_t), then the strict upper
 triangle of the m x m Bartlett factor R_b, and one standard_gamma call
 follows with the (trial, i) diagonal, R_ii^2 ~ Gamma(n_s - i).  A trial then
 costs 2 n_r n_t + m(m-1) normals and m gammas whatever n_s is; a conditioned
-slice (mc_sep, mc_kurtosis_eff) drops G from the call, m(m-1) normals and m
-gammas a trial, mc_sep's gamma call taking the tilted shapes on trials
-whose index in the block is a multiple of 8.  Blocks run concurrently on up
-to os.cpu_count() threads,
-and their sums are reduced in block order, so results are bit-identical for
-any worker count.  Standard errors come from 32 batch means over the trial
+slice drops G from the call, m(m-1) normals and m gammas a trial, mc_sep's
+gamma call taking the tilted shapes on trials whose index in the block is a
+multiple of 8.  Blocks run concurrently on up to os.cpu_count() threads, and
+their sums are reduced in block order, so results are bit-identical for any
+worker count.  Standard errors come from 32 batch means over the trial
 index, which stays honest for the ratio estimators (kurtosis) as well as
 plain means.
 """
@@ -63,6 +63,10 @@ from .sep import (PskConstellation, conditional_sep_mpsk, conditional_sep_polyno
 
 BLOCK_SIZE = 1 << 16
 N_BATCHES = 32
+#: mc_sep conditions on the Bartlett factor only up to this m: its Laplace
+#: tables hold Catalan(m + 1) minors, and at m = 5 a 4096-trial slice
+#: already takes as long as the full draw and twice its memory.
+CONDITIONED_SEP_MAX_M = 4
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -218,21 +222,19 @@ def _abs2_sum(subscripts: str, z: np.ndarray) -> np.ndarray:
     return np.einsum(subscripts, z.real, z.real) + np.einsum(subscripts, z.imag, z.imag)
 
 
-def _det_coefficients(b: np.ndarray, top: int | None = None) -> np.ndarray:
-    """(top+1, count) coefficients e_0..e_top of det(I + y B^H B) =
-    sum_j e_j y^j for a stack of `count` upper-triangular m x m B (all m+1
-    by default), with no eigensolve: by Cauchy-Binet e_j is the sum of
-    |minor|^2 over the nonzero j x j minors of B, each built from the
-    (j-1) x (j-1) ones (_minor_expansions), and e_m = prod |B_ii|^2.  Every
-    e_j is a sum of nonnegative terms."""
+def _det_coefficients(b: np.ndarray) -> np.ndarray:
+    """(m+1, count) coefficients e_0..e_m of det(I + y B^H B) = sum_j e_j y^j
+    for a stack of `count` upper-triangular m x m B, with no eigensolve: by
+    Cauchy-Binet e_j is the sum of |minor|^2 over the nonzero j x j minors
+    of B, each built from the (j-1) x (j-1) ones (_minor_expansions), and
+    e_m = prod |B_ii|^2.  Every e_j is a sum of nonnegative terms."""
     n, m, _ = b.shape
-    top = m if top is None else min(top, m)
-    e = np.empty((top + 1, n))
+    e = np.empty((m + 1, n))
     e[0] = 1.0
     if m > 1:
         minors = flat = b.reshape(n, m * m)
         e[1] = _abs2_sum("nk,nk->n", flat)  # the zeros below the diagonal add nothing
-        for j, groups in enumerate(_minor_expansions(m)[:top - 1], start=2):
+        for j, groups in enumerate(_minor_expansions(m), start=2):
             prev = minors
             for sign, rows, entries, subs in groups:
                 terms = np.take(flat, entries, axis=1)
@@ -244,9 +246,8 @@ def _det_coefficients(b: np.ndarray, top: int | None = None) -> np.ndarray:
                 else:
                     minors[:, rows] -= terms
             e[j] = _abs2_sum("nk,nk->n", minors)
-    if top == m:
-        diag = np.diagonal(b, axis1=1, axis2=2)
-        e[m] = np.prod(diag.real ** 2 + diag.imag ** 2, axis=1)
+    diag = np.diagonal(b, axis1=1, axis2=2)
+    e[m] = np.prod(diag.real ** 2 + diag.imag ** 2, axis=1)
     return e
 
 
@@ -284,9 +285,9 @@ def _bartlett_sep(scn: Scenario, psk: PskConstellation, scale: float):
     def per_trial(rng, n):
         out = np.empty(n)
         for lo, b, w in bartlett_factor_slices(scn, rng, n, tilt=big.dim):
-            e, hi = _det_coefficients(b), lo + len(b)
-            del b  # freed before the (trials x theta nodes) denominator
-            out[lo:hi] = w * conditional_sep_polynomial(_fold(e, factors), psk, scale)
+            coef, hi = _fold(_det_coefficients(b), factors), lo + len(b)
+            del b  # freed before the (theta nodes x trials) denominator
+            out[lo:hi] = w * conditional_sep_polynomial(coef, psk, scale)
         return out
 
     return per_trial
@@ -300,7 +301,8 @@ def mc_sep(scn: Scenario, psk: PskConstellation, snr: float,
     if not 0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")
     scale = snr * ostbc_snr_scale(scn)
-    if bartlett_sides(scn) is not None:
+    sides = bartlett_sides(scn)
+    if sides is not None and sides[1].dim <= CONDITIONED_SEP_MAX_M:
         return _mean_estimate(cfg, _bartlett_sep(scn, psk, scale))
 
     def per_trial(rng, n):
@@ -309,13 +311,24 @@ def mc_sep(scn: Scenario, psk: PskConstellation, snr: float,
     return _mean_estimate(cfg, per_trial)
 
 
+def _gram_traces(b: np.ndarray):
+    """(tr W, tr W^2) of W = B^H B for a stack of upper-triangular m x m B:
+    tr W = ||B||_F^2 and tr W^2 = ||W||_F^2, W's row i taken from its upper
+    part W_ij = sum_{k <= i} conj(B_ki) B_kj (j >= i), trials last."""
+    bt = b.transpose(1, 2, 0).copy()
+    tr_w2 = np.zeros(len(b))
+    for i in range(b.shape[1]):
+        row = np.einsum("kn,kjn->jn", bt[:i + 1, i].conj(), bt[:i + 1, i:])
+        tr_w2 += 2.0 * _abs2_sum("jn,jn->n", row) - _abs2_sum("n,n->n", row[0])
+    return _abs2_sum("ijn,ijn->n", bt), tr_w2
+
+
 def _frob_moments(scn: Scenario, rng: np.random.Generator, count: int):
     """Per-trial (X, X^2) of X = ||H||_F^2, or with the reduced draw their
     exact means given the Bartlett factor B: with W = B^H B and Phi the
     unreduced side, E[X|B] = tr Phi tr W/n_s and
-    E[X^2|B] = ((tr Phi)^2 (tr W)^2 + tr Phi^2 tr W^2)/n_s^2.  tr W and
-    tr W^2 = (tr W)^2 - 2 e_2 come from _det_coefficients; since
-    tr W^2 >= (tr W)^2/m, the difference loses at most a factor m."""
+    E[X^2|B] = ((tr Phi)^2 (tr W)^2 + tr Phi^2 tr W^2)/n_s^2
+    (_gram_traces)."""
     sides = bartlett_sides(scn)
     if sides is None:
         x = _frob_sq_samples(scn, rng, count)
@@ -324,9 +337,7 @@ def _frob_moments(scn: Scenario, rng: np.random.Generator, count: int):
     t1, t2 = phi.trace_power(1) / scn.n_s, phi.trace_power(2) / scn.n_s**2
     m1, m2 = np.empty(count), np.empty(count)
     for lo, b, _ in bartlett_factor_slices(scn, rng, count):
-        e = _det_coefficients(b, top=2)
-        tr_w = e[1]
-        tr_w2 = tr_w * tr_w - 2.0 * e[2] if len(e) > 2 else tr_w * tr_w
+        tr_w, tr_w2 = _gram_traces(b)
         m1[lo:lo + len(b)] = t1 * tr_w
         m2[lo:lo + len(b)] = (t1 * tr_w) ** 2 + t2 * tr_w2
     return m1, m2
