@@ -259,7 +259,7 @@ class TestMcSep:
 
     def test_large_m_stays_within_memory(self):
         # 12x24x12: conditioning mc_sep on the Bartlett factor would hold
-        # Catalan(13) = 742900 minors a slice, so above CONDITIONED_SEP_MAX_M
+        # Catalan(13) = 742900 minors a trial, so above CONDITIONED_SEP_MAX_M
         # it keeps the full draw; mc_kurtosis_eff needs only tr W and tr W^2
         m = 12
         scn = Scenario(m, 2 * m, m, constant_corr(m, 0.5), identity_corr(2 * m),
