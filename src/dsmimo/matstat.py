@@ -129,26 +129,6 @@ def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
         yield lo, reduce(np.matmul, _std_complex(rng, b, scales))
 
 
-def _bartlett_factor(small: CorrelationMatrix, n_s: int):
-    """(scale, shapes, build) for the m x m factor B = R_b o sqrt(c)^T, c the
-    spectrum of `small`: `scale` is _std_complex's scale of R_b's strict
-    upper triangle, `shapes` the Gamma shapes n_s - i of R_ii^2, and
-    build(upper, gam) assembles B from that triangle's draw
-    (b, 1, m(m-1)/2) and the (trial, i) diagonal draws gam."""
-    m = small.dim
-    c = np.sqrt(small.spectrum.expand())
-    iu, ju = np.triu_indices(m, 1)
-    diag = np.arange(m)
-
-    def build(upper, gam):
-        rb = np.zeros((len(upper), m, m), dtype=complex)
-        rb[:, iu, ju] = upper[:, 0]
-        rb[:, diag, diag] = np.sqrt(gam) * c
-        return rb
-
-    return np.repeat(math.sqrt(0.5) * c[ju], 2)[None], (n_s - diag).astype(float), build
-
-
 def _bartlett_slices(scn: Scenario, rng: np.random.Generator, size: int):
     """channel_slices for phi_s = I and n_s > m = min(n_t, n_r), with no
     n_s-sized factor.  Write H2 = Q R_b (QR): Q is Haar and independent of
@@ -162,56 +142,127 @@ def _bartlett_slices(scn: Scenario, rng: np.random.Generator, size: int):
     order (_std_complex's layout), and one standard_gamma call draws the
     (trial, i) diagonal."""
     big, small = bartlett_sides(scn)
-    upper, shapes, build = _bartlett_factor(small, scn.n_s)
+    m = small.dim
+    c = np.sqrt(small.spectrum.expand())
+    iu, ju = np.triu_indices(m, 1)
+    diag = np.arange(m)
+    shapes = (scn.n_s - diag).astype(float)
     scales = [np.repeat(np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()),
-                                 np.ones(small.dim)), 2, axis=1), upper]
+                                 np.ones(m)), 2, axis=1),
+              np.repeat(math.sqrt(0.5) * c[ju], 2)[None]]
 
     def draw(b):  # its temporaries are freed before the caller reads D
         g, up = _std_complex(rng, b, scales)
-        d = g @ build(up, rng.standard_gamma(shapes, (b, small.dim)))
+        rb = np.zeros((b, m, m), dtype=complex)
+        rb[:, iu, ju] = up[:, 0]
+        rb[:, diag, diag] = np.sqrt(rng.standard_gamma(shapes, (b, m))) * c
+        d = g @ rb
         return d.transpose(0, 2, 1).copy() if scn.n_r < scn.n_t else d
 
     for lo in range(0, size, SLICE):
         yield lo, draw(min(SLICE, size - lo))
 
 
-#: With a tilted Bartlett draw, every TILT_EVERY-th trial of a batch takes
-#: the tilted diagonal (bartlett_factor_slices); SLICE is a multiple of it.
+#: With a tilted bidiagonal draw, every TILT_EVERY-th trial of a batch takes
+#: the tilted diagonal (bidiagonal_slices); SLICE is a multiple of it.
 TILT_EVERY = 8
 
 
-def bartlett_factor_slices(scn: Scenario, rng: np.random.Generator, size: int,
-                           tilt: int = 0):
-    """Yield (start, B, w) for consecutive slices of at most SLICE trials of
-    the Bartlett factor alone, B = R_b o sqrt(c)^T (m x m, upper triangular),
-    where bartlett_sides(scn) is (big, small) and c is small's spectrum:
-    conditionally on B, D has the law of (sqrt(big) o G) B / sqrt(n_s) with
-    G i.i.d. (_bartlett_slices).  Per slice one standard_normal call draws
-    the strict upper triangle in C order, then one standard_gamma call the
-    (trial, i) diagonal: m(m-1) normals and m gammas a trial, whatever n_s
-    is.  With tilt = 0, R_ii^2 ~ Gamma(n_s - i) and w is None (every weight
-    1).  With tilt = k > 0, trials whose index in the batch is a multiple of
-    TILT_EVERY draw R_ii^2 ~ Gamma(max(n_s - i - k, 1/2)) instead, and w is
+def _spike(spectrum: Spectrum):
+    """(l, c) when at most one eigenvalue l of the spectrum differs from a
+    repeated value c (identity and constant models, and any m <= 2), else
+    None."""
+    values, mults = spectrum.values, spectrum.mults
+    if len(values) == 1:
+        return values[0], values[0]
+    if len(values) == 2 and 1 in mults:
+        i = mults.index(1)
+        return values[i], values[1 - i]
+    return None
+
+
+def _reflector(x: np.ndarray):
+    """(v, tau) of the Householder reflection I - tau v v^H that maps each
+    column of x (trial-last, nonzero) onto a multiple of e_1."""
+    norm = np.linalg.norm(x, axis=0)
+    v = x.copy()
+    v[0] += np.exp(1j * np.angle(x[0])) * norm
+    return v, 1.0 / (norm * (norm + np.abs(x[0])))  # tau = 2/|v|^2
+
+
+def _golub_kahan(c: np.ndarray, gam: np.ndarray, z: np.ndarray):
+    """(d2, f2), trial-last, of the upper-bidiagonal factor that Golub-Kahan
+    bidiagonalization of Z diag(sqrt(c)) gives in law, Z n_s x m i.i.d.
+    CN(0, 1), from the Gamma(n_s - k) draws gam (m, b) and the m(m-1)/2
+    CN(0, 1) rows z, m - k - 1 of them at step k.  The remainder's rows are
+    i.i.d. z L: a left reflection of L makes its first column alpha e_1, so
+    d_k^2 = alpha^2 gam_k; the next row is r = sqrt(gam_k) L[0, 1:] +
+    z_k L[1:, 1:], so f_k^2 = |r|^2, and a right reflection V mapping r
+    onto e_1 leaves L[1:, 1:] V.  The alpha_k multiply to prod sqrt(c)."""
+    m, b = gam.shape
+    d2, f2 = np.empty((m, b)), np.empty((m - 1, b))
+    ell = np.zeros((m, m, b), dtype=complex)
+    ell[np.arange(m), np.arange(m)] = np.sqrt(c)[:, None]
+    for k, zk in enumerate(np.split(z, np.cumsum(np.arange(m - 1, 0, -1)))[:-1]):
+        v, tau = _reflector(ell[:, 0])
+        ell -= tau * v[:, None] * np.einsum("ib,ijb->jb", v.conj(), ell)
+        d2[k] = np.abs(ell[0, 0]) ** 2 * gam[k]
+        r = np.sqrt(gam[k]) * ell[0, 1:] + np.einsum("ib,ijb->jb", zk, ell[1:, 1:])
+        f2[k] = np.linalg.norm(r, axis=0) ** 2
+        u, tau = _reflector(r.conj())
+        ell = ell[1:, 1:]
+        ell -= tau * np.einsum("ijb,jb->ib", ell, u)[:, None] * u.conj()
+    d2[m - 1] = np.abs(ell[0, 0]) ** 2 * gam[m - 1]
+    return d2, f2
+
+
+def bidiagonal_slices(scn: Scenario, rng: np.random.Generator, size: int,
+                      tilt: int = 0):
+    """Yield (start, d2, f2, w) for consecutive slices of at most SLICE
+    trials of an m x m upper-bidiagonal factor B, trials last: d2 (m, b) is
+    its squared diagonal, f2 (m-1, b) its squared superdiagonal.  W = B^H B
+    has the eigenvalue law of the Bartlett Gram of _bartlett_slices, so
+    given B, D has the law of (sqrt(big) o G) B / sqrt(n_s) up to unitary
+    factors, G i.i.d. and (big, small) = bartlett_sides(scn).  When small's
+    spectrum has at most one eigenvalue l apart from a repeated value c
+    (_spike), the entries are independent, Dumitriu and Edelman's complex
+    bidiagonal model with one spike: d_1^2 = l Gamma(n_s),
+    d_i^2 = c Gamma(n_s - i + 1) for i >= 2, f_i^2 = c Gamma(m - i).  Any
+    other spectrum runs the Golub-Kahan chain (_golub_kahan).  A slice makes
+    the chain's one standard_normal call, (entry, trial) order, then one
+    standard_gamma call of the (i, trial) shapes, the diagonal's first.  Both
+    diagonals take the Bartlett diagonal's Gamma(n_s - i) shapes, so
+    det W = prod d2.  With tilt = 0, w is None (every weight 1).  With
+    tilt = k > 0, trials whose index in the batch is a multiple of
+    TILT_EVERY draw the diagonal from Gamma(max(n_s - i - k, 1/2)), and w is
     each trial's likelihood ratio p/q of the untilted law p to the slice's
     mixture q = (1 - a) p + a p_tilt, a the slice's tilted share, so that
-    E[w f(B)] = E f(B) for any f, with w <= 1/(1 - a).  A function growing
-    like det(B^H B)^(-k) near singular B has most of its mean where the
-    tilted law puts its mass."""
+    E[w f(W)] = E f(W) for any f, with w <= 1/(1 - a): a function growing
+    like det(W)^(-k) near singular W has most of its mean where the tilted
+    law puts its mass."""
     _, small = bartlett_sides(scn)
-    upper, shapes, build = _bartlett_factor(small, scn.n_s)
-    tilted = np.maximum(shapes - tilt, 0.5)
+    m = small.dim
+    spike = _spike(small.spectrum)
+    shapes = np.concatenate([scn.n_s - np.arange(m), m - 1 - np.arange(m - 1) if spike else []])
+    tilted = np.concatenate([np.maximum(shapes[:m] - tilt, 0.5), shapes[m:]])
     log_ratio = sum(math.lgamma(a) - math.lgamma(t) for a, t in zip(shapes, tilted))
+    scale = np.array([spike[0]] + [spike[1]] * (2 * m - 2))[:, None] if spike else None
 
-    def draw(lo, b):  # its temporaries are freed before the caller reads B
-        up = _std_complex(rng, b, [upper])[0]
-        if not tilt:
-            return build(up, rng.standard_gamma(shapes, (b, small.dim))), None
+    def draw(lo, b):  # its temporaries are freed before the caller reads d2, f2
+        if not spike:
+            z = math.sqrt(0.5) * rng.standard_normal((m * (m - 1) // 2, 2 * b)).view(complex)
         hit = (lo + np.arange(b)) % TILT_EVERY == 0
-        gam = rng.standard_gamma(np.where(hit[:, None], tilted, shapes))
-        a = hit.mean()
-        # p_tilt/p = prod_i Gamma(n_s - i)/Gamma(t_i) g_i^(t_i - n_s + i)
-        ratio = np.exp(log_ratio + np.log(gam) @ (tilted - shapes))
-        return build(up, gam), 1.0 / ((1.0 - a) + a * ratio)
+        gam = rng.standard_gamma(np.where(hit, tilted[:, None], shapes[:, None]))
+        w = None
+        if tilt:
+            # p_tilt/p = prod_i Gamma(s_i)/Gamma(t_i) g_i^(t_i - s_i), s_i the untilted shape
+            ratio = np.exp(log_ratio + (tilted - shapes) @ np.log(gam))
+            a = hit.mean()
+            w = 1.0 / ((1.0 - a) + a * ratio)
+        if not spike:
+            return (*_golub_kahan(small.spectrum.expand(), gam, z), w)
+        gam *= scale
+        return gam[:m], gam[m:], w
 
     for lo in range(0, size, SLICE):
         yield lo, *draw(lo, min(SLICE, size - lo))

@@ -8,21 +8,20 @@ orders of magnitude relative to symbol-level simulation and makes tight
 through ||H||_F^2 or det(I + c H H^H), so it takes the unrotated draw in the
 sides' eigenbases (matstat.channel_slices).
 
-With uncorrelated scatterers and n_s > m = min(n_t, n_r), mc_kurtosis_eff,
-and mc_sep while m <= CONDITIONED_SEP_MAX_M, condition on less:
-D = (sqrt(rho) o G) B / sqrt(n_s) with G i.i.d. and B the m x m Bartlett
-factor (matstat.bartlett_factor_slices), so a trial draws B alone and
-integrates G exactly.  With W = B^H B and (rho_k, mu_k) the distinct
+With uncorrelated scatterers and n_s > m = min(n_t, n_r), mc_sep and
+mc_kurtosis_eff condition on less: D = (sqrt(rho) o G) B / sqrt(n_s) with
+G i.i.d. and B an m x m upper-bidiagonal factor whose Gram W = B^H B has
+the Bartlett Gram's eigenvalue law (matstat.bidiagonal_slices), so a trial
+draws B alone and integrates G exactly.  With (rho_k, mu_k) the distinct
 eigenvalues of the unreduced end side Phi, a SEP trial is
 (1/pi) int prod_k det(I + x rho_k W/n_s)^(-mu_k) dtheta at
 x = snr g/(n_t rate sin^2 theta), and a kurtosis trial adds the exact
 E[||H||^2 | B] and E[||H||^4 | B].  That SEP grows like det(W)^(-n) as W
 nears singular (n the unreduced side's dimension), so mc_sep draws every
 8th trial's diagonal from the tilted Gamma(n_s - i - n) and weights each
-trial by its likelihood ratio (matstat.bartlett_factor_slices); without
-it the per-trial values are heavy-tailed at high SNR and the batch-means
-error understates the spread between seeds.  mc_capacity, and every other
-scenario, keep the full draw.
+trial by its likelihood ratio; without it the per-trial values are
+heavy-tailed at high SNR and the batch-means error understates the spread
+between seeds.  mc_capacity, and every other scenario, keep the full draw.
 
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from the SFC64
@@ -36,14 +35,17 @@ D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s): the call holds G (n_r x n_t,
 or n_t x n_r for the transposed D when n_r < n_t), then the strict upper
 triangle of the m x m Bartlett factor R_b, and one standard_gamma call
 follows with the (trial, i) diagonal, R_ii^2 ~ Gamma(n_s - i).  A trial then
-costs 2 n_r n_t + m(m-1) normals and m gammas whatever n_s is; a conditioned
-slice drops G from the call, m(m-1) normals and m gammas a trial, mc_sep's
-gamma call taking the tilted shapes on trials whose index in the block is a
-multiple of 8.  Blocks run concurrently on up to os.cpu_count() threads, and
-their sums are reduced in block order, so results are bit-identical for any
-worker count.  Standard errors come from 32 batch means over the trial
-index, which stays honest for the ratio estimators (kurtosis) as well as
-plain means.
+costs 2 n_r n_t + m(m-1) normals and m gammas whatever n_s is.  A
+conditioned slice draws B alone, trials last: the Golub-Kahan chain's
+m(m-1)/2 complex normals in one standard_normal call, then one
+standard_gamma call of the (i, trial) shapes, the m diagonal ones first;
+a spiked smaller end side (identity, constant, m <= 2) draws no normals
+and 2m - 1 gammas.  mc_sep's gamma call takes the tilted diagonal shapes
+on trials whose index in the block is a multiple of 8.  Blocks run
+concurrently on up to os.cpu_count() threads, and their sums are reduced in
+block order, so results are bit-identical for any worker count.  Standard
+errors come from 32 batch means over the trial index, which stays honest
+for the ratio estimators (kurtosis) as well as plain means.
 """
 
 from __future__ import annotations
@@ -51,22 +53,17 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import combinations
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .matstat import Scenario, bartlett_factor_slices, bartlett_sides, channel_slices
+from .matstat import Scenario, bartlett_sides, bidiagonal_slices, channel_slices
 from .sep import (PskConstellation, conditional_sep_mpsk, conditional_sep_polynomial,
                   ostbc_snr_scale)
 
 BLOCK_SIZE = 1 << 16
 N_BATCHES = 32
-#: mc_sep conditions on the Bartlett factor only up to this m: its Laplace
-#: tables hold Catalan(m + 1) minors, and at m = 5 a 4096-trial slice
-#: already takes as long as the full draw and twice its memory.
-CONDITIONED_SEP_MAX_M = 4
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -186,69 +183,26 @@ def _log2_det_eye_plus(c: float, h: np.ndarray) -> np.ndarray:
     return 2.0 * np.log2(np.abs(np.diagonal(r, axis1=1, axis2=2))).sum(axis=1)
 
 
-@cache
-def _minor_expansions(m: int):
-    """Laplace tables of the structurally nonzero minors of an m x m upper-
-    triangular matrix, those on rows S and columns T (sorted) with S <= T
-    elementwise: for each j = 2..m-1 the expansion of the j x j minors along
-    their last row s, one (sign, minors, entries, subs) group per column
-    position k, each term the entry (s, t_k) (flat index s*m + t_k) times
-    the (j-1) x (j-1) minor `subs` without row s and column t_k; a 1 x 1
-    minor is indexed by its flat entry.  The group k = j-1 (sign +1, minors
-    None) holds a term of every minor; the others only the nonzero terms."""
-    index = {((s,), (t,)): s * m + t for s in range(m) for t in range(s, m)}
-    levels = []
-    for j in range(2, m):
-        pairs = [(rows, cols) for rows in combinations(range(m), j)
-                 for cols in combinations(range(m), j)
-                 if all(r <= c for r, c in zip(rows, cols))]
-        groups = []
-        for k in reversed(range(j)):
-            terms = [(i, rows[-1] * m + cols[k], index[key])
-                     for i, (rows, cols) in enumerate(pairs)
-                     if (key := (rows[:-1], cols[:k] + cols[k + 1:])) in index
-                     and cols[k] >= rows[-1]]
-            if terms:
-                i, entries, subs = (np.array(c) for c in zip(*terms))
-                groups.append((1 - 2 * ((j - 1 + k) % 2), None if k == j - 1 else i,
-                               entries, subs))
-        levels.append(groups)
-        index = {pair: i for i, pair in enumerate(pairs)}
-    return levels
-
-
-def _abs2_sum(subscripts: str, z: np.ndarray) -> np.ndarray:
-    """The sum of |z|^2 that np.einsum(subscripts, z, z) takes."""
-    return np.einsum(subscripts, z.real, z.real) + np.einsum(subscripts, z.imag, z.imag)
-
-
-def _det_coefficients(b: np.ndarray) -> np.ndarray:
-    """(m+1, count) coefficients e_0..e_m of det(I + y B^H B) = sum_j e_j y^j
-    for a stack of `count` upper-triangular m x m B, with no eigensolve: by
-    Cauchy-Binet e_j is the sum of |minor|^2 over the nonzero j x j minors
-    of B, each built from the (j-1) x (j-1) ones (_minor_expansions), and
-    e_m = prod |B_ii|^2.  Every e_j is a sum of nonnegative terms."""
-    n, m, _ = b.shape
-    e = np.empty((m + 1, n))
-    e[0] = 1.0
-    if m > 1:
-        minors = flat = b.reshape(n, m * m)
-        e[1] = _abs2_sum("nk,nk->n", flat)  # the zeros below the diagonal add nothing
-        for j, groups in enumerate(_minor_expansions(m), start=2):
-            prev = minors
-            for sign, rows, entries, subs in groups:
-                terms = np.take(flat, entries, axis=1)
-                terms *= np.take(prev, subs, axis=1)
-                if rows is None:
-                    minors = terms
-                elif sign > 0:
-                    minors[:, rows] += terms
-                else:
-                    minors[:, rows] -= terms
-            e[j] = _abs2_sum("nk,nk->n", minors)
-    diag = np.diagonal(b, axis1=1, axis2=2)
-    e[m] = np.prod(diag.real ** 2 + diag.imag ** 2, axis=1)
-    return e
+def _path_coefficients(d2: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """(m+1, count) coefficients e_0..e_m of det(I + y W) = sum_j e_j y^j
+    for a stack of W = B^H B, B upper bidiagonal with squared diagonal d2
+    (m, count) and squared superdiagonal f2 (m-1, count), with no
+    eigensolve.  By Cauchy-Binet e_j is the sum of |minor|^2 over B's j x j
+    minors, and each nonzero one is a single product: a j-edge matching of
+    the path c_1-r_1-c_2-r_2-...-c_m-r_m whose edges weigh d_1^2, f_1^2,
+    d_2^2, ..., d_m^2.  So det(I + y W) is that path's matching polynomial,
+    P_k = P_{k-1} + y w_k P_{k-2} over its edges: every e_j is a sum of
+    nonnegative terms."""
+    m, n = d2.shape
+    weights = np.empty((2 * m - 1, n))
+    weights[0::2], weights[1::2] = d2, f2
+    prev, cur = np.zeros((m + 1, n)), np.zeros((m + 1, n))
+    prev[0] = cur[0] = 1.0
+    for k, w in enumerate(weights):
+        top = k // 2 + 1  # the degree of P_k: edges 0..k match at most this many
+        prev[1:top + 1] = cur[1:top + 1] + w * prev[:top]
+        prev, cur = cur, prev
+    return cur
 
 
 def _fold(e: np.ndarray, factors) -> np.ndarray:
@@ -271,23 +225,23 @@ def _fold(e: np.ndarray, factors) -> np.ndarray:
     return out
 
 
-def _bartlett_sep(scn: Scenario, psk: PskConstellation, scale: float):
+def _bidiagonal_sep(scn: Scenario, psk: PskConstellation, scale: float):
     """per_trial for mc_sep with the reduced draw (matstat.bartlett_sides):
     with D = (sqrt(rho) o G) B / sqrt(n_s) and G i.i.d., the SNR MGF given B
     is prod_k det(I + x rho_k W/n_s)^(-mu_k), W = B^H B and (rho_k, mu_k)
     the distinct eigenvalues of the unreduced side, so each trial's value is
-    the SEP integral of that product (sep.conditional_sep_polynomial),
-    times the trial's weight under the draw tilted by that side's
-    dimension, the power of det(W) the SEP falls with at high SNR."""
+    the SEP integral of that product (sep.conditional_sep_polynomial) over
+    the bidiagonal draw of W (matstat.bidiagonal_slices), times the trial's
+    weight under the draw tilted by that side's dimension, the power of
+    det(W) the SEP falls with at high SNR."""
     big = bartlett_sides(scn)[0]
     factors = [(rho / scn.n_s, mu) for rho, mu in big.spectrum.distinct]
 
     def per_trial(rng, n):
         out = np.empty(n)
-        for lo, b, w in bartlett_factor_slices(scn, rng, n, tilt=big.dim):
-            coef, hi = _fold(_det_coefficients(b), factors), lo + len(b)
-            del b  # freed before the (theta nodes x trials) denominator
-            out[lo:hi] = w * conditional_sep_polynomial(coef, psk, scale)
+        for lo, d2, f2, w in bidiagonal_slices(scn, rng, n, tilt=big.dim):
+            coef = _fold(_path_coefficients(d2, f2), factors)
+            out[lo:lo + len(w)] = w * conditional_sep_polynomial(coef, psk, scale)
         return out
 
     return per_trial
@@ -297,13 +251,12 @@ def mc_sep(scn: Scenario, psk: PskConstellation, snr: float,
            cfg: MonteCarloConfig) -> Estimate:
     """Semi-analytic SEP estimate: average over channel draws of the exact
     conditional M-PSK SEP at gamma = snr*||H||_F^2/(n_t*rate); with the
-    reduced draw, of the exact SEP given the Bartlett factor alone."""
+    reduced draw, of the exact SEP given the bidiagonal factor alone."""
     if not 0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")
     scale = snr * ostbc_snr_scale(scn)
-    sides = bartlett_sides(scn)
-    if sides is not None and sides[1].dim <= CONDITIONED_SEP_MAX_M:
-        return _mean_estimate(cfg, _bartlett_sep(scn, psk, scale))
+    if bartlett_sides(scn) is not None:
+        return _mean_estimate(cfg, _bidiagonal_sep(scn, psk, scale))
 
     def per_trial(rng, n):
         return conditional_sep_mpsk(scale * _frob_sq_samples(scn, rng, n), psk)
@@ -311,24 +264,12 @@ def mc_sep(scn: Scenario, psk: PskConstellation, snr: float,
     return _mean_estimate(cfg, per_trial)
 
 
-def _gram_traces(b: np.ndarray):
-    """(tr W, tr W^2) of W = B^H B for a stack of upper-triangular m x m B:
-    tr W = ||B||_F^2 and tr W^2 = ||W||_F^2, W's row i taken from its upper
-    part W_ij = sum_{k <= i} conj(B_ki) B_kj (j >= i), trials last."""
-    bt = b.transpose(1, 2, 0).copy()
-    tr_w2 = np.zeros(len(b))
-    for i in range(b.shape[1]):
-        row = np.einsum("kn,kjn->jn", bt[:i + 1, i].conj(), bt[:i + 1, i:])
-        tr_w2 += 2.0 * _abs2_sum("jn,jn->n", row) - _abs2_sum("n,n->n", row[0])
-    return _abs2_sum("ijn,ijn->n", bt), tr_w2
-
-
 def _frob_moments(scn: Scenario, rng: np.random.Generator, count: int):
     """Per-trial (X, X^2) of X = ||H||_F^2, or with the reduced draw their
-    exact means given the Bartlett factor B: with W = B^H B and Phi the
-    unreduced side, E[X|B] = tr Phi tr W/n_s and
-    E[X^2|B] = ((tr Phi)^2 (tr W)^2 + tr Phi^2 tr W^2)/n_s^2
-    (_gram_traces)."""
+    exact means given the bidiagonal factor B (matstat.bidiagonal_slices):
+    with W = B^H B and Phi the unreduced side, E[X|B] = tr Phi tr W/n_s and
+    E[X^2|B] = ((tr Phi)^2 (tr W)^2 + tr Phi^2 tr W^2)/n_s^2, W tridiagonal
+    with W_ii = d_i^2 + f_(i-1)^2 and |W_i,i+1|^2 = d_i^2 f_i^2."""
     sides = bartlett_sides(scn)
     if sides is None:
         x = _frob_sq_samples(scn, rng, count)
@@ -336,10 +277,14 @@ def _frob_moments(scn: Scenario, rng: np.random.Generator, count: int):
     phi = sides[0].spectrum
     t1, t2 = phi.trace_power(1) / scn.n_s, phi.trace_power(2) / scn.n_s**2
     m1, m2 = np.empty(count), np.empty(count)
-    for lo, b, _ in bartlett_factor_slices(scn, rng, count):
-        tr_w, tr_w2 = _gram_traces(b)
-        m1[lo:lo + len(b)] = t1 * tr_w
-        m2[lo:lo + len(b)] = (t1 * tr_w) ** 2 + t2 * tr_w2
+    for lo, d2, f2, _ in bidiagonal_slices(scn, rng, count):
+        hi = lo + d2.shape[1]
+        w_ii = d2.copy()
+        w_ii[1:] += f2
+        tr_w = w_ii.sum(axis=0)
+        m1[lo:hi] = t1 * tr_w
+        m2[lo:hi] = (t1 * tr_w) ** 2 + t2 * ((w_ii * w_ii).sum(axis=0)
+                                            + 2.0 * (d2[:-1] * f2).sum(axis=0))
     return m1, m2
 
 

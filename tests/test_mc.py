@@ -3,18 +3,20 @@ import math
 import os
 import sys
 import tracemalloc
-from itertools import combinations
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+import dsmimo.matstat as matstat
 import dsmimo.mc as mc_mod
 import dsmimo.sep as sep_mod
 from dsmimo.cli import EXIT_OK, main
 from dsmimo.codes import g4, ostbc_rate
-from dsmimo.corrmat import constant_corr, exponential_corr, identity_corr, matrix_sqrt
-from dsmimo.matstat import (TILT_EVERY, Scenario, bartlett_factor_slices,
+from dsmimo.corrmat import (constant_corr, exponential_corr, identity_corr, matrix_sqrt,
+                            tridiagonal_corr)
+from dsmimo.matstat import (TILT_EVERY, Scenario, bidiagonal_slices,
                             double_product_moments, frobenius_moments, kurtosis_frobenius,
                             sample_channel)
 from dsmimo.mc import (BLOCK_SIZE, Estimate, MonteCarloConfig, fit_diversity_slope,
@@ -73,17 +75,21 @@ class TestDeterminism:
 
     def test_worker_count_never_changes_a_result(self, monkeypatch):
         # 3 full blocks plus a partial one, through the reduced (Bartlett)
-        # draw of the channel sampler (the factor alone for mc_sep and
-        # mc_kurtosis_eff); the pinned values fix the stream layout, so a
-        # change to the draw order fails here
-        scn = Scenario(2, 3, 2, exponential_corr(2, 0.5), identity_corr(3),
-                       constant_corr(2, 0.3))
+        # draw of the channel sampler and the bidiagonal factor alone for
+        # mc_sep and mc_kurtosis_eff: the spiked draw (m = 2) and the
+        # Golub-Kahan chain (exponential m = 3); the pinned values fix the
+        # stream layout, so a change to the draw order fails here
+        scenarios = [Scenario(2, 3, 2, exponential_corr(2, 0.5), identity_corr(3),
+                              constant_corr(2, 0.3)),
+                     Scenario(3, 5, 3, exponential_corr(3, 0.5), identity_corr(5),
+                              constant_corr(3, 0.3))]
         cfg = MonteCarloConfig(3 * BLOCK_SIZE + 4321, seed=2026)
 
         def run():
-            kurt, eff = mc_kurtosis_eff(scn, cfg)
-            return (mc_sep(scn, PskConstellation(8), 10.0, cfg), kurt, eff,
-                    mc_capacity(scn, 10.0, "ostbc", cfg))
+            out = []
+            for scn in scenarios:
+                out += [mc_sep(scn, PskConstellation(8), 10.0, cfg), *mc_kurtosis_eff(scn, cfg)]
+            return out + [mc_capacity(scenarios[0], 10.0, "ostbc", cfg)]
 
         # more workers (4, one per block) than cores, switching threads often
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -95,9 +101,12 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert repr(pooled) == repr(run())
-        pinned = [("0x1.3e8b6bf047414p-4", "0x1.aa4d7117f456ep-14"),
-                  ("0x1.bb70c8f9693d1p+0", "0x1.2eefc2b38ecaap-10"),
-                  ("-0x1.5a9043290e0a9p+0", "0x1.c1368c6269f5cp-8"),
+        pinned = [("0x1.3efb20b3cd126p-4", "0x1.afcf6141eec47p-14"),
+                  ("0x1.bb5692a60ca79p+0", "0x1.17c00e7040994p-10"),
+                  ("-0x1.5b2bc7faba659p+0", "0x1.9f0ec309170b9p-8"),
+                  ("0x1.36a99c54c9be0p-7", "0x1.55e31a54486ffp-16"),
+                  ("0x1.59d6c0b019946p+0", "0x1.9520039e81d41p-12"),
+                  ("-0x1.230e712c3991ep+2", "0x1.39597c4c54897p-8"),
                   ("0x1.00a0e1aecb423p+2", "0x1.9f00c4122bffep-10")]
         assert [(e.value.hex(), e.std_error.hex()) for e in pooled] == pinned
 
@@ -221,9 +230,11 @@ class TestMcSep:
         assert abs(est.value - cf) < 3 * est.std_error
 
     def test_draw_cost_does_not_grow_with_scatterers(self, monkeypatch):
-        # phi_s = I: mc_sep and mc_kurtosis_eff draw only the m x m Bartlett
-        # factor, m(m-1) normals and m gammas a trial (12 and 4 for 4x4),
-        # whatever n_s is, so no n_s-sized array is drawn
+        # phi_s = I: mc_sep and mc_kurtosis_eff draw only the m x m
+        # bidiagonal factor, whatever n_s is, so no n_s-sized array is
+        # drawn: a constant 4-side takes 2m - 1 = 7 gammas a trial (the
+        # spiked draw), an exponential one m(m-1) = 12 normals and m = 4
+        # gammas (the Golub-Kahan chain)
         counts = {"standard_normal": 0, "standard_gamma": 0}
 
         class Counting:
@@ -246,38 +257,42 @@ class TestMcSep:
                             lambda seed, index: Counting(substream(seed, index)))
         calls = {"mc_sep": (16, lambda scn, cfg: mc_sep(scn, PskConstellation(8), 10.0, cfg)),
                  "mc_kurtosis_eff": (10_000, mc_kurtosis_eff)}
-        per_trial = {}
+        sides = {"constant": (constant_corr(4, 0.5), {"standard_normal": 0, "standard_gamma": 7}),
+                 "exponential": (exponential_corr(4, 0.5),
+                                 {"standard_normal": 12, "standard_gamma": 4})}
+        per_trial, expect = {}, {}
         for name, (trials, call) in calls.items():
-            for n_s in (10, 10_000):
-                counts.update(dict.fromkeys(counts, 0))
-                scn = Scenario(4, n_s, 4, constant_corr(4, 0.5), identity_corr(n_s),
-                               constant_corr(4, 0.5), g4())
-                call(scn, MonteCarloConfig(trials, seed=5))
-                per_trial[name, n_s] = {k: v / trials for k, v in counts.items()}
-        assert all(c == {"standard_normal": 12, "standard_gamma": 4}
-                   for c in per_trial.values()), per_trial
+            for side, (phi, cost) in sides.items():
+                for n_s in (10, 10_000):
+                    counts.update(dict.fromkeys(counts, 0))
+                    scn = Scenario(4, n_s, 4, phi, identity_corr(n_s), constant_corr(4, 0.5), g4())
+                    call(scn, MonteCarloConfig(trials, seed=5))
+                    per_trial[name, side, n_s] = {k: v / trials for k, v in counts.items()}
+                    expect[name, side, n_s] = cost
+        assert per_trial == expect
 
     def test_large_m_stays_within_memory(self):
-        # 12x24x12: conditioning mc_sep on the Bartlett factor would hold
-        # Catalan(13) = 742900 minors a trial, so above CONDITIONED_SEP_MAX_M
-        # it keeps the full draw; mc_kurtosis_eff needs only tr W and tr W^2
+        # 12x24x12: mc_sep conditions on the bidiagonal factor at any m, its
+        # coefficients O(m^2) a trial, and mc_kurtosis_eff needs only tr W
+        # and tr W^2
         m = 12
         scn = Scenario(m, 2 * m, m, constant_corr(m, 0.5), identity_corr(2 * m),
                        constant_corr(m, 0.5))
-        assert m > mc_mod.CONDITIONED_SEP_MAX_M
-        peaks = []
+        psk = PskConstellation(8)
+        peaks, ests = [], []
         tracemalloc.start()
         try:
-            for call in (lambda: mc_sep(scn, PskConstellation(8), 10.0,
-                                        MonteCarloConfig(8192, seed=4)),
+            for call in (lambda: mc_sep(scn, psk, 10.0, MonteCarloConfig(8192, seed=4)),
                          lambda: mc_kurtosis_eff(scn, MonteCarloConfig(10_000, seed=4))):
                 tracemalloc.reset_peak()
-                est = call()
+                ests.append(call())
                 peaks.append(tracemalloc.get_traced_memory()[1])
-                assert all(math.isfinite(e.value) for e in np.atleast_1d(est))
+                assert all(math.isfinite(e.value) for e in np.atleast_1d(ests[-1]))
         finally:
             tracemalloc.stop()
         assert max(peaks) < 64 * 2**20, peaks
+        sep = ests[0]
+        assert abs(sep.value - sep_mpsk(scn, psk, 10.0)) <= 3 * sep.std_error
 
     def test_estimate_fields(self):
         scn = Scenario.uncorrelated(1, 2, 1)
@@ -288,25 +303,43 @@ class TestMcSep:
         assert est.std_error >= 0
 
 
-def _bartlett_factors(n_t, n_s, n_r, count, seed):
-    """`count` Bartlett factors of a scenario with constant rho = 0.5 end
-    sides, as mc_sep and mc_kurtosis_eff draw them."""
-    scn = Scenario(n_t, n_s, n_r, constant_corr(n_t, 0.5), identity_corr(n_s),
-                   constant_corr(n_r, 0.5))
-    return next(bartlett_factor_slices(scn, substream(seed, 0), count))[1]
+def _bidiagonal(side, n_s, count, seed, chain=False):
+    """(d2, f2) of `count` bidiagonal factors with small side `side` and
+    n_s scatterers, as mc_sep and mc_kurtosis_eff draw them; chain=True runs
+    the Golub-Kahan chain whatever the spectrum."""
+    m = side.dim
+    scn = Scenario(m, n_s, m, side, identity_corr(n_s), identity_corr(m))
+    with pytest.MonkeyPatch.context() as patch:
+        if chain:
+            patch.setattr(matstat, "_spike", lambda spectrum: None)
+        d2, f2 = zip(*((d2, f2) for _, d2, f2, _ in
+                       bidiagonal_slices(scn, substream(seed, 0), count)))
+    return np.concatenate(d2, axis=1), np.concatenate(f2, axis=1)
 
 
-def _mp_det_coefficients(b):
-    """e_j of det(I + y B^H B) at 50 digits: sums of the principal j x j
-    minors of the Gram matrix, which mpmath forms from B's exact entries."""
+def _mp_det_coefficients(d2, f2):
+    """e_j of det(I + y W) at 50 digits, W = B^T B for the upper-bidiagonal
+    B with entries sqrt(d2) and sqrt(f2): mpmath forms W, then expands
+    det(I + y W) along its tridiagonal, D_k = (1 + y W_kk) D_(k-1)
+    - y^2 W_(k-1,k)^2 D_(k-2)."""
+    m = len(d2)
     with mpmath.workdps(50):
-        bm = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in b])
-        w = bm.H * bm
-        m = len(b)
-        return [mpmath.mpf(1)] + [
-            mpmath.re(mpmath.fsum(mpmath.det(mpmath.matrix([[w[r, c] for c in t] for r in t]))
-                                  for t in combinations(range(m), j)))
-            for j in range(1, m + 1)]
+        b = mpmath.zeros(m, m)
+        for i in range(m):
+            b[i, i] = mpmath.sqrt(mpmath.mpf(float(d2[i])))
+            if i + 1 < m:
+                b[i, i + 1] = mpmath.sqrt(mpmath.mpf(float(f2[i])))
+        w = b.T * b
+        prev, cur = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for k in range(m):
+            nxt = cur + [mpmath.mpf(0)]
+            for j, c in enumerate(cur):
+                nxt[j + 1] += w[k, k] * c
+            if k:
+                for j, c in enumerate(prev):
+                    nxt[j + 2] -= w[k - 1, k] ** 2 * c
+            prev, cur = cur, nxt
+        return cur
 
 
 def _mp_fold(e, factors):
@@ -326,49 +359,55 @@ def _mp_fold(e, factors):
 
 class TestConditionalKernel:
     """The e_j / polynomial code of the conditional SEP against 50-digit
-    mpmath, on Bartlett factors as drawn and on near-singular ones."""
+    mpmath, on bidiagonal factors as drawn (the spiked draw of a constant
+    side, the Golub-Kahan chain of an exponential one) and on near-singular
+    ones."""
 
     @staticmethod
     def factors():
         cases = []
-        for dims, seed in [((1, 6, 1), 1), ((2, 5, 3), 2), ((3, 7, 4), 3), ((4, 10, 4), 4),
-                           ((5, 9, 5), 5)]:
-            b = _bartlett_factors(*dims, 6, seed)
-            m = b.shape[1]
-            for k, tiny in enumerate((1e-4, 1e-8)):
-                # one diagonal entry (Gamma draw) near zero: a near-singular W
-                b[k, m - 1 - k % m, m - 1 - k % m] *= tiny
-            cases.append(b)
+        for (m, n_s), seed in [((1, 6), 1), ((2, 5), 2), ((3, 7), 3), ((4, 10), 4),
+                               ((5, 9), 5), ((12, 24), 6)]:
+            for side, chain in ((constant_corr(m, 0.5), False), (exponential_corr(m, 0.5), True)):
+                d2, f2 = _bidiagonal(side, n_s, 6, seed, chain)
+                for k, tiny in enumerate((1e-4, 1e-8)):
+                    # a squared diagonal (Gamma draw) and a squared
+                    # superdiagonal entry near zero: a near-singular W
+                    d2[m - 1 - k % m, k] *= tiny
+                    if m > 1:
+                        f2[k % (m - 1), k] *= tiny
+                cases.append((d2, f2))
         return cases
 
     def test_coefficients_match_mpmath(self):
-        for b in self.factors():
-            got = mc_mod._det_coefficients(b)
-            for i in range(len(b)):
-                ref = np.array(_mp_det_coefficients(b[i]), dtype=float)
+        for d2, f2 in self.factors():
+            got = mc_mod._path_coefficients(d2, f2)
+            for i in range(d2.shape[1]):
+                ref = np.array(_mp_det_coefficients(d2[:, i], f2[:, i]), dtype=float)
                 np.testing.assert_allclose(got[:, i], ref, rtol=1e-12, atol=0)
 
     def test_folded_polynomial_matches_mpmath(self):
         factors = [(2.5 / 10, 1), (0.5 / 10, 3)]  # constant rho = 0.5, n = 4, n_s = 10
-        for b in self.factors():
-            got = mc_mod._fold(mc_mod._det_coefficients(b), factors)
-            assert got.shape == (4 * b.shape[1] + 1, len(b))
-            for i in range(len(b)):
-                ref = np.array(_mp_fold(_mp_det_coefficients(b[i]), factors), dtype=float)
+        for d2, f2 in self.factors():
+            got = mc_mod._fold(mc_mod._path_coefficients(d2, f2), factors)
+            assert got.shape == (4 * len(d2) + 1, d2.shape[1])
+            for i in range(d2.shape[1]):
+                ref = np.array(_mp_fold(_mp_det_coefficients(d2[:, i], f2[:, i]), factors),
+                               dtype=float)
                 np.testing.assert_allclose(got[:, i], ref, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("dims", [(4, 10, 4), (4, 10, 16), (16, 20, 4)])
+    @pytest.mark.parametrize("dims", [(4, 10, 4), (4, 10, 16), (16, 20, 4), (12, 24, 12)])
     def test_theta_stage_finite_up_to_40_db(self, dims):
         # the largest theta node at 40 dB puts x near 1e10, where x^64 of
         # the 4x10x16 polynomial would overflow a double; the basis
         # x^j/(1+x)^d keeps every value finite, and at 10 and 40 dB each
         # trial matches the same Gauss-Legendre sum of 1/P(x) at 50 digits
         n_t, n_s, n_r = dims
-        b = _bartlett_factors(n_t, n_s, n_r, 8, 6)
-        b[0, -1, -1] *= 1e-8
+        d2, f2 = _bidiagonal(constant_corr(min(n_t, n_r), 0.5), n_s, 8, 6)
+        d2[-1, 0] *= 1e-16  # a diagonal entry of B scaled by 1e-8
         big = constant_corr(max(n_t, n_r), 0.5).spectrum
         factors = [(rho / n_s, mu) for rho, mu in big.distinct]
-        coef = mc_mod._fold(mc_mod._det_coefficients(b), factors)
+        coef = mc_mod._fold(mc_mod._path_coefficients(d2, f2), factors)
         psk = PskConstellation(8)
         th, w = gauss_legendre(sep_mod.THETA_NODES, psk.theta_max)
         for snr_db in (10.0, 40.0):
@@ -385,8 +424,63 @@ class TestConditionalKernel:
                     assert got[i] == pytest.approx(float(ref), rel=1e-12)
 
 
+def _gram_statistics(w):
+    """e_1..e_m of det(I + y W) and log det(I + 0.7 W) for a stack of
+    Grams, from their eigenvalues."""
+    lam = np.clip(np.linalg.eigvalsh(w), 0.0, None)
+    e = np.zeros((lam.shape[1] + 1, len(lam)))
+    e[0] = 1.0
+    for col in lam.T:
+        e[1:] = e[1:] + col * e[:-1]
+    return [*e[1:], np.log1p(0.7 * lam).sum(axis=1)]
+
+
+class TestBidiagonalLaw:
+    """Both bidiagonal draws against an independent reference, eigvalsh of
+    the Gram of an explicit n_s x m Gaussian whose columns are scaled by
+    sqrt(c), c the small side's spectrum: two-sample KS tests of each e_j
+    and of log det(I + 0.7 W)."""
+
+    N = 20_000
+
+    def p_values(self, side, n_s, seed, chain):
+        d2, f2 = _bidiagonal(side, n_s, self.N, seed, chain)
+        b = np.zeros((self.N, side.dim, side.dim))
+        i = np.arange(side.dim)
+        b[:, i, i] = np.sqrt(d2.T)
+        b[:, i[:-1], i[1:]] = np.sqrt(f2.T)
+        x = cgauss(np.random.default_rng(seed), self.N, n_s, side.dim)
+        x *= np.sqrt(side.spectrum.expand())
+        ref = _gram_statistics(x.conj().transpose(0, 2, 1) @ x)
+        got = _gram_statistics(b.transpose(0, 2, 1) @ b)
+        return [ks_2samp(a, r).pvalue for a, r in zip(got, ref)]
+
+    @pytest.mark.parametrize("side,n_s,chain", [
+        (identity_corr(4), 10, False), (identity_corr(4), 10, True),
+        (constant_corr(4, 0.5), 10, False), (constant_corr(4, 0.5), 10, True),
+        (constant_corr(6, 0.5), 8, False), (constant_corr(6, 0.5), 8, True),
+        (exponential_corr(4, 0.5), 10, True), (exponential_corr(6, 0.5), 9, True),
+        (tridiagonal_corr(4, 0.4), 10, True)],
+        ids=["identity-4x10-spiked", "identity-4x10-chain", "constant-4x10-spiked",
+             "constant-4x10-chain", "constant-6x8-spiked", "constant-6x8-chain",
+             "exponential-4x10", "exponential-6x9", "tridiagonal-4x10"])
+    def test_matches_explicit_gram(self, side, n_s, chain):
+        assert chain or matstat._spike(side.spectrum) is not None
+        p = self.p_values(side, n_s, seed=31, chain=chain)
+        assert min(p) >= 0.01, p
+
+    def test_spiked_draw_rejects_an_exponential_side(self, monkeypatch):
+        # negative control: the spiked draw with the exponential spectrum's
+        # largest eigenvalue over the mean of the others (the right tr W)
+        side = exponential_corr(4, 0.5)
+        c = side.spectrum.expand()
+        monkeypatch.setattr(matstat, "_spike", lambda spectrum: (c[0], c[1:].mean()))
+        p = self.p_values(side, 10, seed=31, chain=False)
+        assert min(p) < 1e-6, p
+
+
 class TestTiltedBartlettDraw:
-    """bartlett_factor_slices with tilt > 0: every TILT_EVERY-th trial takes
+    """bidiagonal_slices with tilt > 0: every TILT_EVERY-th trial takes
     Gamma(n_s - i - tilt) on the diagonal, and w reweights to the untilted
     law."""
 
@@ -394,26 +488,28 @@ class TestTiltedBartlettDraw:
                    constant_corr(4, 0.5))
 
     def draws(self, tilt, size=1 << 16, seed=3):
-        return list(bartlett_factor_slices(self.SCN, substream(seed, 0), size, tilt=tilt))
+        return list(bidiagonal_slices(self.SCN, substream(seed, 0), size, tilt=tilt))
 
     def test_untilted_draw_has_no_weights(self):
-        assert all(w is None for _, _, w in self.draws(0, size=5000))
+        assert all(w is None for *_, w in self.draws(0, size=5000))
 
     def test_weights_reproduce_untilted_moments(self):
-        # E[w] = 1 and E[w |det B|^2] = prod_i c_i (n_s - i), c the transmit
-        # spectrum, within 4 standard errors; weights stay below 1/(1 - 1/8)
-        w = np.concatenate([w for _, _, w in self.draws(4)])
-        det2 = np.concatenate([mc_mod._det_coefficients(b)[-1] for _, b, _ in self.draws(4)])
+        # E[w] = 1 and E[w det W] = prod_i c_i (n_s - i), c the transmit
+        # spectrum and det W = prod d2, within 4 standard errors; weights
+        # stay below 1/(1 - 1/8)
+        draws = self.draws(4)
+        w = np.concatenate([w for *_, w in draws])
+        det = np.concatenate([np.prod(d2, axis=0) for _, d2, _, _ in draws])
         assert np.all((w >= 0) & (w <= 8 / 7 + 1e-12))
         c = self.SCN.phi_t.spectrum.expand()
-        for x, mean in ((w, 1.0), (w * det2, float(np.prod(c * (10 - np.arange(4)))))):
+        for x, mean in ((w, 1.0), (w * det, float(np.prod(c * (10 - np.arange(4)))))):
             assert abs(x.mean() - mean) <= 4 * x.std() / math.sqrt(x.size), (x.mean(), mean)
 
     def test_tilted_trials_draw_the_tilted_shapes(self):
         # the tilted trials' mean diagonal gamma is n_s - i - tilt (floored
         # at 1/2), the others' n_s - i
-        (lo, b, w), = self.draws(4, size=4096)
-        g = np.abs(np.diagonal(b, axis1=1, axis2=2)) ** 2 / self.SCN.phi_t.spectrum.expand()
+        (lo, d2, f2, w), = self.draws(4, size=4096)
+        g = d2.T / self.SCN.phi_t.spectrum.expand()
         hit = np.arange(len(g)) % TILT_EVERY == 0
         shapes = 10.0 - np.arange(4)
         for rows, expect in ((hit, np.maximum(shapes - 4, 0.5)), (~hit, shapes)):
@@ -447,12 +543,21 @@ class TestConditionalCalibration:
         assert np.all(np.isfinite(v) & (v > 0) & np.isfinite(se) & (se > 0))
         assert np.all(np.abs(v - cf) <= 3 * se), (v - cf) / se
 
-    @pytest.mark.parametrize("scn", [
-        Scenario.uncorrelated(1, 6, 1),
-        # n_r < n_t: the Bartlett factor takes the receive side's spectrum
-        Scenario(4, 10, 2, constant_corr(4, 0.5), identity_corr(10),
-                 exponential_corr(2, 0.3), g4())], ids=["1x6x1", "4x10x2"])
-    @pytest.mark.parametrize("snr_db", [10.0, 20.0])
+    @pytest.mark.parametrize("scn,snr_db", [
+        (Scenario.uncorrelated(1, 6, 1), 10.0), (Scenario.uncorrelated(1, 6, 1), 20.0),
+        # n_r < n_t: the bidiagonal factor takes the receive side's spectrum
+        (Scenario(4, 10, 2, constant_corr(4, 0.5), identity_corr(10),
+                  exponential_corr(2, 0.3), g4()), 10.0),
+        (Scenario(4, 10, 2, constant_corr(4, 0.5), identity_corr(10),
+                  exponential_corr(2, 0.3), g4()), 20.0),
+        # an exponential small side: the Golub-Kahan chain
+        (Scenario(4, 10, 4, exponential_corr(4, 0.5), identity_corr(10),
+                  exponential_corr(4, 0.5), g4()), 10.0),
+        # m = 8, above what the squared-minor tables could hold
+        (Scenario(8, 16, 8, constant_corr(8, 0.5), identity_corr(16),
+                  constant_corr(8, 0.3)), 10.0)],
+        ids=["10.0-1x6x1", "20.0-1x6x1", "10.0-4x10x2", "20.0-4x10x2",
+             "10.0-4x10x4-exponential", "10.0-8x16x8"])
     def test_both_orientations(self, scn, snr_db):
         cf, v, se = self.runs(snr_db, seeds=[11], scn=scn)
         assert abs(v[0] - cf) <= 3 * se[0]
