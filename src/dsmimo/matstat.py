@@ -140,23 +140,22 @@ def _bartlett_slices(scn: Scenario, rng: np.random.Generator, size: int):
     (sqrt(t) o G)(R_b o sqrt(r)^T)/sqrt(n_s), G then n_t x n_r.  Per slice
     one standard_normal call draws G, then R_b's strict upper triangle in C
     order (_std_complex's layout), and one standard_gamma call draws the
-    (trial, i) diagonal."""
+    (trial, i) diagonal.  R_b is never formed: column j of the product is G's
+    column j times R_jj plus G's columns i < j times R_ij."""
     big, small = bartlett_sides(scn)
     m = small.dim
     c = np.sqrt(small.spectrum.expand())
     iu, ju = np.triu_indices(m, 1)
-    diag = np.arange(m)
-    shapes = (scn.n_s - diag).astype(float)
+    shapes = (scn.n_s - np.arange(m)).astype(float)
     scales = [np.repeat(np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()),
                                  np.ones(m)), 2, axis=1),
               np.repeat(math.sqrt(0.5) * c[ju], 2)[None]]
 
     def draw(b):  # its temporaries are freed before the caller reads D
         g, up = _std_complex(rng, b, scales)
-        rb = np.zeros((b, m, m), dtype=complex)
-        rb[:, iu, ju] = up[:, 0]
-        rb[:, diag, diag] = np.sqrt(rng.standard_gamma(shapes, (b, m))) * c
-        d = g @ rb
+        d = g * (np.sqrt(rng.standard_gamma(shapes, (b, m))) * c)[:, None]
+        for p, (i, j) in enumerate(zip(iu, ju)):
+            d[:, :, j] += g[:, :, i] * up[:, :, p]
         return d.transpose(0, 2, 1).copy() if scn.n_r < scn.n_t else d
 
     for lo in range(0, size, SLICE):
@@ -204,8 +203,9 @@ def _golub_kahan(c: np.ndarray, gam: np.ndarray, z: np.ndarray):
     ell = np.zeros((m, m, b), dtype=complex)
     ell[np.arange(m), np.arange(m)] = np.sqrt(c)[:, None]
     for k, zk in enumerate(np.split(z, np.cumsum(np.arange(m - 1, 0, -1)))[:-1]):
-        v, tau = _reflector(ell[:, 0])
-        ell -= tau * v[:, None] * np.einsum("ib,ijb->jb", v.conj(), ell)
+        if k:  # at step 0 L is diagonal, and the reflection would only flip row 0's sign
+            v, tau = _reflector(ell[:, 0])
+            ell -= tau * v[:, None] * np.einsum("ib,ijb->jb", v.conj(), ell)
         d2[k] = np.abs(ell[0, 0]) ** 2 * gam[k]
         r = np.sqrt(gam[k]) * ell[0, 1:] + np.einsum("ib,ijb->jb", zk, ell[1:, 1:])
         f2[k] = np.linalg.norm(r, axis=0) ** 2

@@ -172,15 +172,29 @@ def _per_channel(scn: Scenario, rng: np.random.Generator, count: int, fn) -> np.
 
 
 def _log2_det_eye_plus(c: float, h: np.ndarray) -> np.ndarray:
-    """log2 det(I + c H H^H) for a stack of channels: 2 sum_i log2 |R_ii|, R
-    the QR factor of [I; sqrt(c) T], T the taller of H and H^H.  The Gram
-    matrix is never formed, whose round-off times c would show in the unit
-    eigenvalues of a channel of rank below min(n_r, n_t)."""
+    """log2 det(I + c H H^H) for a stack of channels, by peeling columns off
+    X = sqrt(c) T, T the taller of H and H^H, held trials last.  Step j adds
+    log1p(s_j), s_j = |x_j|^2, then maps every later column x_l to
+    x_l - tau_j x_j (x_j^H x_l) with tau_j = 1/(r_j (r_j + 1)), r_j =
+    sqrt(1 + s_j): the contraction (I + x_j x_j^H)^(-1/2) that leaves
+    det(I + X^H X) = prod_j (1 + s_j).  This is Householder QR of
+    [I; X] with R_jj = r_j, the identity rows keeping row j of R a unit row
+    until step j.  The Gram matrix is never formed, whose round-off times c
+    would show in the unit eigenvalues of a channel of rank below
+    min(n_r, n_t), and log1p keeps each term's relative accuracy at low
+    SNR."""
     t = h if h.shape[1] > h.shape[2] else h.conj().transpose(0, 2, 1)
-    k = t.shape[2]
-    eye = np.broadcast_to(np.eye(k), (len(t), k, k))
-    r = np.linalg.qr(np.concatenate([eye, math.sqrt(c) * t], axis=1), mode="r")
-    return 2.0 * np.log2(np.abs(np.diagonal(r, axis1=1, axis2=2))).sum(axis=1)
+    x = np.multiply(t.transpose(2, 1, 0), math.sqrt(c), out=np.empty(t.shape[::-1], complex))
+    out = np.zeros(len(t))
+    for j, xj in enumerate(x):
+        s = np.einsum("nb,nb->b", xj.real, xj.real) + np.einsum("nb,nb->b", xj.imag, xj.imag)
+        out += np.log1p(s)
+        r = np.sqrt(1.0 + s)
+        tau = 1.0 / (r * (r + 1.0))
+        xc = xj.conj()
+        for xl in x[j + 1:]:
+            xl -= tau * (xc * xl).sum(axis=0) * xj
+    return out / math.log(2.0)
 
 
 def _path_coefficients(d2: np.ndarray, f2: np.ndarray) -> np.ndarray:

@@ -91,7 +91,10 @@ def sep_theta_integral(integrand, theta_max: float) -> float:
 
 def conditional_sep_mpsk(gamma, psk: PskConstellation):
     """Exact M-PSK SEP conditioned on an instantaneous SNR gamma (vectorized):
-    (1/pi) int_0^Theta exp(-g*gamma/sin^2 theta) dtheta."""
+    (1/pi) int_0^Theta exp(-g*gamma/sin^2 theta) dtheta.  Exponents below
+    -700 are raised to -700, which keeps numpy's exp off its slow path near
+    the underflow limit (ln of the smallest normal double is -708.4) and
+    adds at most e^-700 Theta/pi, about 9e-305, to a trial's value."""
     th, w = gauss_legendre(THETA_NODES, psk.theta_max)
     c = psk.g / np.sin(th) ** 2
     gv = np.asarray(gamma, dtype=float).ravel()
@@ -102,8 +105,8 @@ def conditional_sep_mpsk(gamma, psk: PskConstellation):
     buf = np.empty((min(gv.size, SLICE + 1), c.size))
     cuts = [0, *range(SLICE, gv.size - 1, SLICE), gv.size]
     for lo, hi in zip(cuts, cuts[1:]):
-        e = buf[: hi - lo]
-        np.exp(np.multiply.outer(-gv[lo:hi], c, out=e), out=e)
+        e = np.multiply.outer(-gv[lo:hi], c, out=buf[: hi - lo])
+        np.exp(np.maximum(e, -700.0, out=e), out=e)
         out[lo:hi] = e @ w / math.pi
     return float(out[0]) if np.ndim(gamma) == 0 else out
 

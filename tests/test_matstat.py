@@ -6,7 +6,7 @@ from scipy import stats
 
 from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
-                            identity_corr, spectrum_of)
+                            exponential_corr, identity_corr, spectrum_of)
 from dsmimo.matstat import (SLICE, Scenario, channel_slices, double_product_moments,
                             expected_trace_square, frobenius_moments,
                             kurtosis_frobenius, sample_channel,
@@ -118,7 +118,7 @@ class TestSampleChannel:
                 assert np.all(np.abs(g.mean(axis=0) - part(expect)) < 3 * se + 1e-12)
 
     @staticmethod
-    def slice_wise(scn, rng, size):
+    def slice_wise(scn, rng, size, matmul=False):
         """The batch drawn slice by slice in the spectral frame, then rotated
         into the antenna frame: per slice of at most SLICE trials, H1's
         entries, then H2's (G's alone without double scattering), each
@@ -128,7 +128,9 @@ class TestSampleChannel:
         those of the Bartlett factor's strict upper triangle row by row,
         then one standard_gamma call for the squared diagonal, and
         D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s), or the transpose of
-        (sqrt(t) o G)(R_b o sqrt(r)^T)/sqrt(n_s) when n_r < n_t."""
+        (sqrt(t) o G)(R_b o sqrt(r)^T)/sqrt(n_s) when n_r < n_t, column j
+        of the product summed as G's column j times R_jj, then G's columns
+        i < j times R_ij in increasing i (or by one batched matmul)."""
         b = 1 if size is None else size
 
         def root_half(phi):
@@ -162,7 +164,14 @@ class TestSampleChannel:
                 rb[:, i, j] = upper[:, 0, p]
             for i in range(m):
                 rb[:, i, i] = np.sqrt(gam[:, i]) * c[i]
-            d = g @ rb
+            if matmul:
+                d = g @ rb
+            else:
+                d = np.empty_like(g)
+                for j in range(m):
+                    d[:, :, j] = g[:, :, j] * rb[:, j, j, None]
+                    for i in range(j):
+                        d[:, :, j] += g[:, :, i] * rb[:, i, j, None]
             return d.transpose(0, 2, 1) if wide else d
 
         r = root_half(scn.phi_r)
@@ -209,6 +218,19 @@ class TestSampleChannel:
         got = sample_channel(scn, substream(9, 2), size=size)
         ref = self.slice_wise(scn, substream(9, 2), size)
         assert np.array_equal(got, ref[0] if size is None else ref)
+
+    @pytest.mark.parametrize("dims", [(3, 4, 2), (2, 5, 3), (4, 10, 4)])
+    def test_reduced_product_matches_matmul(self, dims):
+        # the column sums of the reduced draw against G @ R_b, R_b zero-filled,
+        # from the same variates: each trial within 1e-14 of its largest entry
+        n_t, n_s, n_r = dims
+        scn = Scenario(n_t, n_s, n_r, constant_corr(n_t, 0.45), identity_corr(n_s),
+                       exponential_corr(n_r, 0.6))
+        size = 2 * SLICE + 7
+        got = sample_channel(scn, substream(9, 4), size=size)
+        ref = self.slice_wise(scn, substream(9, 4), size, matmul=True)
+        scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("rich", [False, True])
     def test_longer_draw_extends_shorter(self, rich):

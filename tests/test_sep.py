@@ -87,6 +87,19 @@ class TestSnrScaleAndDiversity:
         assert diversity_order(scn) == Fraction(8)
 
 
+def run_on_one_blas_thread(code):
+    """Run `code` in a fresh interpreter with BLAS pinned to one thread: a
+    multithreaded BLAS splits a gemv at row counts that depend on its
+    length, so bit-level references are only well defined there."""
+    src = str(Path(dsmimo.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestThetaIntegral:
     def test_constant_integrand(self):
         v = sep_theta_integral(lambda th: np.ones_like(th), math.pi / 2)
@@ -127,13 +140,28 @@ class TestThetaIntegral:
             "    assert np.array_equal(conditional_sep_mpsk(gamma, psk), ref), n\n"
             "assert conditional_sep_mpsk(gamma[0], psk) == (\n"
             "    np.exp(-np.outer(gamma[:1], psk.g / np.sin(th) ** 2)) @ w / math.pi)[0]\n")
-        src = str(Path(dsmimo.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_on_one_blas_thread(code)
+
+    def test_exponent_floor_changes_no_representable_sep(self):
+        # exponents below -700 are raised to -700: where the SEP is at least
+        # 1e-250 that changes no bit, and past the underflow limit a trial
+        # keeps a value of at most e^-700 Theta/pi instead of 0
+        code = (
+            "import math, numpy as np\n"
+            "from dsmimo.quadrule import gauss_legendre\n"
+            "from dsmimo.sep import THETA_NODES, PskConstellation, conditional_sep_mpsk\n"
+            "psk = PskConstellation(8)\n"
+            "th, w = gauss_legendre(THETA_NODES, psk.theta_max)\n"
+            "gamma = np.geomspace(1e-3, 1e4, 4000)\n"
+            "e = -np.outer(gamma, psk.g / np.sin(th) ** 2)\n"
+            "ref = np.exp(e) @ w / math.pi\n"
+            "kept = ref >= 1e-250\n"
+            "assert (e[kept] < -700).any() and not kept.all()\n"
+            "got = conditional_sep_mpsk(gamma, psk)\n"
+            "assert np.array_equal(got[kept], ref[kept])\n"
+            "assert np.all((got >= 0) & (got <= ref + 1e-304))\n"
+            "assert 0.0 <= conditional_sep_mpsk(1e6, psk) <= 1e-300\n")
+        run_on_one_blas_thread(code)
 
     def test_node_doubling_stability(self, monkeypatch):
         psk = PskConstellation(8)
