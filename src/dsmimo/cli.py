@@ -116,12 +116,29 @@ def _get_float(raw, key, default=None):
     return value
 
 
+def _linear(db: float) -> float:
+    """The power ratio 10^(db/10) of a level in dB."""
+    return 10.0 ** (float(db) / 10.0)
+
+
+def _get_db(raw, key, default=None) -> float:
+    """_get_float of a level in dB whose power ratio is a positive finite
+    double, which bounds it to about +-3082 dB."""
+    value = _get_float(raw, key, default)
+    with contextlib.suppress(OverflowError):  # float ** raises rather than return inf
+        if _linear(value) > 0.0:
+            return value
+    raise ConfigError(f"key {key!r}: {value:g} dB is not a positive finite power ratio")
+
+
 def _db_grid(raw, prefix: str, default=(None, None, None)) -> np.ndarray:
     """The grid start, start + step, ... up to stop (dB) from the keys
     <prefix>start_db, <prefix>stop_db and <prefix>step_db, or their
-    defaults; the step must be positive and stop >= start."""
-    start, stop, step = (_get_float(raw, f"{prefix}{name}_db", d)
-                         for name, d in zip(("start", "stop", "step"), default))
+    defaults; the step must be positive and stop >= start, and both ends
+    levels that _get_db accepts."""
+    start, stop = (_get_db(raw, f"{prefix}{name}_db", d)
+                   for name, d in zip(("start", "stop"), default))
+    step = _get_float(raw, f"{prefix}step_db", default[2])
     if step <= 0:
         raise ConfigError(f"key '{prefix}step_db': must be positive")
     if stop < start:
@@ -164,11 +181,12 @@ def _corr_factory(raw, side: str, dim: int, rho: float | None = None) -> Correla
 def _scenario(raw, n_s: int | None = None, rho: float | None = None) -> Scenario:
     """The configured scenario, optionally with another n_s or with rho as the
     coefficient of every non-identity side (sweep support).  Without double
-    scattering the scatterer model is not read."""
+    scattering neither scenario.n_s nor the scatterer model is read, and the
+    scenario carries n_s = 1, which no rich-scattering formula reads."""
     n_t = _get_int(raw, "scenario.n_t", 1)
-    n_s = _get_int(raw, "scenario.n_s", 1) if n_s is None else n_s
     n_r = _get_int(raw, "scenario.n_r", 1)
     rich = _get_bool(raw, "scenario.no_double_scattering")
+    n_s = 1 if rich else (_get_int(raw, "scenario.n_s", 1) if n_s is None else n_s)
     if "code" not in raw:
         raise ConfigError("missing required key 'code'")
     try:
@@ -282,7 +300,7 @@ def cmd_sep_curve(cfg: RunConfig) -> int:
     d = float(sep_mod.diversity_order(scn))
     rows = []
     for snr_db in grid:
-        snr = 10.0 ** (snr_db / 10.0)
+        snr = _linear(snr_db)
         try:
             cf = sep_mod.sep_mpsk(scn, psk, snr)
         except UnsupportedScenarioError:
@@ -311,7 +329,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     values_raw = cfg.raw.get("sweep.values", "")
     if not values_raw.strip():
         raise ConfigError("key 'sweep.values': empty values list")
-    snr = 10.0 ** (_get_float(cfg.raw, "sweep.snr_db") / 10.0)
+    snr = _linear(_get_db(cfg.raw, "sweep.snr_db"))
     # every value is checked before the first point is computed
     points = []
     for tok in values_raw.split(","):
@@ -353,7 +371,7 @@ def cmd_lowsnr(cfg: RunConfig) -> int:
             rows.append([f"approx_{mode}", e, c, "", ""])
     for mode in ("general", "ostbc"):
         for snr_db in snr_grid:
-            snr = 10.0 ** (snr_db / 10.0)
+            snr = _linear(snr_db)
             est = mc_capacity(scn, snr, mode, mc)
             if est.value <= 0:
                 continue
@@ -367,12 +385,13 @@ def cmd_lowsnr(cfg: RunConfig) -> int:
 def cmd_diversity(cfg: RunConfig) -> int:
     scn = cfg.scn
     d = sep_mod.diversity_order(scn)
-    print(f"n_t={scn.n_t} n_s={scn.n_s} n_r={scn.n_r} rate={scn.rate} "
+    n_s = "" if scn.no_double_scattering else scn.n_s  # rich scattering has no n_s
+    print(f"n_t={scn.n_t} n_s={n_s} n_r={scn.n_r} rate={scn.rate} "
           f"diversity_order={d}")
     if cfg.output:
         write_csv(cfg.output,
                   ["n_t", "n_s", "n_r", "rate", "diversity_order"],
-                  [[scn.n_t, scn.n_s, scn.n_r, float(scn.rate), float(d)]])
+                  [[scn.n_t, n_s, scn.n_r, float(scn.rate), float(d)]])
         print(f"wrote {cfg.output}")
     return EXIT_OK
 
@@ -389,8 +408,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     # 1. closed form vs Monte Carlo at the middle of the SNR grid
     mid = len(grid) // 2
     snr_db = float(grid[mid])
-    snr = 10.0 ** (snr_db / 10.0)
-    seps = ([sep_mod.sep_mpsk(scn, psk, 10.0 ** (s / 10.0)) for s in grid]
+    snr = _linear(snr_db)
+    seps = ([sep_mod.sep_mpsk(scn, psk, _linear(s)) for s in grid]
             if sep_mod.has_closed_form(scn) else None)
     est = mc_sep(scn, psk, snr, mc)
     if seps is not None:
@@ -410,12 +429,14 @@ def cmd_validate(cfg: RunConfig) -> int:
         with contextlib.suppress(UnsupportedScenarioError):
             miso = sep_mod.sep_mpsk_miso(ident, psk, snr)
             base = sep_mod.sep_mpsk_uncorrelated(ident, psk, snr)
-            dev = abs(miso - base) / base
+            # both may underflow to 0 at an extreme SNR
+            dev = abs(miso - base) / base if base else (0.0 if miso == 0.0 else math.inf)
             record("reduction_miso_vs_uncorrelated", dev, 1e-9, dev <= 1e-9)
 
     # 3. kurtosis, and the closed-form SEP at the middle SNR, do not fall
     # from rho = 0.3 to 0.6 on the config's correlated sides
-    if min(scn.n_t, scn.n_s, scn.n_r) >= 2 and _any_correlated(cfg):
+    dims = (scn.n_t, scn.n_r) if scn.no_double_scattering else (scn.n_t, scn.n_s, scn.n_r)
+    if min(dims) >= 2 and _any_correlated(cfg):
         try:
             probes = _scenario(cfg.raw, rho=0.3), _scenario(cfg.raw, rho=0.6)
         except ConfigError:

@@ -59,7 +59,10 @@ def _gamma_lattice(nw: int, log_floor: float, deg: int = 0):
     axis and growing at most like t^deg: with top = nw + deg, step
     min(0.2, 0.5/sqrt(top)) from s = ln(top + 12 sqrt(top) + 40) down to
     where e^(nw s)/Gamma(nw) falls below 1e-18 e^log_floor, log_floor being
-    the log of a lower bound on E |f|."""
+    the log of a lower bound on E |f|, which must be finite: at an argument
+    near the float range it can overflow, and that raises NumericFailure."""
+    if not math.isfinite(log_floor):
+        raise NumericFailure(f"Gamma lattice floor {log_floor!r} is not finite")
     lg = math.lgamma(nw)
     top = nw + deg
     h = min(0.2, 0.5 / math.sqrt(top))

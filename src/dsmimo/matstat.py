@@ -4,7 +4,7 @@ Conventions: a circular complex Gaussian entry has i.i.d. real and
 imaginary parts of variance 1/2, so E|g|^2 = 1 and channel entries are
 unit power.  A matrix-variate Gaussian X with row covariance S and column
 covariance P is S^(1/2) G P^(1/2) in law, G i.i.d. standard; it is drawn
-in the eigenbases of S and P (channel_slices).
+in the eigenbases of S and P (channel_slice).
 
 The moment/cumulant evaluators consume spectra rather than matrices: the
 quantities depend on the eigenvalues only, and callers often have exact
@@ -74,8 +74,9 @@ class Scenario:
         return zt, zs, zr
 
 
-#: Trials per slice of a batched channel draw: one slice's temporaries
-#: (a few hundred kB for 4x10x4) stay in cache.
+#: Trials per slice of a batched draw (sample_channel, and every Monte Carlo
+#: block in mc._accumulate): one slice's temporaries (a few hundred kB for
+#: 4x10x4) stay in cache.
 SLICE = 4096
 
 
@@ -94,7 +95,7 @@ def _std_complex(rng: np.random.Generator, count: int, scales) -> list[np.ndarra
 
 
 def bartlett_sides(scn: Scenario):
-    """(big, small) when channel_slices draws the reduced form, None
+    """(big, small) when channel_slice draws the reduced form, None
     otherwise: with phi_s = I and n_s > m = min(n_t, n_r), `small` is the
     m-dimensional end side that scales the columns of the Bartlett factor
     (phi_t, or phi_r when n_r < n_t) and `big` the other end side, the one
@@ -105,40 +106,36 @@ def bartlett_sides(scn: Scenario):
     return (scn.phi_t, scn.phi_r) if scn.n_r < scn.n_t else (scn.phi_r, scn.phi_t)
 
 
-def channel_slices(scn: Scenario, rng: np.random.Generator, size: int):
-    """Yield (start, D) for consecutive slices of at most SLICE trials of a
-    batch of `size` channels in the sides' eigenbases, never holding the
-    whole batch.  With r, s, t the expanded spectra of phi_r, phi_s, phi_t, a
-    slice draws D = (sqrt(r) o H1)(sqrt(s) sqrt(t)^T o H2)/sqrt(n_s), H1 then
-    H2, or D = sqrt(r) sqrt(t)^T o G without double scattering.  With
-    phi_s = I and n_s > min(n_t, n_r) the product is drawn in its reduced
-    form instead (_bartlett_slices).  Gaussian factors are invariant under
-    unitary rotation, so H has the law of U_r D U_t^H (sample_channel) and
-    shares ||D||_F and the eigenvalues of D D^H."""
+def channel_slice(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
+    """One slice of b channels in the sides' eigenbases, (b, n_r, n_t).  With
+    r, s, t the expanded spectra of phi_r, phi_s, phi_t, a slice draws
+    D = (sqrt(r) o H1)(sqrt(s) sqrt(t)^T o H2)/sqrt(n_s), H1 then H2, or
+    D = sqrt(r) sqrt(t)^T o G without double scattering.  With phi_s = I and
+    n_s > min(n_t, n_r) the product is drawn in its reduced form instead
+    (_bartlett_slice).  Gaussian factors are invariant under unitary
+    rotation, so H has the law of U_r D U_t^H (sample_channel) and shares
+    ||D||_F and the eigenvalues of D D^H."""
     if bartlett_sides(scn) is not None:
-        yield from _bartlett_slices(scn, rng, size)
-        return
+        return _bartlett_slice(scn, rng, b)
     r = np.sqrt(0.5 * scn.phi_r.spectrum.expand())
     t = np.sqrt(scn.phi_t.spectrum.expand())
     scales = ([np.outer(r, t)] if scn.no_double_scattering else
               [np.outer(r / math.sqrt(scn.n_s), np.ones(scn.n_s)),
                np.outer(np.sqrt(0.5 * scn.phi_s.spectrum.expand()), t)])
     scales = [np.repeat(f, 2, axis=1) for f in scales]  # as complex entries are stored
-    for lo in range(0, size, SLICE):
-        b = min(SLICE, size - lo)
-        yield lo, reduce(np.matmul, _std_complex(rng, b, scales))
+    return reduce(np.matmul, _std_complex(rng, b, scales))
 
 
-def _bartlett_slices(scn: Scenario, rng: np.random.Generator, size: int):
-    """channel_slices for phi_s = I and n_s > m = min(n_t, n_r), with no
+def _bartlett_slice(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
+    """channel_slice for phi_s = I and n_s > m = min(n_t, n_r), with no
     n_s-sized factor.  Write H2 = Q R_b (QR): Q is Haar and independent of
     R_b, so H1 Q is i.i.d. and H1 H2 has the law of G R_b, with G n_r x n_t
     standard and R_b the complex Bartlett factor: upper triangular, R_ii =
     sqrt(Gamma(n_s - i)) for i = 0..m-1, CN(0, 1) entries above the
     diagonal.  A slice is D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s).  When
     n_r < n_t the H1 side is reduced by transposition: D is the transpose of
-    (sqrt(t) o G)(R_b o sqrt(r)^T)/sqrt(n_s), G then n_t x n_r.  Per slice
-    one standard_normal call draws G, then R_b's strict upper triangle in C
+    (sqrt(t) o G)(R_b o sqrt(r)^T)/sqrt(n_s), G then n_t x n_r.  One
+    standard_normal call draws G, then R_b's strict upper triangle in C
     order (_std_complex's layout), and one standard_gamma call draws the
     (trial, i) diagonal.  R_b is never formed: column j of the product is G's
     column j times R_jj plus G's columns i < j times R_ij."""
@@ -150,20 +147,15 @@ def _bartlett_slices(scn: Scenario, rng: np.random.Generator, size: int):
     scales = [np.repeat(np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()),
                                  np.ones(m)), 2, axis=1),
               np.repeat(math.sqrt(0.5) * c[ju], 2)[None]]
-
-    def draw(b):  # its temporaries are freed before the caller reads D
-        g, up = _std_complex(rng, b, scales)
-        d = g * (np.sqrt(rng.standard_gamma(shapes, (b, m))) * c)[:, None]
-        for p, (i, j) in enumerate(zip(iu, ju)):
-            d[:, :, j] += g[:, :, i] * up[:, :, p]
-        return d.transpose(0, 2, 1).copy() if scn.n_r < scn.n_t else d
-
-    for lo in range(0, size, SLICE):
-        yield lo, draw(min(SLICE, size - lo))
+    g, up = _std_complex(rng, b, scales)
+    d = g * (np.sqrt(rng.standard_gamma(shapes, (b, m))) * c)[:, None]
+    for p, (i, j) in enumerate(zip(iu, ju)):
+        d[:, :, j] += g[:, :, i] * up[:, :, p]
+    return d.transpose(0, 2, 1).copy() if scn.n_r < scn.n_t else d
 
 
-#: With a tilted bidiagonal draw, every TILT_EVERY-th trial of a batch takes
-#: the tilted diagonal (bidiagonal_slices); SLICE is a multiple of it.
+#: With a tilted bidiagonal draw, every TILT_EVERY-th trial of a block takes
+#: the tilted diagonal (bidiagonal_slice); SLICE is a multiple of it.
 TILT_EVERY = 8
 
 
@@ -216,56 +208,49 @@ def _golub_kahan(c: np.ndarray, gam: np.ndarray, z: np.ndarray):
     return d2, f2
 
 
-def bidiagonal_slices(scn: Scenario, rng: np.random.Generator, size: int,
-                      tilt: int = 0):
-    """Yield (start, d2, f2, w) for consecutive slices of at most SLICE
-    trials of an m x m upper-bidiagonal factor B, trials last: d2 (m, b) is
-    its squared diagonal, f2 (m-1, b) its squared superdiagonal.  W = B^H B
-    has the eigenvalue law of the Bartlett Gram of _bartlett_slices, so
-    given B, D has the law of (sqrt(big) o G) B / sqrt(n_s) up to unitary
-    factors, G i.i.d. and (big, small) = bartlett_sides(scn).  When small's
-    spectrum has at most one eigenvalue l apart from a repeated value c
-    (_spike), the entries are independent, Dumitriu and Edelman's complex
-    bidiagonal model with one spike: d_1^2 = l Gamma(n_s),
-    d_i^2 = c Gamma(n_s - i + 1) for i >= 2, f_i^2 = c Gamma(m - i).  Any
-    other spectrum runs the Golub-Kahan chain (_golub_kahan).  A slice makes
-    the chain's one standard_normal call, (entry, trial) order, then one
-    standard_gamma call of the (i, trial) shapes, the diagonal's first.  Both
-    diagonals take the Bartlett diagonal's Gamma(n_s - i) shapes, so
-    det W = prod d2.  With tilt = 0, w is None (every weight 1).  With
-    tilt = k > 0, trials whose index in the batch is a multiple of
-    TILT_EVERY draw the diagonal from Gamma(max(n_s - i - k, 1/2)), and w is
-    each trial's likelihood ratio p/q of the untilted law p to the slice's
-    mixture q = (1 - a) p + a p_tilt, a the slice's tilted share, so that
-    E[w f(W)] = E f(W) for any f, with w <= 1/(1 - a): a function growing
-    like det(W)^(-k) near singular W has most of its mean where the tilted
-    law puts its mass."""
+def bidiagonal_slice(scn: Scenario, rng: np.random.Generator, lo: int, b: int,
+                     tilt: int = 0):
+    """(d2, f2, w) for one slice of b trials, block trials lo..lo+b-1, of an
+    m x m upper-bidiagonal factor B, trials last: d2 (m, b) is its squared
+    diagonal, f2 (m-1, b) its squared superdiagonal.  W = B^H B has the
+    eigenvalue law of the Bartlett Gram of _bartlett_slice, so given B, D
+    has the law of (sqrt(big) o G) B / sqrt(n_s) up to unitary factors, G
+    i.i.d. and (big, small) = bartlett_sides(scn).  When small's spectrum has
+    at most one eigenvalue l apart from a repeated value c (_spike), the
+    entries are independent, Dumitriu and Edelman's complex bidiagonal model
+    with one spike: d_1^2 = l Gamma(n_s), d_i^2 = c Gamma(n_s - i + 1) for
+    i >= 2, f_i^2 = c Gamma(m - i).  Any other spectrum runs the
+    Golub-Kahan chain (_golub_kahan).  A slice makes the chain's one
+    standard_normal call, (entry, trial) order, then one standard_gamma call
+    of the (i, trial) shapes, the diagonal's first.  Both diagonals take the
+    Bartlett diagonal's Gamma(n_s - i) shapes, so det W = prod d2.  With
+    tilt = 0, w is None (every weight 1).  With tilt = k > 0, trials whose
+    index in the block is a multiple of TILT_EVERY draw the diagonal from
+    Gamma(max(n_s - i - k, 1/2)), and w is each trial's likelihood ratio p/q
+    of the untilted law p to the slice's mixture q = (1 - a) p + a p_tilt, a
+    the slice's tilted share, so that E[w f(W)] = E f(W) for any f, with
+    w <= 1/(1 - a): a function growing like det(W)^(-k) near singular W has
+    most of its mean where the tilted law puts its mass."""
     _, small = bartlett_sides(scn)
     m = small.dim
     spike = _spike(small.spectrum)
     shapes = np.concatenate([scn.n_s - np.arange(m), m - 1 - np.arange(m - 1) if spike else []])
     tilted = np.concatenate([np.maximum(shapes[:m] - tilt, 0.5), shapes[m:]])
-    log_ratio = sum(math.lgamma(a) - math.lgamma(t) for a, t in zip(shapes, tilted))
-    scale = np.array([spike[0]] + [spike[1]] * (2 * m - 2))[:, None] if spike else None
-
-    def draw(lo, b):  # its temporaries are freed before the caller reads d2, f2
-        if not spike:
-            z = math.sqrt(0.5) * rng.standard_normal((m * (m - 1) // 2, 2 * b)).view(complex)
-        hit = (lo + np.arange(b)) % TILT_EVERY == 0
-        gam = rng.standard_gamma(np.where(hit, tilted[:, None], shapes[:, None]))
-        w = None
-        if tilt:
-            # p_tilt/p = prod_i Gamma(s_i)/Gamma(t_i) g_i^(t_i - s_i), s_i the untilted shape
-            ratio = np.exp(log_ratio + (tilted - shapes) @ np.log(gam))
-            a = hit.mean()
-            w = 1.0 / ((1.0 - a) + a * ratio)
-        if not spike:
-            return (*_golub_kahan(small.spectrum.expand(), gam, z), w)
-        gam *= scale
-        return gam[:m], gam[m:], w
-
-    for lo in range(0, size, SLICE):
-        yield lo, *draw(lo, min(SLICE, size - lo))
+    if not spike:
+        z = math.sqrt(0.5) * rng.standard_normal((m * (m - 1) // 2, 2 * b)).view(complex)
+    hit = (lo + np.arange(b)) % TILT_EVERY == 0
+    gam = rng.standard_gamma(np.where(hit, tilted[:, None], shapes[:, None]))
+    w = None
+    if tilt:
+        # p_tilt/p = prod_i Gamma(s_i)/Gamma(t_i) g_i^(t_i - s_i), s_i the untilted shape
+        log_ratio = sum(math.lgamma(a) - math.lgamma(t) for a, t in zip(shapes, tilted))
+        ratio = np.exp(log_ratio + (tilted - shapes) @ np.log(gam))
+        a = hit.mean()
+        w = 1.0 / ((1.0 - a) + a * ratio)
+    if not spike:
+        return (*_golub_kahan(small.spectrum.expand(), gam, z), w)
+    gam *= np.array([spike[0]] + [spike[1]] * (2 * m - 2))[:, None]
+    return gam[:m], gam[m:], w
 
 
 def sample_channel(scn: Scenario, rng: np.random.Generator,
@@ -274,7 +259,7 @@ def sample_channel(scn: Scenario, rng: np.random.Generator,
 
     H has the law of phi_r^(1/2) H1 phi_s^(1/2) H2 phi_t^(1/2)/sqrt(n_s), H1
     (n_r x n_s) and H2 (n_s x n_t) independent standard, or of
-    phi_r^(1/2) G phi_t^(1/2) without double scattering: channel_slices' D
+    phi_r^(1/2) G phi_t^(1/2) without double scattering: channel_slice's D
     rotated into the antenna frame, H = U_r D U_t^H (eigh's ascending
     eigenvectors, reversed to the order of spectrum.expand()).
     """
@@ -283,7 +268,8 @@ def sample_channel(scn: Scenario, rng: np.random.Generator,
     one = size is None
     b = 1 if one else size
     h = np.empty((b, scn.n_r, scn.n_t), dtype=complex)
-    for lo, d in channel_slices(scn, rng, b):
+    for lo in range(0, b, SLICE):
+        d = channel_slice(scn, rng, min(SLICE, b - lo))
         if ur is not None:
             d = ur @ d
         h[lo:lo + len(d)] = d if ut is None else d @ ut.conj().T

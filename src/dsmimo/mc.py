@@ -6,12 +6,12 @@ SEP integral, the instantaneous capacity), which collapses the variance by
 orders of magnitude relative to symbol-level simulation and makes tight
 3-sigma cross-checks against the closed forms affordable.  Each reads H only
 through ||H||_F^2 or det(I + c H H^H), so it takes the unrotated draw in the
-sides' eigenbases (matstat.channel_slices).
+sides' eigenbases (matstat.channel_slice).
 
 With uncorrelated scatterers and n_s > m = min(n_t, n_r), mc_sep and
 mc_kurtosis_eff condition on less: D = (sqrt(rho) o G) B / sqrt(n_s) with
 G i.i.d. and B an m x m upper-bidiagonal factor whose Gram W = B^H B has
-the Bartlett Gram's eigenvalue law (matstat.bidiagonal_slices), so a trial
+the Bartlett Gram's eigenvalue law (matstat.bidiagonal_slice), so a trial
 draws B alone and integrates G exactly.  With (rho_k, mu_k) the distinct
 eigenvalues of the unreduced end side Phi, a SEP trial is
 (1/pi) int prod_k det(I + x rho_k W/n_s)^(-mu_k) dtheta at
@@ -25,12 +25,15 @@ between seeds.  mc_capacity, and every other scenario, keep the full draw.
 
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from the SFC64
-child stream SeedSequence(seed, spawn_key=(b,)).  A block is drawn in slices
-of 4096 trials (matstat.SLICE); each slice takes its normals from one
+child stream SeedSequence(seed, spawn_key=(b,)).  One loop, _accumulate,
+walks a block in slices of 4096 trials (matstat.SLICE): every draw, theta
+stage and estimator takes one slice, whose batch sums join the block's table
+before the next slice is drawn.  Each slice takes its normals from one
 standard_normal call, each factor in C order over (trial, row, column) with
 every complex entry stored as its (real, imaginary) pair: the H1 block, then
-the H2 block (G alone without double scattering).  With uncorrelated
-scatterers and n_s > m the slice is drawn in reduced form,
+the H2 block (G alone without double scattering, where ||H||_F^2 is one
+standard_exponential call of (trial, eigenvalue pair) exponentials).  With
+uncorrelated scatterers and n_s > m the slice is drawn in reduced form,
 D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s): the call holds G (n_r x n_t,
 or n_t x n_r for the transposed D when n_r < n_t), then the strict upper
 triangle of the m x m Bartlett factor R_b, and one standard_gamma call
@@ -38,14 +41,14 @@ follows with the (trial, i) diagonal, R_ii^2 ~ Gamma(n_s - i).  A trial then
 costs 2 n_r n_t + m(m-1) normals and m gammas whatever n_s is.  A
 conditioned slice draws B alone, trials last: the Golub-Kahan chain's
 m(m-1)/2 complex normals in one standard_normal call, then one
-standard_gamma call of the (i, trial) shapes, the m diagonal ones first;
-a spiked smaller end side (identity, constant, m <= 2) draws no normals
-and 2m - 1 gammas.  mc_sep's gamma call takes the tilted diagonal shapes
-on trials whose index in the block is a multiple of 8.  Blocks run
-concurrently on up to os.cpu_count() threads, and their sums are reduced in
-block order, so results are bit-identical for any worker count.  Standard
-errors come from 32 batch means over the trial index, which stays honest
-for the ratio estimators (kurtosis) as well as plain means.
+standard_gamma call of the (i, trial) shapes, the m diagonal ones first; a
+spiked smaller end side (identity, constant, m <= 2) draws no normals and
+2m - 1 gammas.  mc_sep's gamma call takes the tilted diagonal shapes on trials
+whose index in the block is a multiple of 8.  Blocks run concurrently on up
+to os.cpu_count() threads, and their sums are reduced in block order, so
+results are bit-identical for any worker count.  Standard errors come from
+32 batch means over the trial index, which stays honest for the ratio
+estimators (kurtosis) as well as plain means.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matstat import Scenario, bartlett_sides, bidiagonal_slices, channel_slices
+from .matstat import SLICE, Scenario, bartlett_sides, bidiagonal_slice, channel_slice
 from .sep import (PskConstellation, conditional_sep_mpsk, conditional_sep_polynomial,
                   ostbc_snr_scale)
 
@@ -96,19 +99,26 @@ class KurtosisEff(NamedTuple):
     eff_db: Estimate
 
 
-def _accumulate(cfg: MonteCarloConfig, per_trial) -> np.ndarray:
-    """The moment table of per_trial(rng, count), a pair (x, y) of arrays of
-    `count` per-trial values, over the block schedule: a 3 x N_BATCHES array
-    whose rows hold each batch's trial count, sum of x and sum of y."""
+def _accumulate(cfg: MonteCarloConfig, per_slice) -> np.ndarray:
+    """The moment table of per_slice(rng, lo, b), a pair (x, y) of arrays of
+    per-trial values for trials lo..lo+b-1 of a block, over the block
+    schedule: a 3 x N_BATCHES array whose rows hold each batch's trial
+    count, sum of x and sum of y.  This is the one walk over a block's
+    slices of at most SLICE trials; each slice's batch sums are added to the
+    block's table as it is drawn, so no block-length array is ever held."""
     trials = cfg.trials
 
     def block_table(block: int):
+        rng = substream(cfg.seed, block)
         start = block * BLOCK_SIZE
         cnt = min(BLOCK_SIZE, trials - start)
-        x, y = per_trial(substream(cfg.seed, block), cnt)
-        batch = (start + np.arange(cnt, dtype=np.int64)) * N_BATCHES // trials
-        return np.array([np.bincount(batch, weights=w, minlength=N_BATCHES)
-                         for w in (None, x, y)])
+        table = np.zeros((3, N_BATCHES))
+        for lo in range(0, cnt, SLICE):
+            b = min(SLICE, cnt - lo)
+            batch = (start + lo + np.arange(b, dtype=np.int64)) * N_BATCHES // trials
+            for row, w in zip(table, (None, *per_slice(rng, lo, b))):
+                row += np.bincount(batch, weights=w, minlength=N_BATCHES)
+        return table
 
     blocks = -(-trials // BLOCK_SIZE)
     workers = min(blocks, os.cpu_count() or 1)
@@ -127,12 +137,13 @@ def _accumulate(cfg: MonteCarloConfig, per_trial) -> np.ndarray:
     return table
 
 
-def _mean_estimate(cfg: MonteCarloConfig, per_trial) -> Estimate:
-    """Mean and batch-means standard error of a per-trial scalar; falls back
-    to the per-trial variance when there are too few trials for 32 batches."""
+def _mean_estimate(cfg: MonteCarloConfig, per_slice) -> Estimate:
+    """Mean and batch-means standard error of a per-trial scalar,
+    per_slice(rng, lo, b) as in _accumulate; falls back to the per-trial
+    variance when there are too few trials for 32 batches."""
 
-    def with_square(rng, n):
-        v = per_trial(rng, n)
+    def with_square(rng, lo, b):
+        v = per_slice(rng, lo, b)
         return v, v * v
 
     counts, s1, s2 = _accumulate(cfg, with_square)
@@ -146,29 +157,16 @@ def _mean_estimate(cfg: MonteCarloConfig, per_trial) -> Estimate:
     return Estimate(float(mean), se, n)
 
 
-def _frob_sq_samples(scn: Scenario, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Per-trial ||H||_F^2 draws.
-
-    Without double scattering ||H||_F^2 is a weighted sum of exponentials
-    over transmit/receive eigenvalue pairs; otherwise it is ||D||_F^2 of the
-    channel drawn in the sides' eigenbases (matstat.channel_slices), whose
-    draw with uncorrelated scatterers holds no n_s-sized factor.
-    """
+def _frob_sq(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
+    """||H||_F^2 of one slice of b trials: without double scattering a
+    weighted sum of exponentials over transmit/receive eigenvalue pairs,
+    otherwise ||D||_F^2 of matstat.channel_slice."""
     if scn.no_double_scattering:
         pairs = np.multiply.outer(scn.phi_t.spectrum.expand(),
                                   scn.phi_r.spectrum.expand()).ravel()
-        return rng.standard_exponential((count, pairs.size)) @ pairs
-    return _per_channel(scn, rng, count, lambda d: np.einsum(
-        "bij,bij->b", d.view(float), d.view(float)))
-
-
-def _per_channel(scn: Scenario, rng: np.random.Generator, count: int, fn) -> np.ndarray:
-    """fn(D) over `count` draws of the channel in the sides' eigenbases
-    (matstat.channel_slices), one slice at a time."""
-    out = np.empty(count)
-    for lo, d in channel_slices(scn, rng, count):
-        out[lo:lo + len(d)] = fn(d)
-    return out
+        return rng.standard_exponential((b, pairs.size)) @ pairs
+    d = channel_slice(scn, rng, b).view(float)
+    return np.einsum("bij,bij->b", d, d)
 
 
 def _log2_det_eye_plus(c: float, h: np.ndarray) -> np.ndarray:
@@ -240,25 +238,23 @@ def _fold(e: np.ndarray, factors) -> np.ndarray:
 
 
 def _bidiagonal_sep(scn: Scenario, psk: PskConstellation, scale: float):
-    """per_trial for mc_sep with the reduced draw (matstat.bartlett_sides):
+    """per_slice for mc_sep with the reduced draw (matstat.bartlett_sides):
     with D = (sqrt(rho) o G) B / sqrt(n_s) and G i.i.d., the SNR MGF given B
     is prod_k det(I + x rho_k W/n_s)^(-mu_k), W = B^H B and (rho_k, mu_k)
     the distinct eigenvalues of the unreduced side, so each trial's value is
     the SEP integral of that product (sep.conditional_sep_polynomial) over
-    the bidiagonal draw of W (matstat.bidiagonal_slices), times the trial's
+    the bidiagonal draw of W (matstat.bidiagonal_slice), times the trial's
     weight under the draw tilted by that side's dimension, the power of
     det(W) the SEP falls with at high SNR."""
     big = bartlett_sides(scn)[0]
     factors = [(rho / scn.n_s, mu) for rho, mu in big.spectrum.distinct]
 
-    def per_trial(rng, n):
-        out = np.empty(n)
-        for lo, d2, f2, w in bidiagonal_slices(scn, rng, n, tilt=big.dim):
-            coef = _fold(_path_coefficients(d2, f2), factors)
-            out[lo:lo + len(w)] = w * conditional_sep_polynomial(coef, psk, scale)
-        return out
+    def per_slice(rng, lo, b):
+        d2, f2, w = bidiagonal_slice(scn, rng, lo, b, tilt=big.dim)
+        return w * conditional_sep_polynomial(_fold(_path_coefficients(d2, f2), factors),
+                                              psk, scale)
 
-    return per_trial
+    return per_slice
 
 
 def mc_sep(scn: Scenario, psk: PskConstellation, snr: float,
@@ -271,35 +267,28 @@ def mc_sep(scn: Scenario, psk: PskConstellation, snr: float,
     scale = snr * ostbc_snr_scale(scn)
     if bartlett_sides(scn) is not None:
         return _mean_estimate(cfg, _bidiagonal_sep(scn, psk, scale))
-
-    def per_trial(rng, n):
-        return conditional_sep_mpsk(scale * _frob_sq_samples(scn, rng, n), psk)
-
-    return _mean_estimate(cfg, per_trial)
+    return _mean_estimate(cfg, lambda rng, lo, b: conditional_sep_mpsk(
+        scale * _frob_sq(scn, rng, b), psk))
 
 
-def _frob_moments(scn: Scenario, rng: np.random.Generator, count: int):
-    """Per-trial (X, X^2) of X = ||H||_F^2, or with the reduced draw their
-    exact means given the bidiagonal factor B (matstat.bidiagonal_slices):
-    with W = B^H B and Phi the unreduced side, E[X|B] = tr Phi tr W/n_s and
-    E[X^2|B] = ((tr Phi)^2 (tr W)^2 + tr Phi^2 tr W^2)/n_s^2, W tridiagonal
-    with W_ii = d_i^2 + f_(i-1)^2 and |W_i,i+1|^2 = d_i^2 f_i^2."""
+def _frob_moments(scn: Scenario, rng: np.random.Generator, lo: int, b: int):
+    """(X, X^2) of X = ||H||_F^2 for one slice of b trials, or with the
+    reduced draw their exact means given the bidiagonal factor B
+    (matstat.bidiagonal_slice): with W = B^H B and Phi the unreduced side,
+    E[X|B] = tr Phi tr W/n_s and E[X^2|B] = ((tr Phi)^2 (tr W)^2
+    + tr Phi^2 tr W^2)/n_s^2, W tridiagonal with W_ii = d_i^2 + f_(i-1)^2
+    and |W_i,i+1|^2 = d_i^2 f_i^2."""
     sides = bartlett_sides(scn)
     if sides is None:
-        x = _frob_sq_samples(scn, rng, count)
+        x = _frob_sq(scn, rng, b)
         return x, x * x
     phi = sides[0].spectrum
     t1, t2 = phi.trace_power(1) / scn.n_s, phi.trace_power(2) / scn.n_s**2
-    m1, m2 = np.empty(count), np.empty(count)
-    for lo, d2, f2, _ in bidiagonal_slices(scn, rng, count):
-        hi = lo + d2.shape[1]
-        w_ii = d2.copy()
-        w_ii[1:] += f2
-        tr_w = w_ii.sum(axis=0)
-        m1[lo:hi] = t1 * tr_w
-        m2[lo:hi] = (t1 * tr_w) ** 2 + t2 * ((w_ii * w_ii).sum(axis=0)
-                                            + 2.0 * (d2[:-1] * f2).sum(axis=0))
-    return m1, m2
+    d2, f2, _ = bidiagonal_slice(scn, rng, lo, b)
+    w_ii = d2.copy()
+    w_ii[1:] += f2
+    m1 = t1 * w_ii.sum(axis=0)
+    return m1, m1 ** 2 + t2 * ((w_ii * w_ii).sum(axis=0) + 2.0 * (d2[:-1] * f2).sum(axis=0))
 
 
 def mc_kurtosis_eff(scn: Scenario, cfg: MonteCarloConfig) -> KurtosisEff:
@@ -341,21 +330,13 @@ def mc_capacity(scn: Scenario, snr: float, mode: str,
     if not 0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")
     if mode == "ostbc":
-        scale = snr * ostbc_snr_scale(scn)
-        rate = float(scn.rate)
-
-        def per_trial(rng, n):
-            return rate * np.log2(1.0 + scale * _frob_sq_samples(scn, rng, n))
-
-    elif mode == "general":
-        c = snr / scn.n_t
-
-        def per_trial(rng, n):
-            return _per_channel(scn, rng, n, lambda h: _log2_det_eye_plus(c, h))
-
-    else:
-        raise ValueError(f"unknown capacity mode {mode!r}")
-    return _mean_estimate(cfg, per_trial)
+        scale, rate = snr * ostbc_snr_scale(scn), float(scn.rate)
+        return _mean_estimate(cfg, lambda rng, lo, b: rate * np.log2(
+            1.0 + scale * _frob_sq(scn, rng, b)))
+    if mode == "general":
+        return _mean_estimate(cfg, lambda rng, lo, b: _log2_det_eye_plus(
+            snr / scn.n_t, channel_slice(scn, rng, b)))
+    raise ValueError(f"unknown capacity mode {mode!r}")
 
 
 def fit_diversity_slope(curve) -> float:

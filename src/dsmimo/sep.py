@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .detform import NumericFailure, expected_inv_det_kron, expected_inv_det_miso
-from .matstat import SLICE, Scenario
+from .matstat import Scenario
 from .quadrule import gauss_legendre
 
 #: Gauss-Legendre node count of the angular integrals, read at call time;
@@ -96,18 +96,10 @@ def conditional_sep_mpsk(gamma, psk: PskConstellation):
     the underflow limit (ln of the smallest normal double is -708.4) and
     adds at most e^-700 Theta/pi, about 9e-305, to a trial's value."""
     th, w = gauss_legendre(THETA_NODES, psk.theta_max)
-    c = psk.g / np.sin(th) ** 2
-    gv = np.asarray(gamma, dtype=float).ravel()
-    out = np.empty(gv.size)
-    # One (SLICE, THETA_NODES) exponent at a time, in one buffer reused for
-    # every slice.  A one-row tail joins the slice before it: numpy evaluates
-    # a one-row product as a dot, which rounds differently from a longer gemv.
-    buf = np.empty((min(gv.size, SLICE + 1), c.size))
-    cuts = [0, *range(SLICE, gv.size - 1, SLICE), gv.size]
-    for lo, hi in zip(cuts, cuts[1:]):
-        e = np.multiply.outer(-gv[lo:hi], c, out=buf[: hi - lo])
-        np.exp(np.maximum(e, -700.0, out=e), out=e)
-        out[lo:hi] = e @ w / math.pi
+    with np.errstate(over="ignore"):  # an exponent that overflows to -inf is floored too
+        e = np.multiply.outer(-np.asarray(gamma, dtype=float).ravel(), psk.g / np.sin(th) ** 2)
+    np.exp(np.maximum(e, -700.0, out=e), out=e)
+    out = e @ w / math.pi
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
@@ -118,13 +110,16 @@ def conditional_sep_polynomial(coef: np.ndarray, psk: PskConstellation,
     coef_j >= 0:
     (1/pi) int_0^Theta 1/P(scale*g/sin^2 theta) dtheta.  P is evaluated as
     P(x)/(1+x)^d in the basis x^j/(1+x)^d, whose entries lie in [0, 1], so
-    no power of x overflows at any SNR; the floor on the j = 0 column keeps
-    that sum positive where every basis entry underflows."""
+    no power of x overflows at any SNR, and an x that overflows to inf is
+    the limit x^d/(1+x)^d = 1 of the last column; the floor on the j = 0
+    column keeps that sum positive where every basis entry underflows."""
     th, w = gauss_legendre(THETA_NODES, psk.theta_max)
-    x = scale * psk.g / np.sin(th) ** 2
+    with np.errstate(over="ignore"):
+        x = scale * psk.g / np.sin(th) ** 2
     d = coef.shape[0] - 1
     j = np.arange(d + 1)[:, None]
-    basis = (x / (1.0 + x)) ** j * (1.0 / (1.0 + x)) ** (d - j)
+    ratio = np.divide(x, 1.0 + x, out=np.ones_like(x), where=x < math.inf)
+    basis = ratio ** j * (1.0 / (1.0 + x)) ** (d - j)
     num = w * basis[0] / math.pi
     basis[0] = np.maximum(basis[0], np.finfo(float).tiny)
     den = basis.T @ coef
@@ -136,12 +131,19 @@ def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
     """The angular average shared by every closed form: (1/pi) int_0^Theta
     mgf(xi) dtheta at xi = g*snr/(n_s*n_t*rate*sin^2 theta); n_s = 1 drops
     the double-scattering normalization.  An snr that is not positive and
-    finite raises ValueError, a result outside [0, (M-1)/M] NumericFailure."""
+    finite raises ValueError; an xi that overflows, or a result outside
+    [0, (M-1)/M], NumericFailure."""
     if not 0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")
     d = n_s * n_t * float(rate)
-    sep = sep_theta_integral(lambda th: mgf(psk.g * snr / (d * np.sin(th) ** 2)),
-                             psk.theta_max)
+
+    def integrand(th):
+        s2 = d * np.sin(th) ** 2
+        if psk.g * snr / float(s2.min()) == math.inf:  # the largest xi, as a float
+            raise NumericFailure(f"angular argument overflows at snr {snr!r}")
+        return mgf(psk.g * snr / s2)
+
+    sep = sep_theta_integral(integrand, psk.theta_max)
     if not 0.0 <= sep <= psk.sep_ceiling:
         raise NumericFailure(f"closed-form SEP {sep!r} outside [0, {psk.sep_ceiling!r}]")
     return sep

@@ -87,6 +87,23 @@ class TestParseConfig:
         assert f"config error: key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, key, old, new", [
+        ("sep-curve", "snr.stop_db", "10", "3090"), ("sep-curve", "snr.start_db", "6", "-3300"),
+        ("validate", "snr.stop_db", "10", "3090"), ("sweep", "sweep.snr_db", "15", "3090"),
+        ("lowsnr", "lowsnr.snr_stop_db", "2", "3090")])
+    def test_level_past_the_double_range_names_its_key(self, tmp_path, capsys, cmd, key,
+                                                       old, new):
+        # 10^(3090/10) overflows a double and 10^(-3300/10) underflows to 0;
+        # such a grid point reached sep_mpsk as snr = inf or 0 and raised
+        cfg = BASE + ("corr.tx.model = constant\ncorr.tx.rho = 0.3\n"
+                      "sweep.axis = rho\nsweep.values = 0.1\nsweep.snr_db = 15\n"
+                      "lowsnr.snr_stop_db = 2\n")
+        cfg = cfg.replace(f"{key} = {old}\n", f"{key} = {new}\n")
+        out = tmp_path / "o.csv"
+        assert main([cmd, "--config", write(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_override_validated(self, tmp_path, trials):
         # the override obeys the same mc.trials >= 1 rule as the config key
@@ -379,6 +396,19 @@ mc.seed = 3
                                                       "kurtosis_analytic_vs_mc",
                                                       "sep_monotone_in_snr"]
 
+    def test_underflowed_sep_validates_without_dividing_by_zero(self, tmp_path, capsys):
+        # 4x10x1 identity at 1000 dB: both MISO and uncorrelated SEPs
+        # underflow to 0, which the reduction check divided by; the
+        # all-zero grid then fails only the monotonicity check
+        cfg = (BASE.replace("scenario.n_r = 2", "scenario.n_r = 1")
+               .replace("snr.start_db = 6", "snr.start_db = 1000")
+               .replace("snr.stop_db = 10", "snr.stop_db = 1000"))
+        assert main(["validate", "--config", write(tmp_path, cfg),
+                     "--trials", "2000"]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "PASS  reduction_miso_vs_uncorrelated  deviation=0.000e+00" in out
+        assert "FAIL  sep_monotone_in_snr" in out and out.count("FAIL") == 1
+
     def test_probe_rho_outside_model_range_skipped(self, tmp_path, capsys):
         # rho = 0.3 is a valid tridiagonal coefficient at n = 10, but the
         # kurtosis probe's rho = 0.6 is above that model's bound of 0.52
@@ -459,6 +489,18 @@ class TestKeysPerSubcommand:
     def test_runs_on_only_the_keys_it_reads(self, tmp_path, cmd, extra):
         assert main([cmd, "--config", write(tmp_path, SCENARIO_KEYS + extra),
                      "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("cmd", ["diversity", "sep-curve", "validate"])
+    def test_rich_config_needs_no_scatterer_count(self, tmp_path, capsys, cmd):
+        # without double scattering scenario.n_s is never read, so a rich
+        # config leaves it out, and diversity reports an empty n_s
+        cfg = BASE.replace("scenario.n_s = 10\n", "") + "scenario.no_double_scattering = true\n"
+        out = tmp_path / "o.csv"
+        assert main([cmd, "--config", write(tmp_path, cfg), "--out", str(out),
+                     "--trials", "10000"]) == EXIT_OK
+        if cmd == "diversity":
+            assert "n_t=4 n_s= n_r=2 " in capsys.readouterr().out
+            assert read_rows(out)[1][:3] == ["4", "", "2"]
 
     @pytest.mark.parametrize("cmd", ["diversity", "sep-curve"])
     def test_configured_scenario_built_once(self, tmp_path, monkeypatch, cmd):

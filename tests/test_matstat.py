@@ -7,7 +7,7 @@ from scipy import stats
 from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                             exponential_corr, identity_corr, spectrum_of)
-from dsmimo.matstat import (SLICE, Scenario, channel_slices, double_product_moments,
+from dsmimo.matstat import (SLICE, Scenario, channel_slice, double_product_moments,
                             expected_trace_square, frobenius_moments,
                             kurtosis_frobenius, sample_channel,
                             trace_quadratic_cumulant)
@@ -252,7 +252,9 @@ class TestSampleChannel:
         n = 1 << 15
         scn = Scenario(n_t, n_s, n_r, constant_corr(n_t, rho), identity_corr(n_s),
                        constant_corr(n_r, rho))
-        reduced = np.concatenate([d for _, d in channel_slices(scn, substream(21, 0), n)])
+        rng = substream(21, 0)
+        reduced = np.concatenate([channel_slice(scn, rng, min(SLICE, n - lo))
+                                  for lo in range(0, n, SLICE)])
         rng = np.random.default_rng(22)
         r = np.sqrt(scn.phi_r.spectrum.expand())[:, None]
         t = np.sqrt(scn.phi_t.spectrum.expand())

@@ -16,7 +16,7 @@ from dsmimo.cli import EXIT_OK, main
 from dsmimo.codes import g4, ostbc_rate
 from dsmimo.corrmat import (constant_corr, exponential_corr, identity_corr, matrix_sqrt,
                             tridiagonal_corr)
-from dsmimo.matstat import (TILT_EVERY, Scenario, bidiagonal_slices,
+from dsmimo.matstat import (SLICE, TILT_EVERY, Scenario, bidiagonal_slice,
                             double_product_moments, frobenius_moments, kurtosis_frobenius,
                             sample_channel)
 from dsmimo.mc import (BLOCK_SIZE, Estimate, MonteCarloConfig, fit_diversity_slope,
@@ -101,13 +101,13 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert repr(pooled) == repr(run())
-        pinned = [("0x1.3efb20b3cd126p-4", "0x1.afcf6141eec47p-14"),
-                  ("0x1.bb5692a60ca79p+0", "0x1.17c00e7040994p-10"),
-                  ("-0x1.5b2bc7faba659p+0", "0x1.9f0ec309170b9p-8"),
-                  ("0x1.36a99c54c9be4p-7", "0x1.55e31a544870cp-16"),
-                  ("0x1.59d6c0b01994ap+0", "0x1.9520039e81e2fp-12"),
-                  ("-0x1.230e712c39911p+2", "0x1.39597c4c54941p-8"),
-                  ("0x1.00a0e1aecb423p+2", "0x1.9f00c4122bffcp-10")]
+        pinned = [("0x1.3efb20b3cd127p-4", "0x1.afcf6141eed77p-14"),
+                  ("0x1.bb5692a60ca83p+0", "0x1.17c00e704106ap-10"),
+                  ("-0x1.5b2bc7faba61ep+0", "0x1.9f0ec30917ac6p-8"),
+                  ("0x1.36a99c54c9be4p-7", "0x1.55e31a5448670p-16"),
+                  ("0x1.59d6c0b019947p+0", "0x1.9520039e8252cp-12"),
+                  ("-0x1.230e712c3991ap+2", "0x1.39597c4c54eb3p-8"),
+                  ("0x1.00a0e1aecb424p+2", "0x1.9f00c4122bce7p-10")]
         assert [(e.value.hex(), e.std_error.hex()) for e in pooled] == pinned
 
     def test_unconditioned_paths_keep_their_draws(self):
@@ -115,8 +115,9 @@ class TestDeterminism:
         # is reduced (phi_s = I and n_s > m); phi_s != I, n_s <= m, rich
         # scattering and both capacities keep their draws and estimates,
         # pinned as the values before the conditional estimators existed
-        # (the capacities' standard errors re-pinned within a few ulp when
-        # the log det and the reduced product changed their rounding)
+        # (standard errors re-pinned within a few ulp when the log det and
+        # the reduced product changed their rounding, and when batch sums
+        # came to be added slice by slice)
         cfg = MonteCarloConfig(5000, seed=77)
         psk = PskConstellation(4)
         scenarios = {
@@ -136,13 +137,13 @@ class TestDeterminism:
             got["readme", mode] = mc_capacity(readme, 10.0, mode, cfg)
         pinned = {
             ("phi_s", "sep"): ("0x1.0b2c054074e54p-8", "0x1.3428f000edcf0p-12"),
-            ("phi_s", "kurt"): ("0x1.cffab11eb9d04p+0", "0x1.84b5d519a9108p-6"),
+            ("phi_s", "kurt"): ("0x1.cffab11eb9d04p+0", "0x1.84b5d519a9105p-6"),
             ("n_s<=m", "sep"): ("0x1.64f8ae51e11c9p-8", "0x1.33da57d583522p-12"),
-            ("n_s<=m", "kurt"): ("0x1.b63c724e0d1a7p+0", "0x1.d827505a6f9f4p-7"),
+            ("n_s<=m", "kurt"): ("0x1.b63c724e0d1a7p+0", "0x1.d827505a6f9e7p-7"),
             ("rich", "sep"): ("0x1.9169191f1ae6fp-9", "0x1.6a7af6f23674dp-13"),
             ("rich", "kurt"): ("0x1.5b9e3e530694cp+0", "0x1.ae8d99b12769dp-8"),
             ("readme", "general"): ("0x1.14e416b391675p+3", "0x1.1c571c6158915p-6"),
-            ("readme", "ostbc"): ("0x1.0c66cf0105143p+2", "0x1.09d57bfab4e89p-7")}
+            ("readme", "ostbc"): ("0x1.0c66cf0105143p+2", "0x1.09d57bfab4e8dp-7")}
         assert {k: (e.value.hex(), e.std_error.hex()) for k, e in got.items()} == pinned
 
     def test_single_block_calls_start_no_thread(self, monkeypatch, tmp_path):
@@ -167,25 +168,32 @@ class TestDeterminism:
             mc_sep(scn, psk, 10.0, MonteCarloConfig(BLOCK_SIZE + 1, seed=1))
 
     def test_one_block_holds_no_whole_block_factor(self):
-        # README scenario: one 2^16-trial block draws its channel factors
-        # slice by slice, so no call holds a block-sized H1 or H2 (42 MB and
-        # 21 MB for 4x10x4)
+        # README scenario and its rich-scattering limit: one 2^16-trial block
+        # is drawn and reduced slice by slice, so no call holds a block-sized
+        # H1 or H2 (42 MB and 21 MB for 4x10x4), nor a block of per-trial
+        # values or of the rich ||H||^2 draw's exponentials (8 MiB for 4x4)
         scn = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
                        constant_corr(4, 0.5), g4())
+        rich = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                        constant_corr(4, 0.5), g4(), no_double_scattering=True)
         cfg = MonteCarloConfig(BLOCK_SIZE, seed=3)
-        calls = [lambda: mc_sep(scn, PskConstellation(8), 10.0, cfg),
-                 lambda: mc_capacity(scn, 10.0, "general", cfg),
-                 lambda: mc_kurtosis_eff(scn, cfg)]
-        peaks = []
+        calls = {"sep": lambda: mc_sep(scn, PskConstellation(8), 10.0, cfg),
+                 "general": lambda: mc_capacity(scn, 10.0, "general", cfg),
+                 "kurtosis": lambda: mc_kurtosis_eff(scn, cfg),
+                 "rich sep": lambda: mc_sep(rich, PskConstellation(8), 10.0, cfg),
+                 "rich kurtosis": lambda: mc_kurtosis_eff(rich, cfg),
+                 "rich ostbc": lambda: mc_capacity(rich, 10.0, "ostbc", cfg)}
+        peaks = {}
         tracemalloc.start()
         try:
-            for call in calls:
+            for name, call in calls.items():
                 tracemalloc.reset_peak()
                 call()
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert max(peaks) < 24 * 2**20, peaks
+        assert max(peaks.values()) < 24 * 2**20, peaks
+        assert max(peaks["rich kurtosis"], peaks["rich ostbc"]) < 4 * 2**20, peaks
 
     def test_estimator_field_types(self):
         scn = Scenario(2, 3, 2, exponential_corr(2, 0.5), identity_corr(3),
@@ -303,6 +311,13 @@ class TestMcSep:
         assert isinstance(est, Estimate)
         assert est.trials == 4096
         assert est.std_error >= 0
+
+
+def bidiagonal_slices(scn, rng, size, tilt=0):
+    """(lo, d2, f2, w) for each slice of a size-trial block, drawn in the
+    order in which mc._accumulate walks it."""
+    return [(lo, *bidiagonal_slice(scn, rng, lo, min(SLICE, size - lo), tilt))
+            for lo in range(0, size, SLICE)]
 
 
 def _bidiagonal(side, n_s, count, seed, chain=False):
@@ -482,7 +497,7 @@ class TestBidiagonalLaw:
 
 
 class TestTiltedBartlettDraw:
-    """bidiagonal_slices with tilt > 0: every TILT_EVERY-th trial takes
+    """bidiagonal_slice with tilt > 0: every TILT_EVERY-th trial takes
     Gamma(n_s - i - tilt) on the diagonal, and w reweights to the untilted
     law."""
 
@@ -490,7 +505,7 @@ class TestTiltedBartlettDraw:
                    constant_corr(4, 0.5))
 
     def draws(self, tilt, size=1 << 16, seed=3):
-        return list(bidiagonal_slices(self.SCN, substream(seed, 0), size, tilt=tilt))
+        return bidiagonal_slices(self.SCN, substream(seed, 0), size, tilt=tilt)
 
     def test_untilted_draw_has_no_weights(self):
         assert all(w is None for *_, w in self.draws(0, size=5000))
@@ -593,7 +608,7 @@ class TestMcKurtosisEff:
 
     def test_degenerate_flagged(self, monkeypatch):
         # constant ||H||^2 draws give kurtosis exactly 1: dB figure undefined
-        monkeypatch.setattr(mc_mod, "_frob_sq_samples",
+        monkeypatch.setattr(mc_mod, "_frob_sq",
                             lambda scn, rng, n: np.ones(n))
         kurt, eff = mc_kurtosis_eff(Scenario.uncorrelated(1, 1, 1),
                                     MonteCarloConfig(trials=20_000, seed=1))
@@ -740,6 +755,19 @@ def test_snr_must_be_positive_and_finite(snr):
             call()
 
 
+@pytest.mark.parametrize("rich", [False, True])
+def test_overflowing_snr_gives_a_finite_estimate(rich):
+    # README scenario at snr = 1e304: x = scale g/sin^2 theta overflows to
+    # inf at the nodes nearest theta = 0; the conditioned theta stage takes that
+    # as its basis's last column (it read NaN +- NaN from inf/inf), and the
+    # unconditioned one floors its exponent
+    scn = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                   constant_corr(4, 0.5), g4(), no_double_scattering=rich)
+    est = mc_sep(scn, PskConstellation(8), 1e304, MonteCarloConfig(4096, seed=1))
+    assert math.isfinite(est.value) and math.isfinite(est.std_error)
+    assert 0.0 <= est.value <= 1e-300
+
+
 def test_rate_formula_examples():
     from fractions import Fraction
 
@@ -748,14 +776,21 @@ def test_rate_formula_examples():
     assert ostbc_rate(8) == Fraction(1, 2)
 
 
+def _frob_sq_draws(scn, seed, size):
+    """||H||_F^2 of `size` trials from block stream 0, drawn slice by slice as
+    mc._accumulate walks a block."""
+    rng = substream(seed, 0)
+    return np.concatenate([mc_mod._frob_sq(scn, rng, min(SLICE, size - lo))
+                           for lo in range(0, size, SLICE)])
+
+
 def test_frobenius_shortcuts_preserve_moments():
     # the distributional shortcut paths must reproduce the analytic second
     # and fourth Frobenius moments
     for scn in [Scenario.uncorrelated(1, 6, 1),
                 Scenario(2, 3, 2, constant_corr(2, 0.5), identity_corr(3),
                          constant_corr(2, 0.4), no_double_scattering=True)]:
-        rng = substream(7, 0)
-        x = mc_mod._frob_sq_samples(scn, rng, 400_000)
+        x = _frob_sq_draws(scn, 7, 400_000)
         m2, m4 = frobenius_moments(scn)
         assert abs(x.mean() - m2) < 4 * x.std() / math.sqrt(x.size)
         x2 = x * x
@@ -776,7 +811,7 @@ def test_generic_frobenius_draw_preserves_moments(model):
     # the spectral-frame draw must reproduce the analytic second and fourth
     # Frobenius moments when no side is the identity
     scn = _all_sides_correlated(model, np.random.default_rng(5))
-    x = mc_mod._frob_sq_samples(scn, substream(8, 0), 400_000)
+    x = _frob_sq_draws(scn, 8, 400_000)
     m2, m4 = frobenius_moments(scn)
     assert abs(x.mean() - m2) < 4 * x.std() / math.sqrt(x.size)
     x2 = x * x

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -414,6 +415,24 @@ class TestDispatchAndInvariants:
         with pytest.raises(NumericFailure):
             _sep_from_mgf(lambda xi: np.full_like(xi, 2.0), PskConstellation(4),
                           db(10.0), 2, 1)
+
+    @pytest.mark.parametrize("scn", [
+        Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10), constant_corr(4, 0.5), g4()),
+        Scenario.uncorrelated(4, 10, 1, g4()),
+        Scenario(4, 1, 4, constant_corr(4, 0.5), identity_corr(1), constant_corr(4, 0.5), g4(),
+                 no_double_scattering=True)], ids=["readme", "miso", "rich"])
+    def test_overflowing_angular_argument_raises(self, scn):
+        # at snr = 1e305 g snr/(d sin^2 theta) overflows at the nodes nearest
+        # theta = 0, which the Kronecker lattice met as an untyped
+        # OverflowError; a few decades below, the lattice floor overflowed
+        # (OverflowError, or ValueError from a NaN in the MISO row)
+        psk = PskConstellation(8)
+        with pytest.raises(NumericFailure, match="angular argument overflows"):
+            sep_mpsk(scn, psk, 1e305)
+        assert 0.0 <= sep_mpsk(scn, psk, 1e300) <= psk.sep_ceiling
+        for snr in 10.0 ** np.arange(298.0, 309.0):
+            with contextlib.suppress(NumericFailure):
+                assert 0.0 <= sep_mpsk(scn, psk, snr) <= psk.sep_ceiling
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 60),
            st.booleans(), st.floats(0.05, 3.0), st.sampled_from([2, 4, 8, 16]),
