@@ -298,14 +298,13 @@ def cmd_sep_curve(cfg: RunConfig) -> int:
     out = _require_output(cfg)
     psk, grid, mc, scn = cfg.psk(), cfg.snr_db(), cfg.mc(), cfg.scn
     d = float(sep_mod.diversity_order(scn))
+    snrs = [_linear(snr_db) for snr_db in grid]
     rows = []
-    for snr_db in grid:
-        snr = _linear(snr_db)
+    for snr_db, snr, est in zip(grid, snrs, mc_sep(scn, psk, snrs, mc)):
         try:
             cf = sep_mod.sep_mpsk(scn, psk, snr)
         except UnsupportedScenarioError:
             cf = None
-        est = mc_sep(scn, psk, snr, mc)
         # values below the numeric floor are reported as computed, flagged,
         # never clamped
         flag = "below numeric floor" if cf is not None and 0 < cf < 1e-12 else ""
@@ -369,10 +368,9 @@ def cmd_lowsnr(cfg: RunConfig) -> int:
     for mode in ("general", "ostbc"):
         for e, c in lowsnr_mod.lowsnr_capacity_curve(scn, mode, ebn0_db):
             rows.append([f"approx_{mode}", e, c, "", ""])
+    snrs = [_linear(snr_db) for snr_db in snr_grid]
     for mode in ("general", "ostbc"):
-        for snr_db in snr_grid:
-            snr = _linear(snr_db)
-            est = mc_capacity(scn, snr, mode, mc)
+        for snr_db, snr, est in zip(snr_grid, snrs, mc_capacity(scn, snrs, mode, mc)):
             if est.value <= 0:
                 continue
             ebn0_rx_db = 10.0 * math.log10(scn.n_r * snr / est.value)

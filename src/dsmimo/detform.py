@@ -368,8 +368,11 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
 
     def log_det(x, t, logw, tails):
         """(sign, log) of det N(x) over its leading coefficients, x a vector."""
-        logmu = logw - np.einsum("k,xgkn->xgn", mult,
-                                 np.log1p(np.multiply.outer(np.multiply.outer(x, c), t)))
+        # a node where x c_k t overflows has a factor of mu below 1/DBL_MAX,
+        # and log1p(inf) takes mu there as 0
+        with np.errstate(over="ignore"):
+            logmu = logw - np.einsum("k,xgkn->xgn", mult,
+                                     np.log1p(np.multiply.outer(np.multiply.outer(x, c), t)))
         _, a, lb, shift_s = _lanczos(t, logmu[:, s], m)
         vo, _, lbo, shift_o = _lanczos(t, logmu[:, other], k_o)
         log = (lead_s @ lb + np.einsum("gj,jxg->x", lead_o, lbo)
@@ -392,8 +395,10 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
 
     def mgf(xv):
         # every mu_g has at least its product's value at the Gamma mean (Jensen);
-        # the integrands are mu_g times polynomials of degree <= 2m - 2
-        floor = -float(mult @ np.log1p(xv.max() * c.max(axis=0) * n))
+        # the integrands are mu_g times polynomials of degree <= 2m - 2; a bound
+        # that overflows makes the floor -inf, which _gamma_lattice raises
+        with np.errstate(over="ignore"):
+            floor = -float(mult @ np.log1p(xv.max() * c.max(axis=0) * n))
         t, logw = _gamma_lattice(n - m + 1, floor, 2 * m - 2)
         tails = _poisson_tails(m - 1, (scale - 1.0) * t)[tail_k]
         x = np.concatenate([[0.0], xv])  # N(0), the normaliser, rides in the first block

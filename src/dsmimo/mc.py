@@ -49,6 +49,13 @@ to os.cpu_count() threads, and their sums are reduced in block order, so
 results are bit-identical for any worker count.  Standard errors come from
 32 batch means over the trial index, which stays honest for the ratio
 estimators (kurtosis) as well as plain means.
+
+mc_sep and mc_capacity take snr as a float or as a 1-D grid.  A grid is
+evaluated on common draws: each slice is drawn once (with its path
+polynomial, or ||H||_F^2) and only the SNR stage runs per point, each
+point's values joining the block's table as they are made.  Each point
+equals the float call at that SNR bit for bit, so the Monte Carlo errors
+along a curve are correlated, as they always were for same-seed calls.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .detform import NumericFailure
 from .matstat import SLICE, Scenario, bartlett_sides, bidiagonal_slice, channel_slice
 from .sep import (PskConstellation, conditional_sep_mpsk, conditional_sep_polynomial,
                   ostbc_snr_scale)
@@ -99,24 +107,27 @@ class KurtosisEff(NamedTuple):
     eff_db: Estimate
 
 
-def _accumulate(cfg: MonteCarloConfig, per_slice) -> np.ndarray:
-    """The moment table of per_slice(rng, lo, b), a pair (x, y) of arrays of
-    per-trial values for trials lo..lo+b-1 of a block, over the block
-    schedule: a 3 x N_BATCHES array whose rows hold each batch's trial
-    count, sum of x and sum of y.  This is the one walk over a block's
-    slices of at most SLICE trials; each slice's batch sums are added to the
-    block's table as it is drawn, so no block-length array is ever held."""
+def _accumulate(cfg: MonteCarloConfig, per_slice, rows: int) -> np.ndarray:
+    """The moment table of per_slice(rng, lo, b), an iterable of `rows`
+    arrays of per-trial values for trials lo..lo+b-1 of a block, over the
+    block schedule: a (1 + rows) x N_BATCHES array whose first row holds
+    each batch's trial count and row 1 + k each batch's sum of the k-th
+    array.  This is the one walk over a block's slices of at most SLICE
+    trials; the arrays are taken one at a time, each added to the block's
+    table as it arrives, so a generator of many arrays (one per SNR) holds
+    no more of them than one, and no block-length array is ever held."""
     trials = cfg.trials
 
     def block_table(block: int):
         rng = substream(cfg.seed, block)
         start = block * BLOCK_SIZE
         cnt = min(BLOCK_SIZE, trials - start)
-        table = np.zeros((3, N_BATCHES))
+        table = np.zeros((1 + rows, N_BATCHES))
         for lo in range(0, cnt, SLICE):
             b = min(SLICE, cnt - lo)
             batch = (start + lo + np.arange(b, dtype=np.int64)) * N_BATCHES // trials
-            for row, w in zip(table, (None, *per_slice(rng, lo, b))):
+            table[0] += np.bincount(batch, minlength=N_BATCHES)
+            for row, w in zip(table[1:], per_slice(rng, lo, b), strict=True):
                 row += np.bincount(batch, weights=w, minlength=N_BATCHES)
         return table
 
@@ -131,30 +142,46 @@ def _accumulate(cfg: MonteCarloConfig, per_slice) -> np.ndarray:
 
         with ThreadPoolExecutor(workers) as pool:
             parts = list(pool.map(block_table, range(blocks)))
-    table = np.zeros((3, N_BATCHES))
+    table = np.zeros((1 + rows, N_BATCHES))
     for part in parts:  # block order, whatever finished first
         table += part
     return table
 
 
-def _mean_estimate(cfg: MonteCarloConfig, per_slice) -> Estimate:
-    """Mean and batch-means standard error of a per-trial scalar,
-    per_slice(rng, lo, b) as in _accumulate; falls back to the per-trial
-    variance when there are too few trials for 32 batches."""
+def _snr_grid(snr) -> list[float]:
+    """The points of snr, a float or a non-empty 1-D sequence, each checked
+    positive and finite."""
+    grid = np.asarray(snr, dtype=float)
+    if grid.ndim > 1 or grid.size == 0:
+        raise ValueError("snr must be a number or a non-empty 1-D sequence")
+    if not np.all((grid > 0) & (grid < math.inf)):
+        raise ValueError("snr must be positive and finite")
+    return np.atleast_1d(grid).tolist()
 
-    def with_square(rng, lo, b):
-        v = per_slice(rng, lo, b)
-        return v, v * v
 
-    counts, s1, s2 = _accumulate(cfg, with_square)
+def _mean_estimates(cfg: MonteCarloConfig, per_slice, points: int) -> list[Estimate]:
+    """Mean and batch-means standard error of each of `points` per-trial
+    scalars, per_slice(rng, lo, b) yielding one array per point as in
+    _accumulate; falls back to the per-trial variance when there are too few
+    trials for 32 batches."""
+
+    def with_squares(rng, lo, b):
+        for v in per_slice(rng, lo, b):
+            yield v
+            yield v * v
+
+    counts, *sums = _accumulate(cfg, with_squares, 2 * points)
     n = cfg.trials
-    mean = s1.sum() / n
-    if np.all(counts > 1):
-        se = float((s1 / counts).std(ddof=1) / math.sqrt(N_BATCHES))
-    else:
-        var = max(s2.sum() / n - mean**2, 0.0)
-        se = math.sqrt(var / n)
-    return Estimate(float(mean), se, n)
+    out = []
+    for s1, s2 in zip(sums[0::2], sums[1::2]):
+        mean = s1.sum() / n
+        if np.all(counts > 1):
+            se = float((s1 / counts).std(ddof=1) / math.sqrt(N_BATCHES))
+        else:
+            var = max(s2.sum() / n - mean**2, 0.0)
+            se = math.sqrt(var / n)
+        out.append(Estimate(float(mean), se, n))
+    return out
 
 
 def _frob_sq(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
@@ -237,8 +264,9 @@ def _fold(e: np.ndarray, factors) -> np.ndarray:
     return out
 
 
-def _bidiagonal_sep(scn: Scenario, psk: PskConstellation, scale: float):
-    """per_slice for mc_sep with the reduced draw (matstat.bartlett_sides):
+def _bidiagonal_sep(scn: Scenario, psk: PskConstellation, scales: list[float]):
+    """per_slice for mc_sep with the reduced draw (matstat.bartlett_sides),
+    yielding one array per SNR scale:
     with D = (sqrt(rho) o G) B / sqrt(n_s) and G i.i.d., the SNR MGF given B
     is prod_k det(I + x rho_k W/n_s)^(-mu_k), W = B^H B and (rho_k, mu_k)
     the distinct eigenvalues of the unreduced side, so each trial's value is
@@ -251,24 +279,31 @@ def _bidiagonal_sep(scn: Scenario, psk: PskConstellation, scale: float):
 
     def per_slice(rng, lo, b):
         d2, f2, w = bidiagonal_slice(scn, rng, lo, b, tilt=big.dim)
-        return w * conditional_sep_polynomial(_fold(_path_coefficients(d2, f2), factors),
-                                              psk, scale)
+        coef = _fold(_path_coefficients(d2, f2), factors)
+        for scale in scales:
+            yield w * conditional_sep_polynomial(coef, psk, scale)
 
     return per_slice
 
 
-def mc_sep(scn: Scenario, psk: PskConstellation, snr: float,
-           cfg: MonteCarloConfig) -> Estimate:
+def mc_sep(scn: Scenario, psk: PskConstellation, snr, cfg: MonteCarloConfig):
     """Semi-analytic SEP estimate: average over channel draws of the exact
     conditional M-PSK SEP at gamma = snr*||H||_F^2/(n_t*rate); with the
-    reduced draw, of the exact SEP given the bidiagonal factor alone."""
-    if not 0 < snr < math.inf:
-        raise ValueError("snr must be positive and finite")
-    scale = snr * ostbc_snr_scale(scn)
+    reduced draw, of the exact SEP given the bidiagonal factor alone.
+
+    snr is a float, giving one Estimate, or a 1-D sequence, giving a list
+    of Estimates on common draws, each equal to the float call's."""
+    grid = _snr_grid(snr)
+    scales = [s * ostbc_snr_scale(scn) for s in grid]
     if bartlett_sides(scn) is not None:
-        return _mean_estimate(cfg, _bidiagonal_sep(scn, psk, scale))
-    return _mean_estimate(cfg, lambda rng, lo, b: conditional_sep_mpsk(
-        scale * _frob_sq(scn, rng, b), psk))
+        per_slice = _bidiagonal_sep(scn, psk, scales)
+    else:
+        def per_slice(rng, lo, b):
+            x = _frob_sq(scn, rng, b)
+            for scale in scales:
+                yield conditional_sep_mpsk(scale * x, psk)
+    ests = _mean_estimates(cfg, per_slice, len(grid))
+    return ests if np.ndim(snr) else ests[0]
 
 
 def _frob_moments(scn: Scenario, rng: np.random.Generator, lo: int, b: int):
@@ -301,7 +336,7 @@ def mc_kurtosis_eff(scn: Scenario, cfg: MonteCarloConfig) -> KurtosisEff:
     """
     if cfg.trials < 10_000:
         raise ValueError("kurtosis estimation needs at least 1e4 trials")
-    counts, s1, s2 = _accumulate(cfg, partial(_frob_moments, scn))
+    counts, s1, s2 = _accumulate(cfg, partial(_frob_moments, scn), 2)
     n = cfg.trials
     m1, m2 = s1.sum() / n, s2.sum() / n
     kappa = float(m2 / m1**2)
@@ -320,23 +355,37 @@ def mc_kurtosis_eff(scn: Scenario, cfg: MonteCarloConfig) -> KurtosisEff:
     return KurtosisEff(kurt, eff)
 
 
-def mc_capacity(scn: Scenario, snr: float, mode: str,
-                cfg: MonteCarloConfig) -> Estimate:
+def mc_capacity(scn: Scenario, snr, mode: str, cfg: MonteCarloConfig):
     """Ergodic capacity estimate in bits/s/Hz.
 
     mode "general": E log2 det(I + (snr/n_t) H H^H);
     mode "ostbc":   rate * E log2(1 + snr*||H||_F^2/(n_t*rate)).
+
+    snr is a float, giving one Estimate, or a 1-D sequence, giving a list
+    of Estimates on common draws, each equal to the float call's.  An
+    estimate that overflows (snr near the top of the float range) raises
+    NumericFailure.
     """
-    if not 0 < snr < math.inf:
-        raise ValueError("snr must be positive and finite")
+    grid = _snr_grid(snr)
     if mode == "ostbc":
-        scale, rate = snr * ostbc_snr_scale(scn), float(scn.rate)
-        return _mean_estimate(cfg, lambda rng, lo, b: rate * np.log2(
-            1.0 + scale * _frob_sq(scn, rng, b)))
-    if mode == "general":
-        return _mean_estimate(cfg, lambda rng, lo, b: _log2_det_eye_plus(
-            snr / scn.n_t, channel_slice(scn, rng, b)))
-    raise ValueError(f"unknown capacity mode {mode!r}")
+        unit, rate = ostbc_snr_scale(scn), float(scn.rate)
+        draw, value = _frob_sq, lambda x, s: rate * np.log2(1.0 + s * unit * x)
+    elif mode == "general":
+        draw, value = channel_slice, lambda h, s: _log2_det_eye_plus(s / scn.n_t, h)
+    else:
+        raise ValueError(f"unknown capacity mode {mode!r}")
+
+    def per_slice(rng, lo, b):
+        x = draw(scn, rng, b)
+        for s in grid:
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN raises below
+                v = value(x, s)
+            if not np.isfinite(v).all():
+                raise NumericFailure(f"capacity overflows at snr {s!r}")
+            yield v
+
+    ests = _mean_estimates(cfg, per_slice, len(grid))
+    return ests if np.ndim(snr) else ests[0]
 
 
 def fit_diversity_slope(curve) -> float:

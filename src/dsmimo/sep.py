@@ -139,7 +139,8 @@ def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
 
     def integrand(th):
         s2 = d * np.sin(th) ** 2
-        if psk.g * snr / float(s2.min()) == math.inf:  # the largest xi, as a float
+        # the largest xi in Python floats, which overflow to inf without a warning
+        if psk.g * float(snr) / float(s2.min()) == math.inf:
             raise NumericFailure(f"angular argument overflows at snr {snr!r}")
         return mgf(psk.g * snr / s2)
 
@@ -182,8 +183,14 @@ def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: flo
     Rayleigh reference curve."""
     pairs = np.multiply.outer(scn.phi_t.spectrum.expand(),
                               scn.phi_r.spectrum.expand()).ravel()
-    return _sep_from_mgf(lambda c: np.exp(-np.log1p(np.outer(c, pairs)).sum(axis=1)),
-                         psk, snr, scn.n_t, scn.rate)
+
+    def mgf(c):
+        # a product past the float range is a factor below 1/DBL_MAX: the MGF
+        # is then 0, as exp(-inf) gives
+        with np.errstate(over="ignore"):
+            return np.exp(-np.log1p(np.outer(c, pairs)).sum(axis=1))
+
+    return _sep_from_mgf(mgf, psk, snr, scn.n_t, scn.rate)
 
 
 def sep_mpsk_iid_rayleigh(n_t: int, n_r: int, rate, psk: PskConstellation,

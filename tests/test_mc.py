@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import math
 import os
 import sys
@@ -25,6 +26,7 @@ from dsmimo.quadrule import gauss_legendre
 from dsmimo.sep import (PskConstellation, conditional_sep_polynomial, sep_mpsk,
                         sep_mpsk_iid_rayleigh, sep_mpsk_uncorrelated, sep_theta_integral)
 from dsmimo.corrmat import Spectrum
+from dsmimo.detform import NumericFailure
 
 from conftest import cgauss, random_correlation
 
@@ -177,12 +179,18 @@ class TestDeterminism:
         rich = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
                         constant_corr(4, 0.5), g4(), no_double_scattering=True)
         cfg = MonteCarloConfig(BLOCK_SIZE, seed=3)
+        sep_grid, capacity_grid = db(np.arange(0.0, 32.0, 2.0)), db(np.arange(-20.0, 1.0, 5.0))
         calls = {"sep": lambda: mc_sep(scn, PskConstellation(8), 10.0, cfg),
                  "general": lambda: mc_capacity(scn, 10.0, "general", cfg),
                  "kurtosis": lambda: mc_kurtosis_eff(scn, cfg),
                  "rich sep": lambda: mc_sep(rich, PskConstellation(8), 10.0, cfg),
                  "rich kurtosis": lambda: mc_kurtosis_eff(rich, cfg),
-                 "rich ostbc": lambda: mc_capacity(rich, 10.0, "ostbc", cfg)}
+                 "rich ostbc": lambda: mc_capacity(rich, 10.0, "ostbc", cfg),
+                 # a grid streams its per-SNR values into the table one at a
+                 # time, so it holds no more than its scalar call
+                 "sep grid": lambda: mc_sep(scn, PskConstellation(8), sep_grid, cfg),
+                 "general grid": lambda: mc_capacity(scn, capacity_grid, "general", cfg),
+                 "rich ostbc grid": lambda: mc_capacity(rich, capacity_grid, "ostbc", cfg)}
         peaks = {}
         tracemalloc.start()
         try:
@@ -194,6 +202,8 @@ class TestDeterminism:
             tracemalloc.stop()
         assert max(peaks.values()) < 24 * 2**20, peaks
         assert max(peaks["rich kurtosis"], peaks["rich ostbc"]) < 4 * 2**20, peaks
+        for name in ("sep", "general", "rich ostbc"):
+            assert peaks[f"{name} grid"] <= peaks[name] + 2**20, peaks
 
     def test_estimator_field_types(self):
         scn = Scenario(2, 3, 2, exponential_corr(2, 0.5), identity_corr(3),
@@ -717,6 +727,114 @@ class TestMcCapacity:
                         MonteCarloConfig(trials=1024, seed=1))
 
 
+README = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                  constant_corr(4, 0.5), g4())
+
+
+class TestSnrGrid:
+    """mc_sep and mc_capacity over an SNR grid: one pass draws each slice
+    once, and every point equals the scalar call at that SNR bit for bit."""
+
+    SEP_GRID = [db(0.0), db(10.0), db(20.0)]
+    CAPACITY_GRID = [db(-20.0), db(-5.0), db(10.0)]
+    ROUTES = {
+        # conditioned on the bidiagonal factor: the spiked draw, the chain
+        "readme sep": lambda snr, cfg: mc_sep(README, PskConstellation(8), snr, cfg),
+        "chain sep": lambda snr, cfg: mc_sep(
+            Scenario(3, 5, 3, exponential_corr(3, 0.5), identity_corr(5),
+                     constant_corr(3, 0.3)), PskConstellation(8), snr, cfg),
+        # unconditioned: the full channel draw, and rich scattering's exponentials
+        "exponential sep": lambda snr, cfg: mc_sep(
+            Scenario(3, 4, 2, exponential_corr(3, 0.5), exponential_corr(4, 0.5),
+                     exponential_corr(2, 0.5)), PskConstellation(4), snr, cfg),
+        "rich sep": lambda snr, cfg: mc_sep(
+            Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                     constant_corr(4, 0.5), g4(), no_double_scattering=True),
+            PskConstellation(8), snr, cfg),
+        "general": lambda snr, cfg: mc_capacity(README, snr, "general", cfg),
+        "ostbc": lambda snr, cfg: mc_capacity(README, snr, "ostbc", cfg)}
+
+    @staticmethod
+    def bits(estimates):
+        return [(e.value.hex(), e.std_error.hex(), e.trials) for e in estimates]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", [SLICE + 3, 2 * BLOCK_SIZE + 5])
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_grid_equals_scalar_calls(self, route, trials, workers, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        call, cfg = self.ROUTES[route], MonteCarloConfig(trials, seed=2024)
+        grid = self.SEP_GRID if route.endswith("sep") else self.CAPACITY_GRID
+        got = call(grid, cfg)
+        assert type(got) is list and all(type(e) is Estimate for e in got)
+        assert self.bits(got) == self.bits([call(snr, cfg) for snr in grid])
+
+    def test_one_point_grid_is_a_list(self):
+        cfg = MonteCarloConfig(1024, seed=3)
+        scalar = mc_sep(README, PskConstellation(8), 10.0, cfg)
+        for grid in ([10.0], (10.0,), np.array([10.0])):
+            got = mc_sep(README, PskConstellation(8), grid, cfg)
+            assert type(got) is list and self.bits(got) == self.bits([scalar])
+            assert len(mc_capacity(README, grid, "ostbc", cfg)) == 1
+        assert type(mc_sep(README, PskConstellation(8), np.float64(10.0), cfg)) is Estimate
+
+    @pytest.mark.parametrize("grid", [[], np.array([]), [1.0, 0.0], [1.0, -2.0],
+                                      [math.nan, 1.0], [1.0, math.inf], [[1.0, 2.0]]])
+    def test_bad_grid_raises(self, grid):
+        cfg = MonteCarloConfig(1024, seed=1)
+        for call in (lambda: mc_sep(README, PskConstellation(8), grid, cfg),
+                     lambda: mc_capacity(README, grid, "general", cfg),
+                     lambda: mc_capacity(README, grid, "ostbc", cfg)):
+            with pytest.raises(ValueError, match="snr must be"):
+                call()
+
+    def test_sep_curve_draws_each_slice_once(self, monkeypatch, tmp_path):
+        # 11 SNR points at 8192 trials: two slices, each drawn once for the
+        # whole curve rather than once per point
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return bidiagonal_slice(*args, **kwargs)
+
+        monkeypatch.setattr(mc_mod, "bidiagonal_slice", counted)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("scenario.n_t = 4\nscenario.n_s = 10\nscenario.n_r = 4\n"
+                        "corr.tx.model = constant\ncorr.tx.rho = 0.5\n"
+                        "corr.rx.model = constant\ncorr.rx.rho = 0.5\ncode = g4\n"
+                        "psk.m = 8\nsnr.start_db = 0\nsnr.stop_db = 20\nsnr.step_db = 2\n"
+                        "mc.seed = 1\n", encoding="utf-8")
+        out = tmp_path / "c.csv"
+        assert main(["sep-curve", "--config", str(cfgp), "--out", str(out),
+                     "--trials", "8192"]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 12
+        assert calls == [SLICE, SLICE]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["general", "ostbc"])
+@pytest.mark.parametrize("scn", [
+    README, Scenario.uncorrelated(4, 10, 1, g4()),
+    Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10), constant_corr(4, 0.5), g4(),
+             no_double_scattering=True)], ids=["readme", "miso", "rich"])
+def test_overflowing_capacity_raises(scn, mode):
+    # near the top of the float range c ||x_j||^2 or scale ||H||^2
+    # overflows: every point of a grid, scalar or not, is a finite estimate
+    # or raises NumericFailure, and a grid raises where one of its points does
+    cfg = MonteCarloConfig(1024, seed=6)
+    grid = [*10.0 ** np.arange(300.0, 309.0), 1.7e308]
+    scalar = {}
+    for snr in grid:
+        with contextlib.suppress(NumericFailure):
+            est = scalar[snr] = mc_capacity(scn, snr, mode, cfg)
+            assert math.isfinite(est.value) and math.isfinite(est.std_error)
+    assert 1e300 in scalar and 1.7e308 not in scalar
+    with pytest.raises(NumericFailure, match="capacity overflows"):
+        mc_capacity(scn, grid, mode, cfg)
+    finite = [snr for snr in grid if snr in scalar]
+    assert mc_capacity(scn, finite, mode, cfg) == [scalar[snr] for snr in finite]
+
+
 class TestFitDiversitySlope:
     def test_exact_power_law(self):
         gdb = np.linspace(10, 40, 13)
@@ -755,6 +873,7 @@ def test_snr_must_be_positive_and_finite(snr):
             call()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("rich", [False, True])
 def test_overflowing_snr_gives_a_finite_estimate(rich):
     # README scenario at snr = 1e304: x = scale g/sin^2 theta overflows to

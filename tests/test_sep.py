@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from scipy import special
 
 import dsmimo
+import dsmimo.mc as mc_mod
 from dsmimo.codes import alamouti, g4
 from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_corr,
                             tridiagonal_corr)
 from dsmimo.detform import (NumericFailure, characteristic_coefficients,
                             expected_inv_det_miso)
-from dsmimo.matstat import Scenario
-from dsmimo.mc import MonteCarloConfig, fit_diversity_slope, mc_sep
+from dsmimo.matstat import SLICE, Scenario
+from dsmimo.mc import MonteCarloConfig, fit_diversity_slope, mc_sep, substream
 from dsmimo.quadrule import gauss_legendre
 from dsmimo.sep import (PskConstellation, UnsupportedScenarioError,
                         conditional_sep_mpsk, diversity_order, has_closed_form,
@@ -124,24 +125,21 @@ class TestThetaIntegral:
         assert conditional_sep_mpsk(1.0, psk) == pytest.approx(
             0.5 * special.erfc(1.0), abs=1e-12)
 
-    def test_conditional_sep_slices_equal_one_shot(self):
-        # The one-shot product is one gemv, which a multithreaded BLAS splits
-        # at row counts that depend on its length, so the reference is only
-        # well defined on one BLAS thread: compare in a pinned interpreter.
-        code = (
-            "import math, numpy as np\n"
-            "from dsmimo.matstat import SLICE\n"
-            "from dsmimo.quadrule import gauss_legendre\n"
-            "from dsmimo.sep import THETA_NODES, PskConstellation, conditional_sep_mpsk\n"
-            "psk, rng = PskConstellation(8), np.random.default_rng(5)\n"
-            "th, w = gauss_legendre(THETA_NODES, psk.theta_max)\n"
-            "for n in (0, 1, 2, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1, 3 * SLICE + 5):\n"
-            "    gamma = rng.exponential(5.0, size=n)\n"
-            "    ref = np.exp(-np.outer(gamma, psk.g / np.sin(th) ** 2)) @ w / math.pi\n"
-            "    assert np.array_equal(conditional_sep_mpsk(gamma, psk), ref), n\n"
-            "assert conditional_sep_mpsk(gamma[0], psk) == (\n"
-            "    np.exp(-np.outer(gamma[:1], psk.g / np.sin(th) ** 2)) @ w / math.pi)[0]\n")
-        run_on_one_blas_thread(code)
+    @pytest.mark.parametrize("trials", [SLICE - 1, SLICE + 1, 3 * SLICE + 5])
+    def test_mc_sep_slices_equal_one_shot(self, trials):
+        # the unconditioned mc_sep walks its block in slices (mc._accumulate),
+        # adding each slice's batch sums as the slice is drawn: its value is
+        # the mean of conditional_sep_mpsk over the same ||H||_F^2 draws,
+        # evaluated in one shot
+        scn = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                       constant_corr(4, 0.5), g4(), no_double_scattering=True)
+        psk, snr = PskConstellation(8), db(12.0)
+        est = mc_sep(scn, psk, snr, MonteCarloConfig(trials, seed=9))
+        rng = substream(9, 0)
+        x = np.concatenate([mc_mod._frob_sq(scn, rng, min(SLICE, trials - lo))
+                            for lo in range(0, trials, SLICE)])
+        ref = conditional_sep_mpsk(snr * ostbc_snr_scale(scn) * x, psk).mean()
+        assert est.value == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_exponent_floor_changes_no_representable_sep(self):
         # exponents below -700 are raised to -700: where the SEP is at least
@@ -421,6 +419,7 @@ class TestDispatchAndInvariants:
         Scenario.uncorrelated(4, 10, 1, g4()),
         Scenario(4, 1, 4, constant_corr(4, 0.5), identity_corr(1), constant_corr(4, 0.5), g4(),
                  no_double_scattering=True)], ids=["readme", "miso", "rich"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_angular_argument_raises(self, scn):
         # at snr = 1e305 g snr/(d sin^2 theta) overflows at the nodes nearest
         # theta = 0, which the Kronecker lattice met as an untyped
