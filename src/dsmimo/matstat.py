@@ -4,7 +4,7 @@ Conventions: a circular complex Gaussian entry has i.i.d. real and
 imaginary parts of variance 1/2, so E|g|^2 = 1 and channel entries are
 unit power.  A matrix-variate Gaussian X with row covariance S and column
 covariance P is S^(1/2) G P^(1/2) in law, G i.i.d. standard; it is drawn
-in the eigenbases of S and P (channel_slice).
+in the eigenbases of S and P (_product_slice).
 
 The moment/cumulant evaluators consume spectra rather than matrices: the
 quantities depend on the eigenvalues only, and callers often have exact
@@ -94,12 +94,12 @@ def _std_complex(rng: np.random.Generator, count: int, scales) -> list[np.ndarra
     return [z.view(complex) for z in out]
 
 
-def bartlett_sides(scn: Scenario):
+def reduced_sides(scn: Scenario):
     """(big, small) when channel_slice draws the reduced form, None
     otherwise: with phi_s = I and n_s > m = min(n_t, n_r), `small` is the
-    m-dimensional end side that scales the columns of the Bartlett factor
-    (phi_t, or phi_r when n_r < n_t) and `big` the other end side, the one
-    the reduction leaves unreduced."""
+    m-dimensional end side folded into the bidiagonal factor
+    (bidiagonal_slice; phi_t, or phi_r when n_r < n_t) and `big` the other
+    end side, the one the reduction leaves unreduced."""
     if (scn.no_double_scattering or not scn.phi_s.is_identity
             or scn.n_s <= min(scn.n_t, scn.n_r)):
         return None
@@ -107,16 +107,36 @@ def bartlett_sides(scn: Scenario):
 
 
 def channel_slice(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
+    """One slice of b channels D, unrotated, with the law of ||H||_F and of
+    the eigenvalues of H H^H, all that the estimators read: _product_slice,
+    or with phi_s = I and n_s > m = min(n_t, n_r) the reduced form
+    D = (sqrt(big) o G) B / sqrt(n_s), (b, big.dim, m), (big, small) =
+    reduced_sides(scn).  One standard_normal call draws G i.i.d. CN(0, 1)
+    in _std_complex's layout, then bidiagonal_slice's untilted draw gives
+    B.  Write the factor next to small, H2 sqrt(t)^T (or H1^T sqrt(r)^T,
+    D^T then the product), as Q B V^H (Golub-Kahan): the other factor times
+    Q is i.i.d. and independent of B, and neither V nor a transpose changes
+    ||D||_F or the eigenvalues of D D^H.  B is never formed: column j of D
+    is G's column j times d_j plus its column j - 1 times f_(j-1)."""
+    sides = reduced_sides(scn)
+    if sides is None:
+        return _product_slice(scn, rng, b)
+    big, small = sides
+    scale = np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()), np.ones(2 * small.dim))
+    g, = _std_complex(rng, b, [scale])
+    d2, f2, _ = bidiagonal_slice(scn, rng, b)
+    d = g * np.sqrt(d2).T[:, None]
+    d[:, :, 1:] += g[:, :, :-1] * np.sqrt(f2).T[:, None]
+    return d
+
+
+def _product_slice(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
     """One slice of b channels in the sides' eigenbases, (b, n_r, n_t).  With
     r, s, t the expanded spectra of phi_r, phi_s, phi_t, a slice draws
     D = (sqrt(r) o H1)(sqrt(s) sqrt(t)^T o H2)/sqrt(n_s), H1 then H2, or
-    D = sqrt(r) sqrt(t)^T o G without double scattering.  With phi_s = I and
-    n_s > min(n_t, n_r) the product is drawn in its reduced form instead
-    (_bartlett_slice).  Gaussian factors are invariant under unitary
-    rotation, so H has the law of U_r D U_t^H (sample_channel) and shares
-    ||D||_F and the eigenvalues of D D^H."""
-    if bartlett_sides(scn) is not None:
-        return _bartlett_slice(scn, rng, b)
+    D = sqrt(r) sqrt(t)^T o G without double scattering.  Gaussian factors
+    are invariant under unitary rotation, so H has the law of U_r D U_t^H
+    (sample_channel)."""
     r = np.sqrt(0.5 * scn.phi_r.spectrum.expand())
     t = np.sqrt(scn.phi_t.spectrum.expand())
     scales = ([np.outer(r, t)] if scn.no_double_scattering else
@@ -126,37 +146,12 @@ def channel_slice(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray
     return reduce(np.matmul, _std_complex(rng, b, scales))
 
 
-def _bartlett_slice(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
-    """channel_slice for phi_s = I and n_s > m = min(n_t, n_r), with no
-    n_s-sized factor.  Write H2 = Q R_b (QR): Q is Haar and independent of
-    R_b, so H1 Q is i.i.d. and H1 H2 has the law of G R_b, with G n_r x n_t
-    standard and R_b the complex Bartlett factor: upper triangular, R_ii =
-    sqrt(Gamma(n_s - i)) for i = 0..m-1, CN(0, 1) entries above the
-    diagonal.  A slice is D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s).  When
-    n_r < n_t the H1 side is reduced by transposition: D is the transpose of
-    (sqrt(t) o G)(R_b o sqrt(r)^T)/sqrt(n_s), G then n_t x n_r.  One
-    standard_normal call draws G, then R_b's strict upper triangle in C
-    order (_std_complex's layout), and one standard_gamma call draws the
-    (trial, i) diagonal.  R_b is never formed: column j of the product is G's
-    column j times R_jj plus G's columns i < j times R_ij."""
-    big, small = bartlett_sides(scn)
-    m = small.dim
-    c = np.sqrt(small.spectrum.expand())
-    iu, ju = np.triu_indices(m, 1)
-    shapes = (scn.n_s - np.arange(m)).astype(float)
-    scales = [np.repeat(np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()),
-                                 np.ones(m)), 2, axis=1),
-              np.repeat(math.sqrt(0.5) * c[ju], 2)[None]]
-    g, up = _std_complex(rng, b, scales)
-    d = g * (np.sqrt(rng.standard_gamma(shapes, (b, m))) * c)[:, None]
-    for p, (i, j) in enumerate(zip(iu, ju)):
-        d[:, :, j] += g[:, :, i] * up[:, :, p]
-    return d.transpose(0, 2, 1).copy() if scn.n_r < scn.n_t else d
-
-
-#: With a tilted bidiagonal draw, every TILT_EVERY-th trial of a block takes
-#: the tilted diagonal (bidiagonal_slice); SLICE is a multiple of it.
+#: With a tilted bidiagonal draw, every TILT_EVERY-th trial of a slice takes
+#: the tilted diagonal (bidiagonal_slice).  SLICE is a multiple of it, so these
+#: are every TILT_EVERY-th trial of a block too.
 TILT_EVERY = 8
+if SLICE % TILT_EVERY:
+    raise ImportError("SLICE must be a multiple of TILT_EVERY")
 
 
 def _spike(spectrum: Spectrum):
@@ -208,37 +203,37 @@ def _golub_kahan(c: np.ndarray, gam: np.ndarray, z: np.ndarray):
     return d2, f2
 
 
-def bidiagonal_slice(scn: Scenario, rng: np.random.Generator, lo: int, b: int,
-                     tilt: int = 0):
-    """(d2, f2, w) for one slice of b trials, block trials lo..lo+b-1, of an
-    m x m upper-bidiagonal factor B, trials last: d2 (m, b) is its squared
-    diagonal, f2 (m-1, b) its squared superdiagonal.  W = B^H B has the
-    eigenvalue law of the Bartlett Gram of _bartlett_slice, so given B, D
-    has the law of (sqrt(big) o G) B / sqrt(n_s) up to unitary factors, G
-    i.i.d. and (big, small) = bartlett_sides(scn).  When small's spectrum has
-    at most one eigenvalue l apart from a repeated value c (_spike), the
-    entries are independent, Dumitriu and Edelman's complex bidiagonal model
-    with one spike: d_1^2 = l Gamma(n_s), d_i^2 = c Gamma(n_s - i + 1) for
-    i >= 2, f_i^2 = c Gamma(m - i).  Any other spectrum runs the
+def bidiagonal_slice(scn: Scenario, rng: np.random.Generator, b: int, tilt: int = 0):
+    """(d2, f2, w) for one slice of b trials of an m x m upper-bidiagonal
+    factor B, trials last: d2 (m, b) is its squared diagonal, f2 (m-1, b)
+    its squared superdiagonal.  With (big, small) = reduced_sides(scn) and
+    c small's spectrum, W = B^H B has the eigenvalue law of the Gram of
+    Z diag(sqrt(c)), Z n_s x m i.i.d. CN(0, 1), so D has the law of
+    (sqrt(big) o G) B / sqrt(n_s) up to unitary factors, G i.i.d.
+    (channel_slice).  When small's spectrum has at most one eigenvalue l
+    apart from a repeated value c (_spike), the entries are independent,
+    Dumitriu and Edelman's complex bidiagonal model with one spike:
+    d_1^2 = l Gamma(n_s), d_i^2 = c Gamma(n_s - i + 1) for i >= 2,
+    f_i^2 = c Gamma(m - i).  Any other spectrum runs the
     Golub-Kahan chain (_golub_kahan).  A slice makes the chain's one
     standard_normal call, (entry, trial) order, then one standard_gamma call
-    of the (i, trial) shapes, the diagonal's first.  Both diagonals take the
-    Bartlett diagonal's Gamma(n_s - i) shapes, so det W = prod d2.  With
+    of the (i, trial) shapes, the diagonal's first.  Both draws take the
+    diagonal shapes Gamma(n_s - i), i = 0..m-1, so det W = prod d2.  With
     tilt = 0, w is None (every weight 1).  With tilt = k > 0, trials whose
-    index in the block is a multiple of TILT_EVERY draw the diagonal from
+    index in the slice is a multiple of TILT_EVERY draw the diagonal from
     Gamma(max(n_s - i - k, 1/2)), and w is each trial's likelihood ratio p/q
     of the untilted law p to the slice's mixture q = (1 - a) p + a p_tilt, a
     the slice's tilted share, so that E[w f(W)] = E f(W) for any f, with
     w <= 1/(1 - a): a function growing like det(W)^(-k) near singular W has
     most of its mean where the tilted law puts its mass."""
-    _, small = bartlett_sides(scn)
+    _, small = reduced_sides(scn)
     m = small.dim
     spike = _spike(small.spectrum)
     shapes = np.concatenate([scn.n_s - np.arange(m), m - 1 - np.arange(m - 1) if spike else []])
     tilted = np.concatenate([np.maximum(shapes[:m] - tilt, 0.5), shapes[m:]])
     if not spike:
         z = math.sqrt(0.5) * rng.standard_normal((m * (m - 1) // 2, 2 * b)).view(complex)
-    hit = (lo + np.arange(b)) % TILT_EVERY == 0
+    hit = np.arange(b) % TILT_EVERY == 0
     gam = rng.standard_gamma(np.where(hit, tilted[:, None], shapes[:, None]))
     w = None
     if tilt:
@@ -259,9 +254,11 @@ def sample_channel(scn: Scenario, rng: np.random.Generator,
 
     H has the law of phi_r^(1/2) H1 phi_s^(1/2) H2 phi_t^(1/2)/sqrt(n_s), H1
     (n_r x n_s) and H2 (n_s x n_t) independent standard, or of
-    phi_r^(1/2) G phi_t^(1/2) without double scattering: channel_slice's D
+    phi_r^(1/2) G phi_t^(1/2) without double scattering: _product_slice's D
     rotated into the antenna frame, H = U_r D U_t^H (eigh's ascending
-    eigenvectors, reversed to the order of spectrum.expand()).
+    eigenvectors, reversed to the order of spectrum.expand()).  No reduced
+    form is drawn, as only the product has H's matrix law, so a trial costs
+    O(n_s) whatever phi_s is.
     """
     ur, ut = (None if p.is_identity else np.linalg.eigh(p.entries)[1][:, ::-1]
               for p in (scn.phi_r, scn.phi_t))
@@ -269,7 +266,7 @@ def sample_channel(scn: Scenario, rng: np.random.Generator,
     b = 1 if one else size
     h = np.empty((b, scn.n_r, scn.n_t), dtype=complex)
     for lo in range(0, b, SLICE):
-        d = channel_slice(scn, rng, min(SLICE, b - lo))
+        d = _product_slice(scn, rng, min(SLICE, b - lo))
         if ur is not None:
             d = ur @ d
         h[lo:lo + len(d)] = d if ut is None else d @ ut.conj().T

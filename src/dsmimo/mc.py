@@ -8,20 +8,21 @@ orders of magnitude relative to symbol-level simulation and makes tight
 through ||H||_F^2 or det(I + c H H^H), so it takes the unrotated draw in the
 sides' eigenbases (matstat.channel_slice).
 
-With uncorrelated scatterers and n_s > m = min(n_t, n_r), mc_sep and
-mc_kurtosis_eff condition on less: D = (sqrt(rho) o G) B / sqrt(n_s) with
-G i.i.d. and B an m x m upper-bidiagonal factor whose Gram W = B^H B has
-the Bartlett Gram's eigenvalue law (matstat.bidiagonal_slice), so a trial
-draws B alone and integrates G exactly.  With (rho_k, mu_k) the distinct
-eigenvalues of the unreduced end side Phi, a SEP trial is
-(1/pi) int prod_k det(I + x rho_k W/n_s)^(-mu_k) dtheta at
+With uncorrelated scatterers and n_s > m = min(n_t, n_r), the slice is
+drawn in reduced form, D = (sqrt(rho) o G) B / sqrt(n_s): G i.i.d., then B
+an m x m upper-bidiagonal factor whose Gram W = B^H B has the eigenvalue
+law of the Gram of the n_s x m factor it replaces (matstat.bidiagonal_slice).
+mc_capacity draws both (matstat.channel_slice); mc_sep and mc_kurtosis_eff
+condition on less, drawing B alone and integrating G exactly.  With
+(rho_k, mu_k) the distinct eigenvalues of the unreduced end side Phi, a SEP
+trial is (1/pi) int prod_k det(I + x rho_k W/n_s)^(-mu_k) dtheta at
 x = snr g/(n_t rate sin^2 theta), and a kurtosis trial adds the exact
 E[||H||^2 | B] and E[||H||^4 | B].  That SEP grows like det(W)^(-n) as W
 nears singular (n the unreduced side's dimension), so mc_sep draws every
 8th trial's diagonal from the tilted Gamma(n_s - i - n) and weights each
 trial by its likelihood ratio; without it the per-trial values are
 heavy-tailed at high SNR and the batch-means error understates the spread
-between seeds.  mc_capacity, and every other scenario, keep the full draw.
+between seeds.
 
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from the SFC64
@@ -32,19 +33,16 @@ before the next slice is drawn.  Each slice takes its normals from one
 standard_normal call, each factor in C order over (trial, row, column) with
 every complex entry stored as its (real, imaginary) pair: the H1 block, then
 the H2 block (G alone without double scattering, where ||H||_F^2 is one
-standard_exponential call of (trial, eigenvalue pair) exponentials).  With
-uncorrelated scatterers and n_s > m the slice is drawn in reduced form,
-D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s): the call holds G (n_r x n_t,
-or n_t x n_r for the transposed D when n_r < n_t), then the strict upper
-triangle of the m x m Bartlett factor R_b, and one standard_gamma call
-follows with the (trial, i) diagonal, R_ii^2 ~ Gamma(n_s - i).  A trial then
-costs 2 n_r n_t + m(m-1) normals and m gammas whatever n_s is.  A
-conditioned slice draws B alone, trials last: the Golub-Kahan chain's
-m(m-1)/2 complex normals in one standard_normal call, then one
-standard_gamma call of the (i, trial) shapes, the m diagonal ones first; a
-spiked smaller end side (identity, constant, m <= 2) draws no normals and
-2m - 1 gammas.  mc_sep's gamma call takes the tilted diagonal shapes on trials
-whose index in the block is a multiple of 8.  Blocks run concurrently on up
+standard_exponential call of (trial, eigenvalue pair) exponentials).  A
+reduced slice's call holds G alone (n_r x n_t, or n_t x n_r when n_r < n_t),
+and B's draw follows, trials last: the Golub-Kahan chain's m(m-1)/2 complex
+normals in one standard_normal call, then one standard_gamma call of the
+(i, trial) shapes, the m diagonal ones first; a spiked smaller end side
+(identity, constant, m <= 2) draws no normals and 2m - 1 gammas.  Whatever
+n_s is, a capacity trial then costs 2 n_r n_t normals plus B's variates, and
+a conditioned trial (mc_sep, mc_kurtosis_eff) B's alone.  mc_sep's gamma
+call takes the tilted diagonal shapes on trials whose index in the slice,
+and so in the block, is a multiple of 8.  Blocks run concurrently on up
 to os.cpu_count() threads, and their sums are reduced in block order, so
 results are bit-identical for any worker count.  Standard errors come from
 32 batch means over the trial index, which stays honest for the ratio
@@ -69,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .detform import NumericFailure
-from .matstat import SLICE, Scenario, bartlett_sides, bidiagonal_slice, channel_slice
+from .matstat import SLICE, Scenario, bidiagonal_slice, channel_slice, reduced_sides
 from .sep import (PskConstellation, conditional_sep_mpsk, conditional_sep_polynomial,
                   ostbc_snr_scale)
 
@@ -108,9 +106,9 @@ class KurtosisEff(NamedTuple):
 
 
 def _accumulate(cfg: MonteCarloConfig, per_slice, rows: int) -> np.ndarray:
-    """The moment table of per_slice(rng, lo, b), an iterable of `rows`
-    arrays of per-trial values for trials lo..lo+b-1 of a block, over the
-    block schedule: a (1 + rows) x N_BATCHES array whose first row holds
+    """The moment table of per_slice(rng, b), an iterable of `rows` arrays
+    of per-trial values for the next b trials of a block, over the block
+    schedule: a (1 + rows) x N_BATCHES array whose first row holds
     each batch's trial count and row 1 + k each batch's sum of the k-th
     array.  This is the one walk over a block's slices of at most SLICE
     trials; the arrays are taken one at a time, each added to the block's
@@ -127,7 +125,7 @@ def _accumulate(cfg: MonteCarloConfig, per_slice, rows: int) -> np.ndarray:
             b = min(SLICE, cnt - lo)
             batch = (start + lo + np.arange(b, dtype=np.int64)) * N_BATCHES // trials
             table[0] += np.bincount(batch, minlength=N_BATCHES)
-            for row, w in zip(table[1:], per_slice(rng, lo, b), strict=True):
+            for row, w in zip(table[1:], per_slice(rng, b), strict=True):
                 row += np.bincount(batch, weights=w, minlength=N_BATCHES)
         return table
 
@@ -161,12 +159,12 @@ def _snr_grid(snr) -> list[float]:
 
 def _mean_estimates(cfg: MonteCarloConfig, per_slice, points: int) -> list[Estimate]:
     """Mean and batch-means standard error of each of `points` per-trial
-    scalars, per_slice(rng, lo, b) yielding one array per point as in
+    scalars, per_slice(rng, b) yielding one array per point as in
     _accumulate; falls back to the per-trial variance when there are too few
     trials for 32 batches."""
 
-    def with_squares(rng, lo, b):
-        for v in per_slice(rng, lo, b):
+    def with_squares(rng, b):
+        for v in per_slice(rng, b):
             yield v
             yield v * v
 
@@ -265,7 +263,7 @@ def _fold(e: np.ndarray, factors) -> np.ndarray:
 
 
 def _bidiagonal_sep(scn: Scenario, psk: PskConstellation, scales: list[float]):
-    """per_slice for mc_sep with the reduced draw (matstat.bartlett_sides),
+    """per_slice for mc_sep with the reduced draw (matstat.reduced_sides),
     yielding one array per SNR scale:
     with D = (sqrt(rho) o G) B / sqrt(n_s) and G i.i.d., the SNR MGF given B
     is prod_k det(I + x rho_k W/n_s)^(-mu_k), W = B^H B and (rho_k, mu_k)
@@ -274,11 +272,11 @@ def _bidiagonal_sep(scn: Scenario, psk: PskConstellation, scales: list[float]):
     the bidiagonal draw of W (matstat.bidiagonal_slice), times the trial's
     weight under the draw tilted by that side's dimension, the power of
     det(W) the SEP falls with at high SNR."""
-    big = bartlett_sides(scn)[0]
+    big = reduced_sides(scn)[0]
     factors = [(rho / scn.n_s, mu) for rho, mu in big.spectrum.distinct]
 
-    def per_slice(rng, lo, b):
-        d2, f2, w = bidiagonal_slice(scn, rng, lo, b, tilt=big.dim)
+    def per_slice(rng, b):
+        d2, f2, w = bidiagonal_slice(scn, rng, b, tilt=big.dim)
         coef = _fold(_path_coefficients(d2, f2), factors)
         for scale in scales:
             yield w * conditional_sep_polynomial(coef, psk, scale)
@@ -295,10 +293,10 @@ def mc_sep(scn: Scenario, psk: PskConstellation, snr, cfg: MonteCarloConfig):
     of Estimates on common draws, each equal to the float call's."""
     grid = _snr_grid(snr)
     scales = [s * ostbc_snr_scale(scn) for s in grid]
-    if bartlett_sides(scn) is not None:
+    if reduced_sides(scn) is not None:
         per_slice = _bidiagonal_sep(scn, psk, scales)
     else:
-        def per_slice(rng, lo, b):
+        def per_slice(rng, b):
             x = _frob_sq(scn, rng, b)
             for scale in scales:
                 yield conditional_sep_mpsk(scale * x, psk)
@@ -306,20 +304,20 @@ def mc_sep(scn: Scenario, psk: PskConstellation, snr, cfg: MonteCarloConfig):
     return ests if np.ndim(snr) else ests[0]
 
 
-def _frob_moments(scn: Scenario, rng: np.random.Generator, lo: int, b: int):
+def _frob_moments(scn: Scenario, rng: np.random.Generator, b: int):
     """(X, X^2) of X = ||H||_F^2 for one slice of b trials, or with the
     reduced draw their exact means given the bidiagonal factor B
     (matstat.bidiagonal_slice): with W = B^H B and Phi the unreduced side,
     E[X|B] = tr Phi tr W/n_s and E[X^2|B] = ((tr Phi)^2 (tr W)^2
     + tr Phi^2 tr W^2)/n_s^2, W tridiagonal with W_ii = d_i^2 + f_(i-1)^2
     and |W_i,i+1|^2 = d_i^2 f_i^2."""
-    sides = bartlett_sides(scn)
+    sides = reduced_sides(scn)
     if sides is None:
         x = _frob_sq(scn, rng, b)
         return x, x * x
     phi = sides[0].spectrum
     t1, t2 = phi.trace_power(1) / scn.n_s, phi.trace_power(2) / scn.n_s**2
-    d2, f2, _ = bidiagonal_slice(scn, rng, lo, b)
+    d2, f2, _ = bidiagonal_slice(scn, rng, b)
     w_ii = d2.copy()
     w_ii[1:] += f2
     m1 = t1 * w_ii.sum(axis=0)
@@ -375,7 +373,7 @@ def mc_capacity(scn: Scenario, snr, mode: str, cfg: MonteCarloConfig):
     else:
         raise ValueError(f"unknown capacity mode {mode!r}")
 
-    def per_slice(rng, lo, b):
+    def per_slice(rng, b):
         x = draw(scn, rng, b)
         for s in grid:
             with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN raises below

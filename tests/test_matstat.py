@@ -7,10 +7,10 @@ from scipy import stats
 from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                             exponential_corr, identity_corr, spectrum_of)
-from dsmimo.matstat import (SLICE, Scenario, channel_slice, double_product_moments,
-                            expected_trace_square, frobenius_moments,
-                            kurtosis_frobenius, sample_channel,
-                            trace_quadratic_cumulant)
+from dsmimo.matstat import (SLICE, Scenario, bidiagonal_slice, channel_slice,
+                            double_product_moments, expected_trace_square,
+                            frobenius_moments, kurtosis_frobenius, reduced_sides,
+                            sample_channel, trace_quadratic_cumulant)
 from dsmimo.mc import substream
 
 from conftest import cgauss, random_correlation
@@ -118,19 +118,12 @@ class TestSampleChannel:
                 assert np.all(np.abs(g.mean(axis=0) - part(expect)) < 3 * se + 1e-12)
 
     @staticmethod
-    def slice_wise(scn, rng, size, matmul=False):
+    def slice_wise(scn, rng, size):
         """The batch drawn slice by slice in the spectral frame, then rotated
         into the antenna frame: per slice of at most SLICE trials, H1's
         entries, then H2's (G's alone without double scattering), each
         entry's real part followed by its imaginary part, scaled by the
-        square roots of the sides' eigenvalues; then H = U_r D U_t^H.  With
-        phi_s = I and n_s > m = min(n_t, n_r) a slice is G's entries, then
-        those of the Bartlett factor's strict upper triangle row by row,
-        then one standard_gamma call for the squared diagonal, and
-        D = (sqrt(r) o G)(R_b o sqrt(t)^T)/sqrt(n_s), or the transpose of
-        (sqrt(t) o G)(R_b o sqrt(r)^T)/sqrt(n_s) when n_r < n_t, column j
-        of the product summed as G's column j times R_jj, then G's columns
-        i < j times R_ij in increasing i (or by one batched matmul)."""
+        square roots of the sides' eigenvalues; then H = U_r D U_t^H."""
         b = 1 if size is None else size
 
         def root_half(phi):
@@ -149,31 +142,6 @@ class TestSampleChannel:
             np.testing.assert_allclose(w[::-1], phi.spectrum.expand(), rtol=1e-12)
             return v[:, ::-1]
 
-        def bartlett(k):
-            wide = scn.n_r < scn.n_t
-            big, small = (scn.phi_t, scn.phi_r) if wide else (scn.phi_r, scn.phi_t)
-            m = small.dim
-            c = np.sqrt(small.spectrum.expand())
-            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-            g = draw(k, np.repeat(np.sqrt(0.5 / scn.n_s * big.spectrum.expand())[:, None],
-                                  m, axis=1))
-            upper = draw(k, np.array([[math.sqrt(0.5) * c[j] for _, j in pairs]]))
-            gam = rng.standard_gamma(scn.n_s - np.arange(m), size=(k, m))
-            rb = np.zeros((k, m, m), dtype=complex)
-            for p, (i, j) in enumerate(pairs):
-                rb[:, i, j] = upper[:, 0, p]
-            for i in range(m):
-                rb[:, i, i] = np.sqrt(gam[:, i]) * c[i]
-            if matmul:
-                d = g @ rb
-            else:
-                d = np.empty_like(g)
-                for j in range(m):
-                    d[:, :, j] = g[:, :, j] * rb[:, j, j, None]
-                    for i in range(j):
-                        d[:, :, j] += g[:, :, i] * rb[:, i, j, None]
-            return d.transpose(0, 2, 1) if wide else d
-
         r = root_half(scn.phi_r)
         t = np.sqrt(scn.phi_t.spectrum.expand())
         out = []
@@ -181,8 +149,6 @@ class TestSampleChannel:
             k = min(SLICE, b - lo)
             if scn.no_double_scattering:
                 out.append(draw(k, r[:, None] * t))
-            elif scn.phi_s.is_identity and scn.n_s > min(scn.n_t, scn.n_r):
-                out.append(bartlett(k))
             else:
                 h1 = draw(k, np.repeat((r / math.sqrt(scn.n_s))[:, None], scn.n_s, axis=1))
                 h2 = draw(k, root_half(scn.phi_s)[:, None] * t)
@@ -199,9 +165,9 @@ class TestSampleChannel:
                                        "rich ii", "rich cr", "tall cir", "edge iii",
                                        "n_s=m iii"])
     def test_slices_equal_one_shot_draw(self, size, sides):
-        # with phi_s = I, 3x4x2 and "edge" 3x3x2 (n_s = m + 1) reduce the H1
-        # side, "tall" 2x5x3 reduces the H2 side, and "n_s=m" 3x2x2 keeps the
-        # full product
+        # sample_channel draws the full product at every shape, also those
+        # whose capacity slice is reduced (phi_s = I with 3x4x2, "edge"
+        # 3x3x2 and "tall" 2x5x3), and at "n_s=m" 3x2x2
         rng = np.random.default_rng(11)
         corr = {"i": identity_corr,
                 "r": lambda n: constant_corr(n, 0.45),
@@ -219,16 +185,27 @@ class TestSampleChannel:
         ref = self.slice_wise(scn, substream(9, 2), size)
         assert np.array_equal(got, ref[0] if size is None else ref)
 
-    @pytest.mark.parametrize("dims", [(3, 4, 2), (2, 5, 3), (4, 10, 4)])
+    @pytest.mark.parametrize("dims", [(3, 4, 2), (2, 5, 3), (4, 10, 4), (4, 10, 3)])
     def test_reduced_product_matches_matmul(self, dims):
-        # the column sums of the reduced draw against G @ R_b, R_b zero-filled,
-        # from the same variates: each trial within 1e-14 of its largest entry
+        # the reduced slice's column form against G @ B, B the bidiagonal
+        # factor zero-filled, from the same variates (G's entries, then
+        # bidiagonal_slice's draw; spiked small sides, and the chain for the
+        # exponential 3-side of 4x10x3): each trial within 1e-14 of its
+        # largest entry
         n_t, n_s, n_r = dims
         scn = Scenario(n_t, n_s, n_r, constant_corr(n_t, 0.45), identity_corr(n_s),
                        exponential_corr(n_r, 0.6))
-        size = 2 * SLICE + 7
-        got = sample_channel(scn, substream(9, 4), size=size)
-        ref = self.slice_wise(scn, substream(9, 4), size, matmul=True)
+        big, small = reduced_sides(scn)
+        m, size = small.dim, SLICE + 7
+        got = channel_slice(scn, substream(9, 4), size)
+        rng = substream(9, 4)
+        x = rng.standard_normal((size, big.dim, m, 2))
+        g = (x[..., 0] + 1j * x[..., 1]) * np.sqrt(0.5 / n_s * big.spectrum.expand())[:, None]
+        d2, f2, _ = bidiagonal_slice(scn, rng, size)
+        bd = np.zeros((size, m, m))
+        bd[:, np.arange(m), np.arange(m)] = np.sqrt(d2).T
+        bd[:, np.arange(m - 1), np.arange(1, m)] = np.sqrt(f2).T
+        ref = g @ bd
         scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
@@ -242,16 +219,23 @@ class TestSampleChannel:
         long = sample_channel(scn, substream(9, 3), size=3 * SLICE + 5)
         assert np.array_equal(short, long[:2 * SLICE])
 
-    @pytest.mark.parametrize("n_t,n_s,n_r,rho", [(4, 10, 4, 0.5), (4, 10, 2, 0.0),
-                                                 (3, 3, 2, 0.0)])
-    def test_reduced_draw_has_the_law_of_the_full_product(self, n_t, n_s, n_r, rho):
-        # phi_s = I and n_s > min(n_t, n_r): the Bartlett draw (H2 side
-        # reduced for 4x10x4, H1 side for 4x10x2 and the edge 3x3x2) against
-        # (sqrt(r) o H1)(H2 o sqrt(t)^T)/sqrt(n_s) from a generator of its
-        # own; two-sample KS on ||D||_F^2 and log det(I + D D^H)
+    @pytest.mark.parametrize("n_t,n_s,n_r,tx,rx", [
+        (4, 10, 4, "constant 0.5", "constant 0.5"), (4, 10, 2, "constant 0", "constant 0"),
+        (3, 3, 2, "constant 0", "constant 0"), (4, 10, 4, "exponential 0.5", "constant 0.5"),
+        (5, 10, 3, "constant 0.5", "exponential 0.5")])
+    def test_reduced_draw_has_the_law_of_the_full_product(self, n_t, n_s, n_r, tx, rx):
+        # phi_s = I and n_s > min(n_t, n_r): the reduced draw (H2 side
+        # reduced for 4x10x4, H1 side for 4x10x2, the edge 3x3x2 and the
+        # wide 5x10x3; the Golub-Kahan chain for the exponential small
+        # sides) against (sqrt(r) o H1)(H2 o sqrt(t)^T)/sqrt(n_s) from a
+        # generator of its own; two-sample KS on ||D||_F^2 and on
+        # log det(I + D D^H), taken on the smaller Gram so that either
+        # orientation of D gives it
+        corr = {"constant 0.5": lambda n: constant_corr(n, 0.5),
+                "constant 0": lambda n: constant_corr(n, 0.0),
+                "exponential 0.5": lambda n: exponential_corr(n, 0.5)}
         n = 1 << 15
-        scn = Scenario(n_t, n_s, n_r, constant_corr(n_t, rho), identity_corr(n_s),
-                       constant_corr(n_r, rho))
+        scn = Scenario(n_t, n_s, n_r, corr[tx](n_t), identity_corr(n_s), corr[rx](n_r))
         rng = substream(21, 0)
         reduced = np.concatenate([channel_slice(scn, rng, min(SLICE, n - lo))
                                   for lo in range(0, n, SLICE)])
@@ -262,7 +246,9 @@ class TestSampleChannel:
 
         def laws(d):
             fro = np.einsum("bij,bij->b", d, d.conj()).real
-            logdet = np.linalg.slogdet(np.eye(n_r) + d @ d.conj().transpose(0, 2, 1))[1]
+            dh = d.conj().transpose(0, 2, 1)
+            gram = d @ dh if d.shape[1] <= d.shape[2] else dh @ d
+            logdet = np.linalg.slogdet(np.eye(len(gram[0])) + gram)[1]
             return fro, logdet
 
         for a, b in zip(laws(reduced), laws(full)):

@@ -76,9 +76,9 @@ class TestDeterminism:
         assert a.value != b.value
 
     def test_worker_count_never_changes_a_result(self, monkeypatch):
-        # 3 full blocks plus a partial one, through the reduced (Bartlett)
-        # draw of the channel sampler and the bidiagonal factor alone for
-        # mc_sep and mc_kurtosis_eff: the spiked draw (m = 2) and the
+        # 3 full blocks plus a partial one, through the reduced draw of the
+        # capacity (G, then the bidiagonal factor) and the bidiagonal factor
+        # alone for mc_sep and mc_kurtosis_eff: the spiked draw (m = 2) and the
         # Golub-Kahan chain (exponential m = 3); the pinned values fix the
         # stream layout, so a change to the draw order fails here
         scenarios = [Scenario(2, 3, 2, exponential_corr(2, 0.5), identity_corr(3),
@@ -109,17 +109,18 @@ class TestDeterminism:
                   ("0x1.36a99c54c9be4p-7", "0x1.55e31a5448670p-16"),
                   ("0x1.59d6c0b019947p+0", "0x1.9520039e8252cp-12"),
                   ("-0x1.230e712c3991ap+2", "0x1.39597c4c54eb3p-8"),
-                  ("0x1.00a0e1aecb424p+2", "0x1.9f00c4122bce7p-10")]
+                  ("0x1.003c8732f816ep+2", "0x1.3a6193a7b9509p-9")]
         assert [(e.value.hex(), e.std_error.hex()) for e in pooled] == pinned
 
     def test_unconditioned_paths_keep_their_draws(self):
-        # Monte Carlo conditions on the Bartlett factor only where the draw
-        # is reduced (phi_s = I and n_s > m); phi_s != I, n_s <= m, rich
-        # scattering and both capacities keep their draws and estimates,
-        # pinned as the values before the conditional estimators existed
-        # (standard errors re-pinned within a few ulp when the log det and
-        # the reduced product changed their rounding, and when batch sums
-        # came to be added slice by slice)
+        # Monte Carlo conditions on the bidiagonal factor only where the
+        # draw is reduced (phi_s = I and n_s > m); phi_s != I, n_s <= m and
+        # rich scattering keep their draws and estimates, pinned as the
+        # values before the conditional estimators existed (standard errors
+        # re-pinned within a few ulp when the log det changed its rounding,
+        # and when batch sums came to be added slice by slice).  The README
+        # capacities are pinned to the reduced draw of G, then the
+        # bidiagonal factor
         cfg = MonteCarloConfig(5000, seed=77)
         psk = PskConstellation(4)
         scenarios = {
@@ -144,8 +145,8 @@ class TestDeterminism:
             ("n_s<=m", "kurt"): ("0x1.b63c724e0d1a7p+0", "0x1.d827505a6f9e7p-7"),
             ("rich", "sep"): ("0x1.9169191f1ae6fp-9", "0x1.6a7af6f23674dp-13"),
             ("rich", "kurt"): ("0x1.5b9e3e530694cp+0", "0x1.ae8d99b12769dp-8"),
-            ("readme", "general"): ("0x1.14e416b391675p+3", "0x1.1c571c6158915p-6"),
-            ("readme", "ostbc"): ("0x1.0c66cf0105143p+2", "0x1.09d57bfab4e8dp-7")}
+            ("readme", "general"): ("0x1.14c9127cd1277p+3", "0x1.4a38c3b32b6eap-6"),
+            ("readme", "ostbc"): ("0x1.0cb7a6726c275p+2", "0x1.08696c0932e99p-7")}
         assert {k: (e.value.hex(), e.std_error.hex()) for k, e in got.items()} == pinned
 
     def test_single_block_calls_start_no_thread(self, monkeypatch, tmp_path):
@@ -254,7 +255,9 @@ class TestMcSep:
         # bidiagonal factor, whatever n_s is, so no n_s-sized array is
         # drawn: a constant 4-side takes 2m - 1 = 7 gammas a trial (the
         # spiked draw), an exponential one m(m-1) = 12 normals and m = 4
-        # gammas (the Golub-Kahan chain)
+        # gammas (the Golub-Kahan chain).  Both capacities draw G's
+        # 2 n_r n_t = 32 normals first: 32 normals and 7 gammas a trial on
+        # the constant side, 44 normals and 4 gammas on the exponential one
         counts = {"standard_normal": 0, "standard_gamma": 0}
 
         class Counting:
@@ -275,20 +278,23 @@ class TestMcSep:
 
         monkeypatch.setattr(mc_mod, "substream",
                             lambda seed, index: Counting(substream(seed, index)))
-        calls = {"mc_sep": (16, lambda scn, cfg: mc_sep(scn, PskConstellation(8), 10.0, cfg)),
-                 "mc_kurtosis_eff": (10_000, mc_kurtosis_eff)}
+        calls = {"mc_sep": (16, 0, lambda scn, cfg: mc_sep(scn, PskConstellation(8), 10.0, cfg)),
+                 "mc_kurtosis_eff": (10_000, 0, mc_kurtosis_eff),
+                 "general": (16, 32, lambda scn, cfg: mc_capacity(scn, 10.0, "general", cfg)),
+                 "ostbc": (16, 32, lambda scn, cfg: mc_capacity(scn, 10.0, "ostbc", cfg))}
         sides = {"constant": (constant_corr(4, 0.5), {"standard_normal": 0, "standard_gamma": 7}),
                  "exponential": (exponential_corr(4, 0.5),
                                  {"standard_normal": 12, "standard_gamma": 4})}
         per_trial, expect = {}, {}
-        for name, (trials, call) in calls.items():
+        for name, (trials, g_normals, call) in calls.items():
             for side, (phi, cost) in sides.items():
                 for n_s in (10, 10_000):
                     counts.update(dict.fromkeys(counts, 0))
                     scn = Scenario(4, n_s, 4, phi, identity_corr(n_s), constant_corr(4, 0.5), g4())
                     call(scn, MonteCarloConfig(trials, seed=5))
                     per_trial[name, side, n_s] = {k: v / trials for k, v in counts.items()}
-                    expect[name, side, n_s] = cost
+                    expect[name, side, n_s] = {
+                        **cost, "standard_normal": cost["standard_normal"] + g_normals}
         assert per_trial == expect
 
     def test_large_m_stays_within_memory(self):
@@ -324,9 +330,9 @@ class TestMcSep:
 
 
 def bidiagonal_slices(scn, rng, size, tilt=0):
-    """(lo, d2, f2, w) for each slice of a size-trial block, drawn in the
-    order in which mc._accumulate walks it."""
-    return [(lo, *bidiagonal_slice(scn, rng, lo, min(SLICE, size - lo), tilt))
+    """(d2, f2, w) for each slice of a size-trial block, drawn in the order
+    in which mc._accumulate walks it."""
+    return [bidiagonal_slice(scn, rng, min(SLICE, size - lo), tilt)
             for lo in range(0, size, SLICE)]
 
 
@@ -339,7 +345,7 @@ def _bidiagonal(side, n_s, count, seed, chain=False):
     with pytest.MonkeyPatch.context() as patch:
         if chain:
             patch.setattr(matstat, "_spike", lambda spectrum: None)
-        d2, f2 = zip(*((d2, f2) for _, d2, f2, _ in
+        d2, f2 = zip(*((d2, f2) for d2, f2, _ in
                        bidiagonal_slices(scn, substream(seed, 0), count)))
     return np.concatenate(d2, axis=1), np.concatenate(f2, axis=1)
 
@@ -526,7 +532,7 @@ class TestTiltedBartlettDraw:
         # stay below 1/(1 - 1/8)
         draws = self.draws(4)
         w = np.concatenate([w for *_, w in draws])
-        det = np.concatenate([np.prod(d2, axis=0) for _, d2, _, _ in draws])
+        det = np.concatenate([np.prod(d2, axis=0) for d2, _, _ in draws])
         assert np.all((w >= 0) & (w <= 8 / 7 + 1e-12))
         c = self.SCN.phi_t.spectrum.expand()
         for x, mean in ((w, 1.0), (w * det, float(np.prod(c * (10 - np.arange(4)))))):
@@ -535,7 +541,7 @@ class TestTiltedBartlettDraw:
     def test_tilted_trials_draw_the_tilted_shapes(self):
         # the tilted trials' mean diagonal gamma is n_s - i - tilt (floored
         # at 1/2), the others' n_s - i
-        (lo, d2, f2, w), = self.draws(4, size=4096)
+        (d2, f2, w), = self.draws(4, size=4096)
         g = d2.T / self.SCN.phi_t.spectrum.expand()
         hit = np.arange(len(g)) % TILT_EVERY == 0
         shapes = 10.0 - np.arange(4)
@@ -545,7 +551,7 @@ class TestTiltedBartlettDraw:
 
 
 class TestConditionalCalibration:
-    """mc_sep conditioned on the Bartlett factor against the closed form."""
+    """mc_sep conditioned on the bidiagonal factor against the closed form."""
 
     README = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
                       constant_corr(4, 0.5), g4())
@@ -794,7 +800,7 @@ class TestSnrGrid:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[3])
+            calls.append(args[2])
             return bidiagonal_slice(*args, **kwargs)
 
         monkeypatch.setattr(mc_mod, "bidiagonal_slice", counted)
