@@ -22,7 +22,8 @@ nears singular (n the unreduced side's dimension), so mc_sep draws every
 8th trial's diagonal from the tilted Gamma(n_s - i - n) and weights each
 trial by its likelihood ratio; without it the per-trial values are
 heavy-tailed at high SNR and the batch-means error understates the spread
-between seeds.
+between seeds.  Every theta stage, conditioned on B or not, takes the
+closed forms' folded angular rule (sep.theta_rule).
 
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from the SFC64

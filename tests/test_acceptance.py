@@ -285,8 +285,9 @@ def test_criterion_9_property_suites():
     ok &= mono
     notes.append(f"MIS/MDS={'ok' if mono else 'broken'}")
 
-    # formula reductions at identity correlations, against the 128-node
-    # angular rule over oracle_kron_mgf (60 digits) and the oracle itself
+    # formula reductions at identity correlations, against 128
+    # Gauss-Legendre nodes on [0, Theta] over oracle_kron_mgf (60 digits)
+    # and the oracle itself
     psk = PskConstellation(8)
     scn = Scenario.uncorrelated(4, 6, 1, g4())
     snr = db(15.0)

@@ -21,15 +21,16 @@ from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_
                             tridiagonal_corr)
 from dsmimo.detform import (NumericFailure, characteristic_coefficients,
                             expected_inv_det_miso)
-from dsmimo.matstat import SLICE, Scenario
+from dsmimo.matstat import SLICE, Scenario, bidiagonal_slice, reduced_sides
 from dsmimo.mc import MonteCarloConfig, fit_diversity_slope, mc_sep, substream
 from dsmimo.quadrule import gauss_legendre
 from dsmimo.sep import (PskConstellation, UnsupportedScenarioError,
-                        conditional_sep_mpsk, diversity_order, has_closed_form,
-                        ostbc_snr_scale, sep_mpsk, sep_mpsk_doubly_correlated,
+                        conditional_sep_mpsk, conditional_sep_polynomial,
+                        diversity_order, has_closed_form, ostbc_snr_scale,
+                        sep_mpsk, sep_mpsk_doubly_correlated,
                         sep_mpsk_iid_rayleigh, sep_mpsk_miso,
                         sep_mpsk_no_double_scattering, sep_mpsk_uncorrelated,
-                        sep_theta_integral)
+                        sep_theta_integral, theta_rule)
 from dsmimo.sep import _sep_from_mgf
 
 from conftest import random_correlation
@@ -108,9 +109,25 @@ class TestThetaIntegral:
         assert v == pytest.approx(0.5, abs=1e-14)
 
     def test_node_count_is_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(dsmimo.sep, "THETA_NODES", 64)
+        # THETA_NODES is the rule's total: one arc up to pi/2, and past it
+        # 3/5 of the nodes on [0, pi - Theta], the rest on [pi - Theta, pi/2]
+        monkeypatch.setattr(dsmimo.sep, "THETA_NODES", 40)
         v = sep_theta_integral(lambda th: np.full_like(th, th.size), math.pi / 2)
-        assert v == pytest.approx(32.0, rel=1e-14)
+        assert v == pytest.approx(20.0, rel=1e-14)
+        v = sep_theta_integral(lambda th: np.full_like(th, th.size), 0.75 * math.pi)
+        assert v == pytest.approx(30.0, rel=1e-14)
+        th, w = theta_rule(0.75 * math.pi)
+        assert np.count_nonzero(th < math.pi / 4) == 24 and th.max() < math.pi / 2
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+    def test_rule_folds_at_half_pi(self, m):
+        # at most THETA_NODES = 80 integrand nodes, none past pi/2, and the
+        # rule integrates sin^2 theta over [0, Theta] as one arc does
+        theta_max = PskConstellation(m).theta_max
+        th, w = theta_rule(theta_max)
+        assert th.size == w.size == 80 and th.max() < math.pi / 2
+        exact = theta_max / 2 - math.sin(2 * theta_max) / 4
+        assert float(np.sin(th) ** 2 @ w) == pytest.approx(exact, rel=1e-14)
 
     def test_awgn_bpsk_is_q_function(self):
         # (1/pi) int_0^{pi/2} exp(-gamma/sin^2) = Q(sqrt(2 gamma)) at gamma=1
@@ -147,10 +164,9 @@ class TestThetaIntegral:
         # keeps a value of at most e^-700 Theta/pi instead of 0
         code = (
             "import math, numpy as np\n"
-            "from dsmimo.quadrule import gauss_legendre\n"
-            "from dsmimo.sep import THETA_NODES, PskConstellation, conditional_sep_mpsk\n"
+            "from dsmimo.sep import PskConstellation, conditional_sep_mpsk, theta_rule\n"
             "psk = PskConstellation(8)\n"
-            "th, w = gauss_legendre(THETA_NODES, psk.theta_max)\n"
+            "th, w = theta_rule(psk.theta_max)\n"
             "gamma = np.geomspace(1e-3, 1e4, 4000)\n"
             "e = -np.outer(gamma, psk.g / np.sin(th) ** 2)\n"
             "ref = np.exp(e) @ w / math.pi\n"
@@ -162,15 +178,52 @@ class TestThetaIntegral:
             "assert 0.0 <= conditional_sep_mpsk(1e6, psk) <= 1e-300\n")
         run_on_one_blas_thread(code)
 
-    def test_node_doubling_stability(self, monkeypatch):
-        psk = PskConstellation(8)
-        scn = Scenario.uncorrelated(4, 3, 2, g4())
-        for snr_db in (5.0, 15.0, 25.0):
-            monkeypatch.setattr(dsmimo.sep, "THETA_NODES", 64)
-            a = sep_mpsk_uncorrelated(scn, psk, db(snr_db))
-            monkeypatch.setattr(dsmimo.sep, "THETA_NODES", 128)
-            b = sep_mpsk_uncorrelated(scn, psk, db(snr_db))
-            assert abs(a - b) < 1e-10 * max(a, 1e-300) + 1e-300
+    def test_folded_rule_against_a_1200_node_arc(self, monkeypatch):
+        # the three angular integrals on an M x SNR grid: the README closed
+        # form, the mean of a fixed 512-trial conditional_sep_polynomial
+        # slice of that config, and the mean of conditional_sep_mpsk over
+        # fixed gamma sets of diversity 1 and 16, each against 1200
+        # Gauss-Legendre nodes on the whole of [0, Theta]; 128 nodes on the
+        # whole arc were 3.8e-6 off at worst (64-PSK, -30 dB, diversity 16)
+        scn = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                       constant_corr(4, 0.5), g4())
+        big = reduced_sides(scn)[0]
+        d2, f2, _ = bidiagonal_slice(scn, substream(3, 0), 512, tilt=big.dim)
+        coef = mc_mod._fold(mc_mod._path_coefficients(d2, f2),
+                            [(rho / scn.n_s, mu) for rho, mu in big.spectrum.distinct])
+        gammas = [np.random.default_rng(k).standard_gamma(k, 512) / k for k in (1, 16)]
+
+        def values(psk, snr):
+            return [sep_mpsk(scn, psk, snr),
+                    conditional_sep_polynomial(coef, psk, snr * ostbc_snr_scale(scn)).mean(),
+                    *(conditional_sep_mpsk(snr * g, psk).mean() for g in gammas)]
+
+        worst = 0.0
+        for m, snr_db in itertools.product([2, 4, 8, 16, 32, 64], range(-30, 41, 10)):
+            psk = PskConstellation(m)
+            got = values(psk, db(snr_db))
+            with monkeypatch.context() as patch:
+                patch.setattr(dsmimo.sep, "theta_rule", lambda t: gauss_legendre(1200, t))
+                ref = values(psk, db(snr_db))
+            err = [abs(a - b) / b for a, b in zip(got, ref)]
+            worst = max(worst, *err)
+            if snr_db >= -10:
+                assert err[0] < 1e-9, (m, snr_db)
+        assert worst < 1e-6
+
+    @pytest.mark.parametrize("scn,m,snr_db", [
+        (Scenario.uncorrelated(4, 3, 2, g4()), 8, 5.0),
+        (Scenario.uncorrelated(4, 3, 2, g4()), 8, 15.0),
+        (Scenario.uncorrelated(4, 3, 2, g4()), 8, 25.0),
+        # the README config, where 128 nodes on one arc were 1.1e-7 off
+        (Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                  constant_corr(4, 0.5), g4()), 64, -20.0)])
+    def test_node_doubling_stability(self, monkeypatch, scn, m, snr_db):
+        psk = PskConstellation(m)
+        a = sep_mpsk(scn, psk, db(snr_db))
+        monkeypatch.setattr(dsmimo.sep, "THETA_NODES", 2 * dsmimo.sep.THETA_NODES)
+        b = sep_mpsk(scn, psk, db(snr_db))
+        assert abs(a - b) < 1e-10 * max(a, 1e-300) + 1e-300
 
 
 class TestUncorrelated:
@@ -181,7 +234,7 @@ class TestUncorrelated:
         psk = PskConstellation(8)
         snr = db(12.0)
         a = sep_mpsk_uncorrelated(scn, psk, snr)
-        th, w = gauss_legendre(128, psk.theta_max)
+        th, w = theta_rule(psk.theta_max)
         xi = psk.g * snr / (scn.n_s * scn.n_t * float(scn.rate) * np.sin(th) ** 2)
         s_r = Spectrum((1.0,), (scn.n_r,), scn.n_r)
         s_t = Spectrum((1.0,), (scn.n_t,), scn.n_t)
@@ -243,8 +296,9 @@ class TestDoublyCorrelated:
         return Scenario(4, n_s, 4, phi(4), identity_corr(n_s), phi(4), g4())
 
     def test_identity_matches_oracle(self):
-        # references: the 128-node angular rule over oracle_kron_mgf (60
-        # digits) at g4's rate 3/4; they take minutes to regenerate
+        # references: 128 Gauss-Legendre nodes on [0, Theta] over
+        # oracle_kron_mgf (60 digits) at g4's rate 3/4; they take minutes to
+        # regenerate
         psk = PskConstellation(8)
         scn = self.make(0.0)
         for snr_db, ref in ((5.0, 0.03871867375127478), (15.0, 5.341997543418214e-07)):
@@ -345,7 +399,7 @@ class TestMiso:
         snr = db(30.0)
         scn = Scenario(4, 10, 1, exponential_corr(4, 0.5), exponential_corr(10, 0.5),
                        identity_corr(1), g4())
-        th, w = gauss_legendre(128, psk.theta_max)
+        th, w = theta_rule(psk.theta_max)
         xi = psk.g * snr / (scn.n_s * scn.n_t * float(scn.rate) * np.sin(th) ** 2)
         cs = characteristic_coefficients(scn.phi_s.spectrum)
         ct = characteristic_coefficients(scn.phi_t.spectrum)
@@ -396,8 +450,8 @@ class TestNoDoubleScattering:
 class TestDispatchAndInvariants:
     def test_all_applicable_formulas_agree(self):
         # fully uncorrelated MISO: uncorrelated, MISO, and doubly-correlated
-        # formulas are all valid and must meet the 128-node angular rule
-        # over oracle_kron_mgf (60 digits)
+        # formulas are all valid and must meet 128 Gauss-Legendre nodes on
+        # [0, Theta] over oracle_kron_mgf (60 digits)
         scn = Scenario.uncorrelated(4, 6, 1, g4())
         psk = PskConstellation(8)
         snr = db(18.0)
