@@ -78,10 +78,15 @@ def _product_mean(logw: np.ndarray, t: np.ndarray, c, mult, x: np.ndarray):
     x: a lattice expectation of prod_k (1 + x c_k t)^(-mult_k)."""
     ct = np.multiply.outer(c, t)
     out = np.empty(x.size)
-    # bound the entry-by-factor-by-node temporaries to _BATCH doubles
+    # one entry-by-factor-by-node buffer of at most _BATCH doubles (or one
+    # entry's) for every block: fresh temporaries of that size are mapped
+    # and page-faulted anew each block, which cost up to half the call
     step = max(1, _BATCH // ct.size)
+    buf = np.empty((min(step, x.size), *ct.shape))
     for lo in range(0, x.size, step):
-        e = mult @ np.log1p(np.multiply.outer(x[lo : lo + step], ct))
+        xs = x[lo : lo + step]
+        block = np.multiply.outer(xs, ct, out=buf[: xs.size])
+        e = mult @ np.log1p(block, out=block)
         out[lo : lo + step] = np.exp(logw - e).sum(axis=1)
     return out
 
