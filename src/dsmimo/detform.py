@@ -27,11 +27,19 @@ vector and return values in (0, 1]; they are the moment generating
 functions behind every closed-form SEP.  Coefficients that fail their
 gate, and Kronecker values above 1 by more than round-off, raise
 NumericFailure.
+
+A lattice of one (nw, deg) is a prefix of one node sequence: xi moves only
+its floor, hence its node count.  So the work that depends on a side and the
+nodes alone (the smaller MISO side's density, the Kronecker row's Poisson
+tails) is done once per side and reused at every SNR point (`_NodeCache`);
+only the products over xi run per call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +50,8 @@ from .corrmat import Spectrum
 _LOG_TAIL = math.log(1e-18)
 #: elements per lattice block (512 KiB of doubles)
 _BATCH = 1 << 16
+#: sides whose per-node lattice values each `_NodeCache` keeps
+_CACHE_SIDES = 16
 
 
 class NumericFailure(ValueError):
@@ -71,6 +81,44 @@ def _gamma_lattice(nw: int, log_floor: float, deg: int = 0):
     s = s_hi - h * np.arange(math.ceil((s_hi - s_lo) / h) + 1)
     t = np.exp(s)
     return t, nw * s - t - lg + math.log(h)
+
+
+class _NodeCache:
+    """Per-node values of a function of one side on that side's Gamma-lattice
+    nodes, kept across calls for the _CACHE_SIDES most recently used sides
+    (keyed by exact values).  Every lattice of the side's (nw, deg) is a
+    prefix of one node sequence, and the values are made node by node, so
+    the longest prefix seen is kept and a call makes only the nodes past it:
+    bit for bit what a cold call makes.  Only such per-node data is stored,
+    never an MGF.  One lock serialises the calls of concurrent threads."""
+
+    def __init__(self):
+        self._rows: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def values(self, key, t: np.ndarray, fn) -> np.ndarray:
+        """fn's values on the nodes t (on the last axis), fn taking the nodes
+        past the cached prefix of key; a read-only, C-contiguous array."""
+        with self._lock:
+            kept = self._rows.pop(key, None)
+            done = 0 if kept is None else kept.shape[-1]
+            if done < t.size:
+                new = fn(t[done:])
+                kept = new if kept is None else np.concatenate([kept, new], axis=-1)
+                kept.setflags(write=False)
+            self._rows[key] = kept
+            while len(self._rows) > _CACHE_SIDES:
+                self._rows.popitem(last=False)
+        return np.ascontiguousarray(kept[..., :t.size])
+
+
+#: the smaller MISO side's log density ratio (`_log_density_ratio`)
+_MISO_DENSITY = _NodeCache()
+#: the Kronecker row's Poisson tail weights (`_poisson_tails`)
+_KRON_TAILS = _NodeCache()
 
 
 def _product_mean(logw: np.ndarray, t: np.ndarray, c, mult, x: np.ndarray):
@@ -352,8 +400,11 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
     ratio of products of Lanczos norms.  mu_g is mu_s e^(beta l), beta =
     1/sigma_s - 1/sigma_g > 0, and row i annihilates the Taylor terms of
     e^(beta l) below degree i - j, so entry (i, (g, j)) keeps only the weight
-    P(Poisson(beta l) >= i - j): close eigenvalues cost no digits.  Values
-    lie in (0, 1]: round-off above 1 becomes 1, a larger excess raises
+    P(Poisson(beta l) >= i - j): close eigenvalues cost no digits.  Those
+    weights depend on Sigma, m, n and the lattice nodes alone, so they are
+    made once per Sigma and reused at every xi (`_NodeCache`); with one
+    eigenvalue there are none, and a call stops at the norms.  Values lie in
+    (0, 1]: round-off above 1 becomes 1, a larger excess raises
     NumericFailure."""
     if sigma_spec.dim != m or n < m:
         raise ValueError("need sigma spectrum of dimension m and n >= m")
@@ -379,6 +430,8 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
             logmu = logw - np.einsum("k,xgkn->xgn", mult,
                                      np.log1p(np.multiply.outer(np.multiply.outer(x, c), t)))
         _, a, lb, shift_s = _lanczos(t, logmu[:, s], m)
+        if not other.size:  # one eigenvalue: det N = 1
+            return np.ones(x.size), lead_s @ lb + tg[s] * shift_s
         vo, _, lbo, shift_o = _lanczos(t, logmu[:, other], k_o)
         log = (lead_s @ lb + np.einsum("gj,jxg->x", lead_o, lbo)
                + tg[s] * shift_s + shift_o @ tg[other])
@@ -405,7 +458,9 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
         with np.errstate(over="ignore"):
             floor = -float(mult @ np.log1p(xv.max() * c.max(axis=0) * n))
         t, logw = _gamma_lattice(n - m + 1, floor, 2 * m - 2)
-        tails = _poisson_tails(m - 1, (scale - 1.0) * t)[tail_k]
+        tails = None if not other.size else _KRON_TAILS.values(
+            (sigma_spec.values, sigma_spec.mults, m, n), t,
+            lambda tn: _poisson_tails(m - 1, (scale - 1.0) * tn)[tail_k])
         x = np.concatenate([[0.0], xv])  # N(0), the normaliser, rides in the first block
         # equal blocks of entries whose entry-by-eigenvalue-by-degree-by-node
         # arrays stay within 2 _BATCH doubles
@@ -488,7 +543,9 @@ def expected_inv_det_miso(sigma_spec: Spectrum, psi_spec: Spectrum, xi):
     With a (dimension d) the smaller spectrum and b the larger, this is the
     expectation over V = sum_k a_k E_k of prod_l (1 + xi b_l V)^(-1), on one
     Gamma(d) lattice in t = V/max(a), weighted by V's density from
-    `_log_density_ratio` (any eigenvalue pattern, no cancellation)."""
+    `_log_density_ratio` (any eigenvalue pattern, no cancellation).  That
+    density, about d^3 work per node, depends on a and the nodes alone: it
+    is made once per smaller side and reused at every xi (`_NodeCache`)."""
     small, large = sorted((sigma_spec, psi_spec), key=lambda s: s.dim)
     a = small.expand()
     d, amax = a.size, float(a.max())
@@ -496,14 +553,17 @@ def expected_inv_det_miso(sigma_spec: Spectrum, psi_spec: Spectrum, xi):
     b = np.array(large.values)
     mult = np.array(large.mults, dtype=float)
 
-    def mgf(xv):
-        # V's density is at most kappa t^(d-1)/Gamma(d): lower the floor by kappa
-        t, logw = _gamma_lattice(d, _log_floor(a, b, mult, xv.max()) - log_kappa)
+    def density(t):
         step = max(1, _BATCH // (d * d))  # node-by-d-by-d blocks of _BATCH doubles
         # past d ~ 300 the corner of far-tail nodes underflows: they drop out
         with np.errstate(divide="ignore"):
-            ratio = [_log_density_ratio(amax / a, t[lo : lo + step])
-                     for lo in range(0, t.size, step)]
-        return _product_mean(logw + np.concatenate(ratio), amax * t, b, mult, xv)
+            return np.concatenate([_log_density_ratio(amax / a, t[lo : lo + step])
+                                   for lo in range(0, t.size, step)])
+
+    def mgf(xv):
+        # V's density is at most kappa t^(d-1)/Gamma(d): lower the floor by kappa
+        t, logw = _gamma_lattice(d, _log_floor(a, b, mult, xv.max()) - log_kappa)
+        ratio = _MISO_DENSITY.values(tuple(a), t, density)
+        return _product_mean(logw + ratio, amax * t, b, mult, xv)
 
     return _at_positive(xi, mgf)

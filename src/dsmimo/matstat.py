@@ -78,6 +78,8 @@ class Scenario:
 #: block in mc._accumulate): one slice's temporaries (a few hundred kB for
 #: 4x10x4) stay in cache.
 SLICE = 4096
+#: Most doubles one standard_normal call of _product_slice draws (32 MiB)
+DRAW_DOUBLES = 1 << 22
 
 
 def _std_complex(rng: np.random.Generator, count: int, scales) -> list[np.ndarray]:
@@ -136,14 +138,19 @@ def _product_slice(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarra
     D = (sqrt(r) o H1)(sqrt(s) sqrt(t)^T o H2)/sqrt(n_s), H1 then H2, or
     D = sqrt(r) sqrt(t)^T o G without double scattering.  Gaussian factors
     are invariant under unitary rotation, so H has the law of U_r D U_t^H
-    (sample_channel)."""
+    (sample_channel).  Consecutive chunks of the slice's trials draw in turn,
+    each its H1 block, then its H2 block, so no call draws more than
+    DRAW_DOUBLES (a slice within it draws in one call)."""
     r = np.sqrt(0.5 * scn.phi_r.spectrum.expand())
     t = np.sqrt(scn.phi_t.spectrum.expand())
     scales = ([np.outer(r, t)] if scn.no_double_scattering else
               [np.outer(r / math.sqrt(scn.n_s), np.ones(scn.n_s)),
                np.outer(np.sqrt(0.5 * scn.phi_s.spectrum.expand()), t)])
     scales = [np.repeat(f, 2, axis=1) for f in scales]  # as complex entries are stored
-    return reduce(np.matmul, _std_complex(rng, b, scales))
+    step = max(1, DRAW_DOUBLES // sum(f.size for f in scales))
+    parts = [reduce(np.matmul, _std_complex(rng, min(step, b - lo), scales))
+             for lo in range(0, b, step)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 #: With a tilted bidiagonal draw, every TILT_EVERY-th trial of a slice takes

@@ -67,7 +67,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detform import NumericFailure
 from .matstat import SLICE, Scenario, bidiagonal_slice, channel_slice, reduced_sides
 from .sep import (PskConstellation, conditional_sep_mpsk, conditional_sep_polynomial,
                   ostbc_snr_scale)
@@ -195,6 +194,24 @@ def _frob_sq(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
     return np.einsum("bij,bij->b", d, d)
 
 
+def _peel(x: np.ndarray, one: float) -> np.ndarray:
+    """sum_j log(one + s_j) over the columns of x (column, row, trial),
+    peeled in place as _log2_det_eye_plus describes: s_j = |x_j|^2, and
+    every later column x_l maps to x_l - tau_j x_j (x_j^H x_l), tau_j =
+    1/(r_j (r_j + sqrt(one))), r_j = sqrt(one + s_j).  one = 1 is the
+    plain peel, whose terms are log1p(s_j)."""
+    out = np.zeros(x.shape[-1])
+    for j, xj in enumerate(x):
+        s = np.einsum("nb,nb->b", xj.real, xj.real) + np.einsum("nb,nb->b", xj.imag, xj.imag)
+        out += np.log1p(s) if one == 1.0 else np.log(s + one)
+        r = np.sqrt(one + s)
+        tau = 1.0 / (r * (r + math.sqrt(one)))
+        xc = xj.conj()
+        for xl in x[j + 1:]:
+            xl -= tau * (xc * xl).sum(axis=0) * xj
+    return out
+
+
 def _log2_det_eye_plus(c: float, h: np.ndarray) -> np.ndarray:
     """log2 det(I + c H H^H) for a stack of channels, by peeling columns off
     X = sqrt(c) T, T the taller of H and H^H, held trials last.  Step j adds
@@ -206,19 +223,30 @@ def _log2_det_eye_plus(c: float, h: np.ndarray) -> np.ndarray:
     until step j.  The Gram matrix is never formed, whose round-off times c
     would show in the unit eigenvalues of a channel of rank below
     min(n_r, n_t), and log1p keeps each term's relative accuracy at low
-    SNR."""
+    SNR.  A trial where c |t_j|^2 or c t_j^H t_l overflows (c near the top
+    of the float range) is peeled again in log space, on the columns of T
+    itself: log1p(s_j) = log c + log(|y_j|^2 + 1/c), y_j = x_j/sqrt(c), and
+    tau_j c = 1/(rho_j (rho_j + 1/sqrt(c))), rho_j = r_j/sqrt(c), scales
+    the update of y_l.  Trials that stay finite keep the plain peel."""
     t = h if h.shape[1] > h.shape[2] else h.conj().transpose(0, 2, 1)
     x = np.multiply(t.transpose(2, 1, 0), math.sqrt(c), out=np.empty(t.shape[::-1], complex))
-    out = np.zeros(len(t))
-    for j, xj in enumerate(x):
-        s = np.einsum("nb,nb->b", xj.real, xj.real) + np.einsum("nb,nb->b", xj.imag, xj.imag)
-        out += np.log1p(s)
-        r = np.sqrt(1.0 + s)
-        tau = 1.0 / (r * (r + 1.0))
-        xc = xj.conj()
-        for xl in x[j + 1:]:
-            xl -= tau * (xc * xl).sum(axis=0) * xj
+    with np.errstate(over="ignore", invalid="ignore"):  # such trials are redone below
+        out = _peel(x, 1.0)
+    lost = ~np.isfinite(out)
+    if lost.any():
+        y = np.ascontiguousarray(t[lost].transpose(2, 1, 0))
+        out[lost] = t.shape[2] * math.log(c) + _peel(y, 1.0 / c)
     return out / math.log(2.0)
+
+
+def _log2_1p(c: float, x: np.ndarray) -> np.ndarray:
+    """log2(1 + c x) for x >= 0, or log2 c + log2(x + 1/c) where c x
+    overflows."""
+    with np.errstate(over="ignore"):
+        v = np.log2(1.0 + c * x)
+    lost = ~np.isfinite(v)
+    v[lost] = math.log2(c) + np.log2(x[lost] + 1.0 / c)
+    return v
 
 
 def _path_coefficients(d2: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -361,14 +389,14 @@ def mc_capacity(scn: Scenario, snr, mode: str, cfg: MonteCarloConfig):
     mode "ostbc":   rate * E log2(1 + snr*||H||_F^2/(n_t*rate)).
 
     snr is a float, giving one Estimate, or a 1-D sequence, giving a list
-    of Estimates on common draws, each equal to the float call's.  An
-    estimate that overflows (snr near the top of the float range) raises
-    NumericFailure.
+    of Estimates on common draws, each equal to the float call's.  Near the
+    top of the float range the terms that overflow are taken in log space,
+    so every estimate is finite.
     """
     grid = _snr_grid(snr)
     if mode == "ostbc":
         unit, rate = ostbc_snr_scale(scn), float(scn.rate)
-        draw, value = _frob_sq, lambda x, s: rate * np.log2(1.0 + s * unit * x)
+        draw, value = _frob_sq, lambda x, s: rate * _log2_1p(s * unit, x)
     elif mode == "general":
         draw, value = channel_slice, lambda h, s: _log2_det_eye_plus(s / scn.n_t, h)
     else:
@@ -377,11 +405,7 @@ def mc_capacity(scn: Scenario, snr, mode: str, cfg: MonteCarloConfig):
     def per_slice(rng, b):
         x = draw(scn, rng, b)
         for s in grid:
-            with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN raises below
-                v = value(x, s)
-            if not np.isfinite(v).all():
-                raise NumericFailure(f"capacity overflows at snr {s!r}")
-            yield v
+            yield value(x, s)
 
     ests = _mean_estimates(cfg, per_slice, len(grid))
     return ests if np.ndim(snr) else ests[0]

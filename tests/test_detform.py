@@ -1,10 +1,13 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsmimo.detform as detform
 from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_corr,
                             tridiagonal_corr)
 from dsmimo.detform import (CharCoefficients, NumericFailure, _det_scaled,
@@ -13,7 +16,9 @@ from dsmimo.detform import (CharCoefficients, NumericFailure, _det_scaled,
                             expected_inv_det_uncorr, hyp2f0, quadratic_form_eigen_pdf,
                             wishart_eigen_pdf)
 
-from conftest import cgauss
+from dsmimo.sep import PskConstellation, theta_rule
+
+from conftest import cgauss, random_correlation
 from oracles import oracle_2f0, oracle_2f0_hyperu, oracle_kron_mgf, oracle_miso_mgf
 
 
@@ -602,3 +607,102 @@ class TestMajorization:
             else:
                 mgf_a, mgf_b = (expected_inv_det_miso(s, other, self.XI) for s in pair)
             assert np.all(mgf_a <= mgf_b * (1 + 1e-12)), (pair, other)
+
+
+def _fresh_caches(monkeypatch):
+    """Empty lattice caches from here to the end of the test."""
+    monkeypatch.setattr(detform, "_MISO_DENSITY", detform._NodeCache())
+    monkeypatch.setattr(detform, "_KRON_TAILS", detform._NodeCache())
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    _fresh_caches(monkeypatch)
+
+
+class TestLatticeCaches:
+    """The per-side lattice data (MISO density, Kronecker tails) is reused
+    across calls: values must not depend on which calls came before."""
+
+    SIDES = {
+        "miso exp": lambda xi: expected_inv_det_miso(exponential_corr(4, 0.5).spectrum,
+                                                     exponential_corr(10, 0.5).spectrum, xi),
+        "miso tri": lambda xi: expected_inv_det_miso(tridiagonal_corr(3, 0.45).spectrum,
+                                                     tridiagonal_corr(7, 0.45).spectrum, xi),
+        "kron readme": lambda xi: expected_inv_det_kron(4, 10, constant_corr(4, 0.5).spectrum,
+                                                        constant_corr(4, 0.5).spectrum, xi),
+        "kron exp": lambda xi: expected_inv_det_kron(3, 6, exponential_corr(3, 0.3).spectrum,
+                                                     spec_of([2.0, 1.0], [1, 2]), xi),
+        "kron one": lambda xi: expected_inv_det_kron(4, 10, identity_corr(4).spectrum,
+                                                     identity_corr(4).spectrum, xi),
+    }
+    SNR_DB = np.arange(-10.0, 41.0, 5.0)
+
+    @staticmethod
+    def xi(snr_db):
+        """The xi vector of one 8-PSK SEP point, as sep_mpsk makes it."""
+        psk = PskConstellation(8)
+        th, _ = theta_rule(psk.theta_max)
+        return psk.g * 10.0 ** (snr_db / 10.0) / (40.0 * np.sin(th) ** 2)
+
+    def cold(self, monkeypatch):
+        out = {}
+        for name, mgf in self.SIDES.items():
+            for snr in self.SNR_DB:
+                _fresh_caches(monkeypatch)
+                out[name, snr] = mgf(self.xi(snr))
+        return out
+
+    def test_snr_order_and_interleaving_leave_values_unchanged(self, monkeypatch):
+        ref = self.cold(monkeypatch)
+        _fresh_caches(monkeypatch)
+        rng = np.random.default_rng(29)
+        keys = list(ref)
+        orders = {"ascending": sorted(keys, key=lambda k: (k[1], k[0])),
+                  "descending": sorted(keys, key=lambda k: (-k[1], k[0])),
+                  "shuffled": [keys[i] for i in rng.permutation(len(keys))]}
+        for order, seq in orders.items():
+            for name, snr in seq:
+                got = self.SIDES[name](self.xi(snr))
+                assert np.array_equal(got, ref[name, snr]), (order, name, snr)
+        # the one-eigenvalue Sigma makes no tails
+        assert len(detform._MISO_DENSITY) == 2 and len(detform._KRON_TAILS) == 2
+
+    def test_concurrent_calls_match_cold_values(self, monkeypatch):
+        ref = self.cold(monkeypatch)
+        _fresh_caches(monkeypatch)
+        keys = list(ref)
+
+        def run(seed):
+            order = np.random.default_rng(seed).permutation(len(keys))
+            return all(np.array_equal(self.SIDES[keys[i][0]](self.xi(keys[i][1])), ref[keys[i]])
+                       for i in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = [f.result(timeout=120) for f in
+                           [pool.submit(run, seed) for seed in range(4)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(results)
+
+    def test_capacity_is_bounded(self, cold_caches):
+        rng = np.random.default_rng(7)
+        far = constant_corr(3, 0.4).spectrum
+        for _ in range(200):
+            side = random_correlation(rng, 3).spectrum
+            expected_inv_det_miso(side, exponential_corr(5, 0.3).spectrum, 1.0)
+            expected_inv_det_kron(3, 5, side, far, 1.0)
+        assert len(detform._MISO_DENSITY) == detform._CACHE_SIDES
+        assert len(detform._KRON_TAILS) == detform._CACHE_SIDES
+
+    def test_last_bit_makes_a_separate_entry(self, cold_caches):
+        far = spec_of([1.5, 0.5])
+        a = spec_of([1.0, 0.5])
+        b = spec_of([1.0, float(np.nextafter(0.5, 1.0))])
+        for side in (a, b, a):
+            expected_inv_det_miso(side, far, 0.7)
+            expected_inv_det_kron(2, 4, side, far, 0.7)
+        assert len(detform._MISO_DENSITY) == 2 and len(detform._KRON_TAILS) == 2

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import dsmimo.matstat as matstat
 from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                             exponential_corr, identity_corr, spectrum_of)
@@ -218,6 +220,31 @@ class TestSampleChannel:
         short = sample_channel(scn, substream(9, 3), size=2 * SLICE)
         long = sample_channel(scn, substream(9, 3), size=3 * SLICE + 5)
         assert np.array_equal(short, long[:2 * SLICE])
+
+    @pytest.mark.parametrize("rich", [False, True])
+    def test_capped_draw_is_consecutive_chunks(self, monkeypatch, rich):
+        # a slice past DRAW_DOUBLES draws as consecutive smaller slices would:
+        # 3x4x2 takes 40 doubles per trial (12 without double scattering),
+        # so a cap of 7 trials' worth splits 23 trials as 7 + 7 + 7 + 2
+        scn = Scenario(3, 4, 2, constant_corr(3, 0.3), exponential_corr(4, 0.5),
+                       constant_corr(2, 0.6), no_double_scattering=rich)
+        rng = substream(9, 4)
+        ref = np.concatenate([matstat._product_slice(scn, rng, k) for k in (7, 7, 7, 2)])
+        monkeypatch.setattr(matstat, "DRAW_DOUBLES", 7 * (12 if rich else 40) + 5)
+        assert np.array_equal(matstat._product_slice(scn, substream(9, 4), 23), ref)
+
+    def test_large_product_draw_memory_is_bounded(self):
+        # 4x1000x4 takes 16000 doubles per trial: one call for a 4096-trial
+        # slice would allocate 524 MB
+        scn = Scenario.uncorrelated(4, 1000, 4)
+        tracemalloc.start()
+        try:
+            h = sample_channel(scn, substream(9, 5), size=SLICE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.shape == (SLICE, 4, 4) and np.isfinite(h).all()
+        assert peak < 64 * 2**20, peak
 
     @pytest.mark.parametrize("n_t,n_s,n_r,tx,rx", [
         (4, 10, 4, "constant 0.5", "constant 0.5"), (4, 10, 2, "constant 0", "constant 0"),
