@@ -29,10 +29,19 @@ gate, and Kronecker values above 1 by more than round-off, raise
 NumericFailure.
 
 A lattice of one (nw, deg) is a prefix of one node sequence: xi moves only
-its floor, hence its node count.  So the work that depends on a side and the
-nodes alone (the smaller MISO side's density, the Kronecker row's Poisson
-tails) is done once per side and reused at every SNR point (`_NodeCache`);
-only the products over xi run per call.
+its floor, hence its node count.  So the lattice itself is kept and sliced
+(`_LATTICES`), and the work that depends on a side and the nodes alone (the
+smaller MISO side's density, the Kronecker row's Poisson tails) is done once
+per side and reused at every SNR point (`_NodeCache`).  Each evaluator is
+split the same way: a kernel made once per side (`_kron_kernel`,
+`_miso_kernel`) holds every array that depends on the side alone, and an
+SNR point runs only its xi-dependent part.  Every cache is an LRU of the
+_CACHE_SIDES most recently used keys (`_SideCache`), keyed by exact values,
+holding no MGF value; a warm call returns bit for bit what a cold one does.
+
+The Kronecker row keeps every digit for eigenvalues of Sigma close to its
+smallest one, but not for a cluster above it, whose columns nearly coincide
+(`expected_inv_det_kron`).
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +60,7 @@ from .corrmat import Spectrum
 _LOG_TAIL = math.log(1e-18)
 #: elements per lattice block (512 KiB of doubles)
 _BATCH = 1 << 16
-#: sides whose per-node lattice values each `_NodeCache` keeps
+#: sides (keys) that each per-side cache (`_SideCache`) keeps
 _CACHE_SIDES = 16
 
 
@@ -63,34 +73,11 @@ class NumericFailure(ValueError):
 # Gamma lattice
 # ---------------------------------------------------------------------------
 
-def _gamma_lattice(nw: int, log_floor: float, deg: int = 0):
-    """Nodes t and log-weights of the trapezoid rule in s = ln t for E f(t),
-    t ~ Gamma(nw), geometrically convergent for f analytic near the real s
-    axis and growing at most like t^deg: with top = nw + deg, step
-    min(0.2, 0.5/sqrt(top)) from s = ln(top + 12 sqrt(top) + 40) down to
-    where e^(nw s)/Gamma(nw) falls below 1e-18 e^log_floor, log_floor being
-    the log of a lower bound on E |f|, which must be finite: at an argument
-    near the float range it can overflow, and that raises NumericFailure."""
-    if not math.isfinite(log_floor):
-        raise NumericFailure(f"Gamma lattice floor {log_floor!r} is not finite")
-    lg = math.lgamma(nw)
-    top = nw + deg
-    h = min(0.2, 0.5 / math.sqrt(top))
-    s_hi = math.log(top + 12.0 * math.sqrt(top) + 40.0)
-    s_lo = (lg + _LOG_TAIL + log_floor) / nw
-    s = s_hi - h * np.arange(math.ceil((s_hi - s_lo) / h) + 1)
-    t = np.exp(s)
-    return t, nw * s - t - lg + math.log(h)
-
-
-class _NodeCache:
-    """Per-node values of a function of one side on that side's Gamma-lattice
-    nodes, kept across calls for the _CACHE_SIDES most recently used sides
-    (keyed by exact values).  Every lattice of the side's (nw, deg) is a
-    prefix of one node sequence, and the values are made node by node, so
-    the longest prefix seen is kept and a call makes only the nodes past it:
-    bit for bit what a cold call makes.  Only such per-node data is stored,
-    never an MGF.  One lock serialises the calls of concurrent threads."""
+class _SideCache:
+    """Values of one side kept across calls for the _CACHE_SIDES most
+    recently used sides, keyed by exact values (a last-bit difference is
+    another side).  Only values that depend on the side are stored, never an
+    MGF or a SEP.  One lock serialises the calls of concurrent threads."""
 
     def __init__(self):
         self._rows: OrderedDict = OrderedDict()
@@ -99,26 +86,109 @@ class _NodeCache:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def update(self, key, fn):
+        """The value fn(kept), kept being key's value or None, stored as key's
+        (now the most recently used)."""
+        with self._lock:
+            kept = fn(self._rows.pop(key, None))
+            self._rows[key] = kept
+            while len(self._rows) > _CACHE_SIDES:
+                self._rows.popitem(last=False)
+        return kept
+
+    def get(self, key, make):
+        """key's value, make() on a miss."""
+        return self.update(key, lambda kept: make() if kept is None else kept)
+
+
+class _NodeCache(_SideCache):
+    """Per-node values of a function of one side on that side's Gamma-lattice
+    nodes.  Every lattice of the side's (nw, deg) is a prefix of one node
+    sequence, and the values are made node by node, so the longest prefix
+    seen is kept and a call makes only the nodes past it: bit for bit what a
+    cold call makes."""
+
     def values(self, key, t: np.ndarray, fn) -> np.ndarray:
         """fn's values on the nodes t (on the last axis), fn taking the nodes
         past the cached prefix of key; a read-only, C-contiguous array."""
-        with self._lock:
-            kept = self._rows.pop(key, None)
+        def extend(kept):
             done = 0 if kept is None else kept.shape[-1]
             if done < t.size:
                 new = fn(t[done:])
                 kept = new if kept is None else np.concatenate([kept, new], axis=-1)
                 kept.setflags(write=False)
-            self._rows[key] = kept
-            while len(self._rows) > _CACHE_SIDES:
-                self._rows.popitem(last=False)
-        return np.ascontiguousarray(kept[..., :t.size])
+            return kept
+
+        return np.ascontiguousarray(self.update(key, extend)[..., :t.size])
 
 
+class _LatticeRule(NamedTuple):
+    """The Gamma(nw) lattice of one (nw, deg): its constants and the longest
+    node prefix made so far (t and log-weights, read-only)."""
+
+    nw: int
+    lg: float
+    h: float
+    s_hi: float
+    t: np.ndarray
+    logw: np.ndarray
+
+    @classmethod
+    def new(cls, nw: int, deg: int) -> "_LatticeRule":
+        top = nw + deg
+        empty = np.empty(0)
+        empty.setflags(write=False)
+        return cls(nw, math.lgamma(nw), min(0.2, 0.5 / math.sqrt(top)),
+                   math.log(top + 12.0 * math.sqrt(top) + 40.0), empty, empty)
+
+    def count(self, log_floor: float) -> int:
+        """Nodes down to where e^(nw s)/Gamma(nw) falls below 1e-18 e^log_floor."""
+        s_lo = (self.lg + _LOG_TAIL + log_floor) / self.nw
+        return math.ceil((self.s_hi - s_lo) / self.h) + 1
+
+    def grown(self, log_floor: float) -> "_LatticeRule":
+        """This rule with at least count(log_floor) nodes: node i is made from
+        s_i = s_hi - h i alone, so the new nodes extend the prefix."""
+        done, count = self.t.size, self.count(log_floor)
+        if count <= done:
+            return self
+        s = self.s_hi - self.h * np.arange(done, count)
+        t = np.exp(s)
+        logw = self.nw * s - t - self.lg + math.log(self.h)
+        t, logw = np.concatenate([self.t, t]), np.concatenate([self.logw, logw])
+        t.setflags(write=False)
+        logw.setflags(write=False)
+        return self._replace(t=t, logw=logw)
+
+
+def _gamma_lattice(nw: int, log_floor: float, deg: int = 0):
+    """Nodes t and log-weights of the trapezoid rule in s = ln t for E f(t),
+    t ~ Gamma(nw), geometrically convergent for f analytic near the real s
+    axis and growing at most like t^deg: with top = nw + deg, step
+    min(0.2, 0.5/sqrt(top)) from s = ln(top + 12 sqrt(top) + 40) down to
+    where e^(nw s)/Gamma(nw) falls below 1e-18 e^log_floor, log_floor being
+    the log of a lower bound on E |f|, which must be finite: at an argument
+    near the float range it can overflow, and that raises NumericFailure.
+    The floor moves only the node count, so the nodes are read-only slices
+    of the longest prefix made for (nw, deg) (`_LATTICES`)."""
+    if not math.isfinite(log_floor):
+        raise NumericFailure(f"Gamma lattice floor {log_floor!r} is not finite")
+    rule = _LATTICES.update((nw, deg), lambda kept: (kept or _LatticeRule.new(nw, deg))
+                            .grown(log_floor))
+    count = rule.count(log_floor)
+    return rule.t[:count], rule.logw[:count]
+
+
+#: the Gamma lattices, per (nw, deg) (`_gamma_lattice`)
+_LATTICES = _SideCache()
 #: the smaller MISO side's log density ratio (`_log_density_ratio`)
 _MISO_DENSITY = _NodeCache()
 #: the Kronecker row's Poisson tail weights (`_poisson_tails`)
 _KRON_TAILS = _NodeCache()
+#: the Kronecker row's per-side arrays, per (m, n, Sigma, A) (`_kron_kernel`)
+_KRON_KERNELS = _SideCache()
+#: the MISO row's per-side arrays, per (smaller, larger) side (`_miso_kernel`)
+_MISO_KERNELS = _SideCache()
 
 
 def _product_mean(logw: np.ndarray, t: np.ndarray, c, mult, x: np.ndarray):
@@ -154,12 +224,16 @@ def _at_positive(x, fn):
     """fn over the positive entries of x >= 0 (a scalar or a vector) and 1
     at x = 0; a float for a scalar x, else an array."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xv < 0.0):
+    low = xv.min(initial=math.inf)
+    if low < 0.0:
         raise ValueError("argument must be nonnegative")
-    out = np.ones_like(xv)
-    pos = xv > 0.0
-    if pos.any():
-        out[pos] = fn(xv[pos])
+    if xv.size and low > 0.0:  # every entry positive (every angular point): no mask, no copy
+        out = fn(xv)
+    else:
+        out = np.ones_like(xv)
+        pos = xv > 0.0
+        if pos.any():
+            out[pos] = fn(xv[pos])
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -353,9 +427,12 @@ def _lanczos(t: np.ndarray, logmu: np.ndarray, k: int):
     nodes t, by Lanczos with full reorthogonalisation (multiply the last
     vector by t, orthogonalise twice, normalise): the vectors sqrt(mu) p_j(t)
     (k, ..., nodes), alpha_j = <t p_j, p_j> (j < k - 1), log b_j (the norms,
-    sums of squares; p_j has leading coefficient 1/(b_0 ... b_j)) and shift."""
+    sums of squares; p_j has leading coefficient 1/(b_0 ... b_j)), shift and
+    the starting vector exp((logmu - shift)/2), the root of the measure, which
+    no step overwrites."""
     shift = logmu.max(axis=-1)
     w = np.exp(0.5 * (logmu - shift[..., None]))
+    root = w
     vecs = np.empty((k, *logmu.shape))
     alpha, norm = np.empty((2, k, *shift.shape))
     for j in range(k):
@@ -368,8 +445,9 @@ def _lanczos(t: np.ndarray, logmu: np.ndarray, k: int):
             alpha[j - 1] = first[j - 1] + again[j - 1]
         norm[j] = np.sqrt(np.einsum("...n,...n->...", w, w))
         np.divide(w, norm[j, ..., None], out=vecs[j])
-        w = t * vecs[j]
-    return vecs, alpha, np.log(norm), shift
+        if j + 1 < k:
+            w = t * vecs[j]
+    return vecs, alpha, np.log(norm), shift, root
 
 
 def _poisson_tails(k: int, z: np.ndarray) -> np.ndarray:
@@ -400,17 +478,32 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
     ratio of products of Lanczos norms.  mu_g is mu_s e^(beta l), beta =
     1/sigma_s - 1/sigma_g > 0, and row i annihilates the Taylor terms of
     e^(beta l) below degree i - j, so entry (i, (g, j)) keeps only the weight
-    P(Poisson(beta l) >= i - j): close eigenvalues cost no digits.  Those
-    weights depend on Sigma, m, n and the lattice nodes alone, so they are
-    made once per Sigma and reused at every xi (`_NodeCache`); with one
-    eigenvalue there are none, and a call stops at the norms.  Values lie in
-    (0, 1]: round-off above 1 becomes 1, a larger excess raises
-    NumericFailure."""
+    P(Poisson(beta l) >= i - j): eigenvalues close to the smallest one cost
+    no digits.  A cluster of eigenvalues above the smallest one does: its
+    columns are near-copies of each other and their determinant cancels, so
+    such a value can be wrong and still lie in (0, 1] (ROADMAP item 1).
+    Those weights depend on Sigma, m, n and the lattice nodes alone, so they
+    are made once per Sigma and reused at every xi (`_NodeCache`); with one
+    eigenvalue there are none, and a call stops at the norms.  The other
+    arrays of the side are made once per (m, n, Sigma, A) (`_kron_kernel`).
+    Values lie in (0, 1]: round-off above 1 becomes 1, a larger excess
+    raises NumericFailure."""
     if sigma_spec.dim != m or n < m:
         raise ValueError("need sigma spectrum of dimension m and n >= m")
+    kernel = _KRON_KERNELS.get((m, n, sigma_spec, a_spec),
+                               lambda: _kron_kernel(m, n, sigma_spec, a_spec))
+    return _at_positive(xi, kernel)
+
+
+def _kron_kernel(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum):
+    """`expected_inv_det_kron`'s kernel for one (m, n, Sigma, A): xi > 0 (a
+    vector) to the MGF.  The arrays that depend on the side alone are made
+    here, once per side (`_KRON_KERNELS`); a call makes only its lattice
+    and the determinants at its xi."""
     sig = np.array(sigma_spec.values)
     tg = np.array(sigma_spec.mults)
     c = np.multiply.outer(sig, a_spec.values)
+    cmax = c.max(axis=0)
     mult = np.array(a_spec.mults, dtype=float)
     s = sig.size - 1  # values decrease
     other = np.flatnonzero(np.arange(sig.size) != s)
@@ -421,6 +514,10 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
     lead_o = np.maximum(tg[other, None] - np.arange(k_o), 0)
     scale = (sig[other] / sig[s])[:, None]
     tail_k = np.maximum(np.subtract.outer(np.arange(tg[s], m), np.arange(k_o)), 0)
+    tails_key = (sigma_spec.values, sigma_spec.mults, m, n)
+
+    def make_tails(tn):
+        return _poisson_tails(m - 1, (scale - 1.0) * tn)[tail_k]
 
     def log_det(x, t, logw, tails):
         """(sign, log) of det N(x) over its leading coefficients, x a vector."""
@@ -429,16 +526,15 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
         with np.errstate(over="ignore"):
             logmu = logw - np.einsum("k,xgkn->xgn", mult,
                                      np.log1p(np.multiply.outer(np.multiply.outer(x, c), t)))
-        _, a, lb, shift_s = _lanczos(t, logmu[:, s], m)
+        _, a, lb, shift_s, _ = _lanczos(t, logmu[:, s], m)
         if not other.size:  # one eigenvalue: det N = 1
             return np.ones(x.size), lead_s @ lb + tg[s] * shift_s
-        vo, _, lbo, shift_o = _lanczos(t, logmu[:, other], k_o)
+        vo, _, lbo, shift_o, root = _lanczos(t, logmu[:, other], k_o)
         log = (lead_s @ lb + np.einsum("gj,jxg->x", lead_o, lbo)
                + tg[s] * shift_s + shift_o @ tg[other])
         # rows q_(t_s) .. q_(m-1) at sigma_g t/sigma_s times the root of mu_g,
         # against the columns of g (the scales e^-shift are restored in log)
         u, b, a = scale * t, np.exp(lb)[..., None, None], a[..., None, None]
-        root = np.exp(0.5 * (logmu[:, other] - shift_o[..., None]))
         rows = np.empty((m - tg[s], *root.shape))
         q_prev, q = 0.0, np.broadcast_to(1.0 / b[0], root.shape)
         for i in range(m):
@@ -451,29 +547,31 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
         sign, ld = np.linalg.slogdet(np.swapaxes(blk, 1, 2)[:, :, lead_o > 0])
         return sign, log + ld
 
-    def mgf(xv):
+    def kernel(xv):
         # every mu_g has at least its product's value at the Gamma mean (Jensen);
         # the integrands are mu_g times polynomials of degree <= 2m - 2; a bound
         # that overflows makes the floor -inf, which _gamma_lattice raises
         with np.errstate(over="ignore"):
-            floor = -float(mult @ np.log1p(xv.max() * c.max(axis=0) * n))
+            floor = -float(mult @ np.log1p(xv.max() * cmax * n))
         t, logw = _gamma_lattice(n - m + 1, floor, 2 * m - 2)
-        tails = None if not other.size else _KRON_TAILS.values(
-            (sigma_spec.values, sigma_spec.mults, m, n), t,
-            lambda tn: _poisson_tails(m - 1, (scale - 1.0) * tn)[tail_k])
+        tails = None if not other.size else _KRON_TAILS.values(tails_key, t, make_tails)
         x = np.concatenate([[0.0], xv])  # N(0), the normaliser, rides in the first block
         # equal blocks of entries whose entry-by-eigenvalue-by-degree-by-node
         # arrays stay within 2 _BATCH doubles
         size = x.size * sig.size * max(m, mult.size) * t.size
-        blocks = np.array_split(x, -(-size // (2 * _BATCH)))
-        sign, log = map(np.concatenate, zip(*(log_det(xs, t, logw, tails) for xs in blocks)))
+        count = -(-size // (2 * _BATCH))
+        if count == 1:
+            sign, log = log_det(x, t, logw, tails)
+        else:
+            sign, log = map(np.concatenate, zip(*(log_det(xs, t, logw, tails)
+                                                  for xs in np.array_split(x, count))))
         v = sign[1:] * sign[0] * np.exp(log[1:] - log[0])
         # an MGF is at most 1: round-off above it is noise, 1e-12 a failure
         if np.any(v > 1.0 + 1e-12):
             raise NumericFailure(f"Kronecker MGF {float(v.max())!r} exceeds 1")
         return np.minimum(v, 1.0)
 
-    return _at_positive(xi, mgf)
+    return kernel
 
 
 def expected_inv_det_uncorr(m: int, n: int, nu: int, xi):
@@ -545,13 +643,23 @@ def expected_inv_det_miso(sigma_spec: Spectrum, psi_spec: Spectrum, xi):
     Gamma(d) lattice in t = V/max(a), weighted by V's density from
     `_log_density_ratio` (any eigenvalue pattern, no cancellation).  That
     density, about d^3 work per node, depends on a and the nodes alone: it
-    is made once per smaller side and reused at every xi (`_NodeCache`)."""
+    is made once per smaller side and reused at every xi (`_NodeCache`), as
+    are the pair's arrays (`_miso_kernel`)."""
     small, large = sorted((sigma_spec, psi_spec), key=lambda s: s.dim)
+    kernel = _MISO_KERNELS.get((small, large), lambda: _miso_kernel(small, large))
+    return _at_positive(xi, kernel)
+
+
+def _miso_kernel(small: Spectrum, large: Spectrum):
+    """`expected_inv_det_miso`'s kernel for one (smaller, larger) side pair:
+    xi > 0 (a vector) to the MGF.  The arrays that depend on the sides alone
+    are made here, once per pair (`_MISO_KERNELS`)."""
     a = small.expand()
     d, amax = a.size, float(a.max())
     log_kappa = float(np.log(amax / a).sum())
     b = np.array(large.values)
     mult = np.array(large.mults, dtype=float)
+    density_key = tuple(a)
 
     def density(t):
         step = max(1, _BATCH // (d * d))  # node-by-d-by-d blocks of _BATCH doubles
@@ -560,10 +668,10 @@ def expected_inv_det_miso(sigma_spec: Spectrum, psi_spec: Spectrum, xi):
             return np.concatenate([_log_density_ratio(amax / a, t[lo : lo + step])
                                    for lo in range(0, t.size, step)])
 
-    def mgf(xv):
+    def kernel(xv):
         # V's density is at most kappa t^(d-1)/Gamma(d): lower the floor by kappa
         t, logw = _gamma_lattice(d, _log_floor(a, b, mult, xv.max()) - log_kappa)
-        ratio = _MISO_DENSITY.values(tuple(a), t, density)
+        ratio = _MISO_DENSITY.values(density_key, t, density)
         return _product_mean(logw + ratio, amax * t, b, mult, xv)
 
-    return _at_positive(xi, mgf)
+    return kernel

@@ -108,6 +108,52 @@ def reduced_sides(scn: Scenario):
     return (scn.phi_t, scn.phi_r) if scn.n_r < scn.n_t else (scn.phi_r, scn.phi_t)
 
 
+class SlicePlan:
+    """The per-scenario set-up of a Monte Carlo call's slices
+    (channel_slice, bidiagonal_slice, mc._frob_sq): the reduced draw's
+    scale, Gamma shapes, spike and tilt constants, and without double
+    scattering the eigenvalue products.  The call makes one and
+    passes it in place of its Scenario, so every slice reuses it; it is
+    dropped with the call.  tilt is bidiagonal_slice's; channel_slice takes
+    an untilted plan.  _product_slice still makes its scales per slice:
+    held across slices, they made a 4096-trial draw of 4x10x4 with
+    exponential sides about 15% slower on a 2-core Xeon, in user time, with
+    no more page faults."""
+
+    def __init__(self, scn: Scenario, tilt: int = 0):
+        self.scn, self.tilt = scn, tilt
+        if scn.no_double_scattering:
+            # ||H||_F^2's exponential weights (mc._frob_sq)
+            self.pairs = np.multiply.outer(scn.phi_t.spectrum.expand(),
+                                           scn.phi_r.spectrum.expand()).ravel()
+        self.sides = reduced_sides(scn)
+        if self.sides is None:
+            return
+        big, small = self.sides
+        self.g_scale = np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()),
+                                np.ones(2 * small.dim))
+        m = self.m = small.dim
+        spike = _spike(small.spectrum)
+        shapes = np.concatenate([scn.n_s - np.arange(m), m - 1 - np.arange(m - 1) if spike else []])
+        tilted = np.concatenate([np.maximum(shapes[:m] - tilt, 0.5), shapes[m:]])
+        # the trials of a SLICE-trial slice that take the tilted shapes
+        self.hit = np.arange(SLICE) % TILT_EVERY == 0
+        self.shapes, self.tilted = shapes, tilted
+        # p_tilt/p = prod_i Gamma(s_i)/Gamma(t_i) g_i^(t_i - s_i), s_i the untilted shape
+        self.log_ratio = sum(math.lgamma(a) - math.lgamma(t) for a, t in zip(shapes, tilted))
+        self.dshape = tilted - shapes
+        self.chain = spike is None
+        if self.chain:
+            self.c = small.spectrum.expand()
+        else:
+            self.spike_scale = np.array([spike[0]] + [spike[1]] * (2 * m - 2))[:, None]
+
+    @classmethod
+    def of(cls, scn, tilt: int = 0) -> "SlicePlan":
+        """scn itself when it is a plan, else a new plan of it."""
+        return scn if isinstance(scn, SlicePlan) else cls(scn, tilt)
+
+
 def channel_slice(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
     """One slice of b channels D, unrotated, with the law of ||H||_F and of
     the eigenvalues of H H^H, all that the estimators read: _product_slice,
@@ -119,14 +165,13 @@ def channel_slice(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray
     D^T then the product), as Q B V^H (Golub-Kahan): the other factor times
     Q is i.i.d. and independent of B, and neither V nor a transpose changes
     ||D||_F or the eigenvalues of D D^H.  B is never formed: column j of D
-    is G's column j times d_j plus its column j - 1 times f_(j-1)."""
-    sides = reduced_sides(scn)
-    if sides is None:
-        return _product_slice(scn, rng, b)
-    big, small = sides
-    scale = np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()), np.ones(2 * small.dim))
-    g, = _std_complex(rng, b, [scale])
-    d2, f2, _ = bidiagonal_slice(scn, rng, b)
+    is G's column j times d_j plus its column j - 1 times f_(j-1).  scn may
+    be an untilted SlicePlan of the scenario."""
+    plan = SlicePlan.of(scn)
+    if plan.sides is None:
+        return _product_slice(plan.scn, rng, b)
+    g, = _std_complex(rng, b, [plan.g_scale])
+    d2, f2, _ = bidiagonal_slice(plan, rng, b)
     d = g * np.sqrt(d2).T[:, None]
     d[:, :, 1:] += g[:, :, :-1] * np.sqrt(f2).T[:, None]
     return d
@@ -232,26 +277,22 @@ def bidiagonal_slice(scn: Scenario, rng: np.random.Generator, b: int, tilt: int 
     of the untilted law p to the slice's mixture q = (1 - a) p + a p_tilt, a
     the slice's tilted share, so that E[w f(W)] = E f(W) for any f, with
     w <= 1/(1 - a): a function growing like det(W)^(-k) near singular W has
-    most of its mean where the tilted law puts its mass."""
-    _, small = reduced_sides(scn)
-    m = small.dim
-    spike = _spike(small.spectrum)
-    shapes = np.concatenate([scn.n_s - np.arange(m), m - 1 - np.arange(m - 1) if spike else []])
-    tilted = np.concatenate([np.maximum(shapes[:m] - tilt, 0.5), shapes[m:]])
-    if not spike:
+    most of its mean where the tilted law puts its mass.  scn may be a
+    SlicePlan of the scenario, whose tilt then applies."""
+    plan = SlicePlan.of(scn, tilt)
+    m = plan.m
+    if plan.chain:
         z = math.sqrt(0.5) * rng.standard_normal((m * (m - 1) // 2, 2 * b)).view(complex)
-    hit = np.arange(b) % TILT_EVERY == 0
-    gam = rng.standard_gamma(np.where(hit, tilted[:, None], shapes[:, None]))
+    hit = np.resize(plan.hit, b)  # a multiple of TILT_EVERY long, so it repeats whole
+    gam = rng.standard_gamma(np.where(hit, plan.tilted[:, None], plan.shapes[:, None]))
     w = None
-    if tilt:
-        # p_tilt/p = prod_i Gamma(s_i)/Gamma(t_i) g_i^(t_i - s_i), s_i the untilted shape
-        log_ratio = sum(math.lgamma(a) - math.lgamma(t) for a, t in zip(shapes, tilted))
-        ratio = np.exp(log_ratio + (tilted - shapes) @ np.log(gam))
+    if plan.tilt:
+        ratio = np.exp(plan.log_ratio + plan.dshape @ np.log(gam))
         a = hit.mean()
         w = 1.0 / ((1.0 - a) + a * ratio)
-    if not spike:
-        return (*_golub_kahan(small.spectrum.expand(), gam, z), w)
-    gam *= np.array([spike[0]] + [spike[1]] * (2 * m - 2))[:, None]
+    if plan.chain:
+        return (*_golub_kahan(plan.c, gam, z), w)
+    gam *= plan.spike_scale
     return gam[:m], gam[m:], w
 
 

@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matstat import SLICE, Scenario, bidiagonal_slice, channel_slice, reduced_sides
+from .matstat import SLICE, Scenario, SlicePlan, bidiagonal_slice, channel_slice, reduced_sides
 from .sep import (PskConstellation, conditional_sep_mpsk, conditional_sep_polynomial,
                   ostbc_snr_scale)
 
@@ -185,12 +185,12 @@ def _mean_estimates(cfg: MonteCarloConfig, per_slice, points: int) -> list[Estim
 def _frob_sq(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
     """||H||_F^2 of one slice of b trials: without double scattering a
     weighted sum of exponentials over transmit/receive eigenvalue pairs,
-    otherwise ||D||_F^2 of matstat.channel_slice."""
-    if scn.no_double_scattering:
-        pairs = np.multiply.outer(scn.phi_t.spectrum.expand(),
-                                  scn.phi_r.spectrum.expand()).ravel()
-        return rng.standard_exponential((b, pairs.size)) @ pairs
-    d = channel_slice(scn, rng, b).view(float)
+    otherwise ||D||_F^2 of matstat.channel_slice.  scn may be an untilted
+    matstat.SlicePlan of the scenario."""
+    plan = SlicePlan.of(scn)
+    if plan.scn.no_double_scattering:
+        return rng.standard_exponential((b, plan.pairs.size)) @ plan.pairs
+    d = channel_slice(plan, rng, b).view(float)
     return np.einsum("bij,bij->b", d, d)
 
 
@@ -303,9 +303,10 @@ def _bidiagonal_sep(scn: Scenario, psk: PskConstellation, scales: list[float]):
     det(W) the SEP falls with at high SNR."""
     big = reduced_sides(scn)[0]
     factors = [(rho / scn.n_s, mu) for rho, mu in big.spectrum.distinct]
+    plan = SlicePlan(scn, tilt=big.dim)
 
     def per_slice(rng, b):
-        d2, f2, w = bidiagonal_slice(scn, rng, b, tilt=big.dim)
+        d2, f2, w = bidiagonal_slice(plan, rng, b)
         coef = _fold(_path_coefficients(d2, f2), factors)
         for scale in scales:
             yield w * conditional_sep_polynomial(coef, psk, scale)
@@ -325,28 +326,29 @@ def mc_sep(scn: Scenario, psk: PskConstellation, snr, cfg: MonteCarloConfig):
     if reduced_sides(scn) is not None:
         per_slice = _bidiagonal_sep(scn, psk, scales)
     else:
+        plan = SlicePlan(scn)
+
         def per_slice(rng, b):
-            x = _frob_sq(scn, rng, b)
+            x = _frob_sq(plan, rng, b)
             for scale in scales:
                 yield conditional_sep_mpsk(scale * x, psk)
     ests = _mean_estimates(cfg, per_slice, len(grid))
     return ests if np.ndim(snr) else ests[0]
 
 
-def _frob_moments(scn: Scenario, rng: np.random.Generator, b: int):
+def _frob_moments(plan: SlicePlan, rng: np.random.Generator, b: int):
     """(X, X^2) of X = ||H||_F^2 for one slice of b trials, or with the
     reduced draw their exact means given the bidiagonal factor B
     (matstat.bidiagonal_slice): with W = B^H B and Phi the unreduced side,
     E[X|B] = tr Phi tr W/n_s and E[X^2|B] = ((tr Phi)^2 (tr W)^2
     + tr Phi^2 tr W^2)/n_s^2, W tridiagonal with W_ii = d_i^2 + f_(i-1)^2
-    and |W_i,i+1|^2 = d_i^2 f_i^2."""
-    sides = reduced_sides(scn)
-    if sides is None:
-        x = _frob_sq(scn, rng, b)
+    and |W_i,i+1|^2 = d_i^2 f_i^2; plan is an untilted matstat.SlicePlan."""
+    if plan.sides is None:
+        x = _frob_sq(plan, rng, b)
         return x, x * x
-    phi = sides[0].spectrum
-    t1, t2 = phi.trace_power(1) / scn.n_s, phi.trace_power(2) / scn.n_s**2
-    d2, f2, _ = bidiagonal_slice(scn, rng, b)
+    phi, n_s = plan.sides[0].spectrum, plan.scn.n_s
+    t1, t2 = phi.trace_power(1) / n_s, phi.trace_power(2) / n_s**2
+    d2, f2, _ = bidiagonal_slice(plan, rng, b)
     w_ii = d2.copy()
     w_ii[1:] += f2
     m1 = t1 * w_ii.sum(axis=0)
@@ -363,7 +365,7 @@ def mc_kurtosis_eff(scn: Scenario, cfg: MonteCarloConfig) -> KurtosisEff:
     """
     if cfg.trials < 10_000:
         raise ValueError("kurtosis estimation needs at least 1e4 trials")
-    counts, s1, s2 = _accumulate(cfg, partial(_frob_moments, scn), 2)
+    counts, s1, s2 = _accumulate(cfg, partial(_frob_moments, SlicePlan(scn)), 2)
     n = cfg.trials
     m1, m2 = s1.sum() / n, s2.sum() / n
     kappa = float(m2 / m1**2)
@@ -402,8 +404,10 @@ def mc_capacity(scn: Scenario, snr, mode: str, cfg: MonteCarloConfig):
     else:
         raise ValueError(f"unknown capacity mode {mode!r}")
 
+    plan = SlicePlan(scn)
+
     def per_slice(rng, b):
-        x = draw(scn, rng, b)
+        x = draw(plan, rng, b)
         for s in grid:
             yield value(x, s)
 

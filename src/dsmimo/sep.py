@@ -17,6 +17,14 @@ the MGF evaluator: the first of three rows that applies.
   `detform.expected_inv_det_miso` on the other two sides.
 * A hop whose larger side is uncorrelated: `detform.expected_inv_det_kron`,
   at either end since ||H||_F = ||H^T||_F.
+
+A closed-form point runs only the part of its row that depends on its xi.
+Every array that depends on the sides alone is made once per side and kept
+in a bounded cache of exact-value keys: detform's kernels and lattices, and
+here the rich row's eigenvalue products (`_RICH_KERNELS`).  sin^2 theta at
+the rule's nodes is kept with the rule that `theta_rule` caches, and taken
+from `theta_rule` on every call (`_sin2_rule`), so `theta_rule` stays the
+one seam for the angular rule.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detform import NumericFailure, expected_inv_det_kron, expected_inv_det_miso
+from .detform import NumericFailure, _SideCache, expected_inv_det_kron, expected_inv_det_miso
 from .matstat import Scenario
 from .quadrule import gauss_legendre
 
@@ -41,7 +49,11 @@ from .quadrule import gauss_legendre
 #: every M, and by less than 6e-9 at -30 dB.
 THETA_NODES = 80
 
-_THETA_RULES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+#: theta_rule's rules, per (THETA_NODES, theta_max): nodes, weights and the
+#: nodes' sin^2 theta
+_THETA_RULES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+#: the rich-scattering row's kernels, per (transmit, receive) side (`_rich_kernel`)
+_RICH_KERNELS = _SideCache()
 
 _SUPPORTED_M = (2, 4, 8, 16, 32, 64)
 
@@ -113,8 +125,22 @@ def theta_rule(theta_max: float) -> tuple[np.ndarray, np.ndarray]:
             th, w = np.concatenate([th0, a + th1]), np.concatenate([w0, 2.0 * w1])
             th.setflags(write=False)
             w.setflags(write=False)
-        _THETA_RULES[key] = (th, w)
-    return _THETA_RULES[key]
+        s2 = np.sin(th) ** 2
+        s2.setflags(write=False)
+        _THETA_RULES[key] = (th, w, s2)
+    th, w, _ = _THETA_RULES[key]
+    return th, w
+
+
+def _sin2_rule(theta_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2 theta at the nodes of theta_rule(theta_max), and its weights: the
+    integrands read theta only through sin^2 theta.  The rule is taken from
+    theta_rule on every call, so a replaced theta_rule reaches every angular
+    integral; sin^2 is kept with the rule that theta_rule caches and made
+    anew for any other nodes."""
+    th, w = theta_rule(theta_max)
+    kept = _THETA_RULES.get((THETA_NODES, float(theta_max)))
+    return (kept[2] if kept is not None and kept[0] is th else np.sin(th) ** 2), w
 
 
 def sep_theta_integral(integrand, theta_max: float) -> float:
@@ -131,9 +157,9 @@ def conditional_sep_mpsk(gamma, psk: PskConstellation):
     -700 are raised to -700, which keeps numpy's exp off its slow path near
     the underflow limit (ln of the smallest normal double is -708.4) and
     adds at most e^-700 Theta/pi, about 9e-305, to a trial's value."""
-    th, w = theta_rule(psk.theta_max)
+    s2, w = _sin2_rule(psk.theta_max)
     with np.errstate(over="ignore"):  # an exponent that overflows to -inf is floored too
-        e = np.multiply.outer(-np.asarray(gamma, dtype=float).ravel(), psk.g / np.sin(th) ** 2)
+        e = np.multiply.outer(-np.asarray(gamma, dtype=float).ravel(), psk.g / s2)
     np.exp(np.maximum(e, -700.0, out=e), out=e)
     out = e @ w / math.pi
     return float(out[0]) if np.ndim(gamma) == 0 else out
@@ -149,9 +175,9 @@ def conditional_sep_polynomial(coef: np.ndarray, psk: PskConstellation,
     no power of x overflows at any SNR, and an x that overflows to inf is
     the limit x^d/(1+x)^d = 1 of the last column; the floor on the j = 0
     column keeps that sum positive where every basis entry underflows."""
-    th, w = theta_rule(psk.theta_max)
+    s2, w = _sin2_rule(psk.theta_max)
     with np.errstate(over="ignore"):
-        x = scale * psk.g / np.sin(th) ** 2
+        x = scale * psk.g / s2
     d = coef.shape[0] - 1
     j = np.arange(d + 1)[:, None]
     ratio = np.divide(x, 1.0 + x, out=np.ones_like(x), where=x < math.inf)
@@ -171,16 +197,13 @@ def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
     [0, (M-1)/M], NumericFailure."""
     if not 0 < snr < math.inf:
         raise ValueError("snr must be positive and finite")
-    d = n_s * n_t * float(rate)
-
-    def integrand(th):
-        s2 = d * np.sin(th) ** 2
-        # the largest xi in Python floats, which overflow to inf without a warning
-        if psk.g * float(snr) / float(s2.min()) == math.inf:
-            raise NumericFailure(f"angular argument overflows at snr {snr!r}")
-        return mgf(psk.g * snr / s2)
-
-    sep = sep_theta_integral(integrand, psk.theta_max)
+    sin2, w = _sin2_rule(psk.theta_max)
+    s2 = n_s * n_t * float(rate) * sin2
+    g = psk.g
+    # the largest xi in Python floats, which overflow to inf without a warning
+    if g * float(snr) / float(s2.min()) == math.inf:
+        raise NumericFailure(f"angular argument overflows at snr {snr!r}")
+    sep = float(np.asarray(mgf(g * snr / s2)) @ w) / math.pi
     if not 0.0 <= sep <= psk.sep_ceiling:
         raise NumericFailure(f"closed-form SEP {sep!r} outside [0, {psk.sep_ceiling!r}]")
     return sep
@@ -217,16 +240,23 @@ def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: flo
     prod_{i,j} (1 + g*gbar*lt_i*lr_j/(n_t*rate*sin^2))^(-1) over transmit and
     receive eigenvalues.  With identity correlations this is the i.i.d.
     Rayleigh reference curve."""
-    pairs = np.multiply.outer(scn.phi_t.spectrum.expand(),
-                              scn.phi_r.spectrum.expand()).ravel()
+    sides = scn.phi_t.spectrum, scn.phi_r.spectrum
+    kernel = _RICH_KERNELS.get(sides, lambda: _rich_kernel(*sides))
+    return _sep_from_mgf(kernel, psk, snr, scn.n_t, scn.rate)
 
-    def mgf(c):
+
+def _rich_kernel(t_spec, r_spec):
+    """The rich-scattering MGF over the products of the transmit and receive
+    eigenvalues, made once per side pair (`_RICH_KERNELS`)."""
+    pairs = np.multiply.outer(t_spec.expand(), r_spec.expand()).ravel()
+
+    def kernel(c):
         # a product past the float range is a factor below 1/DBL_MAX: the MGF
         # is then 0, as exp(-inf) gives
         with np.errstate(over="ignore"):
-            return np.exp(-np.log1p(np.outer(c, pairs)).sum(axis=1))
+            return np.exp(-np.log1p(np.multiply.outer(c, pairs)).sum(axis=1))
 
-    return _sep_from_mgf(mgf, psk, snr, scn.n_t, scn.rate)
+    return kernel
 
 
 def sep_mpsk_iid_rayleigh(n_t: int, n_r: int, rate, psk: PskConstellation,

@@ -23,3 +23,16 @@ def random_correlation(rng, n, strength=1.0):
     from dsmimo.corrmat import CorrelationMatrix
 
     return CorrelationMatrix(m)
+
+
+def fresh_caches(monkeypatch):
+    """Empty the closed forms' per-side caches from here to the end of the
+    test."""
+    import dsmimo.detform as detform
+    import dsmimo.sep as sep
+
+    for name in ("_MISO_DENSITY", "_KRON_TAILS"):
+        monkeypatch.setattr(detform, name, detform._NodeCache())
+    for name in ("_LATTICES", "_KRON_KERNELS", "_MISO_KERNELS"):
+        monkeypatch.setattr(detform, name, detform._SideCache())
+    monkeypatch.setattr(sep, "_RICH_KERNELS", detform._SideCache())

@@ -18,7 +18,7 @@ from dsmimo.detform import (CharCoefficients, NumericFailure, _det_scaled,
 
 from dsmimo.sep import PskConstellation, theta_rule
 
-from conftest import cgauss, random_correlation
+from conftest import cgauss, fresh_caches, random_correlation
 from oracles import oracle_2f0, oracle_2f0_hyperu, oracle_kron_mgf, oracle_miso_mgf
 
 
@@ -444,6 +444,20 @@ class TestExpectedInvDetKron:
         with pytest.raises(NumericFailure, match="exceeds 1"):
             expected_inv_det_kron(4, 6, sigma, far, np.array([1e-3, 1e-9]))
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_cluster_above_the_smallest_eigenvalue(self):
+        # the known defect: a cluster of Sigma eigenvalues that does not hold
+        # the smallest one makes near-copies of columns, whose determinant
+        # cancels, and the value stays in range.  With A = (1) and n = 9 the
+        # MISO row (n_r = 1, Psi = I_9) is exact for any eigenvalue pattern;
+        # the Kronecker row is 1.0e-2 off it here, and 1.5 off with a cluster
+        # spacing of 1e-7
+        sigma = spec_of([1.4, 0.95 + 2e-6, 0.95 + 1e-6, 0.95, 0.9, 0.6])
+        xi = np.logspace(-2, 4, 25)
+        kron = expected_inv_det_kron(6, 9, sigma, spec_of([1.0]), xi)
+        miso = expected_inv_det_miso(sigma, spec_of([1.0], [9]), xi)
+        assert np.all(np.abs(kron - miso) <= 1e-10 * miso)
+
 
 class TestExpectedInvDetUncorr:
     def test_unity_at_zero(self):
@@ -609,15 +623,9 @@ class TestMajorization:
             assert np.all(mgf_a <= mgf_b * (1 + 1e-12)), (pair, other)
 
 
-def _fresh_caches(monkeypatch):
-    """Empty lattice caches from here to the end of the test."""
-    monkeypatch.setattr(detform, "_MISO_DENSITY", detform._NodeCache())
-    monkeypatch.setattr(detform, "_KRON_TAILS", detform._NodeCache())
-
-
 @pytest.fixture
 def cold_caches(monkeypatch):
-    _fresh_caches(monkeypatch)
+    fresh_caches(monkeypatch)
 
 
 class TestLatticeCaches:
@@ -649,28 +657,36 @@ class TestLatticeCaches:
         out = {}
         for name, mgf in self.SIDES.items():
             for snr in self.SNR_DB:
-                _fresh_caches(monkeypatch)
+                fresh_caches(monkeypatch)
                 out[name, snr] = mgf(self.xi(snr))
         return out
 
     def test_snr_order_and_interleaving_leave_values_unchanged(self, monkeypatch):
         ref = self.cold(monkeypatch)
-        _fresh_caches(monkeypatch)
+        fresh_caches(monkeypatch)
         rng = np.random.default_rng(29)
         keys = list(ref)
+        # interleaved: the SNR points alternately from the low and the high
+        # end, every side at each
+        ends = [snr for pair in zip(self.SNR_DB, self.SNR_DB[::-1]) for snr in pair]
         orders = {"ascending": sorted(keys, key=lambda k: (k[1], k[0])),
                   "descending": sorted(keys, key=lambda k: (-k[1], k[0])),
-                  "shuffled": [keys[i] for i in rng.permutation(len(keys))]}
+                  "shuffled": [keys[i] for i in rng.permutation(len(keys))],
+                  "interleaved": [(name, snr) for snr in ends[:len(self.SNR_DB)]
+                                  for name in self.SIDES]}
         for order, seq in orders.items():
             for name, snr in seq:
                 got = self.SIDES[name](self.xi(snr))
                 assert np.array_equal(got, ref[name, snr]), (order, name, snr)
-        # the one-eigenvalue Sigma makes no tails
+        # the one-eigenvalue Sigma makes no tails; the lattices are those of
+        # (nw, deg) = (4, 0), (3, 0), (7, 6) (twice) and (4, 4)
         assert len(detform._MISO_DENSITY) == 2 and len(detform._KRON_TAILS) == 2
+        assert len(detform._MISO_KERNELS) == 2 and len(detform._KRON_KERNELS) == 3
+        assert len(detform._LATTICES) == 4
 
     def test_concurrent_calls_match_cold_values(self, monkeypatch):
         ref = self.cold(monkeypatch)
-        _fresh_caches(monkeypatch)
+        fresh_caches(monkeypatch)
         keys = list(ref)
 
         def run(seed):
@@ -697,6 +713,9 @@ class TestLatticeCaches:
             expected_inv_det_kron(3, 5, side, far, 1.0)
         assert len(detform._MISO_DENSITY) == detform._CACHE_SIDES
         assert len(detform._KRON_TAILS) == detform._CACHE_SIDES
+        assert len(detform._MISO_KERNELS) == detform._CACHE_SIDES
+        assert len(detform._KRON_KERNELS) == detform._CACHE_SIDES
+        assert len(detform._LATTICES) <= detform._CACHE_SIDES
 
     def test_last_bit_makes_a_separate_entry(self, cold_caches):
         far = spec_of([1.5, 0.5])
@@ -706,3 +725,29 @@ class TestLatticeCaches:
             expected_inv_det_miso(side, far, 0.7)
             expected_inv_det_kron(2, 4, side, far, 0.7)
         assert len(detform._MISO_DENSITY) == 2 and len(detform._KRON_TAILS) == 2
+        assert len(detform._MISO_KERNELS) == 2 and len(detform._KRON_KERNELS) == 2
+
+    @pytest.mark.parametrize("nw,deg", [(1, 0), (4, 0), (7, 6), (50, 0), (191, 6)])
+    def test_lattice_prefix_equals_a_fresh_build(self, monkeypatch, nw, deg):
+        # every lattice of one (nw, deg) is sliced from the longest prefix
+        # kept; each must equal the rule built anew, in any order of
+        # floors, and the kept arrays must be read-only
+        def fresh(log_floor):
+            lg, top = math.lgamma(nw), nw + deg
+            h = min(0.2, 0.5 / math.sqrt(top))
+            s_hi = math.log(top + 12.0 * math.sqrt(top) + 40.0)
+            s_lo = (lg + math.log(1e-18) + log_floor) / nw
+            s = s_hi - h * np.arange(math.ceil((s_hi - s_lo) / h) + 1)
+            t = np.exp(s)
+            return t, nw * s - t - lg + math.log(h)
+
+        floors = -np.geomspace(1e-3, 700.0, 23)
+        ref = {f: fresh(f) for f in floors}
+        rng = np.random.default_rng(nw)
+        for order in (floors, floors[::-1], rng.permutation(floors)):
+            fresh_caches(monkeypatch)
+            for f in order:
+                t, logw = detform._gamma_lattice(nw, f, deg)
+                assert np.array_equal(t, ref[f][0]) and np.array_equal(logw, ref[f][1]), f
+                assert not (t.flags.writeable or logw.flags.writeable)
+            assert len(detform._LATTICES) == 1

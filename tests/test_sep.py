@@ -33,7 +33,7 @@ from dsmimo.sep import (PskConstellation, UnsupportedScenarioError,
                         sep_theta_integral, theta_rule)
 from dsmimo.sep import _sep_from_mgf
 
-from conftest import random_correlation
+from conftest import fresh_caches, random_correlation
 from oracles import oracle_2f0_hyperu
 
 
@@ -198,7 +198,7 @@ class TestThetaIntegral:
                     conditional_sep_polynomial(coef, psk, snr * ostbc_snr_scale(scn)).mean(),
                     *(conditional_sep_mpsk(snr * g, psk).mean() for g in gammas)]
 
-        worst = 0.0
+        worst = np.zeros(4)
         for m, snr_db in itertools.product([2, 4, 8, 16, 32, 64], range(-30, 41, 10)):
             psk = PskConstellation(m)
             got = values(psk, db(snr_db))
@@ -206,10 +206,60 @@ class TestThetaIntegral:
                 patch.setattr(dsmimo.sep, "theta_rule", lambda t: gauss_legendre(1200, t))
                 ref = values(psk, db(snr_db))
             err = [abs(a - b) / b for a, b in zip(got, ref)]
-            worst = max(worst, *err)
+            worst = np.maximum(worst, err)
             if snr_db >= -10:
                 assert err[0] < 1e-9, (m, snr_db)
-        assert worst < 1e-6
+        assert worst.max() < 1e-6
+        # the patched rule reached every integral, the closed forms included
+        # (4.0e-7 and 2.9e-9): a rule or sin^2 theta cached past theta_rule
+        # would compare the 80-node rule with itself
+        assert worst.max() > 1e-10 and worst[0] > 1e-12, worst
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+    def test_conditional_sep_against_owens_t(self, m):
+        # the exact conditional SEP: splitting the arc at pi/2 and putting
+        # u = cot theta on the second piece gives
+        # 1/2 erfc(sqrt(g gamma)) + 2 T(sqrt(2 g gamma), cot(pi/M)) for M >= 4
+        # (Owen's T) and the first term alone for BPSK.  The folded rule
+        # misses the boundary layer of width sqrt(g gamma) at theta = 0, so
+        # its relative error grows at small gamma; on this grid it reads
+        # 7.8e-5 at worst (BPSK; QPSK 7.2e-5 at gamma = 1e-6), 9.5e-7 from
+        # gamma = 1e-3 (QPSK), 5.5e-12 from gamma = 0.1 for M <= 32, and
+        # 2.7e-9 for M = 64 (README, numerical notes)
+        psk = PskConstellation(m)
+        gamma = np.geomspace(1e-8, 1e2, 201)
+        x = psk.g * gamma
+        exact = 0.5 * special.erfc(np.sqrt(x))
+        if m > 2:
+            exact += 2.0 * special.owens_t(np.sqrt(2.0 * x), 1.0 / math.tan(math.pi / m))
+        err = np.abs(conditional_sep_mpsk(gamma, psk) - exact) / exact
+        assert err.max() < 1e-4
+        assert err[gamma >= 1e-3].max() < 1e-6
+        assert err[gamma >= 0.1].max() < (1e-11 if m <= 32 else 5e-9)
+
+    def test_patched_rule_reaches_every_integral(self, monkeypatch):
+        # theta_rule is the one seam for the angular rule: with it replaced
+        # by 1200 nodes on the whole arc, every closed-form row and both
+        # Monte Carlo theta stages return other values at -30 dB, where
+        # the 80-node rule is off by more than 1e-12
+        scns = [Scenario.uncorrelated(4, 3, 2, g4()),
+                Scenario(4, 10, 1, exponential_corr(4, 0.5), exponential_corr(10, 0.5),
+                         identity_corr(1), g4()),
+                Scenario(4, 1, 4, constant_corr(4, 0.5), identity_corr(1),
+                         constant_corr(4, 0.5), g4(), no_double_scattering=True)]
+        psk, snr = PskConstellation(4), db(-30.0)
+        gamma = snr * np.geomspace(0.1, 10.0, 7)
+        coef = np.array([[1.0] * 7, np.geomspace(1e-3, 0.1, 7)])
+
+        def values():
+            return [*(sep_mpsk(scn, psk, snr) for scn in scns),
+                    *conditional_sep_mpsk(gamma, psk),
+                    *conditional_sep_polynomial(coef, psk, snr)]
+
+        got = values()
+        monkeypatch.setattr(dsmimo.sep, "theta_rule", lambda t: gauss_legendre(1200, t))
+        ref = values()
+        assert all(abs(a - b) > 1e-12 * b for a, b in zip(got, ref)), (got, ref)
 
     @pytest.mark.parametrize("scn,m,snr_db", [
         (Scenario.uncorrelated(4, 3, 2, g4()), 8, 5.0),
@@ -673,3 +723,58 @@ def test_runtime_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestSideCaches:
+    """sep_mpsk keeps each row's per-side set-up across points (detform's
+    kernels and lattices, the rich row's eigenvalue products, sin^2 theta):
+    no value may depend on which points came before."""
+
+    SCENARIOS = {
+        "rich": Scenario(4, 1, 4, constant_corr(4, 0.5), identity_corr(1),
+                         constant_corr(4, 0.5), g4(), no_double_scattering=True),
+        "miso": Scenario(4, 10, 1, exponential_corr(4, 0.5), exponential_corr(10, 0.5),
+                         identity_corr(1), g4()),
+        "readme": Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
+                           constant_corr(4, 0.5), g4()),
+        "uncorrelated": Scenario.uncorrelated(4, 200, 4, g4()),
+    }
+    POINTS = [(name, m, snr_db) for name in SCENARIOS for m in (4, 8)
+              for snr_db in range(-10, 31, 8)]
+
+    def point(self, key):
+        name, m, snr_db = key
+        return sep_mpsk(self.SCENARIOS[name], PskConstellation(m), db(snr_db))
+
+    def test_point_order_leaves_values_unchanged(self, monkeypatch):
+        cold = {}
+        for key in self.POINTS:
+            fresh_caches(monkeypatch)
+            cold[key] = self.point(key)
+        keys = self.POINTS
+        orders = {"ascending": sorted(keys, key=lambda k: (k[2], k[0], k[1])),
+                  "descending": sorted(keys, key=lambda k: (-k[2], k[0], k[1])),
+                  "shuffled": [keys[i] for i in np.random.default_rng(31).permutation(len(keys))],
+                  "interleaved": [k for pair in zip(keys, keys[::-1]) for k in pair]}
+        fresh_caches(monkeypatch)
+        for order, seq in orders.items():
+            for key in seq:
+                assert self.point(key) == cold[key], (order, key)
+        assert len(dsmimo.sep._RICH_KERNELS) == 1
+
+    def test_rich_capacity_and_last_bit(self, monkeypatch):
+        fresh_caches(monkeypatch)
+        rng = np.random.default_rng(8)
+        psk = PskConstellation(8)
+        for _ in range(200):
+            scn = Scenario(3, 1, 2, random_correlation(rng, 3), identity_corr(1),
+                           random_correlation(rng, 2), no_double_scattering=True)
+            sep_mpsk(scn, psk, 1.0)
+        assert len(dsmimo.sep._RICH_KERNELS) == dsmimo.detform._CACHE_SIDES
+        fresh_caches(monkeypatch)
+        sides = [constant_corr(2, rho) for rho in (0.5, float(np.nextafter(0.5, 1.0)), 0.5)]
+        assert sides[0].spectrum != sides[1].spectrum
+        for side in sides:
+            sep_mpsk(Scenario(2, 1, 2, side, identity_corr(1), side, alamouti(),
+                              no_double_scattering=True), psk, 1.0)
+        assert len(dsmimo.sep._RICH_KERNELS) == 2
