@@ -24,7 +24,6 @@ import csv
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,11 +248,18 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Atomic CSV write: temp file in the target directory, then rename."""
+    """Atomic CSV write: temp file in the target directory, then rename.
+    The file gets the permission bits that open() would give it: those of
+    the file it replaces, else 0o666 less the umask.  The temp file is
+    created with 0o666 so that the kernel applies the umask (mkstemp's 0o600
+    would outlive the rename)."""
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = os.path.join(d, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(f.fileno(), os.stat(path).st_mode & 0o777)
             w = csv.writer(f)
             w.writerow(header)
             for row in rows:
@@ -426,7 +432,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         ident = Scenario.uncorrelated(scn.n_t, scn.n_s, scn.n_r, scn.code)
         with contextlib.suppress(UnsupportedScenarioError):
             miso = sep_mod.sep_mpsk_miso(ident, psk, snr)
-            base = sep_mod.sep_mpsk_uncorrelated(ident, psk, snr)
+            base = sep_mod.sep_mpsk_doubly_correlated(ident, psk, snr)
             # both may underflow to 0 at an extreme SNR
             dev = abs(miso - base) / base if base else (0.0 if miso == 0.0 else math.inf)
             record("reduction_miso_vs_uncorrelated", dev, 1e-9, dev <= 1e-9)

@@ -1,6 +1,6 @@
 """Determinantal special-function kernels.
 
-Everything here reduces to three ingredients:
+Everything here reduces to two ingredients:
 
 * one Gamma-lattice rule (`_gamma_lattice`, `_product_mean`): a fixed-cost
   trapezoid rule in s = ln t for the expectation over t ~ Gamma(nw) of a
@@ -10,23 +10,14 @@ Everything here reduces to three ingredients:
   the 2F0 kernel
       2F0(n, q; -x) = (1/(n-1)!) int_0^inf (1+x t)^(-q) t^(n-1) e^-t dt
   (the hypergeometric series itself is divergent);
-* characteristic coefficients: the partial-fraction expansion of
-  det(I + xi A)^(-1) over the distinct eigenvalues of A, gated against
-  cancellation; a public reference that no evaluator calls (the smaller
-  MISO side's density is the nonnegative matrix exponential
-  `_log_density_ratio`);
-* block determinants with confluent (multiplicity-aware) columns for the
-  two reference eigenvalue densities, one matrix at a time, evaluated in
-  log-scaled form (`_det_scaled`) so eigenvalue powers never overflow.  An
-  eigenvalue of multiplicity t owns t adjacent derivative columns;
-  `_columns` lists them once, and every Vandermonde-type block comes from
-  the one vectorized builder `_vandermonde_blocks`.
+* one nonnegative matrix exponential (`_log_density_ratio`): the density
+  of the smaller MISO side's weighted sum of exponentials, made by
+  additions of nonnegative numbers only, for any eigenvalue pattern.
 
 The expected-inverse-determinant evaluators take xi as a scalar or a
 vector and return values in (0, 1]; they are the moment generating
-functions behind every closed-form SEP.  Coefficients that fail their
-gate, and Kronecker values above 1 by more than round-off, raise
-NumericFailure.
+functions behind every closed-form SEP.  Kronecker values above 1 by more
+than round-off, and lattice floors that overflow, raise NumericFailure.
 
 A lattice of one (nw, deg) is a prefix of one node sequence: xi moves only
 its floor, hence its node count.  So the lattice itself is kept and sliced
@@ -49,7 +40,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +55,8 @@ _CACHE_SIDES = 16
 
 
 class NumericFailure(ValueError):
-    """A closed form lost its accuracy: a partial-fraction sum failed its
-    gate or a result left its mathematical range."""
+    """A closed form lost its accuracy: a result left its mathematical range
+    or an intermediate overflowed."""
 
 
 # ---------------------------------------------------------------------------
@@ -238,186 +228,6 @@ def _at_positive(x, fn):
 
 
 # ---------------------------------------------------------------------------
-# characteristic coefficients
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CharCoefficients:
-    """Partial-fraction coefficients X[p][j-1] aligned with a Spectrum.
-
-    det(I + xi A)^(-1) = sum_p sum_j X[p][j-1] (1 + xi a<p>)^(-j).
-    The coefficients sum to one (evaluate the expansion at xi = 0).
-    """
-
-    spectrum: Spectrum
-    coeffs: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        total = sum(c for row in self.coeffs for c in row)
-        mag = sum(abs(c) for row in self.coeffs for c in row)
-        # a sum of alternating coefficients is only good to eps * sum|X|
-        if abs(total - 1.0) > 1e-10 or np.finfo(float).eps * mag > 1e-10:
-            raise NumericFailure(f"characteristic coefficients: sum {total}, sum|X| {mag:.3g}")
-
-    def items(self):
-        """Yield (p, eigenvalue, j, X_pj) over all coefficients (j is 1-based)."""
-        for p, (val, mult) in enumerate(self.spectrum.distinct):
-            for j in range(1, mult + 1):
-                yield p, val, j, self.coeffs[p][j - 1]
-
-    def reconstruct(self, xi: float) -> float:
-        """Evaluate the partial-fraction expansion of det(I + xi A)^(-1)."""
-        return float(sum(x * (1.0 + xi * val) ** (-j)
-                         for _, val, j, x in self.items()))
-
-
-def characteristic_coefficients(spec: Spectrum) -> CharCoefficients:
-    """Characteristic coefficients of a Hermitian matrix from its spectrum.
-
-    The finite-sum definition runs over compositions of the multiplicity
-    deficit; it is evaluated here as a truncated power-series product, one
-    binomial series per foreign eigenvalue, which is algebraically the same
-    sum without the combinatorial loop.
-    """
-    if any(v == 0.0 for v in spec.values):
-        raise ValueError("characteristic coefficients need nonzero eigenvalues")
-    rows = []
-    for i, (ai, ti) in enumerate(spec.distinct):
-        wmax = ti - 1
-        series = np.zeros(wmax + 1)
-        series[0] = 1.0
-        for l, (al, tl) in enumerate(spec.distinct):
-            if l == i:
-                continue
-            gap = 1.0 - al / ai
-            term = np.array([math.comb(tl + k - 1, k) * (al / gap) ** k
-                             for k in range(wmax + 1)])
-            term *= gap ** (-tl)
-            series = np.convolve(series, term)[: wmax + 1]
-        rows.append(tuple(float((-1.0) ** (ti - j) / ai ** (ti - j) * series[ti - j])
-                          for j in range(1, ti + 1)))
-    return CharCoefficients(spec, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# log-scaled determinants
-# ---------------------------------------------------------------------------
-
-def _det_scaled(logmag: np.ndarray, sign) -> tuple[float, float]:
-    """(sign, log|det|) of the square matrix sign*exp(logmag), via row/column
-    balancing so the scaled matrix feeds slogdet with O(1) entries.  A matrix
-    with an all-zero row or column (or a row maximum that overflowed) is
-    (0, -inf)."""
-    r = logmag.max(axis=1)
-    if not np.isfinite(r).all():
-        return 0.0, -math.inf
-    c = (logmag - r[:, None]).max(axis=0)
-    c[np.isinf(c)] = 0.0  # an all-zero column stays zero: slogdet gives (0, -inf)
-    s, ld = np.linalg.slogdet(sign * np.exp(logmag - r[:, None] - c))
-    return float(s), float(ld + r.sum() + c.sum())
-
-
-def _log_vandermonde(lams: np.ndarray) -> tuple[float, float]:
-    """(sign, log|det|) of the matrix (lams_j^(i-1))."""
-    i, j = np.triu_indices(lams.size, 1)
-    d = lams[j] - lams[i]
-    with np.errstate(divide="ignore"):
-        return float(np.prod(np.sign(d))), float(np.log(np.abs(d)).sum())
-
-
-def _columns(spec: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalue, derivative order j >= 1) of every confluent column: a
-    distinct eigenvalue of multiplicity t owns t adjacent columns j = 1..t."""
-    return spec.expand(), np.concatenate([np.arange(1, t + 1) for t in spec.mults])
-
-
-def _vandermonde_blocks(spec: Spectrum, nrows: int, power_offset: int):
-    """(logmag, sign) of the stacked confluent Vandermonde blocks: row i of
-    column (sigma, j) holds (i-j+1)_(j-1) b^(i-j) sigma^power_offset,
-    b = -1/sigma, for i >= j and 0 above; column j is the (j-1)th
-    b-derivative of (1, b, ..., b^(nrows-1)) scaled by sigma^power_offset."""
-    vals, order = _columns(spec)
-    d = np.arange(1, nrows + 1)[:, None] - order  # i - j
-    live = d >= 0
-    # logp[d, k] = log (d+1)_k = log(d+1) + log(d+2) + ... + log(d+k)
-    steps = np.log(np.arange(1.0, nrows + 1)[:, None] + np.arange(order.max() - 1))
-    logp = np.cumsum(np.hstack([np.zeros((nrows, 1)), steps]), axis=1)
-    logp = logp[np.where(live, d, 0), order - 1]
-    lv = np.array([math.log(abs(v)) for v in vals])
-    pw = power_offset - d
-    sign = (-1.0) ** d * np.sign(vals) ** pw
-    return np.where(live, logp + pw * lv, -np.inf), np.where(live, sign, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue densities
-# ---------------------------------------------------------------------------
-
-def _check_ordered_positive(lams) -> np.ndarray:
-    v = np.asarray(lams, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("need a vector of eigenvalues")
-    if np.any(v <= 0.0):
-        raise ValueError("eigenvalue arguments must be positive")
-    if np.any(np.diff(v) > 0.0):
-        raise ValueError("eigenvalue arguments must be in decreasing order")
-    return v
-
-
-def _exp_kernel_columns(v: np.ndarray, spec: Spectrum) -> np.ndarray:
-    """log of the kernel block v_i^(j-1) e^(-v_i/sigma) over the confluent
-    columns (sigma, j) of spec; every entry is positive."""
-    vals, order = _columns(spec)
-    return (order - 1) * np.log(v)[:, None] - v[:, None] / vals
-
-
-def wishart_eigen_pdf(lams, n: int, sigma_spec: Spectrum) -> float:
-    """Joint pdf of the ordered eigenvalues of X X^H, X an m x n standard-
-    column Gaussian with row covariance Sigma (m <= n), at the point lams
-    (decreasing, positive).  Handles any Sigma multiplicity pattern."""
-    v = _check_ordered_positive(lams)
-    m = v.size
-    if sigma_spec.dim != m:
-        raise ValueError("sigma spectrum dimension must match len(lams)")
-    if n < m:
-        raise ValueError("need n >= m")
-
-    gs, gl = _det_scaled(_exp_kernel_columns(v, sigma_spec), 1.0)
-    bs, bl = _det_scaled(*_vandermonde_blocks(sigma_spec, m, n))
-    vs, vl = _log_vandermonde(v)
-    log_k = sum(math.lgamma(n - i + 1) for i in range(1, m + 1))
-
-    sign = gs * vs * bs
-    log = gl + vl + (n - m) * float(np.log(v).sum()) - log_k - bl
-    return 0.0 if sign == 0.0 else sign * math.exp(log)
-
-
-def quadratic_form_eigen_pdf(lams, n: int, beta_spec: Spectrum) -> float:
-    """Joint pdf of the ordered eigenvalues of X A X^H for X an m x n
-    standard-row Gaussian with column covariance Psi and A Hermitian PD;
-    beta_spec is the spectrum of A^(1/2) Psi A^(1/2) (dimension n)."""
-    v = _check_ordered_positive(lams)
-    m = v.size
-    if beta_spec.dim != n:
-        raise ValueError("beta spectrum dimension must equal n")
-    if n < m:
-        raise ValueError("need n >= m")
-
-    top_log, top_sign = _vandermonde_blocks(beta_spec, n - m, 0)
-    qlog = _exp_kernel_columns(v, beta_spec)
-    num_s, num_l = _det_scaled(np.vstack([top_log, qlog]),
-                               np.vstack([top_sign, np.ones_like(qlog)]))
-    den_s, den_l = _det_scaled(*_vandermonde_blocks(beta_spec, n, 0))
-    vs, vl = _log_vandermonde(v)
-    log_k = sum(math.lgamma(m - i + 1) for i in range(1, m + 1))
-    log_det_apsi = float(sum(mu * math.log(val) for val, mu in beta_spec.distinct))
-
-    sign = num_s * den_s * vs
-    log = num_l - den_l + vl - log_k - m * log_det_apsi
-    return 0.0 if sign == 0.0 else sign * math.exp(log)
-
-
-# ---------------------------------------------------------------------------
 # expected inverse determinants (the SEP kernels)
 # ---------------------------------------------------------------------------
 
@@ -572,28 +382,6 @@ def _kron_kernel(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum):
         return np.minimum(v, 1.0)
 
     return kernel
-
-
-def expected_inv_det_uncorr(m: int, n: int, nu: int, xi):
-    """E det(I + xi XX^H)^(-nu) for an m x n i.i.d. standard complex Gaussian
-    X with m <= n, xi >= 0 a scalar or a vector: `expected_inv_det_kron`
-    with identity spectra."""
-    if m > n:
-        raise ValueError("need m <= n")
-    ident = Spectrum((1.0,), (m,), m)
-    return expected_inv_det_kron(m, n, ident, Spectrum((1.0,), (nu,), nu), xi)
-
-
-def hyp2f0(n: int, q: int, x):
-    """2F0(n, q; -x) for positive integers n, q and x >= 0 (scalar or array):
-    the Kronecker row's MGF at m = 1, E (1 + x t)^-min(n, q) over t ~
-    Gamma(max(n, q)) (2F0 is symmetric in n, q; its series diverges).  It
-    agrees with x^-n U(n, n-q+1, 1/x) to about 1e-13 relative for n <= 72,
-    q <= 16, x <= 1e11.  Values lie in (0, 1] (0 once they underflow) and
-    decrease from 1 at x = 0."""
-    if n < 1 or q < 1:
-        raise ValueError("parameters must be positive integers")
-    return expected_inv_det_uncorr(1, max(n, q), min(n, q), x)
 
 
 def _log_density_ratio(mu: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ unit power.  A matrix-variate Gaussian X with row covariance S and column
 covariance P is S^(1/2) G P^(1/2) in law, G i.i.d. standard; it is drawn
 in the eigenbases of S and P (_product_slice).
 
-The moment/cumulant evaluators consume spectra rather than matrices: the
+The moment evaluators consume spectra rather than matrices: the
 quantities depend on the eigenvalues only, and callers often have exact
 spectra available.  Matrix inputs go through corrmat.spectrum_of first.
 """
@@ -319,23 +319,6 @@ def sample_channel(scn: Scenario, rng: np.random.Generator,
             d = ur @ d
         h[lo:lo + len(d)] = d if ut is None else d @ ut.conj().T
     return h[0] if one else h
-
-
-def trace_quadratic_cumulant(k: int, s1: Spectrum, s2: Spectrum) -> float:
-    """k-th cumulant of tr(A X B X^H): (k-1)! tr{(A Sigma)^k} tr{(Psi B)^k}.
-
-    s1 and s2 are the spectra of A*Sigma and Psi*B respectively.
-    """
-    if k < 1:
-        raise ValueError("cumulant order must be >= 1")
-    return math.factorial(k - 1) * s1.trace_power(k) * s2.trace_power(k)
-
-
-def expected_trace_square(sigma_spec: Spectrum, psi_spec: Spectrum) -> float:
-    """E tr[(A X B X^H)^2] = tr^2(ASigma)tr{(PsiB)^2} + tr^2(PsiB)tr{(ASigma)^2}."""
-    t1, t2 = sigma_spec.trace_power(1), sigma_spec.trace_power(2)
-    u1, u2 = psi_spec.trace_power(1), psi_spec.trace_power(2)
-    return t1 * t1 * u2 + u1 * u1 * t2
 
 
 def double_product_moments(sigma1: Spectrum, psi1sigma2: Spectrum,

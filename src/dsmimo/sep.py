@@ -209,13 +209,6 @@ def _sep_from_mgf(mgf, psk: PskConstellation, snr: float, n_t: int, rate,
     return sep
 
 
-def sep_mpsk_uncorrelated(scn: Scenario, psk: PskConstellation, snr: float) -> float:
-    """SEP with all three correlations identity, over the Kronecker row."""
-    if not (scn.phi_t.is_identity and scn.phi_s.is_identity and scn.phi_r.is_identity):
-        raise ValueError("uncorrelated formula needs identity correlations")
-    return sep_mpsk_doubly_correlated(scn, psk, snr)
-
-
 def sep_mpsk_doubly_correlated(scn: Scenario, psk: PskConstellation, snr: float) -> float:
     """SEP over the Kronecker row (`_kron_args`): one m x m determinant in
     orthonormal polynomial bases of Gamma measures weighted by a product over

@@ -7,6 +7,15 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln, xlogy
 
+from dsmimo.corrmat import identity_corr
+from dsmimo.detform import expected_inv_det_kron
+
+
+def kron_2f0(n, q, x):
+    """2F0(n, q; -x) through the library: the Kronecker row at m = 1."""
+    return expected_inv_det_kron(1, max(n, q), identity_corr(1).spectrum,
+                                 identity_corr(min(n, q)).spectrum, x)
+
 
 def oracle_2f0(n, q, x, dps=40):
     """High-precision quadrature of the defining integral, independent of the
@@ -116,25 +125,3 @@ def oracle_miso_mgf(a, b, xi):
     pts = [p for p in pts if p <= v_end]
     return sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                for lo, hi in zip(pts, pts[1:]))
-
-
-def max_eig_cdf(pdf2, grid):
-    """CDF of the largest of two ordered eigenvalues from a joint pdf, by
-    nested quadrature on a grid, returned as an interpolant."""
-    from scipy.interpolate import PchipInterpolator
-
-    gx, gw = np.polynomial.legendre.leggauss(96)
-    dens = np.empty_like(grid)
-    for i, x in enumerate(grid):
-        t = 0.5 * x * (gx + 1)
-        w = 0.5 * x * gw
-        dens[i] = sum(wi * pdf2(x, ti) for ti, wi in zip(t, w))
-    cdf_vals = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
-    interp = PchipInterpolator(grid, np.clip(cdf_vals, 0, 1))
-    top = float(cdf_vals[-1])
-
-    def cdf(x):
-        x = np.asarray(x, float)
-        return np.where(x >= grid[-1], top, np.clip(interp(np.clip(x, 0, grid[-1])), 0, 1))
-
-    return cdf

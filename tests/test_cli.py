@@ -1,4 +1,6 @@
 import csv
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 import dsmimo.cli
 import dsmimo.sep
 from dsmimo.cli import (ConfigError, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
-                        EXIT_VALIDATION, _fmt, _has_bad_number, main, parse_config)
+                        EXIT_VALIDATION, _fmt, _has_bad_number, main, parse_config,
+                        write_csv)
 from dsmimo.codes import g4
 from dsmimo.matstat import Scenario
 from dsmimo.mc import MonteCarloConfig, mc_sep
@@ -528,3 +531,25 @@ class TestFormatting:
         assert _has_bad_number([[1.0, float("nan")]])
         assert _has_bad_number([[float("inf")]])
         assert not _has_bad_number([[1.0, "", None, "txt"]])
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            open(tmp_path / "plain", "w").close()
+            write_csv(str(tmp_path / "o.csv"), ["a"], [[1.0]])
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(os.stat(tmp_path / "o.csv").st_mode)
+        assert mode == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode) == 0o666 & ~umask
+        assert sorted(os.listdir(tmp_path)) == ["o.csv", "plain"]
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "o.csv"
+        path.write_text("old")
+        path.chmod(0o640)
+        write_csv(str(path), ["a"], [[1.0]])
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert read_rows(path) == [["a"], ["1"]]

@@ -10,16 +10,13 @@ from hypothesis import strategies as st
 import dsmimo.detform as detform
 from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_corr,
                             tridiagonal_corr)
-from dsmimo.detform import (CharCoefficients, NumericFailure, _det_scaled,
-                            _vandermonde_blocks, characteristic_coefficients,
-                            expected_inv_det_kron, expected_inv_det_miso,
-                            expected_inv_det_uncorr, hyp2f0, quadratic_form_eigen_pdf,
-                            wishart_eigen_pdf)
+from dsmimo.detform import NumericFailure, expected_inv_det_kron, expected_inv_det_miso
 
 from dsmimo.sep import PskConstellation, theta_rule
 
 from conftest import cgauss, fresh_caches, random_correlation
-from oracles import oracle_2f0, oracle_2f0_hyperu, oracle_kron_mgf, oracle_miso_mgf
+from oracles import (kron_2f0, oracle_2f0, oracle_2f0_hyperu, oracle_kron_mgf,
+                     oracle_miso_mgf)
 
 
 def spec_of(vals, mults=None):
@@ -28,71 +25,74 @@ def spec_of(vals, mults=None):
     return Spectrum(tuple(float(v) for v in vals), tuple(mults), sum(mults))
 
 
+def ident(dim):
+    """The spectrum of I_dim."""
+    return spec_of([1.0], [dim])
+
+
 class TestHyp2f0:
     def test_unity_at_zero(self):
         for n, q in [(1, 1), (3, 7), (20, 2)]:
-            assert hyp2f0(n, q, 0.0) == 1.0
+            assert kron_2f0(n, q, 0.0) == 1.0
 
     def test_exponential_integral_value(self):
         # e * E1(1) for n = q = x = 1
-        assert hyp2f0(1, 1, 1.0) == pytest.approx(0.5963473623231941, abs=1e-12)
+        assert kron_2f0(1, 1, 1.0) == pytest.approx(0.5963473623231941, abs=1e-12)
 
     def test_complement_identity(self):
         # int t e^-t/(1+t) dt = 1 - int e^-t/(1+t) dt
-        assert hyp2f0(2, 1, 1.0) == pytest.approx(1.0 - 0.5963473623231941, abs=1e-12)
-        assert hyp2f0(2, 1, 1.0) == pytest.approx(oracle_2f0(2, 1, 1.0), rel=1e-11)
+        assert kron_2f0(2, 1, 1.0) == pytest.approx(1.0 - 0.5963473623231941, abs=1e-12)
+        assert kron_2f0(2, 1, 1.0) == pytest.approx(oracle_2f0(2, 1, 1.0), rel=1e-11)
 
     def test_parameter_symmetry(self):
         for x in (0.3, 4.0, 250.0):
-            assert hyp2f0(3, 7, x) == pytest.approx(hyp2f0(7, 3, x), rel=1e-10)
+            assert kron_2f0(3, 7, x) == pytest.approx(kron_2f0(7, 3, x), rel=1e-10)
 
     def test_oracle_grid_moderate(self, rng):
         for _ in range(12):
             n = int(rng.integers(1, 21))
             q = int(rng.integers(1, 21))
             x = float(10.0 ** rng.uniform(-2, 3))
-            assert hyp2f0(n, q, x) == pytest.approx(oracle_2f0(n, q, x), rel=1e-9)
+            assert kron_2f0(n, q, x) == pytest.approx(oracle_2f0(n, q, x), rel=1e-9)
 
     def test_extreme_argument(self):
-        assert hyp2f0(4, 2, 1e8) == pytest.approx(oracle_2f0(4, 2, 1e8), rel=1e-9)
-        assert hyp2f0(20, 20, 1e3) == pytest.approx(oracle_2f0(20, 20, 1e3), rel=1e-9)
+        assert kron_2f0(4, 2, 1e8) == pytest.approx(oracle_2f0(4, 2, 1e8), rel=1e-9)
+        assert kron_2f0(20, 20, 1e3) == pytest.approx(oracle_2f0(20, 20, 1e3), rel=1e-9)
 
     def test_vector_matches_scalar(self):
         xs = np.array([0.0, 0.5, 3.0, 1e4])
-        v = hyp2f0(5, 2, xs)
+        v = kron_2f0(5, 2, xs)
         for xi, vi in zip(xs, v):
-            assert vi == pytest.approx(hyp2f0(5, 2, float(xi)), rel=1e-12)
+            assert vi == pytest.approx(kron_2f0(5, 2, float(xi)), rel=1e-12)
 
     def test_monotone_decreasing_and_bounded(self):
         xs = np.logspace(-3, 5, 60)
-        v = hyp2f0(4, 3, xs)
+        v = kron_2f0(4, 3, xs)
         assert np.all(np.diff(v) < 0)
         assert np.all(v > 0) and np.all(v <= 1.0)
 
     @pytest.mark.parametrize("n,q", [(1, 2), (2, 5), (7, 3), (4, 1)])
     def test_loglog_slope_is_min_parameter(self, n, q):
         xs = np.logspace(3, 5, 9)
-        v = hyp2f0(n, q, xs)
+        v = kron_2f0(n, q, xs)
         slope = np.polyfit(np.log10(xs), np.log10(v), 1)[0]
         assert slope == pytest.approx(-min(n, q), rel=0.02)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            hyp2f0(1, 1, -0.5)
-        with pytest.raises(ValueError):
-            hyp2f0(0, 1, 1.0)
+            kron_2f0(1, 1, -0.5)
 
     @pytest.mark.parametrize("n,q", [(1, 1), (7, 2), (13, 1), (40, 16)])
     def test_range_at_tiny_argument(self, n, q):
-        v = hyp2f0(n, q, np.array([1e-300, 1e-17, 1e-16]))
+        v = kron_2f0(n, q, np.array([1e-300, 1e-17, 1e-16]))
         assert np.all(v > 0.0) and np.all(v <= 1.0)
 
     @given(st.integers(1, 12), st.integers(1, 12), st.floats(0.0, 50.0))
     @settings(max_examples=40, deadline=None)
     def test_range_and_symmetry_property(self, n, q, x):
-        v = hyp2f0(n, q, x)
+        v = kron_2f0(n, q, x)
         assert 0.0 < v <= 1.0
-        assert v == pytest.approx(hyp2f0(q, n, x), rel=1e-9)
+        assert v == pytest.approx(kron_2f0(q, n, x), rel=1e-9)
 
 
 #: grid over the kernel's verified domain: n in [1, 72], q in [1, 16],
@@ -107,245 +107,24 @@ class TestHyp2f0WideDomain:
     def test_matches_hyperu_oracle(self, n):
         for q in WIDE_Q:
             for x in WIDE_X:
-                assert hyp2f0(n, q, x) == pytest.approx(
+                assert kron_2f0(n, q, x) == pytest.approx(
                     oracle_2f0_hyperu(n, q, x), rel=1e-12, abs=0.0), (n, q, x)
 
     def test_large_argument_beyond_quad_oracle(self):
         # the mp.quad oracle returns 2.83e-97 here; U gives the true value
         ref = oracle_2f0_hyperu(13, 16, 3.1e6)
         assert ref == pytest.approx(6.36e-97, rel=1e-3)
-        assert hyp2f0(13, 16, 3.1e6) == pytest.approx(ref, rel=1e-12)
-        assert hyp2f0(18, 17, 1.2e9) == pytest.approx(
+        assert kron_2f0(13, 16, 3.1e6) == pytest.approx(ref, rel=1e-12)
+        assert kron_2f0(18, 17, 1.2e9) == pytest.approx(
             oracle_2f0_hyperu(18, 17, 1.2e9), rel=1e-12)
 
     @pytest.mark.parametrize("n", WIDE_N)
     def test_vector_matches_scalar_calls(self, n):
         xs = np.array(WIDE_X)
         for q in WIDE_Q:
-            v = hyp2f0(n, q, xs)
-            ref = np.array([hyp2f0(n, q, float(x)) for x in xs])
+            v = kron_2f0(n, q, xs)
+            ref = np.array([kron_2f0(n, q, float(x)) for x in xs])
             np.testing.assert_allclose(v, ref, rtol=1e-14, atol=0.0)
-
-
-class TestDetScaled:
-    def test_single_matrix_cases(self, rng):
-        logmag = rng.uniform(-5.0, 5.0, size=(4, 4))
-        sign = rng.choice([-1.0, 1.0], size=(4, 4))
-        s, ld = _det_scaled(logmag, sign)
-        assert isinstance(s, float) and isinstance(ld, float)
-        ref_s, ref_ld = np.linalg.slogdet(sign * np.exp(logmag))
-        assert s == ref_s and ld == pytest.approx(ref_ld, rel=1e-12, abs=1e-12)
-        # row and column offsets far past the double range only shift log|det|
-        a, b = rng.uniform(-300.0, 300.0, size=(2, 4))
-        s2, ld2 = _det_scaled(logmag + a[:, None] + b, sign)
-        assert s2 == s and ld2 == pytest.approx(ld + a.sum() + b.sum(), rel=1e-12)
-
-        zero_row = logmag.copy()
-        zero_row[2] = -np.inf
-        assert _det_scaled(zero_row, sign) == (0.0, -np.inf)
-        zero_col = logmag.copy()
-        zero_col[:, 0] = -np.inf
-        assert _det_scaled(zero_col, sign) == (0.0, -np.inf)
-
-        # two equal rows: singular, so |det| is round-off of the row scales
-        big = rng.uniform(-40.0, 40.0, size=(4, 4))
-        big[0], sign[0] = big[3], sign[3]
-        s, ld = _det_scaled(big, sign)
-        assert s == 0.0 or ld < big.max(axis=1).sum() - 25.0
-
-
-def blocks(spec, nrows, power_offset):
-    logmag, sign = _vandermonde_blocks(spec, nrows, power_offset)
-    return sign * np.exp(logmag)
-
-
-class TestVandermondeBlocks:
-    SIGMAS = [3.0, 1.5, 0.4, 0.1]
-
-    def test_simple_offset_form(self):
-        sig = np.array(self.SIGMAS)
-        i = np.arange(1, 7)[:, None]
-        for offset in (0, 2, 9):
-            assert np.allclose(blocks(spec_of(sig), 6, offset),
-                               sig ** offset * (-1.0 / sig) ** (i - 1),
-                               rtol=1e-14, atol=0.0)
-
-    def test_repeated_column_is_central_difference(self):
-        # sigma = 2 with multiplicity 2: column j = 2 is d/db of column j = 1
-        sig, h, nrows = 2.0, 1e-5, 6
-        spec = spec_of([sig, 0.7], [2, 1])
-        i = np.arange(1, nrows + 1)
-        b = -1.0 / sig
-        offset = blocks(spec, nrows, 3)[:, 1]
-        diff = sig ** 3 * ((b + h) ** (i - 1) - (b - h) ** (i - 1)) / (2 * h)
-        assert offset[0] == 0.0
-        assert np.allclose(offset[1:], diff[1:], rtol=1e-6, atol=0.0)
-
-    def test_matches_entrywise_loop(self):
-        # reference: entry by entry, (-1)^(i-j) (i-j+1)_(j-1) sigma^(offset-i+j);
-        # zero for i < j
-        eps = np.finfo(float).eps
-        for vals, mults in [([3.0, 1.5, 0.4], [1, 1, 1]), ([2.5, 0.5], [1, 3]),
-                            ([4.0, 1.5, 0.3], [2, 1, 2]), ([1.3], [4])]:
-            spec = spec_of(vals, mults)
-            for nrows in (0, 3, 6):
-                for offset in (0, 7):
-                    logmag, sign = _vandermonde_blocks(spec, nrows, offset)
-                    assert logmag.shape == sign.shape == (nrows, spec.dim)
-                    col = 0
-                    for val, mult in spec.distinct:
-                        for j in range(1, mult + 1):
-                            for i in range(1, nrows + 1):
-                                if i < j:
-                                    assert sign[i - 1, col] == 0.0
-                                    assert logmag[i - 1, col] == -np.inf
-                                    continue
-                                pw = offset - i + j
-                                ref = (math.log(math.prod(range(i - j + 1, i)))
-                                       + pw * math.log(val))
-                                assert logmag[i - 1, col] == pytest.approx(
-                                    ref, rel=4 * eps, abs=4 * eps)
-                                assert sign[i - 1, col] == (-1.0) ** (i - j)
-                            col += 1
-
-
-class TestCharacteristicCoefficients:
-    def test_identity_pattern(self):
-        cc = characteristic_coefficients(spec_of([1.0], [4]))
-        assert cc.coeffs == ((0.0, 0.0, 0.0, 1.0),)
-
-    def test_constant_corr_closed_form(self):
-        # two-eigenvalue closed forms for the constant model, n=4 rho=0.5
-        n, rho = 4, 0.5
-        cc = characteristic_coefficients(constant_corr(n, rho).spectrum)
-        x11 = (n * rho / (1 - rho + n * rho)) ** (-n + 1)
-        assert cc.coeffs[0][0] == pytest.approx(x11, abs=1e-10)
-        assert x11 == pytest.approx(1.953125)
-        for j in range(1, n):
-            x2j = (-(1 - rho) / (1 - rho + n * rho)
-                   * (n * rho / (1 - rho + n * rho)) ** (-n + j))
-            assert cc.coeffs[1][j - 1] == pytest.approx(x2j, abs=1e-10)
-
-    def test_sum_is_one(self, rng):
-        # well-separated spectra (ratio >= 1.5 between neighbors); the
-        # coefficient magnitudes blow up as eigenvalues coalesce and the
-        # float sum can then only match 1 to eps * sum|X|
-        for _ in range(10):
-            k = int(rng.integers(1, 4))
-            vals = np.cumprod(rng.uniform(1.5, 3.0, size=k))[::-1]
-            mults = rng.integers(1, 4, size=k)
-            cc = characteristic_coefficients(spec_of(vals, [int(m) for m in mults]))
-            assert sum(c for row in cc.coeffs for c in row) == pytest.approx(1.0, abs=1e-10)
-
-    def test_reconstruction_at_random_xi(self, rng):
-        spec = spec_of([3.0, 1.5, 0.4], [2, 1, 3])
-        cc = characteristic_coefficients(spec)
-        for xi in rng.uniform(0.01, 10.0, size=20):
-            direct = np.prod([(1 + xi * v) ** (-m) for v, m in spec.distinct])
-            assert cc.reconstruct(float(xi)) == pytest.approx(direct, rel=1e-9)
-
-    def test_zero_eigenvalue_rejected(self):
-        with pytest.raises(ValueError):
-            characteristic_coefficients(spec_of([1.0, 0.0]))
-
-    def test_bad_sum_rejected(self):
-        with pytest.raises(ValueError):
-            CharCoefficients(spec_of([2.0, 1.0]), ((0.5,), (0.2,)))
-
-
-class TestWishartEigenPdf:
-    def test_siso_exponential(self):
-        for lam in (0.2, 1.0, 3.7):
-            assert wishart_eigen_pdf([lam], 1, spec_of([1.0])) == pytest.approx(
-                math.exp(-lam), rel=1e-12)
-
-    def test_gamma_two_one(self):
-        for lam in (0.2, 1.0, 3.7):
-            assert wishart_eigen_pdf([lam], 2, spec_of([1.0])) == pytest.approx(
-                lam * math.exp(-lam), rel=1e-12)
-
-    def test_iid_reduction_m2_n2(self):
-        # direct i.i.d. density: e^(-l1-l2) (l1-l2)^2
-        sig = spec_of([1.0], [2])
-        for l1, l2 in [(2.0, 0.5), (4.0, 3.0), (1.0, 0.9)]:
-            direct = math.exp(-l1 - l2) * (l1 - l2) ** 2
-            assert wishart_eigen_pdf([l1, l2], 2, sig) == pytest.approx(
-                direct, rel=1e-10)
-
-    def test_matches_khatri_all_distinct(self):
-        # Khatri's density for distinct Sigma eigenvalues s:
-        # prod l^(n-m) V(l) det(e^(-l_i/s_j)) / (prod (n-i)! prod s^n V(-1/s)),
-        # V(x) = prod_(i<j) (x_j - x_i)
-        for lams, n, sigs in [([2.0, 0.5], 2, [1.5, 0.7]),
-                              ([3.0, 1.0, 0.2], 5, [2.0, 1.2, 0.3])]:
-            l, s = np.array(lams), np.array(sigs)
-            m = l.size
-            vl = np.prod([l[j] - l[i] for i in range(m) for j in range(i + 1, m)])
-            b = -1.0 / s
-            vb = np.prod([b[j] - b[i] for i in range(m) for j in range(i + 1, m)])
-            ref = (np.prod(l) ** (n - m) * vl * np.linalg.det(np.exp(-np.outer(l, 1.0 / s)))
-                   / (math.prod(math.factorial(n - i) for i in range(1, m + 1))
-                      * np.prod(s) ** n * vb))
-            assert wishart_eigen_pdf(lams, n, spec_of(sigs)) == pytest.approx(ref, rel=1e-10)
-
-    def test_confluent_limit_of_distinct(self):
-        # the density is even in the split eps of {s + eps, s - eps}, so
-        # (4 f(eps/2) - f(eps)) / 3 is its limit to O(eps^4)
-        lams, n = [2.5, 1.0, 0.3], 4
-
-        def split(eps):
-            return wishart_eigen_pdf(lams, n, spec_of([2.0, 0.5 + eps, 0.5 - eps]))
-
-        limit = (4 * split(5e-4) - split(1e-3)) / 3
-        got = wishart_eigen_pdf(lams, n, spec_of([2.0, 0.5], [1, 2]))
-        assert got == pytest.approx(limit, rel=1e-7)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            wishart_eigen_pdf([1.0, 2.0], 3, spec_of([1.0], [2]))  # increasing
-        with pytest.raises(ValueError):
-            wishart_eigen_pdf([1.0, -2.0], 3, spec_of([1.0], [2]))
-        with pytest.raises(ValueError):
-            wishart_eigen_pdf([1.0], 0, spec_of([1.0]))
-
-
-class TestQuadraticFormEigenPdf:
-    def test_siso_exponential(self):
-        assert quadratic_form_eigen_pdf([0.7], 1, spec_of([1.0])) == pytest.approx(
-            math.exp(-0.7), rel=1e-12)
-
-    def test_hypoexponential(self):
-        # |g1|^2 + 2|g2|^2: density e^(-x/2) - e^(-x)
-        for x in (0.3, 1.0, 4.0):
-            assert quadratic_form_eigen_pdf([x], 2, spec_of([2.0, 1.0])) == pytest.approx(
-                math.exp(-x / 2) - math.exp(-x), rel=1e-11)
-
-    def test_erlang_repeated_eigenvalue(self):
-        # |g1|^2 + |g2|^2 + |g3|^2: the Erlang density x^2 e^(-x) / 2
-        for x in (0.3, 1.0, 4.0, 40.0):
-            assert quadratic_form_eigen_pdf([x], 3, spec_of([1.0], [3])) == pytest.approx(
-                x * x * math.exp(-x) / 2, rel=1e-11)
-
-    @pytest.mark.parametrize("n", [172, 180])
-    def test_multiplicity_past_factorial_overflow(self, n):
-        # with beta = I_n the quadratic form is a Wishart matrix; the
-        # Pochhammer factors (d+1)_k of a multiplicity n pass 1e308
-        lams = [n + 0.8 * math.sqrt(n), n - 0.8 * math.sqrt(n)]
-        ref = wishart_eigen_pdf(lams, n, spec_of([1.0], [2]))
-        assert ref > 1e-4
-        assert quadratic_form_eigen_pdf(lams, n, spec_of([1.0], [n])) == pytest.approx(
-            ref, rel=1e-10)
-
-    def test_confluent_limit_of_distinct(self):
-        # as in the Wishart case: even in eps, Richardson to O(eps^4)
-        lams, n = [3.0, 0.8], 4
-
-        def split(eps):
-            return quadratic_form_eigen_pdf(lams, n, spec_of([2.5, 1.0 + eps, 1.0 - eps, 0.4]))
-
-        limit = (4 * split(5e-4) - split(1e-3)) / 3
-        got = quadratic_form_eigen_pdf(lams, n, spec_of([2.5, 1.0, 0.4], [1, 2, 1]))
-        assert got == pytest.approx(limit, rel=1e-7)
 
 
 class TestExpectedInvDetKron:
@@ -461,15 +240,15 @@ class TestExpectedInvDetKron:
 
 class TestExpectedInvDetUncorr:
     def test_unity_at_zero(self):
-        assert expected_inv_det_uncorr(2, 3, 2, 0.0) == 1.0
+        assert expected_inv_det_kron(2, 3, ident(2), ident(2), 0.0) == 1.0
 
     def test_scalar_case(self):
-        assert expected_inv_det_uncorr(1, 1, 1, 1.0) == pytest.approx(
+        assert expected_inv_det_kron(1, 1, ident(1), ident(1), 1.0) == pytest.approx(
             0.5963473623231941, abs=1e-10)
 
     def test_monte_carlo(self, rng):
         m, n, nu, xi = 2, 2, 1, 0.5
-        v = expected_inv_det_uncorr(m, n, nu, xi)
+        v = expected_inv_det_kron(m, n, ident(m), ident(nu), xi)
         trials = 1_000_000
         x = cgauss(rng, trials, m, n)
         ev = np.linalg.eigvalsh(x @ x.conj().transpose(0, 2, 1))
@@ -480,23 +259,24 @@ class TestExpectedInvDetUncorr:
     def test_matches_oracle(self):
         for m, n, nu, xi in [(2, 4, 2, 0.3), (4, 4, 2, 1.7), (3, 9, 3, 0.8),
                              (1, 2, 1, 5.0), (4, 4, 2, 300.0), (4, 4, 2, 1e3)]:
-            ref = oracle_kron_mgf(m, n, spec_of([1.0], [m]), spec_of([1.0], [nu]), xi)
-            assert expected_inv_det_uncorr(m, n, nu, xi) == pytest.approx(ref, rel=1e-9, abs=0)
+            ref = oracle_kron_mgf(m, n, ident(m), ident(nu), xi)
+            assert expected_inv_det_kron(m, n, ident(m), ident(nu), xi) == pytest.approx(
+                ref, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("m,n,nu", [(1, 7, 2), (2, 13, 1)])
     def test_at_most_one_at_tiny_xi(self, m, n, nu):
-        assert 0.0 < expected_inv_det_uncorr(m, n, nu, 1e-17) <= 1.0
+        assert 0.0 < expected_inv_det_kron(m, n, ident(m), ident(nu), 1e-17) <= 1.0
 
     def test_monotone_decreasing_in_xi(self):
         xs = np.logspace(-2, 2, 25)
-        vals = [expected_inv_det_uncorr(2, 4, 2, x) for x in xs]
+        vals = [expected_inv_det_kron(2, 4, ident(2), ident(2), x) for x in xs]
         assert all(1 >= a > b > 0 for a, b in zip(vals, vals[1:]))
 
     def test_large_n_matches_lln_limit(self):
         # XX^H concentrates at n I_m: E det(I + xi XX^H)^-nu -> (1+xi n)^(-m nu)
         m, nu, n = 4, 2, 10_000
         xi = 2.0 / n
-        v = expected_inv_det_uncorr(m, n, nu, xi)
+        v = expected_inv_det_kron(m, n, ident(m), ident(nu), xi)
         assert v == pytest.approx((1 + xi * n) ** (-m * nu), rel=2e-3)
 
 
@@ -512,7 +292,8 @@ class TestExpectedInvDetMiso:
 
     def test_identity_equals_uncorrelated(self):
         v = expected_inv_det_miso(spec_of([1.0], [2]), spec_of([1.0], [2]), 0.5)
-        assert v == pytest.approx(expected_inv_det_uncorr(2, 2, 1, 0.5), rel=1e-10)
+        assert v == pytest.approx(expected_inv_det_kron(2, 2, ident(2), ident(1), 0.5),
+                                  rel=1e-10)
 
     def test_spectra_symmetry(self):
         s1 = constant_corr(4, 0.3).spectrum
@@ -570,7 +351,7 @@ class TestEtrLemmaConsistency:
             "bij,bij->b", h.imag, h.imag)
         emp = np.exp(-xi * fro)
         se = emp.std() / math.sqrt(n)
-        v = expected_inv_det_uncorr(1, n_t, n_r, xi)
+        v = expected_inv_det_kron(1, n_t, ident(1), ident(n_r), xi)
         assert abs(emp.mean() - v) < 3 * se
 
 

@@ -8,11 +8,10 @@ from scipy import stats
 import dsmimo.matstat as matstat
 from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
-                            exponential_corr, identity_corr, spectrum_of)
+                            exponential_corr, identity_corr)
 from dsmimo.matstat import (SLICE, Scenario, bidiagonal_slice, channel_slice,
-                            double_product_moments, expected_trace_square,
-                            frobenius_moments, kurtosis_frobenius, reduced_sides,
-                            sample_channel, trace_quadratic_cumulant)
+                            double_product_moments, frobenius_moments,
+                            kurtosis_frobenius, reduced_sides, sample_channel)
 from dsmimo.mc import substream
 
 from conftest import cgauss, random_correlation
@@ -287,84 +286,6 @@ class TestSampleChannel:
         with pytest.raises(ValueError):
             Scenario(3, 2, 2, identity_corr(3), identity_corr(2),
                      identity_corr(2), g4())
-
-
-class TestTraceQuadraticCumulant:
-    def test_first_cumulant_identity(self):
-        assert trace_quadratic_cumulant(1, spec_of([1], [2]), spec_of([1], [3])) == 6.0
-
-    def test_second_cumulant_example(self):
-        # 1! * tr(I2^2) * tr(diag(1,2)^2) = 2 * 5
-        assert trace_quadratic_cumulant(2, spec_of([1], [2]), spec_of([2, 1])) == 10.0
-
-    def test_scalar_case_matches_exponential_cumulants(self):
-        # tr(AXBX^H) = 6|x|^2 ~ 6 Exp(1): kappa_k = (k-1)! 6^k
-        s1, s2 = spec_of([2.0]), spec_of([3.0])
-        for k in (1, 2, 3, 4):
-            assert trace_quadratic_cumulant(k, s1, s2) == pytest.approx(
-                math.factorial(k - 1) * 6.0**k)
-        assert trace_quadratic_cumulant(3, s1, s2) == 432.0
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            trace_quadratic_cumulant(0, spec_of([1]), spec_of([1]))
-
-    def test_mean_variance_vs_monte_carlo(self, rng):
-        # k = 1, 2 against sampled tr(A X B X^H) for random PD A, B
-        for m, n in [(2, 3), (4, 2)]:
-            a = random_correlation(rng, m)
-            b = random_correlation(rng, n)
-            sig = random_correlation(rng, m)
-            psi = random_correlation(rng, n)
-            s1 = spectrum_of(_herm_prod(a.entries, sig.entries))
-            s2 = spectrum_of(_herm_prod(psi.entries, b.entries))
-            x = sample_channel(gaussian_scenario(sig, psi), rng, size=200_000)
-            t = np.einsum("ij,bjk,kl,bil->b", a.entries, x, b.entries,
-                          x.conj()).real
-            mu, var = t.mean(), t.var()
-            se_mu = t.std() / math.sqrt(t.size)
-            kap1 = trace_quadratic_cumulant(1, s1, s2)
-            kap2 = trace_quadratic_cumulant(2, s1, s2)
-            assert abs(mu - kap1) < 3 * se_mu
-            se_var = np.std((t - mu) ** 2) / math.sqrt(t.size)
-            assert abs(var - kap2) < 3 * se_var
-
-
-def _herm_prod(a, b):
-    """Spectrum-equivalent Hermitian version of the product a @ b (similar
-    to b^(1/2) a b^(1/2)); keeps spectrum_of applicable."""
-    from dsmimo.corrmat import matrix_sqrt
-
-    rb = matrix_sqrt(b)
-    return rb @ a @ rb
-
-
-class TestExpectedTraceSquare:
-    def test_scalar_unit(self):
-        assert expected_trace_square(spec_of([1]), spec_of([1])) == 2.0
-
-    def test_identity_two_by_two(self):
-        assert expected_trace_square(spec_of([1], [2]), spec_of([1], [2])) == 16.0
-
-    def test_diagonal_example(self):
-        # A Sigma = diag(1,3), Psi B = I2: 16*2 + 4*10 = 72
-        assert expected_trace_square(spec_of([3, 1]), spec_of([1], [2])) == 72.0
-
-    @pytest.mark.parametrize("s1,s2,label", [
-        (([1], [2]), ([1], [2]), "identity"),
-        (([3, 1], None), ([1], [2]), "diagonal"),
-    ])
-    def test_monte_carlo_oracle(self, rng, s1, s2, label):
-        sp1, sp2 = spec_of(*s1), spec_of(*s2)
-        a = np.diag(sp1.expand())
-        b = np.diag(sp2.expand())
-        m, n = a.shape[0], b.shape[0]
-        x = sample_channel(gaussian_scenario(identity_corr(m), identity_corr(n)),
-                           rng, size=1_000_000)
-        w = np.einsum("ij,bjk,kl->bil", a, x, b) @ x.conj().transpose(0, 2, 1)
-        t = np.einsum("bij,bji->b", w, w).real
-        expect = expected_trace_square(sp1, sp2)
-        assert abs(t.mean() - expect) < 0.02 * expect
 
 
 class TestDoubleProductMoments:

@@ -23,7 +23,7 @@ from dsmimo.matstat import (SLICE, TILT_EVERY, Scenario, bidiagonal_slice,
 from dsmimo.mc import (BLOCK_SIZE, Estimate, MonteCarloConfig, fit_diversity_slope,
                        mc_capacity, mc_kurtosis_eff, mc_sep, substream)
 from dsmimo.sep import (PskConstellation, conditional_sep_polynomial, sep_mpsk,
-                        sep_mpsk_iid_rayleigh, sep_mpsk_uncorrelated, sep_theta_integral)
+                        sep_mpsk_iid_rayleigh, sep_theta_integral)
 from dsmimo.corrmat import Spectrum
 from dsmimo.detform import NumericFailure
 
@@ -247,7 +247,7 @@ class TestMcSep:
         scn = Scenario.uncorrelated(4, 10, 2, g4())
         psk = PskConstellation(8)
         snr = db(16.0)
-        cf = sep_mpsk_uncorrelated(scn, psk, snr)
+        cf = sep_mpsk(scn, psk, snr)
         est = mc_sep(scn, psk, snr, MonteCarloConfig(trials=400_000, seed=23))
         assert abs(est.value - cf) < 3 * est.std_error
 

@@ -7,7 +7,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +18,7 @@ import dsmimo.mc as mc_mod
 from dsmimo.codes import alamouti, g4
 from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_corr,
                             tridiagonal_corr)
-from dsmimo.detform import (NumericFailure, characteristic_coefficients,
-                            expected_inv_det_miso)
+from dsmimo.detform import NumericFailure, expected_inv_det_miso
 from dsmimo.matstat import SLICE, Scenario, bidiagonal_slice, reduced_sides
 from dsmimo.mc import MonteCarloConfig, fit_diversity_slope, mc_sep, substream
 from dsmimo.quadrule import gauss_legendre
@@ -29,12 +27,12 @@ from dsmimo.sep import (PskConstellation, UnsupportedScenarioError,
                         diversity_order, has_closed_form, ostbc_snr_scale,
                         sep_mpsk, sep_mpsk_doubly_correlated,
                         sep_mpsk_iid_rayleigh, sep_mpsk_miso,
-                        sep_mpsk_no_double_scattering, sep_mpsk_uncorrelated,
-                        sep_theta_integral, theta_rule)
+                        sep_mpsk_no_double_scattering, sep_theta_integral,
+                        theta_rule)
 from dsmimo.sep import _sep_from_mgf
 
 from conftest import fresh_caches, random_correlation
-from oracles import oracle_2f0_hyperu
+from oracles import oracle_miso_mgf
 
 
 def db(x):
@@ -283,7 +281,7 @@ class TestUncorrelated:
         scn = Scenario.uncorrelated(4, 1, 2, g4())
         psk = PskConstellation(8)
         snr = db(12.0)
-        a = sep_mpsk_uncorrelated(scn, psk, snr)
+        a = sep_mpsk(scn, psk, snr)
         th, w = theta_rule(psk.theta_max)
         xi = psk.g * snr / (scn.n_s * scn.n_t * float(scn.rate) * np.sin(th) ** 2)
         s_r = Spectrum((1.0,), (scn.n_r,), scn.n_r)
@@ -295,8 +293,7 @@ class TestUncorrelated:
     def test_sep_decreasing_in_scatterer_count(self):
         # four-transmit family at fixed snr: richer scattering always helps
         psk = PskConstellation(8)
-        seps = [sep_mpsk_uncorrelated(Scenario.uncorrelated(4, n_s, 2, g4()),
-                                      psk, db(15.0))
+        seps = [sep_mpsk(Scenario.uncorrelated(4, n_s, 2, g4()), psk, db(15.0))
                 for n_s in (1, 2, 3, 5, 10, 50)]
         assert all(a > b for a, b in zip(seps, seps[1:]))
 
@@ -304,7 +301,7 @@ class TestUncorrelated:
         psk = PskConstellation(8)
         snr = db(15.0)
         scn = Scenario.uncorrelated(4, 10_000, 2, g4())
-        a = sep_mpsk_uncorrelated(scn, psk, snr)
+        a = sep_mpsk(scn, psk, snr)
         b = sep_mpsk_iid_rayleigh(4, 2, Fraction(3, 4), psk, snr)
         assert a == pytest.approx(b, rel=0.01)
 
@@ -312,7 +309,7 @@ class TestUncorrelated:
         scn = Scenario.uncorrelated(4, 2, 2, g4())
         psk = PskConstellation(8)
         snr = db(14.0)
-        cf = sep_mpsk_uncorrelated(scn, psk, snr)
+        cf = sep_mpsk(scn, psk, snr)
         assert cf > 1e-4
         est = mc_sep(scn, psk, snr, MonteCarloConfig(trials=300_000, seed=3))
         assert abs(est.value - cf) < 3 * est.std_error
@@ -322,22 +319,16 @@ class TestUncorrelated:
         # matched composite scale xi = g*snr/(n_s*n_t*rate*sin^2) the two
         # scenarios produce the same SEP
         psk = PskConstellation(8)
-        a = sep_mpsk_uncorrelated(Scenario.uncorrelated(4, 2, 3, g4()), psk, db(10))
-        b = sep_mpsk_uncorrelated(
+        a = sep_mpsk(Scenario.uncorrelated(4, 2, 3, g4()), psk, db(10))
+        b = sep_mpsk(
             Scenario.uncorrelated(2, 4, 3, alamouti()), psk,
             db(10) * (4 * 2 * 1.0) / (2 * 4 * 0.75))
         assert a == pytest.approx(b, rel=1e-11)
 
-    def test_requires_identity(self):
-        scn = Scenario(2, 3, 2, constant_corr(2, 0.5), identity_corr(3),
-                       identity_corr(2), alamouti())
-        with pytest.raises(ValueError):
-            sep_mpsk_uncorrelated(scn, PskConstellation(4), 10.0)
-
     def test_rejects_nonpositive_snr(self):
         scn = Scenario.uncorrelated(2, 2, 2, alamouti())
         with pytest.raises(ValueError):
-            sep_mpsk_uncorrelated(scn, PskConstellation(4), 0.0)
+            sep_mpsk(scn, PskConstellation(4), 0.0)
 
 
 class TestDoublyCorrelated:
@@ -353,7 +344,7 @@ class TestDoublyCorrelated:
         scn = self.make(0.0)
         for snr_db, ref in ((5.0, 0.03871867375127478), (15.0, 5.341997543418214e-07)):
             a = sep_mpsk_doubly_correlated(scn, psk, db(snr_db))
-            b = sep_mpsk_uncorrelated(scn, psk, db(snr_db))
+            b = sep_mpsk(scn, psk, db(snr_db))
             assert a == pytest.approx(ref, rel=1e-9, abs=0)
             assert b == pytest.approx(ref, rel=1e-9, abs=0)
 
@@ -412,7 +403,7 @@ class TestMiso:
         scn = Scenario.uncorrelated(4, 6, 1, g4())
         for snr_db in (5.0, 20.0):
             a = sep_mpsk_miso(scn, psk, db(snr_db))
-            b = sep_mpsk_uncorrelated(scn, psk, db(snr_db))
+            b = sep_mpsk_doubly_correlated(scn, psk, db(snr_db))
             assert a == pytest.approx(b, rel=1e-9)
 
     def test_sep_improves_with_scatterers(self):
@@ -440,29 +431,23 @@ class TestMiso:
         with pytest.raises(ValueError):
             sep_mpsk_miso(scn, PskConstellation(4), 10.0)
 
-    def test_partial_fraction_sum_matches_mpmath_kernels(self):
-        # 4x10x1, exponential rho=0.5 on transmit and scatterer sides: the
-        # coefficient products sum to |X| = 4096, so kernel errors are
-        # amplified ~4000x at 30 dB; the float coefficients are kept and
-        # only the 2F0 kernels are swapped for the U-function oracle
+    # QUADPACK reports round-off at the two nodes nearest theta = 0, whose
+    # terms are below 1e-25 of the sum
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_angular_sum_matches_miso_oracle(self):
+        # 4x10x1, exponential rho=0.5 on transmit and scatterer sides, whose
+        # partial fractions sum to |X| = 4096: the SEP is theta_rule's sum
+        # over the MISO MGF, which the quadrature oracle gives at each node
         psk = PskConstellation(8)
         snr = db(30.0)
         scn = Scenario(4, 10, 1, exponential_corr(4, 0.5), exponential_corr(10, 0.5),
                        identity_corr(1), g4())
         th, w = theta_rule(psk.theta_max)
         xi = psk.g * snr / (scn.n_s * scn.n_t * float(scn.rate) * np.sin(th) ** 2)
-        cs = characteristic_coefficients(scn.phi_s.spectrum)
-        ct = characteristic_coefficients(scn.phi_t.spectrum)
-        ref = mp.mpf(0)
-        with mp.workdps(40):
-            for x, wk in zip(xi, w):
-                mgf = mp.fsum(mp.mpf(xs) * mp.mpf(xt)
-                              * mp.mpf(oracle_2f0_hyperu(i, j, x * sv * tv, dps=20))
-                              for _, sv, i, xs in cs.items()
-                              for _, tv, j, xt in ct.items())
-                ref += mgf * mp.mpf(wk)
-            ref = float(ref / mp.pi)
-        assert sep_mpsk(scn, psk, snr) == pytest.approx(ref, rel=1e-6)
+        mgf = [oracle_miso_mgf(scn.phi_t.spectrum.expand(), scn.phi_s.spectrum.expand(),
+                               float(x)) for x in xi]
+        ref = float(np.dot(mgf, w)) / math.pi
+        assert sep_mpsk(scn, psk, snr) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("model", [exponential_corr, tridiagonal_corr, constant_corr])
     @pytest.mark.parametrize("n_s", [50, 100])
@@ -499,18 +484,18 @@ class TestNoDoubleScattering:
 
 class TestDispatchAndInvariants:
     def test_all_applicable_formulas_agree(self):
-        # fully uncorrelated MISO: uncorrelated, MISO, and doubly-correlated
-        # formulas are all valid and must meet 128 Gauss-Legendre nodes on
-        # [0, Theta] over oracle_kron_mgf (60 digits)
+        # fully uncorrelated MISO: the MISO and doubly-correlated formulas
+        # are both valid and must meet 128 Gauss-Legendre nodes on [0, Theta]
+        # over oracle_kron_mgf (60 digits); the dispatcher takes the latter
         scn = Scenario.uncorrelated(4, 6, 1, g4())
         psk = PskConstellation(8)
         snr = db(18.0)
-        a = sep_mpsk_uncorrelated(scn, psk, snr)
+        a = sep_mpsk(scn, psk, snr)
         b = sep_mpsk_miso(scn, psk, snr)
         c = sep_mpsk_doubly_correlated(scn, psk, snr)
         for v in (a, b, c):
             assert v == pytest.approx(0.0030354360015009073, rel=1e-9, abs=0)
-        assert sep_mpsk(scn, psk, snr) == a
+        assert a == c
 
     def test_out_of_range_mgf_raises(self):
         # an MGF of 2 integrates to 2 Theta / pi = 1.5, above the 3/4 ceiling
@@ -672,8 +657,6 @@ def test_benchmark_tracer_sees_every_family():
     finally:
         sys.path.pop(0)
     psk = PskConstellation(8)
-    # (uncorrelated scenarios dispatch to the Kronecker row, so
-    # sep.family.uncorrelated is no dispatch target)
     cases = {
         "sep.family.no_double_scattering":
             Scenario.uncorrelated(4, 9, 2, g4(), no_double_scattering=True),
@@ -690,8 +673,11 @@ def test_benchmark_tracer_sees_every_family():
             dsmimo.sep.sep_mpsk(scn, psk, db(12.0))
     finally:
         tracer.uninstall()
-    # perfbench still lists the Gauss-Laguerre rule the library deleted
-    assert tracer.missing == ["dsmimo.quadrule.gauss_laguerre_prob"]
+    # perfbench still lists functions the library deleted
+    assert tracer.missing == ["dsmimo.quadrule.gauss_laguerre_prob",
+                              "dsmimo.detform.hyp2f0",
+                              "dsmimo.detform.characteristic_coefficients",
+                              "dsmimo.sep.sep_mpsk_uncorrelated"]
     totals = tracer.layer_totals()
     assert totals["sep.sep_mpsk"]["calls"] == len(cases)
     for name in cases:
