@@ -2,6 +2,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,21 @@ def spec_of(vals, mults=None):
 def ident(dim):
     """The spectrum of I_dim."""
     return spec_of([1.0], [dim])
+
+
+def scaled(spec, s):
+    """The spectrum of s times the matrix of spec."""
+    return Spectrum(tuple(s * v for v in spec.values), spec.mults, spec.dim)
+
+
+def exp_moments(x, dps=50):
+    """(I_0, I_1, I_2), I_k = int l^k e^-l / (1 + x l) dl, at dps digits:
+    I_0 = e^(1/x) E1(1/x) / x and I_(k+1) = (k! - I_k) / x."""
+    with mp.workdps(dps):
+        xm = mp.mpf(x)
+        i0 = mp.e ** (1 / xm) * mp.e1(1 / xm) / xm
+        i1 = (1 - i0) / xm
+        return i0, i1, (1 - i1) / xm
 
 
 class TestHyp2f0:
@@ -196,6 +212,56 @@ class TestExpectedInvDetKron:
         v = expected_inv_det_kron(1, 1, spec_of([1.0]), spec_of([1.0]), 1.0)
         assert v == pytest.approx(0.5963473623231941, abs=1e-10)
 
+    def test_gamma_two_one_closed_form(self):
+        # m = 1, n = 2: l ~ Gamma(2, 1), so the MGF is I_1
+        for x in (0.2, 1.0, 3.7, 1e3):
+            v = expected_inv_det_kron(1, 2, ident(1), ident(1), x)
+            assert v == pytest.approx(float(exp_moments(x)[1]), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.2, 3.7, 1e3])
+    def test_iid_two_by_two_closed_form(self, x):
+        # ordered eigenvalue density e^(-l1-l2) (l1-l2)^2 of a 2 x 2 Wishart
+        # matrix with 2 degrees: the MGF is I_0 I_2 - I_1^2
+        i0, i1, i2 = exp_moments(x)
+        v = expected_inv_det_kron(2, 2, ident(2), ident(1), x)
+        assert v == pytest.approx(float(i0 * i2 - i1 * i1), rel=1e-12)
+
+    def test_confluent_limit_of_distinct(self):
+        # the MGF is even in the split eps of {s + eps, s - eps}, so
+        # (4 f(eps/2) - f(eps)) / 3 is its limit to O(eps^4)
+        far = spec_of([1.5, 0.5], [1, 2])
+
+        def split(eps, x):
+            return expected_inv_det_kron(3, 5, spec_of([2.0, 0.5 + eps, 0.5 - eps]), far, x)
+
+        for x in (0.1, 10.0, 1e4):
+            limit = (4 * split(5e-4, x) - split(1e-3, x)) / 3
+            got = expected_inv_det_kron(3, 5, spec_of([2.0, 0.5], [1, 2]), far, x)
+            assert got == pytest.approx(limit, rel=1e-9)
+
+    @pytest.mark.parametrize("side", ["sigma", "far"])
+    def test_scale_moves_into_xi(self, side):
+        # det(I + xi (sA) (x) XX^H) at xi is det(I + (s xi) A (x) XX^H), and
+        # scaling Sigma scales XX^H alike
+        sides = {"sigma": exponential_corr(3, 0.4).spectrum,
+                 "far": constant_corr(2, 0.5).spectrum}
+        xs = np.array([0.1, 10.0, 1e3])
+        for s in (0.25, 3.0):
+            args = dict(sides, **{side: scaled(sides[side], s)})
+            np.testing.assert_allclose(
+                expected_inv_det_kron(3, 5, args["sigma"], args["far"], xs),
+                expected_inv_det_kron(3, 5, sides["sigma"], sides["far"], s * xs),
+                rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("m,n,sigma,x", [
+        (3, 5, ident(2), 1.0),   # Sigma of the wrong dimension
+        (3, 2, ident(3), 1.0),   # fewer degrees than rows
+        (2, 4, ident(2), -0.5),  # negative argument
+    ])
+    def test_input_validation(self, m, n, sigma, x):
+        with pytest.raises(ValueError):
+            expected_inv_det_kron(m, n, sigma, ident(2), x)
+
     def test_monte_carlo_correlated(self, rng):
         phi_t = constant_corr(3, 0.5)
         phi_r = constant_corr(2, 0.6)
@@ -289,6 +355,51 @@ class TestExpectedInvDetMiso:
     def test_scalar_case(self):
         assert expected_inv_det_miso(spec_of([1.0]), spec_of([1.0]), 1.0) == pytest.approx(
             0.5963473623231941, abs=1e-10)
+
+    def test_siso_exponential_closed_form(self):
+        for x in (0.2, 3.7, 1e3):
+            assert expected_inv_det_miso(ident(1), ident(1), x) == pytest.approx(
+                float(exp_moments(x)[0]), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.2, 3.7, 1e3])
+    def test_hypoexponential_closed_form(self, x):
+        # V = 2 E_1 + E_2 has density e^(-v/2) - e^(-v), so the MGF is
+        # 2 I_0(2x) - I_0(x)
+        ref = 2 * exp_moments(2 * x)[0] - exp_moments(x)[0]
+        assert expected_inv_det_miso(spec_of([2.0, 1.0]), ident(1), x) == pytest.approx(
+            float(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("d,q,x", [(3, 1, 0.7), (2, 7, 3.0), (10, 10, 0.05),
+                                       (172, 2, 1 / 172), (180, 2, 2 / 180)])
+    def test_identity_sides_are_2f0(self, d, q, x):
+        # V ~ Gamma(d) and q equal factors: E (1 + x V)^-q = 2F0(d, q; -x);
+        # at d = 172 the factorials of the Erlang density pass 1e308
+        v = expected_inv_det_miso(ident(d), ident(q), x)
+        assert v == pytest.approx(oracle_2f0_hyperu(d, q, x), rel=1e-12)
+        assert v == pytest.approx(kron_2f0(d, q, x), rel=1e-12)
+
+    def test_confluent_limit_of_distinct(self):
+        # as for the Kronecker row: even in eps, Richardson to O(eps^4)
+        large = spec_of([1.5, 0.5], [2, 3])
+
+        def split(eps, x):
+            return expected_inv_det_miso(spec_of([2.5, 1.0 + eps, 1.0 - eps, 0.4]), large, x)
+
+        for x in (0.1, 10.0, 1e4):
+            limit = (4 * split(5e-4, x) - split(1e-3, x)) / 3
+            got = expected_inv_det_miso(spec_of([2.5, 1.0, 0.4], [1, 2, 1]), large, x)
+            assert got == pytest.approx(limit, rel=1e-10)
+
+    def test_scale_moves_into_xi(self):
+        small, large = exponential_corr(3, 0.4).spectrum, constant_corr(5, 0.5).spectrum
+        xs = np.array([0.1, 10.0, 1e3])
+        np.testing.assert_allclose(expected_inv_det_miso(scaled(small, 4.0), large, xs),
+                                   expected_inv_det_miso(small, large, 4.0 * xs),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_negative_argument_raises(self):
+        with pytest.raises(ValueError):
+            expected_inv_det_miso(ident(2), ident(3), np.array([1.0, -0.5]))
 
     def test_identity_equals_uncorrelated(self):
         v = expected_inv_det_miso(spec_of([1.0], [2]), spec_of([1.0], [2]), 0.5)

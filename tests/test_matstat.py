@@ -8,7 +8,7 @@ from scipy import stats
 import dsmimo.matstat as matstat
 from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
-                            exponential_corr, identity_corr)
+                            exponential_corr, identity_corr, matrix_sqrt, spectrum_of)
 from dsmimo.matstat import (SLICE, Scenario, bidiagonal_slice, channel_slice,
                             double_product_moments, frobenius_moments,
                             kurtosis_frobenius, reduced_sides, sample_channel)
@@ -306,6 +306,55 @@ class TestDoubleProductMoments:
         trs = np.einsum("bij,bji->b", w, w).real
         assert abs((tr**2).mean() - tr2) < 0.02 * tr2
         assert abs(trs.mean() - trsq) < 0.02 * trsq
+
+    @pytest.mark.parametrize("sigma1,psi1,sigma2,psi2", [
+        (spec_of([3, 1]), identity_corr(2), identity_corr(2), spec_of([1], [2])),
+        (spec_of([2.5, 0.5]), constant_corr(3, 0.5), identity_corr(3), spec_of([1.5, 0.25])),
+        (constant_corr(2, 0.6).spectrum, exponential_corr(3, 0.4), constant_corr(3, 0.3),
+         constant_corr(2, 0.7).spectrum),
+    ], ids=["diagonal", "rectangular", "correlated"])
+    def test_monte_carlo_oracle(self, rng, sigma1, psi1, sigma2, psi2):
+        # X1 = Sigma1^(1/2) G1 Psi1^(1/2), X2 = Sigma2^(1/2) G2 Psi2^(1/2),
+        # Sigma1 and Psi2 diagonal; Psi1 Sigma2 enters through its spectrum
+        b = 400_000
+        r1, r2 = matrix_sqrt(psi1), matrix_sqrt(sigma2)
+        x1 = np.sqrt(sigma1.expand())[:, None] * cgauss(rng, b, sigma1.dim, psi1.dim) @ r1
+        x2 = r2 @ cgauss(rng, b, sigma2.dim, psi2.dim) * np.sqrt(psi2.expand())
+        w = x1 @ x2
+        w = w @ w.conj().transpose(0, 2, 1)
+        tr = np.einsum("bii->b", w).real
+        trs = np.einsum("bij,bji->b", w, w).real
+        prod = spectrum_of(r2 @ psi1.entries @ r2)
+        for sample, expect in zip((tr**2, trs), double_product_moments(sigma1, prod, psi2)):
+            assert abs(sample.mean() - expect) < 4 * sample.std() / math.sqrt(b)
+
+    def test_transpose_symmetry(self):
+        # W^T has the factors X2^T X1^T: the outer spectra trade places
+        a, b, c = spec_of([3, 1]), constant_corr(3, 0.5).spectrum, spec_of([2, 0.5, 0.25])
+        assert double_product_moments(a, b, c) == pytest.approx(
+            double_product_moments(c, b, a), rel=1e-15)
+
+    def test_degree_two_in_each_side(self):
+        a, b, c = spec_of([3, 1]), constant_corr(3, 0.5).spectrum, spec_of([2, 0.5])
+        base = np.array(double_product_moments(a, b, c))
+        for i in range(3):
+            sides = [a, b, c]
+            sides[i] = Spectrum(tuple(3.0 * v for v in sides[i].values), sides[i].mults,
+                                sides[i].dim)
+            np.testing.assert_allclose(double_product_moments(*sides), 9.0 * base,
+                                       rtol=1e-14)
+
+    @pytest.mark.parametrize("scn", [
+        Scenario.uncorrelated(4, 10, 2),
+        Scenario(2, 5, 2, constant_corr(2, 0.5), constant_corr(5, 0.5), constant_corr(2, 0.5)),
+        Scenario(3, 4, 2, exponential_corr(3, 0.7), identity_corr(4), constant_corr(2, 0.2)),
+    ], ids=["uncorrelated", "constant", "mixed"])
+    def test_matches_kurtosis_frobenius(self, scn):
+        # ||H||_F^2 = tr W for X1 = Phi_r^(1/2) G1 Phi_s^(1/2), X2 = G2 Phi_t^(1/2)
+        tr2, _ = double_product_moments(scn.phi_r.spectrum, scn.phi_s.spectrum,
+                                        scn.phi_t.spectrum)
+        mean = scn.n_r * scn.n_s * scn.n_t
+        assert tr2 / mean**2 == pytest.approx(kurtosis_frobenius(scn), rel=1e-14)
 
 
 class TestKurtosisFrobenius:

@@ -325,6 +325,17 @@ class TestUncorrelated:
             db(10) * (4 * 2 * 1.0) / (2 * 4 * 0.75))
         assert a == pytest.approx(b, rel=1e-11)
 
+    @pytest.mark.parametrize("scn", [Scenario.uncorrelated(4, 1, 2, g4()),
+                                     Scenario.uncorrelated(2, 3, 4, alamouti())],
+                             ids=["keyhole", "mimo"])
+    def test_dispatches_to_the_kronecker_row(self, scn):
+        # all sides I: sep_mpsk is the Kronecker row's value, bit for bit,
+        # also where the MISO row applies (the keyhole, n_s = 1)
+        psk = PskConstellation(8)
+        for snr_db in (0.0, 15.0, 30.0):
+            assert sep_mpsk(scn, psk, db(snr_db)) == sep_mpsk_doubly_correlated(
+                scn, psk, db(snr_db))
+
     def test_rejects_nonpositive_snr(self):
         scn = Scenario.uncorrelated(2, 2, 2, alamouti())
         with pytest.raises(ValueError):
