@@ -296,6 +296,20 @@ def _write_rows(out: str, header: list[str], rows: list[list]) -> int:
     return EXIT_OK
 
 
+def _mc_rule(cfg: RunConfig):
+    """validate's rule for a value against its Monte Carlo estimate, as
+    check(value, est) -> (deviation, tolerance): |value - est.value| against
+    max(sigma * est.std_error, rel_tol * value), sigma and rel_tol from
+    validate.sigma (3) and validate.rel_tol (0.05), read here."""
+    rel_tol = _get_float(cfg.raw, "validate.rel_tol", 0.05)
+    sigma = _get_float(cfg.raw, "validate.sigma", 3.0)
+
+    def check(value, est):
+        return abs(value - est.value), max(sigma * est.std_error, rel_tol * value)
+
+    return check
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -303,18 +317,26 @@ def _write_rows(out: str, header: list[str], rows: list[list]) -> int:
 def cmd_sep_curve(cfg: RunConfig) -> int:
     out = _require_output(cfg)
     psk, grid, mc, scn = cfg.psk(), cfg.snr_db(), cfg.mc(), cfg.scn
+    agree = _mc_rule(cfg)
     d = float(sep_mod.diversity_order(scn))
     snrs = [_linear(snr_db) for snr_db in grid]
+    # the closed forms first: one that raises NumericFailure ends the run
+    # before any Monte Carlo is spent
+    cfs = ([sep_mod.sep_mpsk(scn, psk, snr) for snr in snrs]
+           if sep_mod.has_closed_form(scn) else [None] * len(snrs))
     rows = []
-    for snr_db, snr, est in zip(grid, snrs, mc_sep(scn, psk, snrs, mc)):
-        try:
-            cf = sep_mod.sep_mpsk(scn, psk, snr)
-        except UnsupportedScenarioError:
-            cf = None
+    for snr_db, cf, est in zip(grid, cfs, mc_sep(scn, psk, snrs, mc)):
         # values below the numeric floor are reported as computed, flagged,
-        # never clamped
-        flag = "below numeric floor" if cf is not None and 0 < cf < 1e-12 else ""
-        rows.append([snr_db, cf, est.value, est.std_error, d, flag])
+        # never clamped; a row off its Monte Carlo value by more than
+        # validate's tolerance is flagged too
+        flags = []
+        if cf is not None:
+            if 0 < cf < 1e-12:
+                flags.append("below numeric floor")
+            dev, tol = agree(cf, est)
+            if dev > tol:
+                flags.append("closed form and Monte Carlo disagree")
+        rows.append([snr_db, cf, est.value, est.std_error, d, "; ".join(flags)])
     return _write_rows(out, ["snr_db", "sep_closed_form", "sep_mc", "mc_std_err",
                              "diversity_order", "flag"], rows)
 
@@ -401,8 +423,7 @@ def cmd_diversity(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    rel_tol = _get_float(cfg.raw, "validate.rel_tol", 0.05)
-    sigma = _get_float(cfg.raw, "validate.sigma", 3.0)
+    agree = _mc_rule(cfg)
     psk, grid, mc, scn = cfg.psk(), cfg.snr_db(), cfg.mc(), cfg.scn
     checks: list[tuple[str, float, float, bool, str]] = []
 
@@ -417,9 +438,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             if sep_mod.has_closed_form(scn) else None)
     est = mc_sep(scn, psk, snr, mc)
     if seps is not None:
-        cf = seps[mid]
-        dev = abs(cf - est.value)
-        tol = max(sigma * est.std_error, rel_tol * cf)
+        dev, tol = agree(seps[mid], est)
         record(f"sep_closed_vs_mc@{snr_db:g}dB", dev, tol, dev <= tol)
     else:
         record("sep_closed_vs_mc", 0.0, 0.0, True,
@@ -458,9 +477,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 
     # 4. analytic vs Monte Carlo kurtosis
     kest, _ = mc_kurtosis_eff(scn, MonteCarloConfig(max(mc.trials, 10_000), mc.seed))
-    ka = kurtosis_frobenius(scn)
-    dev = abs(ka - kest.value)
-    tol = max(sigma * kest.std_error, rel_tol * ka)
+    dev, tol = agree(kurtosis_frobenius(scn), kest)
     record("kurtosis_analytic_vs_mc", dev, tol, dev <= tol)
 
     # 5. closed-form SEP decreasing across the grid

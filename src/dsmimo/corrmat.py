@@ -56,10 +56,6 @@ class Spectrum:
             raise ValueError("distinct eigenvalues must be strictly decreasing")
 
     @property
-    def n_distinct(self) -> int:
-        return len(self.values)
-
-    @property
     def distinct(self) -> tuple[tuple[float, int], ...]:
         return tuple(zip(self.values, self.mults))
 

@@ -17,7 +17,9 @@ Everything here reduces to two ingredients:
 The expected-inverse-determinant evaluators take xi as a scalar or a
 vector and return values in (0, 1]; they are the moment generating
 functions behind every closed-form SEP.  Kronecker values above 1 by more
-than round-off, and lattice floors that overflow, raise NumericFailure.
+than round-off, Kronecker column blocks that lose more than
+_MAX_LOST_DIGITS digits, and lattice floors that overflow, raise
+NumericFailure.
 
 A lattice of one (nw, deg) is a prefix of one node sequence: xi moves only
 its floor, hence its node count.  So the lattice itself is kept and sliced
@@ -31,7 +33,8 @@ _CACHE_SIDES most recently used keys (`_SideCache`), keyed by exact values,
 holding no MGF value; a warm call returns bit for bit what a cold one does.
 
 The Kronecker row keeps every digit for eigenvalues of Sigma close to its
-smallest one, but not for a cluster above it, whose columns nearly coincide
+smallest one, but not for a cluster above it, whose columns nearly coincide:
+it estimates the digits lost (`_lost_digits`) and raises past the bound
 (`expected_inv_det_kron`).
 """
 
@@ -52,6 +55,11 @@ _LOG_TAIL = math.log(1e-18)
 _BATCH = 1 << 16
 #: sides (keys) that each per-side cache (`_SideCache`) keeps
 _CACHE_SIDES = 16
+#: most digits the Kronecker row's column block may lose (`_lost_digits`).
+#: On ROADMAP item 1's clustered spectra (m = 6, n = 9) the MGF was off by
+#: about 10^(digits - 15.9) relative, so at 6 digits by about 1e-10; the
+#: built-in models were less off than that at equal digits
+_MAX_LOST_DIGITS = 6.0
 
 
 class NumericFailure(ValueError):
@@ -290,8 +298,10 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
     e^(beta l) below degree i - j, so entry (i, (g, j)) keeps only the weight
     P(Poisson(beta l) >= i - j): eigenvalues close to the smallest one cost
     no digits.  A cluster of eigenvalues above the smallest one does: its
-    columns are near-copies of each other and their determinant cancels, so
-    such a value can be wrong and still lie in (0, 1] (ROADMAP item 1).
+    columns are near-copies of each other and their determinant cancels,
+    so a value could be wrong and still lie in (0, 1] (ROADMAP item 1).  The
+    digits lost are estimated at every xi (`_lost_digits`), and past
+    _MAX_LOST_DIGITS the call raises NumericFailure.
     Those weights depend on Sigma, m, n and the lattice nodes alone, so they
     are made once per Sigma and reused at every xi (`_NodeCache`); with one
     eigenvalue there are none, and a call stops at the norms.  The other
@@ -330,7 +340,9 @@ def _kron_kernel(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum):
         return _poisson_tails(m - 1, (scale - 1.0) * tn)[tail_k]
 
     def log_det(x, t, logw, tails):
-        """(sign, log) of det N(x) over its leading coefficients, x a vector."""
+        """(sign, log) of det N(x) over its leading coefficients, x a vector,
+        and the digits its column block loses (`_lost_digits`, 0 with one
+        eigenvalue)."""
         # a node where x c_k t overflows has a factor of mu below 1/DBL_MAX,
         # and log1p(inf) takes mu there as 0
         with np.errstate(over="ignore"):
@@ -338,7 +350,7 @@ def _kron_kernel(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum):
                                      np.log1p(np.multiply.outer(np.multiply.outer(x, c), t)))
         _, a, lb, shift_s, _ = _lanczos(t, logmu[:, s], m)
         if not other.size:  # one eigenvalue: det N = 1
-            return np.ones(x.size), lead_s @ lb + tg[s] * shift_s
+            return np.ones(x.size), lead_s @ lb + tg[s] * shift_s, np.zeros(x.size)
         vo, _, lbo, shift_o, root = _lanczos(t, logmu[:, other], k_o)
         log = (lead_s @ lb + np.einsum("gj,jxg->x", lead_o, lbo)
                + tg[s] * shift_s + shift_o @ tg[other])
@@ -354,8 +366,9 @@ def _kron_kernel(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum):
                 q_prev, q = q, ((u - a[i]) * q - b[i] * q_prev) / b[i + 1]
         blk = np.einsum("ixgn,jxgn,ijgn->xgij", rows, vo, tails)
         # lead_o > 0 marks the columns (g, j < t_g)
-        sign, ld = np.linalg.slogdet(np.swapaxes(blk, 1, 2)[:, :, lead_o > 0])
-        return sign, log + ld
+        cols = np.swapaxes(blk, 1, 2)[:, :, lead_o > 0]
+        sign, ld = np.linalg.slogdet(cols)
+        return sign, log + ld, _lost_digits(cols)
 
     def kernel(xv):
         # every mu_g has at least its product's value at the Gamma mean (Jensen);
@@ -371,17 +384,33 @@ def _kron_kernel(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum):
         size = x.size * sig.size * max(m, mult.size) * t.size
         count = -(-size // (2 * _BATCH))
         if count == 1:
-            sign, log = log_det(x, t, logw, tails)
+            sign, log, lost = log_det(x, t, logw, tails)
         else:
-            sign, log = map(np.concatenate, zip(*(log_det(xs, t, logw, tails)
-                                                  for xs in np.array_split(x, count))))
+            sign, log, lost = map(np.concatenate, zip(*(log_det(xs, t, logw, tails)
+                                                        for xs in np.array_split(x, count))))
         v = sign[1:] * sign[0] * np.exp(log[1:] - log[0])
         # an MGF is at most 1: round-off above it is noise, 1e-12 a failure
         if np.any(v > 1.0 + 1e-12):
             raise NumericFailure(f"Kronecker MGF {float(v.max())!r} exceeds 1")
+        if np.any(lost > _MAX_LOST_DIGITS):
+            raise NumericFailure(f"Kronecker column block loses {float(lost.max()):.1f} digits "
+                                 f"(bound {_MAX_LOST_DIGITS}): Sigma has a cluster of "
+                                 f"eigenvalues above its smallest one")
         return np.minimum(v, 1.0)
 
     return kernel
+
+
+def _lost_digits(cols: np.ndarray) -> np.ndarray:
+    """log10 of the 2-norm condition number of each square matrix of a
+    stack once its columns, then its rows, are scaled to unit norm: about
+    the digits that cancel in its determinant when columns are near-copies
+    of each other.  Scaling removes what costs no digits, the columns' sizes
+    and the rows' grading by the Poisson tails (eigenvalues close to the
+    smallest one)."""
+    with np.errstate(divide="ignore"):  # a singular block reads inf
+        unit = cols / np.linalg.norm(cols, axis=-2, keepdims=True)
+        return np.log10(np.linalg.cond(unit / np.linalg.norm(unit, axis=-1, keepdims=True)))
 
 
 def _log_density_ratio(mu: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -97,8 +97,8 @@ def _std_complex(rng: np.random.Generator, count: int, scales) -> list[np.ndarra
 
 
 def reduced_sides(scn: Scenario):
-    """(big, small) when channel_slice draws the reduced form, None
-    otherwise: with phi_s = I and n_s > m = min(n_t, n_r), `small` is the
+    """SlicePlan.sides: (big, small) when a slice is drawn reduced, else
+    None.  With phi_s = I and n_s > m = min(n_t, n_r), `small` is the
     m-dimensional end side folded into the bidiagonal factor
     (bidiagonal_slice; phi_t, or phi_r when n_r < n_t) and `big` the other
     end side, the one the reduction leaves unreduced."""
@@ -109,19 +109,19 @@ def reduced_sides(scn: Scenario):
 
 
 class SlicePlan:
-    """The per-scenario set-up of a Monte Carlo call's slices
-    (channel_slice, bidiagonal_slice, mc._frob_sq): the reduced draw's
-    scale, Gamma shapes, spike and tilt constants, and without double
-    scattering the eigenvalue products.  The call makes one and
-    passes it in place of its Scenario, so every slice reuses it; it is
-    dropped with the call.  tilt is bidiagonal_slice's; channel_slice takes
-    an untilted plan.  _product_slice still makes its scales per slice:
+    """How a Monte Carlo call draws its slices, decided once from its
+    Scenario, and all that channel_slice, bidiagonal_slice, mc._frob_sq and
+    mc._frob_moments read: sides (reduced_sides), the reduced draw's scale,
+    Gamma shapes, spike or chain constants and tilt (the unreduced side's
+    dimension, the power of det(W) mc_sep's SEP falls with), and without
+    double scattering the eigenvalue products.  A call makes one and drops
+    it with the call.  _product_slice still makes its scales per slice:
     held across slices, they made a 4096-trial draw of 4x10x4 with
     exponential sides about 15% slower on a 2-core Xeon, in user time, with
     no more page faults."""
 
-    def __init__(self, scn: Scenario, tilt: int = 0):
-        self.scn, self.tilt = scn, tilt
+    def __init__(self, scn: Scenario):
+        self.scn = scn
         if scn.no_double_scattering:
             # ||H||_F^2's exponential weights (mc._frob_sq)
             self.pairs = np.multiply.outer(scn.phi_t.spectrum.expand(),
@@ -133,6 +133,7 @@ class SlicePlan:
         self.g_scale = np.outer(np.sqrt(0.5 / scn.n_s * big.spectrum.expand()),
                                 np.ones(2 * small.dim))
         m = self.m = small.dim
+        tilt = self.tilt = big.dim
         spike = _spike(small.spectrum)
         shapes = np.concatenate([scn.n_s - np.arange(m), m - 1 - np.arange(m - 1) if spike else []])
         tilted = np.concatenate([np.maximum(shapes[:m] - tilt, 0.5), shapes[m:]])
@@ -148,26 +149,20 @@ class SlicePlan:
         else:
             self.spike_scale = np.array([spike[0]] + [spike[1]] * (2 * m - 2))[:, None]
 
-    @classmethod
-    def of(cls, scn, tilt: int = 0) -> "SlicePlan":
-        """scn itself when it is a plan, else a new plan of it."""
-        return scn if isinstance(scn, SlicePlan) else cls(scn, tilt)
 
-
-def channel_slice(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
+def channel_slice(plan: SlicePlan, rng: np.random.Generator, b: int) -> np.ndarray:
     """One slice of b channels D, unrotated, with the law of ||H||_F and of
     the eigenvalues of H H^H, all that the estimators read: _product_slice,
-    or with phi_s = I and n_s > m = min(n_t, n_r) the reduced form
-    D = (sqrt(big) o G) B / sqrt(n_s), (b, big.dim, m), (big, small) =
-    reduced_sides(scn).  One standard_normal call draws G i.i.d. CN(0, 1)
-    in _std_complex's layout, then bidiagonal_slice's untilted draw gives
-    B.  Write the factor next to small, H2 sqrt(t)^T (or H1^T sqrt(r)^T,
-    D^T then the product), as Q B V^H (Golub-Kahan): the other factor times
-    Q is i.i.d. and independent of B, and neither V nor a transpose changes
-    ||D||_F or the eigenvalues of D D^H.  B is never formed: column j of D
-    is G's column j times d_j plus its column j - 1 times f_(j-1).  scn may
-    be an untilted SlicePlan of the scenario."""
-    plan = SlicePlan.of(scn)
+    or when the plan reduces (phi_s = I and n_s > m = min(n_t, n_r)) the
+    reduced form D = (sqrt(big) o G) B / sqrt(n_s), (b, big.dim, m),
+    (big, small) = plan.sides.  One standard_normal call draws G i.i.d.
+    CN(0, 1) in _std_complex's layout, then bidiagonal_slice's untilted
+    draw gives B.  Write the factor next to small, H2 sqrt(t)^T (or
+    H1^T sqrt(r)^T, D^T then the product), as Q B V^H (Golub-Kahan): the
+    other factor times Q is i.i.d. and independent of B, and neither V nor a
+    transpose changes ||D||_F or the eigenvalues of D D^H.  B is never
+    formed: column j of D is G's column j times d_j plus its column j - 1
+    times f_(j-1)."""
     if plan.sides is None:
         return _product_slice(plan.scn, rng, b)
     g, = _std_complex(rng, b, [plan.g_scale])
@@ -255,11 +250,12 @@ def _golub_kahan(c: np.ndarray, gam: np.ndarray, z: np.ndarray):
     return d2, f2
 
 
-def bidiagonal_slice(scn: Scenario, rng: np.random.Generator, b: int, tilt: int = 0):
+def bidiagonal_slice(plan: SlicePlan, rng: np.random.Generator, b: int,
+                     tilted: bool = False):
     """(d2, f2, w) for one slice of b trials of an m x m upper-bidiagonal
     factor B, trials last: d2 (m, b) is its squared diagonal, f2 (m-1, b)
-    its squared superdiagonal.  With (big, small) = reduced_sides(scn) and
-    c small's spectrum, W = B^H B has the eigenvalue law of the Gram of
+    its squared superdiagonal.  With (big, small) = plan.sides and c
+    small's spectrum, W = B^H B has the eigenvalue law of the Gram of
     Z diag(sqrt(c)), Z n_s x m i.i.d. CN(0, 1), so D has the law of
     (sqrt(big) o G) B / sqrt(n_s) up to unitary factors, G i.i.d.
     (channel_slice).  When small's spectrum has at most one eigenvalue l
@@ -270,26 +266,26 @@ def bidiagonal_slice(scn: Scenario, rng: np.random.Generator, b: int, tilt: int 
     Golub-Kahan chain (_golub_kahan).  A slice makes the chain's one
     standard_normal call, (entry, trial) order, then one standard_gamma call
     of the (i, trial) shapes, the diagonal's first.  Both draws take the
-    diagonal shapes Gamma(n_s - i), i = 0..m-1, so det W = prod d2.  With
-    tilt = 0, w is None (every weight 1).  With tilt = k > 0, trials whose
-    index in the slice is a multiple of TILT_EVERY draw the diagonal from
-    Gamma(max(n_s - i - k, 1/2)), and w is each trial's likelihood ratio p/q
-    of the untilted law p to the slice's mixture q = (1 - a) p + a p_tilt, a
-    the slice's tilted share, so that E[w f(W)] = E f(W) for any f, with
-    w <= 1/(1 - a): a function growing like det(W)^(-k) near singular W has
-    most of its mean where the tilted law puts its mass.  scn may be a
-    SlicePlan of the scenario, whose tilt then applies."""
-    plan = SlicePlan.of(scn, tilt)
+    diagonal shapes Gamma(n_s - i), i = 0..m-1, so det W = prod d2.  Untilted,
+    w is None (every weight 1).  Tilted (mc_sep alone), trials whose index in
+    the slice is a multiple of TILT_EVERY draw the diagonal from
+    Gamma(max(n_s - i - plan.tilt, 1/2)), and w is each trial's likelihood
+    ratio p/q of the untilted law p to the slice's mixture
+    q = (1 - a) p + a p_tilt, a the slice's tilted share, so that
+    E[w f(W)] = E f(W) for any f, with w <= 1/(1 - a): a function growing
+    like det(W)^(-tilt) near singular W has most of its mean where the
+    tilted law puts its mass."""
     m = plan.m
     if plan.chain:
         z = math.sqrt(0.5) * rng.standard_normal((m * (m - 1) // 2, 2 * b)).view(complex)
-    hit = np.resize(plan.hit, b)  # a multiple of TILT_EVERY long, so it repeats whole
-    gam = rng.standard_gamma(np.where(hit, plan.tilted[:, None], plan.shapes[:, None]))
     w = None
-    if plan.tilt:
-        ratio = np.exp(plan.log_ratio + plan.dshape @ np.log(gam))
+    if tilted:
+        hit = np.resize(plan.hit, b)  # a multiple of TILT_EVERY long, so it repeats whole
+        gam = rng.standard_gamma(np.where(hit, plan.tilted[:, None], plan.shapes[:, None]))
         a = hit.mean()
-        w = 1.0 / ((1.0 - a) + a * ratio)
+        w = 1.0 / ((1.0 - a) + a * np.exp(plan.log_ratio + plan.dshape @ np.log(gam)))
+    else:
+        gam = rng.standard_gamma(plan.shapes[:, None], (plan.shapes.size, b))
     if plan.chain:
         return (*_golub_kahan(plan.c, gam, z), w)
     gam *= plan.spike_scale

@@ -6,7 +6,10 @@ SEP integral, the instantaneous capacity), which collapses the variance by
 orders of magnitude relative to symbol-level simulation and makes tight
 3-sigma cross-checks against the closed forms affordable.  Each reads H only
 through ||H||_F^2 or det(I + c H H^H), so it takes the unrotated draw in the
-sides' eigenbases (matstat.channel_slice).
+sides' eigenbases (matstat.channel_slice).  Each estimator builds one
+matstat.SlicePlan of its scenario and branches on it; the plan alone
+decides how a slice is drawn (reduced or not, spiked or chain), and the
+slice functions take nothing else.
 
 With uncorrelated scatterers and n_s > m = min(n_t, n_r), the slice is
 drawn in reduced form, D = (sqrt(rho) o G) B / sqrt(n_s): G i.i.d., then B
@@ -18,12 +21,13 @@ condition on less, drawing B alone and integrating G exactly.  With
 trial is (1/pi) int prod_k det(I + x rho_k W/n_s)^(-mu_k) dtheta at
 x = snr g/(n_t rate sin^2 theta), and a kurtosis trial adds the exact
 E[||H||^2 | B] and E[||H||^4 | B].  That SEP grows like det(W)^(-n) as W
-nears singular (n the unreduced side's dimension), so mc_sep draws every
-8th trial's diagonal from the tilted Gamma(n_s - i - n) and weights each
-trial by its likelihood ratio; without it the per-trial values are
-heavy-tailed at high SNR and the batch-means error understates the spread
-between seeds.  Every theta stage, conditioned on B or not, takes the
-closed forms' folded angular rule (sep.theta_rule).
+nears singular (n the unreduced side's dimension, the plan's tilt), so
+mc_sep alone asks for the tilted draw: every 8th trial's diagonal from
+Gamma(n_s - i - n), each trial weighted by its likelihood ratio; without
+it the per-trial values are heavy-tailed at high SNR and the batch-means
+error understates the spread between seeds.  Every theta stage,
+conditioned on B or not, takes the closed forms' folded angular rule
+(sep.theta_rule).
 
 Reproducibility contract: estimates depend only on (trials, seed).  Trials
 are processed in fixed-size blocks of 2^16; block b draws from the SFC64
@@ -67,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matstat import SLICE, Scenario, SlicePlan, bidiagonal_slice, channel_slice, reduced_sides
+from .matstat import SLICE, Scenario, SlicePlan, bidiagonal_slice, channel_slice
 from .sep import (PskConstellation, conditional_sep_mpsk, conditional_sep_polynomial,
                   ostbc_snr_scale)
 
@@ -182,12 +186,10 @@ def _mean_estimates(cfg: MonteCarloConfig, per_slice, points: int) -> list[Estim
     return out
 
 
-def _frob_sq(scn: Scenario, rng: np.random.Generator, b: int) -> np.ndarray:
+def _frob_sq(plan: SlicePlan, rng: np.random.Generator, b: int) -> np.ndarray:
     """||H||_F^2 of one slice of b trials: without double scattering a
     weighted sum of exponentials over transmit/receive eigenvalue pairs,
-    otherwise ||D||_F^2 of matstat.channel_slice.  scn may be an untilted
-    matstat.SlicePlan of the scenario."""
-    plan = SlicePlan.of(scn)
+    otherwise ||D||_F^2 of matstat.channel_slice."""
     if plan.scn.no_double_scattering:
         return rng.standard_exponential((b, plan.pairs.size)) @ plan.pairs
     d = channel_slice(plan, rng, b).view(float)
@@ -291,22 +293,20 @@ def _fold(e: np.ndarray, factors) -> np.ndarray:
     return out
 
 
-def _bidiagonal_sep(scn: Scenario, psk: PskConstellation, scales: list[float]):
-    """per_slice for mc_sep with the reduced draw (matstat.reduced_sides),
-    yielding one array per SNR scale:
+def _bidiagonal_sep(plan: SlicePlan, psk: PskConstellation, scales: list[float]):
+    """per_slice for mc_sep when the plan reduces, yielding one array per
+    SNR scale:
     with D = (sqrt(rho) o G) B / sqrt(n_s) and G i.i.d., the SNR MGF given B
     is prod_k det(I + x rho_k W/n_s)^(-mu_k), W = B^H B and (rho_k, mu_k)
     the distinct eigenvalues of the unreduced side, so each trial's value is
     the SEP integral of that product (sep.conditional_sep_polynomial) over
     the bidiagonal draw of W (matstat.bidiagonal_slice), times the trial's
-    weight under the draw tilted by that side's dimension, the power of
-    det(W) the SEP falls with at high SNR."""
-    big = reduced_sides(scn)[0]
-    factors = [(rho / scn.n_s, mu) for rho, mu in big.spectrum.distinct]
-    plan = SlicePlan(scn, tilt=big.dim)
+    weight under the tilted draw (plan.tilt, that side's dimension, the
+    power of det(W) the SEP falls with at high SNR)."""
+    factors = [(rho / plan.scn.n_s, mu) for rho, mu in plan.sides[0].spectrum.distinct]
 
     def per_slice(rng, b):
-        d2, f2, w = bidiagonal_slice(plan, rng, b)
+        d2, f2, w = bidiagonal_slice(plan, rng, b, tilted=True)
         coef = _fold(_path_coefficients(d2, f2), factors)
         for scale in scales:
             yield w * conditional_sep_polynomial(coef, psk, scale)
@@ -323,11 +323,10 @@ def mc_sep(scn: Scenario, psk: PskConstellation, snr, cfg: MonteCarloConfig):
     of Estimates on common draws, each equal to the float call's."""
     grid = _snr_grid(snr)
     scales = [s * ostbc_snr_scale(scn) for s in grid]
-    if reduced_sides(scn) is not None:
-        per_slice = _bidiagonal_sep(scn, psk, scales)
+    plan = SlicePlan(scn)
+    if plan.sides is not None:
+        per_slice = _bidiagonal_sep(plan, psk, scales)
     else:
-        plan = SlicePlan(scn)
-
         def per_slice(rng, b):
             x = _frob_sq(plan, rng, b)
             for scale in scales:
@@ -342,7 +341,7 @@ def _frob_moments(plan: SlicePlan, rng: np.random.Generator, b: int):
     (matstat.bidiagonal_slice): with W = B^H B and Phi the unreduced side,
     E[X|B] = tr Phi tr W/n_s and E[X^2|B] = ((tr Phi)^2 (tr W)^2
     + tr Phi^2 tr W^2)/n_s^2, W tridiagonal with W_ii = d_i^2 + f_(i-1)^2
-    and |W_i,i+1|^2 = d_i^2 f_i^2; plan is an untilted matstat.SlicePlan."""
+    and |W_i,i+1|^2 = d_i^2 f_i^2."""
     if plan.sides is None:
         x = _frob_sq(plan, rng, b)
         return x, x * x

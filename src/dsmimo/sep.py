@@ -294,8 +294,9 @@ def _closed_form_family(scn: Scenario):
     """The family function of the first row covering scn, or None.  Unless all
     sides are I, MISO goes before Kronecker: the MISO density adds only
     nonnegative terms, while the Kronecker determinant still loses digits to a
-    tight cluster of Sigma eigenvalues above the smallest one.  A wrapper on a
-    family's module attribute is called."""
+    tight cluster of Sigma eigenvalues above the smallest one (and raises
+    when it loses too many).  A wrapper on a family's module attribute is
+    called."""
     if scn.no_double_scattering:
         return sep_mpsk_no_double_scattering
     uncorrelated = scn.phi_t.is_identity and scn.phi_s.is_identity and scn.phi_r.is_identity
@@ -309,7 +310,8 @@ def _closed_form_family(scn: Scenario):
 def sep_mpsk(scn: Scenario, psk: PskConstellation, snr: float) -> float:
     """Closed-form SEP dispatcher: the first applicable row's formula.
     Raises UnsupportedScenarioError when no closed form exists and
-    NumericFailure when the formula's value leaves [0, (M-1)/M]."""
+    NumericFailure when the formula's value leaves [0, (M-1)/M] or its
+    kernel lost its accuracy."""
     return _applicable(_closed_form_family, scn)(scn, psk, snr)
 
 

@@ -98,7 +98,8 @@ def oracle_miso_mgf(a, b, xi):
     Nothing cancels, so the density and the product are summed in double
     precision (about 1e-14 relative; a thousand factors cost one numpy call
     per node), and QUADPACK integrates them adaptively to 1e-13 relative
-    between the knees of the product and of the density.  V beyond
+    between the knees of the product and of the density, on pieces a factor
+    of 4 long from the product's knee on, so it converges at any xi.  V beyond
     max(a)(d + 12 sqrt(d) + 100), where less than 1e-40 of its mass lies,
     is left out."""
     b = np.asarray(b, dtype=float)
@@ -120,7 +121,10 @@ def oracle_miso_mgf(a, b, xi):
                         - float(np.log1p(xi * v * b).sum())) * float(pois @ g)
 
     knee = 1.0 / (xi * float(b.sum()))
-    pts = sorted({0.0, v_end, *(knee * 4.0 ** i for i in range(-3, 6)),
+    # past the knee the product falls like a power of v: one piece per
+    # factor of 4 up to v_end, as one piece over many decades does not converge
+    past = max(6, math.ceil(math.log(v_end / knee, 4.0)) + 1)
+    pts = sorted({0.0, v_end, *(knee * 4.0 ** i for i in range(-3, past)),
                   *(s / float(lam.min()) for s in (1, 8, 40))})
     pts = [p for p in pts if p <= v_end]
     return sum(integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]

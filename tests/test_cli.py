@@ -179,7 +179,50 @@ class TestSepCurve:
                      "--out", out]) == EXIT_OK
         rows = read_rows(out)
         assert all(0 < float(r[1]) < 1e-12 for r in rows[1:])
-        assert all(r[5] == "below numeric floor" for r in rows[1:])
+        # 1000 unconditioned trials miss the rare fades that make this SEP
+        # (Monte Carlo reads about 1e-304 +- 0), so both reasons apply
+        assert all(r[5] == "below numeric floor; closed form and Monte Carlo disagree"
+                   for r in rows[1:])
+
+    def test_disagreement_flagged(self, tmp_path, monkeypatch):
+        # validate's rule, max(3 se, 5% of the closed form): the true closed
+        # form agrees on every row, 1.5 times it or 1e-13 does not, and a
+        # value below the numeric floor carries both reasons
+        cfgp, out = write(tmp_path, BASE), str(tmp_path / "c.csv")
+        true = dsmimo.sep.sep_mpsk
+        flags = {}
+        for name, scale in (("true", 1.0), ("wrong", 1.5), ("tiny", None)):
+            monkeypatch.setattr(dsmimo.sep, "sep_mpsk", lambda scn, psk, snr, s=scale:
+                                1e-13 if s is None else s * true(scn, psk, snr))
+            assert main(["sep-curve", "--config", cfgp, "--out", out]) == EXIT_OK
+            flags[name] = {r[5] for r in read_rows(out)[1:]}
+        assert flags == {"true": {""}, "wrong": {"closed form and Monte Carlo disagree"},
+                         "tiny": {"below numeric floor; closed form and Monte Carlo disagree"}}
+
+    def test_disagreement_follows_validate_tolerance(self, tmp_path, monkeypatch):
+        # 1.01 times the closed form is within the default 5%, not within 0.1%
+        true = dsmimo.sep.sep_mpsk
+        monkeypatch.setattr(dsmimo.sep, "sep_mpsk",
+                            lambda scn, psk, snr: 1.01 * true(scn, psk, snr))
+        out = str(tmp_path / "c.csv")
+        for extra, flag in (("", ""), ("validate.rel_tol = 0.001\nvalidate.sigma = 0\n",
+                                       "closed form and Monte Carlo disagree")):
+            assert main(["sep-curve", "--config", write(tmp_path, BASE + extra),
+                         "--out", out]) == EXIT_OK
+            assert {r[5] for r in read_rows(out)[1:]} == {flag}
+
+    def test_clustered_kronecker_row_exits_4_without_csv(self, tmp_path, capsys):
+        # ROADMAP item 1's config: the tridiagonal scatterer side's cluster
+        # cost the Kronecker row its digits (0.199 against Monte Carlo 0.335
+        # at -10 dB); now a numeric failure, found before any Monte Carlo
+        cfg = ("scenario.n_t = 4\nscenario.n_s = 24\nscenario.n_r = 24\n"
+               "corr.sc.model = tridiagonal\ncorr.sc.rho = 0.45\ncode = g4\npsk.m = 8\n"
+               "snr.start_db = -10\nsnr.stop_db = 10\nsnr.step_db = 5\nmc.seed = 1\n")
+        out = tmp_path / "c.csv"
+        assert main(["sep-curve", "--config", write(tmp_path, cfg), "--out", str(out),
+                     "--trials", "1024"]) == EXIT_NUMERIC
+        assert "digits" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

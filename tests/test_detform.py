@@ -289,19 +289,43 @@ class TestExpectedInvDetKron:
         with pytest.raises(NumericFailure, match="exceeds 1"):
             expected_inv_det_kron(4, 6, sigma, far, np.array([1e-3, 1e-9]))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
-    def test_cluster_above_the_smallest_eigenvalue(self):
-        # the known defect: a cluster of Sigma eigenvalues that does not hold
-        # the smallest one makes near-copies of columns, whose determinant
-        # cancels, and the value stays in range.  With A = (1) and n = 9 the
-        # MISO row (n_r = 1, Psi = I_9) is exact for any eigenvalue pattern;
-        # the Kronecker row is 1.0e-2 off it here, and 1.5 off with a cluster
-        # spacing of 1e-7
-        sigma = spec_of([1.4, 0.95 + 2e-6, 0.95 + 1e-6, 0.95, 0.9, 0.6])
+    @staticmethod
+    def kron_or_raise(sigma):
+        """The Kronecker row at m = 6, n = 9, A = (1) over xi = 1e-2 .. 1e4
+        against the MISO row (n_r = 1, Psi = I_9), exact for any eigenvalue
+        pattern: True when it matches to 1e-10, False when it raises
+        NumericFailure."""
         xi = np.logspace(-2, 4, 25)
-        kron = expected_inv_det_kron(6, 9, sigma, spec_of([1.0]), xi)
         miso = expected_inv_det_miso(sigma, spec_of([1.0], [9]), xi)
+        try:
+            kron = expected_inv_det_kron(6, 9, sigma, spec_of([1.0]), xi)
+        except NumericFailure as e:
+            assert "digits" in str(e)
+            return False
         assert np.all(np.abs(kron - miso) <= 1e-10 * miso)
+        return True
+
+    def test_cluster_above_the_smallest_eigenvalue(self):
+        # a cluster of Sigma eigenvalues that does not hold the smallest one
+        # makes near-copies of columns, whose determinant cancels while the
+        # value stays in range: 1.0e-2 off here before the lost-digit guard
+        sigma = spec_of([1.4, 0.95 + 2e-6, 0.95 + 1e-6, 0.95, 0.9, 0.6])
+        assert not self.kron_or_raise(sigma)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_clustered_spectra_match_or_raise(self, k):
+        # ROADMAP item 1's table: Sigma = (1.4, k values 0.95 + j delta, the
+        # rest down to 0.6).  Unguarded, the row was off by more than 1e-9 at
+        # delta <= 1e-5 (k = 2) and delta <= 1e-3 (k >= 3), which must raise,
+        # and by 3e-12 at k = 2, delta = 1e-2, which must return
+        rest = np.linspace(0.9, 0.6, 5 - k) if k < 4 else [0.6] * (5 - k)
+        for delta in 10.0 ** -np.arange(2, 8):
+            sigma = spec_of([1.4, *(0.95 + j * delta for j in range(k - 1, -1, -1)), *rest])
+            kept = self.kron_or_raise(sigma)
+            if delta <= (1e-5 if k == 2 else 1e-3):
+                assert not kept, delta
+            elif k == 2 and delta == 1e-2:
+                assert kept
 
 
 class TestExpectedInvDetUncorr:

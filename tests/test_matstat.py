@@ -9,9 +9,9 @@ import dsmimo.matstat as matstat
 from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                             exponential_corr, identity_corr, matrix_sqrt, spectrum_of)
-from dsmimo.matstat import (SLICE, Scenario, bidiagonal_slice, channel_slice,
+from dsmimo.matstat import (SLICE, Scenario, SlicePlan, bidiagonal_slice, channel_slice,
                             double_product_moments, frobenius_moments,
-                            kurtosis_frobenius, reduced_sides, sample_channel)
+                            kurtosis_frobenius, sample_channel)
 from dsmimo.mc import substream
 
 from conftest import cgauss, random_correlation
@@ -196,13 +196,14 @@ class TestSampleChannel:
         n_t, n_s, n_r = dims
         scn = Scenario(n_t, n_s, n_r, constant_corr(n_t, 0.45), identity_corr(n_s),
                        exponential_corr(n_r, 0.6))
-        big, small = reduced_sides(scn)
+        plan = SlicePlan(scn)
+        big, small = plan.sides
         m, size = small.dim, SLICE + 7
-        got = channel_slice(scn, substream(9, 4), size)
+        got = channel_slice(plan, substream(9, 4), size)
         rng = substream(9, 4)
         x = rng.standard_normal((size, big.dim, m, 2))
         g = (x[..., 0] + 1j * x[..., 1]) * np.sqrt(0.5 / n_s * big.spectrum.expand())[:, None]
-        d2, f2, _ = bidiagonal_slice(scn, rng, size)
+        d2, f2, _ = bidiagonal_slice(plan, rng, size)
         bd = np.zeros((size, m, m))
         bd[:, np.arange(m), np.arange(m)] = np.sqrt(d2).T
         bd[:, np.arange(m - 1), np.arange(1, m)] = np.sqrt(f2).T
@@ -262,8 +263,8 @@ class TestSampleChannel:
                 "exponential 0.5": lambda n: exponential_corr(n, 0.5)}
         n = 1 << 15
         scn = Scenario(n_t, n_s, n_r, corr[tx](n_t), identity_corr(n_s), corr[rx](n_r))
-        rng = substream(21, 0)
-        reduced = np.concatenate([channel_slice(scn, rng, min(SLICE, n - lo))
+        rng, plan = substream(21, 0), SlicePlan(scn)
+        reduced = np.concatenate([channel_slice(plan, rng, min(SLICE, n - lo))
                                   for lo in range(0, n, SLICE)])
         rng = np.random.default_rng(22)
         r = np.sqrt(scn.phi_r.spectrum.expand())[:, None]

@@ -17,7 +17,7 @@ from dsmimo.cli import EXIT_OK, main
 from dsmimo.codes import g4, ostbc_rate
 from dsmimo.corrmat import (constant_corr, exponential_corr, identity_corr, matrix_sqrt,
                             tridiagonal_corr)
-from dsmimo.matstat import (SLICE, TILT_EVERY, Scenario, bidiagonal_slice,
+from dsmimo.matstat import (SLICE, TILT_EVERY, Scenario, SlicePlan, bidiagonal_slice,
                             double_product_moments, frobenius_moments, kurtosis_frobenius,
                             sample_channel)
 from dsmimo.mc import (BLOCK_SIZE, Estimate, MonteCarloConfig, fit_diversity_slope,
@@ -330,10 +330,11 @@ class TestMcSep:
         assert est.std_error >= 0
 
 
-def bidiagonal_slices(scn, rng, size, tilt=0):
+def bidiagonal_slices(scn, rng, size, tilted=False):
     """(d2, f2, w) for each slice of a size-trial block, drawn in the order
-    in which mc._accumulate walks it."""
-    return [bidiagonal_slice(scn, rng, min(SLICE, size - lo), tilt)
+    in which mc._accumulate walks it, from one plan of the scenario."""
+    plan = SlicePlan(scn)
+    return [bidiagonal_slice(plan, rng, min(SLICE, size - lo), tilted)
             for lo in range(0, size, SLICE)]
 
 
@@ -514,24 +515,30 @@ class TestBidiagonalLaw:
 
 
 class TestTiltedBartlettDraw:
-    """bidiagonal_slice with tilt > 0: every TILT_EVERY-th trial takes
-    Gamma(n_s - i - tilt) on the diagonal, and w reweights to the untilted
-    law."""
+    """bidiagonal_slice tilted: every TILT_EVERY-th trial takes
+    Gamma(n_s - i - tilt) on the diagonal, tilt = 4 the README plan's, and
+    w reweights to the untilted law."""
 
     SCN = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
                    constant_corr(4, 0.5))
 
-    def draws(self, tilt, size=1 << 16, seed=3):
-        return bidiagonal_slices(self.SCN, substream(seed, 0), size, tilt=tilt)
+    def draws(self, tilted, size=1 << 16, seed=3):
+        return bidiagonal_slices(self.SCN, substream(seed, 0), size, tilted=tilted)
+
+    def test_plan_derives_the_tilt(self):
+        # the unreduced side's dimension: n_r for README, n_t when n_r < n_t
+        assert SlicePlan(self.SCN).tilt == 4
+        assert SlicePlan(Scenario.uncorrelated(4, 10, 2)).tilt == 4
+        assert SlicePlan(Scenario.uncorrelated(1, 6, 1)).tilt == 1
 
     def test_untilted_draw_has_no_weights(self):
-        assert all(w is None for *_, w in self.draws(0, size=5000))
+        assert all(w is None for *_, w in self.draws(False, size=5000))
 
     def test_weights_reproduce_untilted_moments(self):
         # E[w] = 1 and E[w det W] = prod_i c_i (n_s - i), c the transmit
         # spectrum and det W = prod d2, within 4 standard errors; weights
         # stay below 1/(1 - 1/8)
-        draws = self.draws(4)
+        draws = self.draws(True)
         w = np.concatenate([w for *_, w in draws])
         det = np.concatenate([np.prod(d2, axis=0) for d2, _, _ in draws])
         assert np.all((w >= 0) & (w <= 8 / 7 + 1e-12))
@@ -542,13 +549,43 @@ class TestTiltedBartlettDraw:
     def test_tilted_trials_draw_the_tilted_shapes(self):
         # the tilted trials' mean diagonal gamma is n_s - i - tilt (floored
         # at 1/2), the others' n_s - i
-        (d2, f2, w), = self.draws(4, size=4096)
+        (d2, f2, w), = self.draws(True, size=4096)
         g = d2.T / self.SCN.phi_t.spectrum.expand()
         hit = np.arange(len(g)) % TILT_EVERY == 0
         shapes = 10.0 - np.arange(4)
         for rows, expect in ((hit, np.maximum(shapes - 4, 0.5)), (~hit, shapes)):
             se = np.sqrt(expect / rows.sum())
             assert np.all(np.abs(g[rows].mean(axis=0) - expect) <= 4 * se)
+
+
+@pytest.mark.parametrize("tx", [constant_corr(4, 0.5), exponential_corr(4, 0.5)],
+                         ids=["spiked", "chain"])
+def test_slices_take_the_untilted_bidiagonal_draw(tx):
+    # channel_slice and _frob_moments read B from bidiagonal_slice's
+    # untilted draw: the same variates, the stream left where that draw
+    # (after G's 2 n_r n_t normals a trial, for channel_slice) leaves it
+    scn = Scenario(4, 10, 4, tx, identity_corr(10), constant_corr(4, 0.5))
+    plan, b = SlicePlan(scn), 1000
+
+    def reference(skip):
+        rng = substream(4, 0)
+        rng.standard_normal(skip)
+        return (*bidiagonal_slice(plan, rng, b), rng.standard_normal(4))
+
+    d2, f2, w, after = reference(0)
+    assert w is None
+    rng = substream(4, 0)
+    m1, m2 = mc_mod._frob_moments(plan, rng, b)
+    assert np.array_equal(rng.standard_normal(4), after)
+    # E[X|B] and E[X^2|B] from tr W and tr W^2 of W = B^H B
+    phi = plan.sides[0].spectrum
+    w_ii = d2 + np.vstack([np.zeros(b), f2])
+    tr_w, tr_w2 = w_ii.sum(axis=0), (w_ii ** 2).sum(axis=0) + 2 * (d2[:-1] * f2).sum(axis=0)
+    assert m1 == pytest.approx(phi.trace_power(1) / 10 * tr_w, rel=1e-13)
+    assert m2 == pytest.approx(m1 ** 2 + phi.trace_power(2) / 100 * tr_w2, rel=1e-13)
+    rng = substream(4, 0)
+    matstat.channel_slice(plan, rng, b)
+    assert np.array_equal(rng.standard_normal(4), reference(2 * 4 * 4 * b)[-1])
 
 
 class TestConditionalCalibration:
@@ -626,7 +663,7 @@ class TestMcKurtosisEff:
     def test_degenerate_flagged(self, monkeypatch):
         # constant ||H||^2 draws give kurtosis exactly 1: dB figure undefined
         monkeypatch.setattr(mc_mod, "_frob_sq",
-                            lambda scn, rng, n: np.ones(n))
+                            lambda plan, rng, n: np.ones(n))
         kurt, eff = mc_kurtosis_eff(Scenario.uncorrelated(1, 1, 1),
                                     MonteCarloConfig(trials=20_000, seed=1))
         assert kurt.value == pytest.approx(1.0)
@@ -837,13 +874,13 @@ def test_capacity_near_float_max_is_finite(scn, mode):
     assert mc_capacity(scn, grid, mode, cfg) == scalar
     snr = grid[-1]
     if mode == "general":
-        d = matstat.channel_slice(scn, substream(6, 0), 1024)
+        d = matstat.channel_slice(SlicePlan(scn), substream(6, 0), 1024)
         dh = d.conj().transpose(0, 2, 1)
         gram = dh @ d if d.shape[1] >= d.shape[2] else d @ dh
         ref = (gram.shape[1] * math.log2(snr / scn.n_t)
                + np.linalg.slogdet(gram)[1] / math.log(2.0))
     else:
-        x = mc_mod._frob_sq(scn, substream(6, 0), 1024)
+        x = mc_mod._frob_sq(SlicePlan(scn), substream(6, 0), 1024)
         ref = float(scn.rate) * (math.log2(snr * sep_mod.ostbc_snr_scale(scn)) + np.log2(x))
     assert scalar[-1].value == pytest.approx(ref.mean(), rel=1e-12)
 
@@ -911,8 +948,8 @@ def test_rate_formula_examples():
 def _frob_sq_draws(scn, seed, size):
     """||H||_F^2 of `size` trials from block stream 0, drawn slice by slice as
     mc._accumulate walks a block."""
-    rng = substream(seed, 0)
-    return np.concatenate([mc_mod._frob_sq(scn, rng, min(SLICE, size - lo))
+    rng, plan = substream(seed, 0), SlicePlan(scn)
+    return np.concatenate([mc_mod._frob_sq(plan, rng, min(SLICE, size - lo))
                            for lo in range(0, size, SLICE)])
 
 

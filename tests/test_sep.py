@@ -19,7 +19,7 @@ from dsmimo.codes import alamouti, g4
 from dsmimo.corrmat import (Spectrum, constant_corr, exponential_corr, identity_corr,
                             tridiagonal_corr)
 from dsmimo.detform import NumericFailure, expected_inv_det_miso
-from dsmimo.matstat import SLICE, Scenario, bidiagonal_slice, reduced_sides
+from dsmimo.matstat import SLICE, Scenario, SlicePlan, bidiagonal_slice
 from dsmimo.mc import MonteCarloConfig, fit_diversity_slope, mc_sep, substream
 from dsmimo.quadrule import gauss_legendre
 from dsmimo.sep import (PskConstellation, UnsupportedScenarioError,
@@ -150,8 +150,8 @@ class TestThetaIntegral:
                        constant_corr(4, 0.5), g4(), no_double_scattering=True)
         psk, snr = PskConstellation(8), db(12.0)
         est = mc_sep(scn, psk, snr, MonteCarloConfig(trials, seed=9))
-        rng = substream(9, 0)
-        x = np.concatenate([mc_mod._frob_sq(scn, rng, min(SLICE, trials - lo))
+        rng, plan = substream(9, 0), SlicePlan(scn)
+        x = np.concatenate([mc_mod._frob_sq(plan, rng, min(SLICE, trials - lo))
                             for lo in range(0, trials, SLICE)])
         ref = conditional_sep_mpsk(snr * ostbc_snr_scale(scn) * x, psk).mean()
         assert est.value == pytest.approx(ref, rel=1e-13, abs=0)
@@ -185,8 +185,9 @@ class TestThetaIntegral:
         # whole arc were 3.8e-6 off at worst (64-PSK, -30 dB, diversity 16)
         scn = Scenario(4, 10, 4, constant_corr(4, 0.5), identity_corr(10),
                        constant_corr(4, 0.5), g4())
-        big = reduced_sides(scn)[0]
-        d2, f2, _ = bidiagonal_slice(scn, substream(3, 0), 512, tilt=big.dim)
+        plan = SlicePlan(scn)
+        big = plan.sides[0]
+        d2, f2, _ = bidiagonal_slice(plan, substream(3, 0), 512, tilted=True)
         coef = mc_mod._fold(mc_mod._path_coefficients(d2, f2),
                             [(rho / scn.n_s, mu) for rho, mu in big.spectrum.distinct])
         gammas = [np.random.default_rng(k).standard_gamma(k, 512) / k for k in (1, 16)]
@@ -442,9 +443,8 @@ class TestMiso:
         with pytest.raises(ValueError):
             sep_mpsk_miso(scn, PskConstellation(4), 10.0)
 
-    # QUADPACK reports round-off at the two nodes nearest theta = 0, whose
-    # terms are below 1e-25 of the sum
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    # the oracle converges at every node, the two nearest theta = 0 included
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     def test_angular_sum_matches_miso_oracle(self):
         # 4x10x1, exponential rho=0.5 on transmit and scatterer sides, whose
         # partial fractions sum to |X| = 4096: the SEP is theta_rule's sum
