@@ -2,7 +2,7 @@
 
 Everything here reduces to two ingredients:
 
-* one Gamma-lattice rule (`_gamma_lattice`, `_product_mean`): a fixed-cost
+* one Gamma-lattice rule (`_Lattice`, `_product_mean`): a fixed-cost
   trapezoid rule in s = ln t for the expectation over t ~ Gamma(nw) of a
   product of factors (1 + x c_k t)^(-m_k).  It gives the MISO expectation
   and the measures whose orthonormal polynomials (`_lanczos`) carry the
@@ -21,16 +21,16 @@ than round-off, Kronecker column blocks that lose more than
 _MAX_LOST_DIGITS digits, and lattice floors that overflow, raise
 NumericFailure.
 
-A lattice of one (nw, deg) is a prefix of one node sequence: xi moves only
-its floor, hence its node count.  So the lattice itself is kept and sliced
-(`_LATTICES`), and the work that depends on a side and the nodes alone (the
-smaller MISO side's density, the Kronecker row's Poisson tails) is done once
-per side and reused at every SNR point (`_NodeCache`).  Each evaluator is
-split the same way: a kernel made once per side (`_kron_kernel`,
-`_miso_kernel`) holds every array that depends on the side alone, and an
-SNR point runs only its xi-dependent part.  Every cache is an LRU of the
-_CACHE_SIDES most recently used keys (`_SideCache`), keyed by exact values,
-holding no MGF value; a warm call returns bit for bit what a cold one does.
+Each evaluator is split in two.  A kernel made once per side that is
+costly to prepare (`_kron_kernel` per Sigma, `_miso_kernel` per smaller
+side) holds every array of that side and its own lattice (`_Lattice`), and
+a call runs only the part that depends on xi and the other side.  xi moves
+only a lattice's floor, hence its node count, so the lattice keeps the
+longest node prefix asked for with the side's per-node values on it (the
+MISO density, the Kronecker row's Poisson tails), and a later call makes
+only the nodes past it.  The kernels are functools.lru_caches of the
+_CACHE_SIDES most recently used sides, keyed by exact values, and hold no
+MGF value: a warm call returns bit for bit what a cold one does.
 
 The Kronecker row keeps every digit for eigenvalues of Sigma close to its
 smallest one, but not for a cluster above it, whose columns nearly coincide:
@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +52,8 @@ from .corrmat import Spectrum
 _LOG_TAIL = math.log(1e-18)
 #: elements per lattice block (512 KiB of doubles)
 _BATCH = 1 << 16
-#: sides (keys) that each per-side cache (`_SideCache`) keeps
+#: sides that each kernel's lru_cache keeps (`_kron_kernel`, `_miso_kernel`,
+#: `sep._rich_kernel`)
 _CACHE_SIDES = 16
 #: most digits the Kronecker row's column block may lose (`_lost_digits`).
 #: On ROADMAP item 1's clustered spectra (m = 6, n = 9) the MGF was off by
@@ -71,122 +71,58 @@ class NumericFailure(ValueError):
 # Gamma lattice
 # ---------------------------------------------------------------------------
 
-class _SideCache:
-    """Values of one side kept across calls for the _CACHE_SIDES most
-    recently used sides, keyed by exact values (a last-bit difference is
-    another side).  Only values that depend on the side are stored, never an
-    MGF or a SEP.  One lock serialises the calls of concurrent threads."""
+class _Lattice:
+    """The Gamma(nw) lattice of one side, with fn's values on its nodes: the
+    trapezoid rule in s = ln t for E f(t), t ~ Gamma(nw), geometrically
+    convergent for f analytic near the real s axis and growing at most like
+    t^deg.  With top = nw + deg it steps h = min(0.2, 0.5/sqrt(top)) from
+    s_hi = ln(top + 12 sqrt(top) + 40) down to a floor (`nodes`).  The floor
+    moves only the node count, and node i is made from s_i = s_hi - h i
+    alone, so every lattice of the side is a prefix of one node sequence.
+    The longest prefix asked for is kept with fn's values on it (fn maps
+    nodes to an array with one entry per node on its last axis, each from
+    its node alone), and a call makes only the nodes past it: bit for bit
+    what a cold call makes.  Without fn there are no values."""
 
-    def __init__(self):
-        self._rows: OrderedDict = OrderedDict()
+    def __init__(self, nw: int, deg: int, fn=None):
+        top = nw + deg
+        self.nw, self.lg = nw, math.lgamma(nw)
+        self.h = min(0.2, 0.5 / math.sqrt(top))
+        self.s_hi = math.log(top + 12.0 * math.sqrt(top) + 40.0)
+        self._fn = fn
+        self._t = self._logw = self._values = None
+        # one lock per side: a call growing this side blocks no other side
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def update(self, key, fn):
-        """The value fn(kept), kept being key's value or None, stored as key's
-        (now the most recently used)."""
-        with self._lock:
-            kept = fn(self._rows.pop(key, None))
-            self._rows[key] = kept
-            while len(self._rows) > _CACHE_SIDES:
-                self._rows.popitem(last=False)
-        return kept
-
-    def get(self, key, make):
-        """key's value, make() on a miss."""
-        return self.update(key, lambda kept: make() if kept is None else kept)
-
-
-class _NodeCache(_SideCache):
-    """Per-node values of a function of one side on that side's Gamma-lattice
-    nodes.  Every lattice of the side's (nw, deg) is a prefix of one node
-    sequence, and the values are made node by node, so the longest prefix
-    seen is kept and a call makes only the nodes past it: bit for bit what a
-    cold call makes."""
-
-    def values(self, key, t: np.ndarray, fn) -> np.ndarray:
-        """fn's values on the nodes t (on the last axis), fn taking the nodes
-        past the cached prefix of key; a read-only, C-contiguous array."""
-        def extend(kept):
-            done = 0 if kept is None else kept.shape[-1]
-            if done < t.size:
-                new = fn(t[done:])
-                kept = new if kept is None else np.concatenate([kept, new], axis=-1)
-                kept.setflags(write=False)
-            return kept
-
-        return np.ascontiguousarray(self.update(key, extend)[..., :t.size])
-
-
-class _LatticeRule(NamedTuple):
-    """The Gamma(nw) lattice of one (nw, deg): its constants and the longest
-    node prefix made so far (t and log-weights, read-only)."""
-
-    nw: int
-    lg: float
-    h: float
-    s_hi: float
-    t: np.ndarray
-    logw: np.ndarray
-
-    @classmethod
-    def new(cls, nw: int, deg: int) -> "_LatticeRule":
-        top = nw + deg
-        empty = np.empty(0)
-        empty.setflags(write=False)
-        return cls(nw, math.lgamma(nw), min(0.2, 0.5 / math.sqrt(top)),
-                   math.log(top + 12.0 * math.sqrt(top) + 40.0), empty, empty)
-
-    def count(self, log_floor: float) -> int:
-        """Nodes down to where e^(nw s)/Gamma(nw) falls below 1e-18 e^log_floor."""
+    def nodes(self, log_floor: float):
+        """Nodes t, log-weights and fn's values (or None) down to where
+        e^(nw s)/Gamma(nw) falls below 1e-18 e^log_floor, log_floor being the
+        log of a lower bound on E |f|, which must be finite: at an argument
+        near the float range it can overflow, and that raises NumericFailure.
+        The nodes and log-weights are read-only, the values C-contiguous."""
+        if not math.isfinite(log_floor):
+            raise NumericFailure(f"Gamma lattice floor {log_floor!r} is not finite")
         s_lo = (self.lg + _LOG_TAIL + log_floor) / self.nw
-        return math.ceil((self.s_hi - s_lo) / self.h) + 1
-
-    def grown(self, log_floor: float) -> "_LatticeRule":
-        """This rule with at least count(log_floor) nodes: node i is made from
-        s_i = s_hi - h i alone, so the new nodes extend the prefix."""
-        done, count = self.t.size, self.count(log_floor)
-        if count <= done:
-            return self
-        s = self.s_hi - self.h * np.arange(done, count)
-        t = np.exp(s)
-        logw = self.nw * s - t - self.lg + math.log(self.h)
-        t, logw = np.concatenate([self.t, t]), np.concatenate([self.logw, logw])
-        t.setflags(write=False)
-        logw.setflags(write=False)
-        return self._replace(t=t, logw=logw)
+        count = math.ceil((self.s_hi - s_lo) / self.h) + 1
+        with self._lock:
+            done = 0 if self._t is None else self._t.size
+            if done < count:
+                s = self.s_hi - self.h * np.arange(done, count)
+                t = np.exp(s)
+                self._t = _appended(self._t, t)
+                self._logw = _appended(self._logw, self.nw * s - t - self.lg + math.log(self.h))
+                if self._fn is not None:
+                    self._values = _appended(self._values, self._fn(t))
+            t, logw, values = self._t, self._logw, self._values
+        return (t[:count], logw[:count],
+                None if values is None else np.ascontiguousarray(values[..., :count]))
 
 
-def _gamma_lattice(nw: int, log_floor: float, deg: int = 0):
-    """Nodes t and log-weights of the trapezoid rule in s = ln t for E f(t),
-    t ~ Gamma(nw), geometrically convergent for f analytic near the real s
-    axis and growing at most like t^deg: with top = nw + deg, step
-    min(0.2, 0.5/sqrt(top)) from s = ln(top + 12 sqrt(top) + 40) down to
-    where e^(nw s)/Gamma(nw) falls below 1e-18 e^log_floor, log_floor being
-    the log of a lower bound on E |f|, which must be finite: at an argument
-    near the float range it can overflow, and that raises NumericFailure.
-    The floor moves only the node count, so the nodes are read-only slices
-    of the longest prefix made for (nw, deg) (`_LATTICES`)."""
-    if not math.isfinite(log_floor):
-        raise NumericFailure(f"Gamma lattice floor {log_floor!r} is not finite")
-    rule = _LATTICES.update((nw, deg), lambda kept: (kept or _LatticeRule.new(nw, deg))
-                            .grown(log_floor))
-    count = rule.count(log_floor)
-    return rule.t[:count], rule.logw[:count]
-
-
-#: the Gamma lattices, per (nw, deg) (`_gamma_lattice`)
-_LATTICES = _SideCache()
-#: the smaller MISO side's log density ratio (`_log_density_ratio`)
-_MISO_DENSITY = _NodeCache()
-#: the Kronecker row's Poisson tail weights (`_poisson_tails`)
-_KRON_TAILS = _NodeCache()
-#: the Kronecker row's per-side arrays, per (m, n, Sigma, A) (`_kron_kernel`)
-_KRON_KERNELS = _SideCache()
-#: the MISO row's per-side arrays, per (smaller, larger) side (`_miso_kernel`)
-_MISO_KERNELS = _SideCache()
+def _appended(kept, new: np.ndarray) -> np.ndarray:
+    """new after kept (None at first) on the last axis, read-only."""
+    out = new if kept is None else np.concatenate([kept, new], axis=-1)
+    out.setflags(write=False)
+    return out
 
 
 def _product_mean(logw: np.ndarray, t: np.ndarray, c, mult, x: np.ndarray):
@@ -220,11 +156,12 @@ def _log_floor(scales: np.ndarray, c: np.ndarray, mult: np.ndarray, xmax: float)
 
 def _at_positive(x, fn):
     """fn over the positive entries of x >= 0 (a scalar or a vector) and 1
-    at x = 0; a float for a scalar x, else an array."""
+    at x = 0; a float for a scalar x, else an array.  A negative or NaN
+    entry raises ValueError."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    low = xv.min(initial=math.inf)
-    if low < 0.0:
-        raise ValueError("argument must be nonnegative")
+    low = xv.min(initial=math.inf)  # NaN if any entry is
+    if not low >= 0.0:
+        raise ValueError(f"argument must be nonnegative, got {float(low)!r}")
     if xv.size and low > 0.0:  # every entry positive (every angular point): no mask, no copy
         out = fn(xv)
     else:
@@ -303,28 +240,26 @@ def expected_inv_det_kron(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum
     digits lost are estimated at every xi (`_lost_digits`), and past
     _MAX_LOST_DIGITS the call raises NumericFailure.
     Those weights depend on Sigma, m, n and the lattice nodes alone, so they
-    are made once per Sigma and reused at every xi (`_NodeCache`); with one
-    eigenvalue there are none, and a call stops at the norms.  The other
-    arrays of the side are made once per (m, n, Sigma, A) (`_kron_kernel`).
+    are made once per Sigma and reused at every xi and far side, as are the
+    lattice and every other array of Sigma (`_kron_kernel`); with one
+    eigenvalue there are none, and a call stops at the norms.
     Values lie in (0, 1]: round-off above 1 becomes 1, a larger excess
     raises NumericFailure."""
     if sigma_spec.dim != m or n < m:
         raise ValueError("need sigma spectrum of dimension m and n >= m")
-    kernel = _KRON_KERNELS.get((m, n, sigma_spec, a_spec),
-                               lambda: _kron_kernel(m, n, sigma_spec, a_spec))
-    return _at_positive(xi, kernel)
+    kernel = _kron_kernel(m, n, sigma_spec)
+    return _at_positive(xi, lambda xv: kernel(xv, a_spec))
 
 
-def _kron_kernel(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum):
-    """`expected_inv_det_kron`'s kernel for one (m, n, Sigma, A): xi > 0 (a
-    vector) to the MGF.  The arrays that depend on the side alone are made
-    here, once per side (`_KRON_KERNELS`); a call makes only its lattice
-    and the determinants at its xi."""
+@lru_cache(maxsize=_CACHE_SIDES)
+def _kron_kernel(m: int, n: int, sigma_spec: Spectrum):
+    """`expected_inv_det_kron`'s kernel for one (m, n, Sigma): (xi > 0 a
+    vector, A) to the MGF.  The arrays that depend on Sigma alone, its
+    lattice and the Poisson tails on its nodes are made here, once per side;
+    a call makes A's few arrays, the nodes past those kept and the
+    determinants at its xi."""
     sig = np.array(sigma_spec.values)
     tg = np.array(sigma_spec.mults)
-    c = np.multiply.outer(sig, a_spec.values)
-    cmax = c.max(axis=0)
-    mult = np.array(a_spec.mults, dtype=float)
     s = sig.size - 1  # values decrease
     other = np.flatnonzero(np.arange(sig.size) != s)
     k_o = int(tg[other].max(initial=0))
@@ -334,12 +269,12 @@ def _kron_kernel(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum):
     lead_o = np.maximum(tg[other, None] - np.arange(k_o), 0)
     scale = (sig[other] / sig[s])[:, None]
     tail_k = np.maximum(np.subtract.outer(np.arange(tg[s], m), np.arange(k_o)), 0)
-    tails_key = (sigma_spec.values, sigma_spec.mults, m, n)
+    # the integrands are mu_g times polynomials of degree <= 2m - 2
+    lattice = _Lattice(n - m + 1, 2 * m - 2,
+                       (lambda tn: _poisson_tails(m - 1, (scale - 1.0) * tn)[tail_k])
+                       if other.size else None)
 
-    def make_tails(tn):
-        return _poisson_tails(m - 1, (scale - 1.0) * tn)[tail_k]
-
-    def log_det(x, t, logw, tails):
+    def log_det(x, c, mult, t, logw, tails):
         """(sign, log) of det N(x) over its leading coefficients, x a vector,
         and the digits its column block loses (`_lost_digits`, 0 with one
         eigenvalue)."""
@@ -370,23 +305,23 @@ def _kron_kernel(m: int, n: int, sigma_spec: Spectrum, a_spec: Spectrum):
         sign, ld = np.linalg.slogdet(cols)
         return sign, log + ld, _lost_digits(cols)
 
-    def kernel(xv):
+    def kernel(xv, a_spec: Spectrum):
+        c = np.multiply.outer(sig, a_spec.values)
+        mult = np.array(a_spec.mults, dtype=float)
         # every mu_g has at least its product's value at the Gamma mean (Jensen);
-        # the integrands are mu_g times polynomials of degree <= 2m - 2; a bound
-        # that overflows makes the floor -inf, which _gamma_lattice raises
+        # a bound that overflows makes the floor -inf, which the lattice raises
         with np.errstate(over="ignore"):
-            floor = -float(mult @ np.log1p(xv.max() * cmax * n))
-        t, logw = _gamma_lattice(n - m + 1, floor, 2 * m - 2)
-        tails = None if not other.size else _KRON_TAILS.values(tails_key, t, make_tails)
+            floor = -float(mult @ np.log1p(xv.max() * c.max(axis=0) * n))
+        t, logw, tails = lattice.nodes(floor)
         x = np.concatenate([[0.0], xv])  # N(0), the normaliser, rides in the first block
         # equal blocks of entries whose entry-by-eigenvalue-by-degree-by-node
         # arrays stay within 2 _BATCH doubles
         size = x.size * sig.size * max(m, mult.size) * t.size
         count = -(-size // (2 * _BATCH))
         if count == 1:
-            sign, log, lost = log_det(x, t, logw, tails)
+            sign, log, lost = log_det(x, c, mult, t, logw, tails)
         else:
-            sign, log, lost = map(np.concatenate, zip(*(log_det(xs, t, logw, tails)
+            sign, log, lost = map(np.concatenate, zip(*(log_det(xs, c, mult, t, logw, tails)
                                                         for xs in np.array_split(x, count))))
         v = sign[1:] * sign[0] * np.exp(log[1:] - log[0])
         # an MGF is at most 1: round-off above it is noise, 1e-12 a failure
@@ -460,23 +395,21 @@ def expected_inv_det_miso(sigma_spec: Spectrum, psi_spec: Spectrum, xi):
     Gamma(d) lattice in t = V/max(a), weighted by V's density from
     `_log_density_ratio` (any eigenvalue pattern, no cancellation).  That
     density, about d^3 work per node, depends on a and the nodes alone: it
-    is made once per smaller side and reused at every xi (`_NodeCache`), as
-    are the pair's arrays (`_miso_kernel`)."""
+    is made once per smaller side, with that side's lattice and arrays
+    (`_miso_kernel`), and reused at every xi and larger side."""
     small, large = sorted((sigma_spec, psi_spec), key=lambda s: s.dim)
-    kernel = _MISO_KERNELS.get((small, large), lambda: _miso_kernel(small, large))
-    return _at_positive(xi, kernel)
+    kernel = _miso_kernel(small)
+    return _at_positive(xi, lambda xv: kernel(xv, large))
 
 
-def _miso_kernel(small: Spectrum, large: Spectrum):
-    """`expected_inv_det_miso`'s kernel for one (smaller, larger) side pair:
-    xi > 0 (a vector) to the MGF.  The arrays that depend on the sides alone
-    are made here, once per pair (`_MISO_KERNELS`)."""
+@lru_cache(maxsize=_CACHE_SIDES)
+def _miso_kernel(small: Spectrum):
+    """`expected_inv_det_miso`'s kernel for one smaller side: (xi > 0 a
+    vector, the larger side) to the MGF.  The smaller side's arrays, its
+    lattice and V's density on its nodes are made here, once per side."""
     a = small.expand()
     d, amax = a.size, float(a.max())
     log_kappa = float(np.log(amax / a).sum())
-    b = np.array(large.values)
-    mult = np.array(large.mults, dtype=float)
-    density_key = tuple(a)
 
     def density(t):
         step = max(1, _BATCH // (d * d))  # node-by-d-by-d blocks of _BATCH doubles
@@ -485,10 +418,13 @@ def _miso_kernel(small: Spectrum, large: Spectrum):
             return np.concatenate([_log_density_ratio(amax / a, t[lo : lo + step])
                                    for lo in range(0, t.size, step)])
 
-    def kernel(xv):
+    lattice = _Lattice(d, 0, density)
+
+    def kernel(xv, large: Spectrum):
+        b = np.array(large.values)
+        mult = np.array(large.mults, dtype=float)
         # V's density is at most kappa t^(d-1)/Gamma(d): lower the floor by kappa
-        t, logw = _gamma_lattice(d, _log_floor(a, b, mult, xv.max()) - log_kappa)
-        ratio = _MISO_DENSITY.values(density_key, t, density)
+        t, logw, ratio = lattice.nodes(_log_floor(a, b, mult, xv.max()) - log_kappa)
         return _product_mean(logw + ratio, amax * t, b, mult, xv)
 
     return kernel

@@ -165,7 +165,10 @@ def _mean_estimates(cfg: MonteCarloConfig, per_slice, points: int) -> list[Estim
     """Mean and batch-means standard error of each of `points` per-trial
     scalars, per_slice(rng, b) yielding one array per point as in
     _accumulate; falls back to the per-trial variance when there are too few
-    trials for 32 batches."""
+    trials for 32 batches.  The batch means are scaled by a power of two
+    near their largest before their spread is taken, so squares of means
+    below about 1e-154 do not underflow; every other spread is unchanged
+    bit for bit."""
 
     def with_squares(rng, b):
         for v in per_slice(rng, b):
@@ -178,7 +181,9 @@ def _mean_estimates(cfg: MonteCarloConfig, per_slice, points: int) -> list[Estim
     for s1, s2 in zip(sums[0::2], sums[1::2]):
         mean = s1.sum() / n
         if np.all(counts > 1):
-            se = float((s1 / counts).std(ddof=1) / math.sqrt(N_BATCHES))
+            means = s1 / counts
+            e = int(np.frexp(np.abs(means).max())[1])
+            se = math.ldexp(float(np.ldexp(means, -e).std(ddof=1)), e) / math.sqrt(N_BATCHES)
         else:
             var = max(s2.sum() / n - mean**2, 0.0)
             se = math.sqrt(var / n)

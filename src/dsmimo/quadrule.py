@@ -1,7 +1,7 @@
 """Gauss-Legendre rules on [0, b] for the angular integrals of the error
 probabilities, cached by degree and length.  Gamma expectations, and the
-orthonormal polynomials of the weighted Gamma measures, are taken on the
-lattice of `detform._gamma_lattice`.
+orthonormal polynomials of the weighted Gamma measures, are taken on each
+side's lattice (`detform._Lattice`).
 """
 
 from __future__ import annotations

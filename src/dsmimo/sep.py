@@ -19,12 +19,12 @@ the MGF evaluator: the first of three rows that applies.
   at either end since ||H||_F = ||H^T||_F.
 
 A closed-form point runs only the part of its row that depends on its xi.
-Every array that depends on the sides alone is made once per side and kept
-in a bounded cache of exact-value keys: detform's kernels and lattices, and
-here the rich row's eigenvalue products (`_RICH_KERNELS`).  sin^2 theta at
-the rule's nodes is kept with the rule that `theta_rule` caches, and taken
-from `theta_rule` on every call (`_sin2_rule`), so `theta_rule` stays the
-one seam for the angular rule.
+Every array that depends on the sides alone is made once per side by a
+kernel kept in an lru_cache of exact-value keys: detform's `_kron_kernel`
+and `_miso_kernel`, and here the rich row's eigenvalue products
+(`_rich_kernel`).  The angular rule is taken from `theta_rule` on every
+call and sin^2 theta made anew from its nodes (`_sin2_rule`), so
+`theta_rule` stays the one seam for the angular rule.
 """
 
 from __future__ import annotations
@@ -32,10 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .detform import NumericFailure, _SideCache, expected_inv_det_kron, expected_inv_det_miso
+from .detform import (_CACHE_SIDES, NumericFailure, expected_inv_det_kron,
+                      expected_inv_det_miso)
 from .matstat import Scenario
 from .quadrule import gauss_legendre
 
@@ -49,11 +51,8 @@ from .quadrule import gauss_legendre
 #: every M, and by less than 6e-9 at -30 dB.
 THETA_NODES = 80
 
-#: theta_rule's rules, per (THETA_NODES, theta_max): nodes, weights and the
-#: nodes' sin^2 theta
-_THETA_RULES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-#: the rich-scattering row's kernels, per (transmit, receive) side (`_rich_kernel`)
-_RICH_KERNELS = _SideCache()
+#: theta_rule's rules, per (THETA_NODES, theta_max): nodes and weights
+_THETA_RULES: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
 
 _SUPPORTED_M = (2, 4, 8, 16, 32, 64)
 
@@ -125,22 +124,17 @@ def theta_rule(theta_max: float) -> tuple[np.ndarray, np.ndarray]:
             th, w = np.concatenate([th0, a + th1]), np.concatenate([w0, 2.0 * w1])
             th.setflags(write=False)
             w.setflags(write=False)
-        s2 = np.sin(th) ** 2
-        s2.setflags(write=False)
-        _THETA_RULES[key] = (th, w, s2)
-    th, w, _ = _THETA_RULES[key]
-    return th, w
+        _THETA_RULES[key] = (th, w)
+    return _THETA_RULES[key]
 
 
 def _sin2_rule(theta_max: float) -> tuple[np.ndarray, np.ndarray]:
     """sin^2 theta at the nodes of theta_rule(theta_max), and its weights: the
     integrands read theta only through sin^2 theta.  The rule is taken from
     theta_rule on every call, so a replaced theta_rule reaches every angular
-    integral; sin^2 is kept with the rule that theta_rule caches and made
-    anew for any other nodes."""
+    integral."""
     th, w = theta_rule(theta_max)
-    kept = _THETA_RULES.get((THETA_NODES, float(theta_max)))
-    return (kept[2] if kept is not None and kept[0] is th else np.sin(th) ** 2), w
+    return np.sin(th) ** 2, w
 
 
 def sep_theta_integral(integrand, theta_max: float) -> float:
@@ -233,14 +227,14 @@ def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: flo
     prod_{i,j} (1 + g*gbar*lt_i*lr_j/(n_t*rate*sin^2))^(-1) over transmit and
     receive eigenvalues.  With identity correlations this is the i.i.d.
     Rayleigh reference curve."""
-    sides = scn.phi_t.spectrum, scn.phi_r.spectrum
-    kernel = _RICH_KERNELS.get(sides, lambda: _rich_kernel(*sides))
-    return _sep_from_mgf(kernel, psk, snr, scn.n_t, scn.rate)
+    return _sep_from_mgf(_rich_kernel(scn.phi_t.spectrum, scn.phi_r.spectrum),
+                         psk, snr, scn.n_t, scn.rate)
 
 
+@lru_cache(maxsize=_CACHE_SIDES)
 def _rich_kernel(t_spec, r_spec):
     """The rich-scattering MGF over the products of the transmit and receive
-    eigenvalues, made once per side pair (`_RICH_KERNELS`)."""
+    eigenvalues, made once per side pair."""
     pairs = np.multiply.outer(t_spec.expand(), r_spec.expand()).ravel()
 
     def kernel(c):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,14 +27,11 @@ def random_correlation(rng, n, strength=1.0):
     return CorrelationMatrix(m)
 
 
-def fresh_caches(monkeypatch):
-    """Empty the closed forms' per-side caches from here to the end of the
-    test."""
-    import dsmimo.detform as detform
-    import dsmimo.sep as sep
-
-    for name in ("_MISO_DENSITY", "_KRON_TAILS"):
-        monkeypatch.setattr(detform, name, detform._NodeCache())
-    for name in ("_LATTICES", "_KRON_KERNELS", "_MISO_KERNELS"):
-        monkeypatch.setattr(detform, name, detform._SideCache())
-    monkeypatch.setattr(sep, "_RICH_KERNELS", detform._SideCache())
+def fresh_caches():
+    """Empty every lru_cache that a loaded dsmimo module holds (the closed
+    forms' per-side kernels): the next call of each is cold."""
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "dsmimo" or name.startswith("dsmimo.")):
+            for value in vars(mod).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()

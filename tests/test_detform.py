@@ -257,6 +257,8 @@ class TestExpectedInvDetKron:
         (3, 5, ident(2), 1.0),   # Sigma of the wrong dimension
         (3, 2, ident(3), 1.0),   # fewer degrees than rows
         (2, 4, ident(2), -0.5),  # negative argument
+        (2, 4, ident(2), math.nan),  # NaN argument, once an MGF of 1
+        (2, 4, spec_of([2.0, 1.0]), [1.0, math.nan]),
     ])
     def test_input_validation(self, m, n, sigma, x):
         with pytest.raises(ValueError):
@@ -421,9 +423,13 @@ class TestExpectedInvDetMiso:
                                    expected_inv_det_miso(small, large, 4.0 * xs),
                                    rtol=1e-13, atol=0.0)
 
-    def test_negative_argument_raises(self):
-        with pytest.raises(ValueError):
-            expected_inv_det_miso(ident(2), ident(3), np.array([1.0, -0.5]))
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_negative_or_nan_argument_raises(self, bad):
+        # a NaN entry once read as an MGF of 1
+        with pytest.raises(ValueError, match="nonnegative"):
+            expected_inv_det_miso(spec_of([2.0, 1.0]), ident(3), np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            expected_inv_det_miso(ident(2), ident(3), bad)
 
     def test_identity_equals_uncorrelated(self):
         v = expected_inv_det_miso(spec_of([1.0], [2]), spec_of([1.0], [2]), 0.5)
@@ -540,13 +546,14 @@ class TestMajorization:
 
 
 @pytest.fixture
-def cold_caches(monkeypatch):
-    fresh_caches(monkeypatch)
+def cold_caches():
+    fresh_caches()
 
 
 class TestLatticeCaches:
-    """The per-side lattice data (MISO density, Kronecker tails) is reused
-    across calls: values must not depend on which calls came before."""
+    """The per-side kernels (their lattices, the MISO density, the Kronecker
+    tails) are reused across calls: values must not depend on which calls
+    came before."""
 
     SIDES = {
         "miso exp": lambda xi: expected_inv_det_miso(exponential_corr(4, 0.5).spectrum,
@@ -569,17 +576,17 @@ class TestLatticeCaches:
         th, _ = theta_rule(psk.theta_max)
         return psk.g * 10.0 ** (snr_db / 10.0) / (40.0 * np.sin(th) ** 2)
 
-    def cold(self, monkeypatch):
+    def cold(self):
         out = {}
         for name, mgf in self.SIDES.items():
             for snr in self.SNR_DB:
-                fresh_caches(monkeypatch)
+                fresh_caches()
                 out[name, snr] = mgf(self.xi(snr))
         return out
 
-    def test_snr_order_and_interleaving_leave_values_unchanged(self, monkeypatch):
-        ref = self.cold(monkeypatch)
-        fresh_caches(monkeypatch)
+    def test_snr_order_and_interleaving_leave_values_unchanged(self):
+        ref = self.cold()
+        fresh_caches()
         rng = np.random.default_rng(29)
         keys = list(ref)
         # interleaved: the SNR points alternately from the low and the high
@@ -594,15 +601,13 @@ class TestLatticeCaches:
             for name, snr in seq:
                 got = self.SIDES[name](self.xi(snr))
                 assert np.array_equal(got, ref[name, snr]), (order, name, snr)
-        # the one-eigenvalue Sigma makes no tails; the lattices are those of
-        # (nw, deg) = (4, 0), (3, 0), (7, 6) (twice) and (4, 4)
-        assert len(detform._MISO_DENSITY) == 2 and len(detform._KRON_TAILS) == 2
-        assert len(detform._MISO_KERNELS) == 2 and len(detform._KRON_KERNELS) == 3
-        assert len(detform._LATTICES) == 4
+        # each side's kernel is made once, in every order
+        assert detform._miso_kernel.cache_info()[1:] == (2, 16, 2)
+        assert detform._kron_kernel.cache_info()[1:] == (3, 16, 3)
 
-    def test_concurrent_calls_match_cold_values(self, monkeypatch):
-        ref = self.cold(monkeypatch)
-        fresh_caches(monkeypatch)
+    def test_concurrent_calls_match_cold_values(self):
+        ref = self.cold()
+        fresh_caches()
         keys = list(ref)
 
         def run(seed):
@@ -627,11 +632,8 @@ class TestLatticeCaches:
             side = random_correlation(rng, 3).spectrum
             expected_inv_det_miso(side, exponential_corr(5, 0.3).spectrum, 1.0)
             expected_inv_det_kron(3, 5, side, far, 1.0)
-        assert len(detform._MISO_DENSITY) == detform._CACHE_SIDES
-        assert len(detform._KRON_TAILS) == detform._CACHE_SIDES
-        assert len(detform._MISO_KERNELS) == detform._CACHE_SIDES
-        assert len(detform._KRON_KERNELS) == detform._CACHE_SIDES
-        assert len(detform._LATTICES) <= detform._CACHE_SIDES
+        for kernel in (detform._miso_kernel, detform._kron_kernel):
+            assert kernel.cache_info().currsize == detform._CACHE_SIDES
 
     def test_last_bit_makes_a_separate_entry(self, cold_caches):
         far = spec_of([1.5, 0.5])
@@ -640,14 +642,27 @@ class TestLatticeCaches:
         for side in (a, b, a):
             expected_inv_det_miso(side, far, 0.7)
             expected_inv_det_kron(2, 4, side, far, 0.7)
-        assert len(detform._MISO_DENSITY) == 2 and len(detform._KRON_TAILS) == 2
-        assert len(detform._MISO_KERNELS) == 2 and len(detform._KRON_KERNELS) == 2
+        for kernel in (detform._miso_kernel, detform._kron_kernel):
+            assert kernel.cache_info().currsize == 2
+            assert kernel.cache_info().misses == 2
+
+    def test_other_side_sweep_builds_one_kernel(self, cold_caches):
+        # the far side of the Kronecker row and the larger MISO side are
+        # per-call arguments: a sweep over them reuses the one kernel
+        sigma = exponential_corr(3, 0.5).spectrum
+        for n_s in range(4, 4 + 2 * detform._CACHE_SIDES):
+            other = exponential_corr(n_s, 0.3).spectrum
+            expected_inv_det_miso(other, sigma, 0.7)
+            expected_inv_det_kron(3, 5, sigma, other, 0.7)
+        for kernel in (detform._miso_kernel, detform._kron_kernel):
+            assert kernel.cache_info().misses == 1
 
     @pytest.mark.parametrize("nw,deg", [(1, 0), (4, 0), (7, 6), (50, 0), (191, 6)])
-    def test_lattice_prefix_equals_a_fresh_build(self, monkeypatch, nw, deg):
-        # every lattice of one (nw, deg) is sliced from the longest prefix
-        # kept; each must equal the rule built anew, in any order of
-        # floors, and the kept arrays must be read-only
+    def test_lattice_prefix_equals_a_fresh_build(self, nw, deg):
+        # every lattice of one side is sliced from the longest prefix kept;
+        # each must equal the rule built anew, in any order of floors, the
+        # per-node values those of the nodes returned, and the nodes must
+        # be read-only
         def fresh(log_floor):
             lg, top = math.lgamma(nw), nw + deg
             h = min(0.2, 0.5 / math.sqrt(top))
@@ -661,9 +676,29 @@ class TestLatticeCaches:
         ref = {f: fresh(f) for f in floors}
         rng = np.random.default_rng(nw)
         for order in (floors, floors[::-1], rng.permutation(floors)):
-            fresh_caches(monkeypatch)
+            lattice = detform._Lattice(nw, deg, lambda t: np.stack([t, np.sqrt(t)]))
             for f in order:
-                t, logw = detform._gamma_lattice(nw, f, deg)
+                t, logw, values = lattice.nodes(f)
                 assert np.array_equal(t, ref[f][0]) and np.array_equal(logw, ref[f][1]), f
+                assert np.array_equal(values, np.stack([t, np.sqrt(t)])), f
+                assert values.flags.c_contiguous
                 assert not (t.flags.writeable or logw.flags.writeable)
-            assert len(detform._LATTICES) == 1
+            assert detform._Lattice(nw, deg).nodes(floors[0])[2] is None
+
+    def test_node_function_sees_each_node_once(self):
+        seen = []
+
+        def fn(t):
+            seen.append(t)
+            return -t
+
+        lattice = detform._Lattice(4, 4, fn)
+        for f in (-1.0, -300.0, -5.0, -700.0, -700.0, -0.1):
+            lattice.nodes(f)
+        t, _, values = lattice.nodes(-700.0)
+        assert len(seen) == 3
+        assert np.array_equal(np.concatenate(seen), t) and np.array_equal(values, -t)
+
+    def test_floor_that_overflowed_raises(self):
+        with pytest.raises(NumericFailure, match="not finite"):
+            detform._Lattice(4, 0).nodes(-math.inf)

@@ -329,6 +329,29 @@ class TestMcSep:
         assert est.trials == 4096
         assert est.std_error >= 0
 
+    @pytest.mark.parametrize("power", [-600, -1000])
+    def test_standard_error_scales_with_the_trials(self, power):
+        # squares of batch means below about 1e-154 underflowed to 0:
+        # scaling every trial by a power of two must scale the estimate
+        # and its standard error exactly
+        cfg, scale = MonteCarloConfig(trials=4096, seed=5), 2.0**power
+
+        def estimate(factor):
+            return mc_mod._mean_estimates(
+                cfg, lambda rng, b: [factor * rng.standard_exponential(b)], 1)[0]
+
+        ref, got = estimate(1.0), estimate(scale)
+        assert ref.std_error > 0
+        assert (got.value, got.std_error) == (scale * ref.value, scale * ref.std_error)
+
+    def test_standard_error_of_a_rare_event_is_positive(self):
+        # 4x2x2 g4 at 46 dB: a few trials carry the whole mean, 5.8e-253,
+        # whose standard error once read 0
+        est = mc_sep(Scenario.uncorrelated(4, 2, 2, g4()), PskConstellation(8), db(46.0),
+                     MonteCarloConfig(trials=1000, seed=1))
+        assert 1e-254 < est.value < 1e-251
+        assert est.value / 2 < est.std_error < 2 * est.value
+
 
 def bidiagonal_slices(scn, rng, size, tilted=False):
     """(d2, f2, w) for each slice of a size-trial block, drawn in the order

@@ -743,35 +743,38 @@ class TestSideCaches:
         name, m, snr_db = key
         return sep_mpsk(self.SCENARIOS[name], PskConstellation(m), db(snr_db))
 
-    def test_point_order_leaves_values_unchanged(self, monkeypatch):
+    def test_point_order_leaves_values_unchanged(self):
         cold = {}
         for key in self.POINTS:
-            fresh_caches(monkeypatch)
+            fresh_caches()
             cold[key] = self.point(key)
         keys = self.POINTS
         orders = {"ascending": sorted(keys, key=lambda k: (k[2], k[0], k[1])),
                   "descending": sorted(keys, key=lambda k: (-k[2], k[0], k[1])),
                   "shuffled": [keys[i] for i in np.random.default_rng(31).permutation(len(keys))],
                   "interleaved": [k for pair in zip(keys, keys[::-1]) for k in pair]}
-        fresh_caches(monkeypatch)
+        fresh_caches()
         for order, seq in orders.items():
             for key in seq:
                 assert self.point(key) == cold[key], (order, key)
-        assert len(dsmimo.sep._RICH_KERNELS) == 1
+        # each side's kernel is made once, in every order
+        assert dsmimo.sep._rich_kernel.cache_info()[1:] == (1, 16, 1)
+        assert dsmimo.detform._miso_kernel.cache_info()[1:] == (1, 16, 1)
+        assert dsmimo.detform._kron_kernel.cache_info()[1:] == (2, 16, 2)
 
-    def test_rich_capacity_and_last_bit(self, monkeypatch):
-        fresh_caches(monkeypatch)
+    def test_rich_capacity_and_last_bit(self):
+        fresh_caches()
         rng = np.random.default_rng(8)
         psk = PskConstellation(8)
         for _ in range(200):
             scn = Scenario(3, 1, 2, random_correlation(rng, 3), identity_corr(1),
                            random_correlation(rng, 2), no_double_scattering=True)
             sep_mpsk(scn, psk, 1.0)
-        assert len(dsmimo.sep._RICH_KERNELS) == dsmimo.detform._CACHE_SIDES
-        fresh_caches(monkeypatch)
+        assert dsmimo.sep._rich_kernel.cache_info().currsize == dsmimo.detform._CACHE_SIDES
+        fresh_caches()
         sides = [constant_corr(2, rho) for rho in (0.5, float(np.nextafter(0.5, 1.0)), 0.5)]
         assert sides[0].spectrum != sides[1].spectrum
         for side in sides:
             sep_mpsk(Scenario(2, 1, 2, side, identity_corr(1), side, alamouti(),
                               no_double_scattering=True), psk, 1.0)
-        assert len(dsmimo.sep._RICH_KERNELS) == 2
+        assert dsmimo.sep._rich_kernel.cache_info().currsize == 2
