@@ -285,14 +285,15 @@ def _require_output(cfg: RunConfig) -> str:
     return cfg.output
 
 
-def _write_rows(out: str, header: list[str], rows: list[list]) -> int:
-    """Write the result CSV, or exit 4 without writing when any value is
-    non-finite."""
+def _write_rows(out: str | None, header: list[str], rows: list[list]) -> int:
+    """Write the result CSV (none without out), or exit 4 without writing
+    when any value is non-finite."""
     if _has_bad_number(rows):
         print("numeric failure: non-finite value in results", file=sys.stderr)
         return EXIT_NUMERIC
-    write_csv(out, header, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    if out:
+        write_csv(out, header, rows)
+        print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
 
@@ -495,13 +496,12 @@ def cmd_validate(cfg: RunConfig) -> int:
         if note:
             line += f"  ({note})"
         print(line)
-    if cfg.output:
-        write_csv(cfg.output,
-                  ["check", "deviation", "tolerance", "status", "note"],
-                  [[n, m, t, "PASS" if ok else "FAIL", note]
-                   for n, m, t, ok, note in checks])
     print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return EXIT_OK if failures == 0 else EXIT_VALIDATION
+    # a non-finite deviation exits 4 after the table, without a CSV
+    code = _write_rows(cfg.output, ["check", "deviation", "tolerance", "status", "note"],
+                       [[n, m, t, "PASS" if ok else "FAIL", note]
+                        for n, m, t, ok, note in checks])
+    return code or (EXIT_OK if failures == 0 else EXIT_VALIDATION)
 
 
 def _any_correlated(cfg: RunConfig) -> bool:

@@ -2,10 +2,12 @@
 
 Everything here reduces to two ingredients:
 
-* one Gamma-lattice rule (`_Lattice`, `_product_mean`): a fixed-cost
-  trapezoid rule in s = ln t for the expectation over t ~ Gamma(nw) of a
-  product of factors (1 + x c_k t)^(-m_k).  It gives the MISO expectation
-  and the measures whose orthonormal polynomials (`_lanczos`) carry the
+* one Gamma-lattice rule (`_Lattice`): a fixed-cost trapezoid rule in
+  s = ln t for the expectation over t ~ Gamma(nw) of the far side's
+  product of factors (1 + x c_k t)^(-m_k) over its distinct eigenvalues,
+  whose log one function forms (`_log_product`; the rich row in `sep` is
+  that product alone).  It gives the MISO expectation and the
+  measures whose orthonormal polynomials (`_lanczos`) carry the
   uncorrelated and doubly-correlated (Kronecker) MGF.  At m = 1 that MGF is
   the 2F0 kernel
       2F0(n, q; -x) = (1/(n-1)!) int_0^inf (1+x t)^(-q) t^(n-1) e^-t dt
@@ -52,8 +54,7 @@ from .corrmat import Spectrum
 _LOG_TAIL = math.log(1e-18)
 #: elements per lattice block (512 KiB of doubles)
 _BATCH = 1 << 16
-#: sides that each kernel's lru_cache keeps (`_kron_kernel`, `_miso_kernel`,
-#: `sep._rich_kernel`)
+#: sides that each kernel's lru_cache keeps (`_kron_kernel`, `_miso_kernel`)
 _CACHE_SIDES = 16
 #: most digits the Kronecker row's column block may lose (`_lost_digits`).
 #: On ROADMAP item 1's clustered spectra (m = 6, n = 9) the MGF was off by
@@ -125,21 +126,29 @@ def _appended(kept, new: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product_mean(logw: np.ndarray, t: np.ndarray, c, mult, x: np.ndarray):
-    """sum_i exp(logw_i - sum_k mult_k log1p(x c_k t_i)) for each entry of
-    x: a lattice expectation of prod_k (1 + x c_k t)^(-mult_k)."""
-    ct = np.multiply.outer(c, t)
-    out = np.empty(x.size)
-    # one entry-by-factor-by-node buffer of at most _BATCH doubles (or one
-    # entry's) for every block: fresh temporaries of that size are mapped
-    # and page-faulted anew each block, which cost up to half the call
-    step = max(1, _BATCH // ct.size)
-    buf = np.empty((min(step, x.size), *ct.shape))
-    for lo in range(0, x.size, step):
-        xs = x[lo : lo + step]
-        block = np.multiply.outer(xs, ct, out=buf[: xs.size])
-        e = mult @ np.log1p(block, out=block)
-        out[lo : lo + step] = np.exp(logw - e).sum(axis=1)
+def _log_product(x, c, mult, t):
+    """sum_k mult_k log1p(x c_k t), the log of the far side's product
+    prod_k (1 + x c_k t)^mult_k over the factors k on the last axis of c:
+    shaped x.shape + c.shape[:-1] + t.shape for an array x and a vector t,
+    c.shape[:-1] + t.shape for a float x.  A product x c_k t past the float
+    range makes log1p inf and the MGF exp(-sum) 0 (its factor is above
+    DBL_MAX).  An array x runs in blocks of entries whose products fill at
+    most _BATCH doubles (or one entry's), all in one buffer: fresh
+    temporaries of that size are mapped and page-faulted anew each block,
+    which cost up to half a MISO call."""
+    with np.errstate(over="ignore"):
+        ct = np.multiply.outer(c, t)  # once: x times (c t) has one long inner loop
+        if not isinstance(x, np.ndarray):
+            return mult @ np.log1p(np.multiply(x, ct, out=ct), out=ct)
+        step = max(1, _BATCH // ct.size)
+        buf = np.empty((min(step, x.size), *ct.shape))
+        out = np.empty((x.size, *ct.shape[:-2], ct.shape[-1]))
+        for lo in range(0, x.size, step):
+            xs = x[lo : lo + step]
+            block = np.multiply.outer(xs, ct, out=buf[: xs.size])
+            logs = np.log1p(block, out=block)
+            # matmul makes a call per row, which costs more than one factor's scale
+            out[lo : lo + step] = mult @ logs if mult.size > 1 else mult[0] * logs[..., 0, :]
     return out
 
 
@@ -150,8 +159,7 @@ def _log_floor(scales: np.ndarray, c: np.ndarray, mult: np.ndarray, xmax: float)
     v0 = min(d min(scales), d/(xmax sum_k mult_k c_k))."""
     d = scales.size
     v0 = min(d * float(scales.min()), d / (xmax * float(mult @ c)))
-    return float(np.log(-np.expm1(-v0 / (d * scales))).sum()
-                 - mult @ np.log1p(xmax * c * v0))
+    return float(np.log(-np.expm1(-v0 / (d * scales))).sum() - _log_product(xmax, c, mult, v0))
 
 
 def _at_positive(x, fn):
@@ -278,11 +286,7 @@ def _kron_kernel(m: int, n: int, sigma_spec: Spectrum):
         """(sign, log) of det N(x) over its leading coefficients, x a vector,
         and the digits its column block loses (`_lost_digits`, 0 with one
         eigenvalue)."""
-        # a node where x c_k t overflows has a factor of mu below 1/DBL_MAX,
-        # and log1p(inf) takes mu there as 0
-        with np.errstate(over="ignore"):
-            logmu = logw - np.einsum("k,xgkn->xgn", mult,
-                                     np.log1p(np.multiply.outer(np.multiply.outer(x, c), t)))
+        logmu = logw - _log_product(x, c, mult, t)
         _, a, lb, shift_s, _ = _lanczos(t, logmu[:, s], m)
         if not other.size:  # one eigenvalue: det N = 1
             return np.ones(x.size), lead_s @ lb + tg[s] * shift_s, np.zeros(x.size)
@@ -310,8 +314,7 @@ def _kron_kernel(m: int, n: int, sigma_spec: Spectrum):
         mult = np.array(a_spec.mults, dtype=float)
         # every mu_g has at least its product's value at the Gamma mean (Jensen);
         # a bound that overflows makes the floor -inf, which the lattice raises
-        with np.errstate(over="ignore"):
-            floor = -float(mult @ np.log1p(xv.max() * c.max(axis=0) * n))
+        floor = -float(_log_product(xv.max(), c.max(axis=0), mult, n))
         t, logw, tails = lattice.nodes(floor)
         x = np.concatenate([[0.0], xv])  # N(0), the normaliser, rides in the first block
         # equal blocks of entries whose entry-by-eigenvalue-by-degree-by-node
@@ -425,6 +428,6 @@ def _miso_kernel(small: Spectrum):
         mult = np.array(large.mults, dtype=float)
         # V's density is at most kappa t^(d-1)/Gamma(d): lower the floor by kappa
         t, logw, ratio = lattice.nodes(_log_floor(a, b, mult, xv.max()) - log_kappa)
-        return _product_mean(logw + ratio, amax * t, b, mult, xv)
+        return np.exp(logw + ratio - _log_product(xv, b, mult, amax * t)).sum(axis=1)
 
     return kernel

@@ -11,8 +11,9 @@ approach) evaluates every closed form and every Monte Carlo theta stage at
 THETA_NODES nodes on [0, pi/2].  One table (`_closed_form_family`) picks
 the MGF evaluator: the first of three rows that applies.
 
-* Rich scattering: a product over transmit/receive eigenvalue pairs; with
-  identity correlations, the i.i.d. Rayleigh reference curve.
+* Rich scattering: the far-side product itself (`detform._log_product`),
+  over the distinct transmit x receive eigenvalue pairs; with identity
+  correlations, the i.i.d. Rayleigh reference curve.
 * n_r, n_t or n_s = 1, unless every side is uncorrelated:
   `detform.expected_inv_det_miso` on the other two sides.
 * A hop whose larger side is uncorrelated: `detform.expected_inv_det_kron`,
@@ -20,11 +21,11 @@ the MGF evaluator: the first of three rows that applies.
 
 A closed-form point runs only the part of its row that depends on its xi.
 Every array that depends on the sides alone is made once per side by a
-kernel kept in an lru_cache of exact-value keys: detform's `_kron_kernel`
-and `_miso_kernel`, and here the rich row's eigenvalue products
-(`_rich_kernel`).  The angular rule is taken from `theta_rule` on every
-call and sin^2 theta made anew from its nodes (`_sin2_rule`), so
-`theta_rule` stays the one seam for the angular rule.
+kernel kept in an lru_cache of exact-value keys, detform's `_kron_kernel`
+and `_miso_kernel`; the rich row's few distinct pairs are made at each
+point.  The angular rule is taken from `theta_rule` on every call and
+sin^2 theta made anew from its nodes (`_sin2_rule`), so `theta_rule`
+stays the one seam for the angular rule.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .detform import (_CACHE_SIDES, NumericFailure, expected_inv_det_kron,
+from .detform import (NumericFailure, _log_product, expected_inv_det_kron,
                       expected_inv_det_miso)
 from .matstat import Scenario
 from .quadrule import gauss_legendre
@@ -146,11 +146,13 @@ def sep_theta_integral(integrand, theta_max: float) -> float:
 
 
 def conditional_sep_mpsk(gamma, psk: PskConstellation):
-    """Exact M-PSK SEP conditioned on an instantaneous SNR gamma (vectorized):
-    (1/pi) int_0^Theta exp(-g*gamma/sin^2 theta) dtheta.  Exponents below
-    -700 are raised to -700, which keeps numpy's exp off its slow path near
-    the underflow limit (ln of the smallest normal double is -708.4) and
-    adds at most e^-700 Theta/pi, about 9e-305, to a trial's value."""
+    """M-PSK SEP conditioned on an instantaneous SNR gamma (vectorized):
+    (1/pi) int_0^Theta exp(-g*gamma/sin^2 theta) dtheta, exact only to the
+    folded rule (`theta_rule`): up to 7.8e-5 relative at gamma = 1e-6
+    (README "Numerical notes", ROADMAP item 7).  Exponents below -700 are
+    raised to -700, which keeps numpy's exp off its slow path near the
+    underflow limit (ln of the smallest normal double is -708.4) and adds
+    at most e^-700 Theta/pi, about 9e-305, to a trial's value."""
     s2, w = _sin2_rule(psk.theta_max)
     with np.errstate(over="ignore"):  # an exponent that overflows to -inf is floored too
         e = np.multiply.outer(-np.asarray(gamma, dtype=float).ravel(), psk.g / s2)
@@ -161,14 +163,15 @@ def conditional_sep_mpsk(gamma, psk: PskConstellation):
 
 def conditional_sep_polynomial(coef: np.ndarray, psk: PskConstellation,
                                scale: float) -> np.ndarray:
-    """Exact M-PSK SEP of each column of coef, (degree+1, trials), a trial
-    whose SNR MGF is 1/P(x), P(x) = sum_j coef_j x^j with coef_0 = 1 and
-    coef_j >= 0:
-    (1/pi) int_0^Theta 1/P(scale*g/sin^2 theta) dtheta.  P is evaluated as
-    P(x)/(1+x)^d in the basis x^j/(1+x)^d, whose entries lie in [0, 1], so
-    no power of x overflows at any SNR, and an x that overflows to inf is
-    the limit x^d/(1+x)^d = 1 of the last column; the floor on the j = 0
-    column keeps that sum positive where every basis entry underflows."""
+    """M-PSK SEP of each column of coef, (degree+1, trials), a trial whose
+    SNR MGF is 1/P(x), P(x) = sum_j coef_j x^j with coef_0 = 1 and
+    coef_j >= 0: (1/pi) int_0^Theta 1/P(scale*g/sin^2 theta) dtheta, exact
+    only to the folded rule (`theta_rule`; README "Numerical notes", ROADMAP
+    item 7).  P is evaluated as P(x)/(1+x)^d in the basis x^j/(1+x)^d,
+    whose entries lie in [0, 1], so no power of x overflows at any SNR, and
+    an x that overflows to inf is the limit x^d/(1+x)^d = 1 of the last
+    column; the floor on the j = 0 column keeps that sum positive where
+    every basis entry underflows."""
     s2, w = _sin2_rule(psk.theta_max)
     with np.errstate(over="ignore"):
         x = scale * psk.g / s2
@@ -224,32 +227,24 @@ def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float) -> float:
 
 def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: float) -> float:
     """SEP in the rich-scattering limit (single Gaussian factor): the MGF is
-    prod_{i,j} (1 + g*gbar*lt_i*lr_j/(n_t*rate*sin^2))^(-1) over transmit and
-    receive eigenvalues.  With identity correlations this is the i.i.d.
-    Rayleigh reference curve."""
-    return _sep_from_mgf(_rich_kernel(scn.phi_t.spectrum, scn.phi_r.spectrum),
-                         psk, snr, scn.n_t, scn.rate)
-
-
-@lru_cache(maxsize=_CACHE_SIDES)
-def _rich_kernel(t_spec, r_spec):
-    """The rich-scattering MGF over the products of the transmit and receive
-    eigenvalues, made once per side pair."""
-    pairs = np.multiply.outer(t_spec.expand(), r_spec.expand()).ravel()
-
-    def kernel(c):
-        # a product past the float range is a factor below 1/DBL_MAX: the MGF
-        # is then 0, as exp(-inf) gives
-        with np.errstate(over="ignore"):
-            return np.exp(-np.log1p(np.multiply.outer(c, pairs)).sum(axis=1))
-
-    return kernel
+    prod_{i,j} (1 + g*gbar*lt_i*lr_j/(n_t*rate*sin^2))^(-m_i m_j) over the
+    distinct transmit and receive eigenvalues and their multiplicities.  With
+    identity correlations this is the i.i.d. Rayleigh reference curve."""
+    t, r = scn.phi_t.spectrum, scn.phi_r.spectrum
+    c = np.array([a * b for a in t.values for b in r.values])  # cheaper than np.outer on tuples
+    mult = np.array([a * b for a in t.mults for b in r.mults], dtype=float)
+    return _sep_from_product(c, mult, psk, snr, scn.n_t, scn.rate)
 
 
 def sep_mpsk_iid_rayleigh(n_t: int, n_r: int, rate, psk: PskConstellation,
                           snr: float) -> float:
     """i.i.d. Rayleigh reference: (1/pi) int (1 + g*gbar/(n_t*rate*sin^2))^(-n_t*n_r)."""
-    return _sep_from_mgf(lambda c: (1.0 + c) ** (-n_t * n_r), psk, snr, n_t, rate)
+    return _sep_from_product(np.ones(1), np.array([float(n_t * n_r)]), psk, snr, n_t, rate)
+
+
+def _sep_from_product(c, mult, psk: PskConstellation, snr: float, n_t: int, rate) -> float:
+    """The rich row's SEP, whose MGF is prod_k (1 + xi c_k)^(-mult_k) itself."""
+    return _sep_from_mgf(lambda xi: np.exp(-_log_product(1.0, c, mult, xi)), psk, snr, n_t, rate)
 
 
 def _kron_args(scn: Scenario):

@@ -455,6 +455,21 @@ mc.seed = 3
         assert "PASS  reduction_miso_vs_uncorrelated  deviation=0.000e+00" in out
         assert "FAIL  sep_monotone_in_snr" in out and out.count("FAIL") == 1
 
+    def test_non_finite_deviation_exits_4_without_csv(self, tmp_path, capsys, monkeypatch):
+        # a Kronecker value that underflows to 0 where the MISO one does not
+        # makes the reduction check's deviation inf: NaN/Inf in the results
+        monkeypatch.setattr(dsmimo.sep, "expected_inv_det_kron",
+                            lambda m, n, sigma, far, xi: np.zeros_like(xi))
+        cfg = (BASE.replace("scenario.n_r = 2", "scenario.n_r = 1")
+               + "corr.tx.model = constant\ncorr.tx.rho = 0.5\n")
+        out = tmp_path / "report.csv"
+        assert main(["validate", "--config", write(tmp_path, cfg), "--out", str(out),
+                     "--trials", "2000"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "reduction_miso_vs_uncorrelated  deviation=inf" in captured.out
+        assert captured.err.startswith("numeric failure: ")
+        assert not out.exists()
+
     def test_probe_rho_outside_model_range_skipped(self, tmp_path, capsys):
         # rho = 0.3 is a valid tridiagonal coefficient at n = 10, but the
         # kurtosis probe's rho = 0.6 is above that model's bound of 0.52

@@ -475,13 +475,50 @@ class TestMiso:
 
 
 class TestNoDoubleScattering:
-    def test_identity_matches_iid_reference(self):
-        psk = PskConstellation(8)
-        scn = Scenario.uncorrelated(4, 1, 2, g4(), no_double_scattering=True)
-        for snr_db in (5.0, 15.0):
+    @pytest.mark.parametrize("n_t,n_r", [(1, 1), (2, 1), (2, 2), (4, 2), (8, 8)])
+    def test_identity_matches_iid_reference(self, n_t, n_r):
+        # one factor of multiplicity n_t n_r: the same product as the rich
+        # row's single distinct pair on identity sides
+        scn = Scenario.uncorrelated(n_t, 1, n_r, no_double_scattering=True)
+        for m, snr_db in itertools.product((2, 8, 64), (-20.0, 0.0, 5.0, 15.0, 40.0)):
+            psk = PskConstellation(m)
             a = sep_mpsk_no_double_scattering(scn, psk, db(snr_db))
-            b = sep_mpsk_iid_rayleigh(4, 2, scn.rate, psk, db(snr_db))
-            assert a == pytest.approx(b, rel=1e-12)
+            b = sep_mpsk_iid_rayleigh(n_t, n_r, scn.rate, psk, db(snr_db))
+            assert abs(a - b) <= 1e-15 * b, (m, snr_db)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 8),
+           st.sampled_from(["identity", "constant", "random"]),
+           st.sampled_from(["identity", "constant", "random"]))
+    @settings(max_examples=40, deadline=None)
+    def test_distinct_pairs_match_the_expanded_product(self, seed, n_t, n_r, tx, rx):
+        # the rich MGF over the distinct transmit x receive pairs, with
+        # multiplicities, against the product over all n_t n_r pairs
+        rng = np.random.default_rng(seed)
+
+        def side(model, n):
+            if model == "constant":
+                return constant_corr(n, float(rng.uniform(0.0, 0.95)))
+            return random_correlation(rng, n) if model == "random" else identity_corr(n)
+
+        scn = Scenario(n_t, 1, n_r, side(tx, n_t), identity_corr(1), side(rx, n_r),
+                       no_double_scattering=True)
+        mgfs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dsmimo.sep, "_sep_from_mgf", lambda mgf, *args: mgfs.append(mgf) or 0.0)
+            sep_mpsk_no_double_scattering(scn, PskConstellation(8), 1.0)
+        x = np.concatenate([np.logspace(-8, 300, 155), [np.finfo(float).max]])
+        got = mgfs[0](x)
+        pairs = np.multiply.outer(scn.phi_t.spectrum.expand(),
+                                  scn.phi_r.spectrum.expand()).ravel()
+        with np.errstate(over="ignore"):
+            want = np.exp(-np.log1p(np.multiply.outer(x, pairs)).sum(axis=1))
+        # the two sums round differently, so they agree to 1e-14 relative in
+        # the exponent -log(want): in the value, to 1e-14 times that exponent
+        live = want > 1e-300
+        bound = 1e-14 * np.maximum(1.0, -np.log(want[live])) * want[live]
+        assert np.all(np.abs(got[live] - want[live]) <= bound)
+        assert np.all(got[~live] <= 1e-300)
+        assert got[-1] == want[-1] == 0.0  # x = DBL_MAX: both products past the range
 
     def test_against_monte_carlo(self):
         scn = Scenario(2, 1, 2, constant_corr(2, 0.6), identity_corr(1),
@@ -724,8 +761,8 @@ def test_runtime_leaves_scipy_unloaded():
 
 class TestSideCaches:
     """sep_mpsk keeps each row's per-side set-up across points (detform's
-    kernels and lattices, the rich row's eigenvalue products, sin^2 theta):
-    no value may depend on which points came before."""
+    kernels and lattices, sin^2 theta): no value may depend on which points
+    came before."""
 
     SCENARIOS = {
         "rich": Scenario(4, 1, 4, constant_corr(4, 0.5), identity_corr(1),
@@ -758,23 +795,5 @@ class TestSideCaches:
             for key in seq:
                 assert self.point(key) == cold[key], (order, key)
         # each side's kernel is made once, in every order
-        assert dsmimo.sep._rich_kernel.cache_info()[1:] == (1, 16, 1)
         assert dsmimo.detform._miso_kernel.cache_info()[1:] == (1, 16, 1)
         assert dsmimo.detform._kron_kernel.cache_info()[1:] == (2, 16, 2)
-
-    def test_rich_capacity_and_last_bit(self):
-        fresh_caches()
-        rng = np.random.default_rng(8)
-        psk = PskConstellation(8)
-        for _ in range(200):
-            scn = Scenario(3, 1, 2, random_correlation(rng, 3), identity_corr(1),
-                           random_correlation(rng, 2), no_double_scattering=True)
-            sep_mpsk(scn, psk, 1.0)
-        assert dsmimo.sep._rich_kernel.cache_info().currsize == dsmimo.detform._CACHE_SIDES
-        fresh_caches()
-        sides = [constant_corr(2, rho) for rho in (0.5, float(np.nextafter(0.5, 1.0)), 0.5)]
-        assert sides[0].spectrum != sides[1].spectrum
-        for side in sides:
-            sep_mpsk(Scenario(2, 1, 2, side, identity_corr(1), side, alamouti(),
-                              no_double_scattering=True), psk, 1.0)
-        assert dsmimo.sep._rich_kernel.cache_info().currsize == 2
