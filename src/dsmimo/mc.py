@@ -51,7 +51,8 @@ and so in the block, is a multiple of 8.  Blocks run concurrently on up
 to os.cpu_count() threads, and their sums are reduced in block order, so
 results are bit-identical for any worker count.  Standard errors come from
 32 batch means over the trial index, which stays honest for the ratio
-estimators (kurtosis) as well as plain means.
+estimators (kurtosis) as well as plain means; below 32 trials, from the
+non-empty batches, and a single trial's error is 0.
 
 mc_sep and mc_capacity take snr as a float or as a 1-D grid.  A grid is
 evaluated on common draws: each slice is drawn once (with its path
@@ -164,30 +165,22 @@ def _snr_grid(snr) -> list[float]:
 def _mean_estimates(cfg: MonteCarloConfig, per_slice, points: int) -> list[Estimate]:
     """Mean and batch-means standard error of each of `points` per-trial
     scalars, per_slice(rng, b) yielding one array per point as in
-    _accumulate; falls back to the per-trial variance when there are too few
-    trials for 32 batches.  The batch means are scaled by a power of two
-    near their largest before their spread is taken, so squares of means
-    below about 1e-154 do not underflow; every other spread is unchanged
-    bit for bit."""
-
-    def with_squares(rng, b):
-        for v in per_slice(rng, b):
-            yield v
-            yield v * v
-
-    counts, *sums = _accumulate(cfg, with_squares, 2 * points)
-    n = cfg.trials
+    _accumulate.  Below N_BATCHES trials some batches are empty, and the
+    error is taken over the non-empty ones; a single trial's is 0.  The
+    batch means are scaled by a power of two near their largest before
+    their spread is taken, so squares of means below about 1e-154 do not
+    underflow."""
+    counts, *sums = _accumulate(cfg, per_slice, points)
+    n, filled = cfg.trials, counts > 0
+    batches = int(filled.sum())
     out = []
-    for s1, s2 in zip(sums[0::2], sums[1::2]):
-        mean = s1.sum() / n
-        if np.all(counts > 1):
-            means = s1 / counts
+    for s1 in sums:
+        se = 0.0
+        if batches > 1:
+            means = s1[filled] / counts[filled]
             e = int(np.frexp(np.abs(means).max())[1])
-            se = math.ldexp(float(np.ldexp(means, -e).std(ddof=1)), e) / math.sqrt(N_BATCHES)
-        else:
-            var = max(s2.sum() / n - mean**2, 0.0)
-            se = math.sqrt(var / n)
-        out.append(Estimate(float(mean), se, n))
+            se = math.ldexp(float(np.ldexp(means, -e).std(ddof=1)), e) / math.sqrt(batches)
+        out.append(Estimate(float(s1.sum() / n), se, n))
     return out
 
 
@@ -201,59 +194,39 @@ def _frob_sq(plan: SlicePlan, rng: np.random.Generator, b: int) -> np.ndarray:
     return np.einsum("bij,bij->b", d, d)
 
 
-def _peel(x: np.ndarray, one: float) -> np.ndarray:
-    """sum_j log(one + s_j) over the columns of x (column, row, trial),
-    peeled in place as _log2_det_eye_plus describes: s_j = |x_j|^2, and
-    every later column x_l maps to x_l - tau_j x_j (x_j^H x_l), tau_j =
-    1/(r_j (r_j + sqrt(one))), r_j = sqrt(one + s_j).  one = 1 is the
-    plain peel, whose terms are log1p(s_j)."""
-    out = np.zeros(x.shape[-1])
-    for j, xj in enumerate(x):
-        s = np.einsum("nb,nb->b", xj.real, xj.real) + np.einsum("nb,nb->b", xj.imag, xj.imag)
-        out += np.log1p(s) if one == 1.0 else np.log(s + one)
-        r = np.sqrt(one + s)
-        tau = 1.0 / (r * (r + math.sqrt(one)))
-        xc = xj.conj()
-        for xl in x[j + 1:]:
-            xl -= tau * (xc * xl).sum(axis=0) * xj
-    return out
+def _log1p_scaled(c: float, x: np.ndarray) -> np.ndarray:
+    """log(1 + c x) for x >= 0: log1p(c x), which keeps its relative
+    accuracy as c x -> 0, or log c + log(x + 1/c) where c x overflows."""
+    with np.errstate(over="ignore"):
+        v = np.log1p(c * x)
+    big = np.isinf(v)
+    v[big] = math.log(c) + np.log(x[big] + 1.0 / c)
+    return v
 
 
 def _log2_det_eye_plus(c: float, h: np.ndarray) -> np.ndarray:
-    """log2 det(I + c H H^H) for a stack of channels, by peeling columns off
-    X = sqrt(c) T, T the taller of H and H^H, held trials last.  Step j adds
-    log1p(s_j), s_j = |x_j|^2, then maps every later column x_l to
-    x_l - tau_j x_j (x_j^H x_l) with tau_j = 1/(r_j (r_j + 1)), r_j =
-    sqrt(1 + s_j): the contraction (I + x_j x_j^H)^(-1/2) that leaves
-    det(I + X^H X) = prod_j (1 + s_j).  This is Householder QR of
-    [I; X] with R_jj = r_j, the identity rows keeping row j of R a unit row
-    until step j.  The Gram matrix is never formed, whose round-off times c
-    would show in the unit eigenvalues of a channel of rank below
-    min(n_r, n_t), and log1p keeps each term's relative accuracy at low
-    SNR.  A trial where c |t_j|^2 or c t_j^H t_l overflows (c near the top
-    of the float range) is peeled again in log space, on the columns of T
-    itself: log1p(s_j) = log c + log(|y_j|^2 + 1/c), y_j = x_j/sqrt(c), and
-    tau_j c = 1/(rho_j (rho_j + 1/sqrt(c))), rho_j = r_j/sqrt(c), scales
-    the update of y_l.  Trials that stay finite keep the plain peel."""
+    """log2 det(I + c H H^H) for a stack of channels, by peeling the columns
+    y_j of T, the taller of H and H^H, held trials last and never scaled by
+    c.  Step j takes s_j = |y_j|^2 and maps every later y_l to y_l - c tau_j
+    y_j (y_j^H y_l), c tau_j = 1/(rho_j (rho_j + 1/sqrt(c))), rho_j =
+    sqrt(1/c + s_j): on X = sqrt(c) T this is Householder QR of [I; X] with
+    R_jj = sqrt(c) rho_j, so det(I + X^H X) = prod_j (1 + c s_j), each term
+    taken from _log1p_scaled.  No Gram matrix is formed.  On a channel of
+    rank below min(n_r, n_t) the later s_j are round-off, about eps^2
+    |H|^2, and c times them shows: a keyhole is about 1e-11 off at c = 1e10."""
     t = h if h.shape[1] > h.shape[2] else h.conj().transpose(0, 2, 1)
-    x = np.multiply(t.transpose(2, 1, 0), math.sqrt(c), out=np.empty(t.shape[::-1], complex))
-    with np.errstate(over="ignore", invalid="ignore"):  # such trials are redone below
-        out = _peel(x, 1.0)
-    lost = ~np.isfinite(out)
-    if lost.any():
-        y = np.ascontiguousarray(t[lost].transpose(2, 1, 0))
-        out[lost] = t.shape[2] * math.log(c) + _peel(y, 1.0 / c)
-    return out / math.log(2.0)
-
-
-def _log2_1p(c: float, x: np.ndarray) -> np.ndarray:
-    """log2(1 + c x) for x >= 0, or log2 c + log2(x + 1/c) where c x
-    overflows."""
-    with np.errstate(over="ignore"):
-        v = np.log2(1.0 + c * x)
-    lost = ~np.isfinite(v)
-    v[lost] = math.log2(c) + np.log2(x[lost] + 1.0 / c)
-    return v
+    y = t.transpose(2, 1, 0).copy()
+    s = np.empty((y.shape[0], y.shape[2]))
+    inv_root = 1.0 / math.sqrt(c)
+    for j, yj in enumerate(y):
+        sj = s[j] = (np.einsum("nb,nb->b", yj.real, yj.real)
+                     + np.einsum("nb,nb->b", yj.imag, yj.imag))
+        rho = np.sqrt(1.0 / c + sj)
+        ctau = 1.0 / (rho * (rho + inv_root))
+        yc = yj.conj()
+        for yl in y[j + 1:]:
+            yl -= ctau * (yc * yl).sum(axis=0) * yj
+    return _log1p_scaled(c, s).sum(axis=0) / math.log(2.0)
 
 
 def _path_coefficients(d2: np.ndarray, f2: np.ndarray) -> np.ndarray:
@@ -395,14 +368,15 @@ def mc_capacity(scn: Scenario, snr, mode: str, cfg: MonteCarloConfig):
     mode "ostbc":   rate * E log2(1 + snr*||H||_F^2/(n_t*rate)).
 
     snr is a float, giving one Estimate, or a 1-D sequence, giving a list
-    of Estimates on common draws, each equal to the float call's.  Near the
-    top of the float range the terms that overflow are taken in log space,
-    so every estimate is finite.
+    of Estimates on common draws, each equal to the float call's.  Both
+    modes take each term log(1 + c s) from _log1p_scaled, so an estimate
+    keeps its relative accuracy as snr -> 0 and stays finite near the top
+    of the float range.
     """
     grid = _snr_grid(snr)
     if mode == "ostbc":
         unit, rate = ostbc_snr_scale(scn), float(scn.rate)
-        draw, value = _frob_sq, lambda x, s: rate * _log2_1p(s * unit, x)
+        draw, value = _frob_sq, lambda x, s: rate * _log1p_scaled(s * unit, x) / math.log(2.0)
     elif mode == "general":
         draw, value = channel_slice, lambda h, s: _log2_det_eye_plus(s / scn.n_t, h)
     else:

@@ -9,7 +9,10 @@ only through sin^2 theta, so the arc past pi/2 mirrors [pi/M, pi/2]: one
 folded rule (`theta_rule`, after Craig's form and Simon & Alouini's MGF
 approach) evaluates every closed form and every Monte Carlo theta stage at
 THETA_NODES nodes on [0, pi/2].  One table (`_closed_form_family`) picks
-the MGF evaluator: the first of three rows that applies.
+the MGF evaluator: the first of three rows that applies.  Each row's
+family function raises UnsupportedScenarioError outside that row, whose
+argument function (`_rich_args`, `_miso_args`, `_kron_args`) returns None
+there.
 
 * Rich scattering: the far-side product itself (`detform._log_product`),
   over the distinct transmit x receive eigenvalue pairs; with identity
@@ -226,19 +229,23 @@ def sep_mpsk_miso(scn: Scenario, psk: PskConstellation, snr: float) -> float:
 
 
 def sep_mpsk_no_double_scattering(scn: Scenario, psk: PskConstellation, snr: float) -> float:
-    """SEP in the rich-scattering limit (single Gaussian factor): the MGF is
-    prod_{i,j} (1 + g*gbar*lt_i*lr_j/(n_t*rate*sin^2))^(-m_i m_j) over the
-    distinct transmit and receive eigenvalues and their multiplicities.  With
-    identity correlations this is the i.i.d. Rayleigh reference curve."""
-    t, r = scn.phi_t.spectrum, scn.phi_r.spectrum
-    c = np.array([a * b for a in t.values for b in r.values])  # cheaper than np.outer on tuples
-    mult = np.array([a * b for a in t.mults for b in r.mults], dtype=float)
+    """SEP in the rich-scattering limit (single Gaussian factor, `_rich_args`):
+    the MGF is prod_{i,j} (1 + g*gbar*lt_i*lr_j/(n_t*rate*sin^2))^(-m_i m_j)
+    over the distinct transmit and receive eigenvalues and their
+    multiplicities.  With identity correlations this is the i.i.d. Rayleigh
+    reference curve."""
+    c, mult = _applicable(_rich_args, scn)
     return _sep_from_product(c, mult, psk, snr, scn.n_t, scn.rate)
 
 
 def sep_mpsk_iid_rayleigh(n_t: int, n_r: int, rate, psk: PskConstellation,
                           snr: float) -> float:
-    """i.i.d. Rayleigh reference: (1/pi) int (1 + g*gbar/(n_t*rate*sin^2))^(-n_t*n_r)."""
+    """i.i.d. Rayleigh reference: (1/pi) int (1 + g*gbar/(n_t*rate*sin^2))^(-n_t*n_r).
+    Raises ValueError unless n_t, n_r >= 1 and rate is positive and finite."""
+    if n_t < 1 or n_r < 1:
+        raise ValueError("n_t and n_r must be at least 1")
+    if not 0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite")
     return _sep_from_product(np.ones(1), np.array([float(n_t * n_r)]), psk, snr, n_t, rate)
 
 
@@ -247,11 +254,26 @@ def _sep_from_product(c, mult, psk: PskConstellation, snr: float, n_t: int, rate
     return _sep_from_mgf(lambda xi: np.exp(-_log_product(1.0, c, mult, xi)), psk, snr, n_t, rate)
 
 
+def _rich_args(scn: Scenario):
+    """(c, mult) of the rich row's product, the distinct transmit x receive
+    eigenvalue products and their multiplicities, or None with double
+    scattering."""
+    if not scn.no_double_scattering:
+        return None
+    t, r = scn.phi_t.spectrum, scn.phi_r.spectrum
+    c = np.array([a * b for a in t.values for b in r.values])  # cheaper than np.outer on tuples
+    mult = np.array([a * b for a in t.mults for b in r.mults], dtype=float)
+    return c, mult
+
+
 def _kron_args(scn: Scenario):
     """(m, n, Sigma, A) of `expected_inv_det_kron` from the first hop (t,s),
     (s,t), (r,s), (s,r) whose larger side is uncorrelated, or None: hop (x, y)
     with n_x <= n_y and phi_y = I leaves an n_x x n_x Wishart factor with n_y
-    degrees and covariance phi_x, and its far side is A (by ||H|| = ||H^T||)."""
+    degrees and covariance phi_x, and its far side is A (by ||H|| = ||H^T||).
+    None without double scattering, which has no scatterer side."""
+    if scn.no_double_scattering:
+        return None
     t, s, r = (scn.n_t, scn.phi_t), (scn.n_s, scn.phi_s), (scn.n_r, scn.phi_r)
     for (m, sigma), (n, larger), (_, far) in ((t, s, r), (s, t, r), (r, s, t), (s, r, t)):
         if m <= n and larger.is_identity:
@@ -262,7 +284,10 @@ def _kron_args(scn: Scenario):
 def _miso_args(scn: Scenario):
     """The two spectra of `expected_inv_det_miso` when n_r, n_t or n_s is 1
     (the first in that order), or None: ||H||_F^2 is then the product of
-    independent quadratic forms in the other two sides."""
+    independent quadratic forms in the other two sides.  None without double
+    scattering, whose channel is one Gaussian factor."""
+    if scn.no_double_scattering:
+        return None
     s, t, r = scn.phi_s.spectrum, scn.phi_t.spectrum, scn.phi_r.spectrum
     for n, pair in ((scn.n_r, (s, t)), (scn.n_t, (s, r)), (scn.n_s, (t, r))):
         if n == 1:

@@ -329,6 +329,23 @@ class TestExpectedInvDetKron:
             elif k == 2 and delta == 1e-2:
                 assert kept
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 39),
+           st.floats(0.05, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_miso_row_on_random_transmit_sides(self, seed, n_t, extra, strength):
+        # n_t x n_s x 1 with Phi_s = I and a random Phi_t: both rows cover
+        # it, the MISO row on (I_ns, Phi_t) and the Kronecker row on hop
+        # (t, s) with far side I_1, so they agree or the Kronecker row raises
+        sigma = random_correlation(np.random.default_rng(seed), n_t, strength).spectrum
+        n_s = n_t + extra
+        xi = np.array([1e-2, 1.0, 1e2, 1e4])
+        miso = expected_inv_det_miso(ident(n_s), sigma, xi)
+        try:
+            kron = expected_inv_det_kron(n_t, n_s, sigma, ident(1), xi)
+        except NumericFailure:
+            return
+        assert np.all(np.abs(kron - miso) <= 1e-10 * miso)
+
 
 class TestExpectedInvDetUncorr:
     def test_unity_at_zero(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -490,6 +490,9 @@ class TestNoDoubleScattering:
            st.sampled_from(["identity", "constant", "random"]),
            st.sampled_from(["identity", "constant", "random"]))
     @settings(max_examples=40, deadline=None)
+    # identity 3x5 at x = 1e20: the MGF (1 + 1e20)^-15 is a few ulp above
+    # 1e-300 in one sum and at or below it in the other
+    @example(0, 3, 5, "identity", "identity")
     def test_distinct_pairs_match_the_expanded_product(self, seed, n_t, n_r, tx, rx):
         # the rich MGF over the distinct transmit x receive pairs, with
         # multiplicities, against the product over all n_t n_r pairs
@@ -513,11 +516,11 @@ class TestNoDoubleScattering:
         with np.errstate(over="ignore"):
             want = np.exp(-np.log1p(np.multiply.outer(x, pairs)).sum(axis=1))
         # the two sums round differently, so they agree to 1e-14 relative in
-        # the exponent -log(want): in the value, to 1e-14 times that exponent
-        live = want > 1e-300
+        # the exponent -log(want): in the value, to 1e-14 times that exponent,
+        # wherever either of them is above 1e-300
+        live = (want > 1e-300) | (got > 1e-300)
         bound = 1e-14 * np.maximum(1.0, -np.log(want[live])) * want[live]
         assert np.all(np.abs(got[live] - want[live]) <= bound)
-        assert np.all(got[~live] <= 1e-300)
         assert got[-1] == want[-1] == 0.0  # x = DBL_MAX: both products past the range
 
     def test_against_monte_carlo(self):
@@ -682,6 +685,31 @@ class TestDispatchAndInvariants:
         assert cf == family(scn, psk, snr)
         est = mc_sep(scn, psk, snr, MonteCarloConfig(trials=1 << 18, seed=7))
         assert abs(est.value - cf) < 3 * est.std_error
+
+    @pytest.mark.parametrize("scn,family", [
+        # the rich limit's uncorrelated 2x1x1 Alamouti: with n_s = 1 read
+        # as a keyhole, the MISO and Kronecker rows gave 0.27811 at 10 dB
+        # against the rich 0.16138
+        (Scenario.uncorrelated(2, 1, 1, alamouti(), no_double_scattering=True),
+         sep_mpsk_miso),
+        (Scenario.uncorrelated(2, 1, 1, alamouti(), no_double_scattering=True),
+         sep_mpsk_doubly_correlated),
+        # the rich row on a double-scattering 4x10x4 gave 4.0035e-4 at
+        # 10 dB against sep_mpsk's 7.9658e-4
+        (Scenario.uncorrelated(4, 10, 4, g4()), sep_mpsk_no_double_scattering),
+    ], ids=["rich_2x1x1_miso", "rich_2x1x1_kron", "double_4x10x4_rich"])
+    def test_family_raises_outside_its_row(self, scn, family):
+        with pytest.raises(UnsupportedScenarioError):
+            family(scn, PskConstellation(8), db(10.0))
+
+    @pytest.mark.parametrize("n_t,n_r,rate", [
+        (0, 2, 1), (-1, 2, 1), (2, 0, 1), (2, -3, 1), (2, 2, 0), (2, 2, -0.5),
+        (2, 2, math.inf), (2, 2, math.nan)])
+    def test_iid_rayleigh_checks_its_arguments(self, n_t, n_r, rate):
+        # n_r = 0 returned the 8-PSK ceiling; n_t = 0 and rate = 0 divided
+        # by zero; a negative n_t or rate failed only after a RuntimeWarning
+        with pytest.raises(ValueError, match="n_t and n_r|rate"):
+            sep_mpsk_iid_rayleigh(n_t, n_r, rate, PskConstellation(8), db(10.0))
 
     @pytest.mark.parametrize("rho", [1e-4, 1e-3])
     def test_miso_row_precedes_kronecker_row(self, rho):
