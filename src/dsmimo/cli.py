@@ -297,6 +297,14 @@ def _write_rows(out: str | None, header: list[str], rows: list[list]) -> int:
     return EXIT_OK
 
 
+def _closed_forms(scn: Scenario, psk: PskConstellation, snrs) -> list:
+    """sep_mpsk at each SNR, or None at each when the scenario has no closed
+    form."""
+    if not sep_mod.has_closed_form(scn):
+        return [None] * len(snrs)
+    return [sep_mod.sep_mpsk(scn, psk, snr) for snr in snrs]
+
+
 def _mc_rule(cfg: RunConfig):
     """validate's rule for a value against its Monte Carlo estimate, as
     check(value, est) -> (deviation, tolerance): |value - est.value| against
@@ -323,8 +331,7 @@ def cmd_sep_curve(cfg: RunConfig) -> int:
     snrs = [_linear(snr_db) for snr_db in grid]
     # the closed forms first: one that raises NumericFailure ends the run
     # before any Monte Carlo is spent
-    cfs = ([sep_mod.sep_mpsk(scn, psk, snr) for snr in snrs]
-           if sep_mod.has_closed_form(scn) else [None] * len(snrs))
+    cfs = _closed_forms(scn, psk, snrs)
     rows = []
     for snr_db, cf, est in zip(grid, cfs, mc_sep(scn, psk, snrs, mc)):
         # values below the numeric floor are reported as computed, flagged,
@@ -372,10 +379,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         points.append((float(tok), scn))
     rows = []
     for value, scn in points:
-        try:
-            cf = sep_mod.sep_mpsk(scn, psk, snr)
-        except UnsupportedScenarioError:
-            cf = None
+        cf = _closed_forms(scn, psk, [snr])[0]
         est = mc_sep(scn, psk, snr, mc)
         rows.append([value, cf, est.value, est.std_error])
     return _write_rows(out, [axis, "sep_closed_form", "sep_mc", "mc_std_err"], rows)
@@ -435,10 +439,9 @@ def cmd_validate(cfg: RunConfig) -> int:
     mid = len(grid) // 2
     snr_db = float(grid[mid])
     snr = _linear(snr_db)
-    seps = ([sep_mod.sep_mpsk(scn, psk, _linear(s)) for s in grid]
-            if sep_mod.has_closed_form(scn) else None)
+    seps = _closed_forms(scn, psk, [_linear(s) for s in grid])
     est = mc_sep(scn, psk, snr, mc)
-    if seps is not None:
+    if seps[mid] is not None:
         dev, tol = agree(seps[mid], est)
         record(f"sep_closed_vs_mc@{snr_db:g}dB", dev, tol, dev <= tol)
     else:
@@ -469,9 +472,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         else:
             k_lo, k_hi = map(kurtosis_frobenius, probes)
             record("kurtosis_mis_in_rho", k_lo - k_hi, 0.0, k_lo <= k_hi)
-            try:
-                s_lo, s_hi = (sep_mod.sep_mpsk(p, psk, snr) for p in probes)
-            except UnsupportedScenarioError:
+            s_lo, s_hi = (_closed_forms(p, psk, [snr])[0] for p in probes)
+            if None in (s_lo, s_hi):
                 record("sep_mis_in_rho", 0.0, 0.0, True, "no closed form; skipped")
             else:
                 record("sep_mis_in_rho", s_lo - s_hi, 0.0, s_lo <= s_hi)
@@ -482,7 +484,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     record("kurtosis_analytic_vs_mc", dev, tol, dev <= tol)
 
     # 5. closed-form SEP decreasing across the grid
-    if seps is not None:
+    if seps[0] is not None:
         mono = all(a > b for a, b in zip(seps, seps[1:]))
         inrange = all(0.0 < s <= psk.sep_ceiling for s in seps)
         record("sep_monotone_in_snr", 0.0 if (mono and inrange) else 1.0, 0.0,

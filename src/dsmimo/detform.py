@@ -321,11 +321,8 @@ def _kron_kernel(m: int, n: int, sigma_spec: Spectrum):
         # arrays stay within 2 _BATCH doubles
         size = x.size * sig.size * max(m, mult.size) * t.size
         count = -(-size // (2 * _BATCH))
-        if count == 1:
-            sign, log, lost = log_det(x, c, mult, t, logw, tails)
-        else:
-            sign, log, lost = map(np.concatenate, zip(*(log_det(xs, c, mult, t, logw, tails)
-                                                        for xs in np.array_split(x, count))))
+        sign, log, lost = map(np.concatenate, zip(*(log_det(xs, c, mult, t, logw, tails)
+                                                    for xs in np.array_split(x, count))))
         v = sign[1:] * sign[0] * np.exp(log[1:] - log[0])
         # an MGF is at most 1: round-off above it is noise, 1e-12 a failure
         if np.any(v > 1.0 + 1e-12):

@@ -137,8 +137,6 @@ class SlicePlan:
         spike = _spike(small.spectrum)
         shapes = np.concatenate([scn.n_s - np.arange(m), m - 1 - np.arange(m - 1) if spike else []])
         tilted = np.concatenate([np.maximum(shapes[:m] - tilt, 0.5), shapes[m:]])
-        # the trials of a SLICE-trial slice that take the tilted shapes
-        self.hit = np.arange(SLICE) % TILT_EVERY == 0
         self.shapes, self.tilted = shapes, tilted
         # p_tilt/p = prod_i Gamma(s_i)/Gamma(t_i) g_i^(t_i - s_i), s_i the untilted shape
         self.log_ratio = sum(math.lgamma(a) - math.lgamma(t) for a, t in zip(shapes, tilted))
@@ -280,7 +278,7 @@ def bidiagonal_slice(plan: SlicePlan, rng: np.random.Generator, b: int,
         z = math.sqrt(0.5) * rng.standard_normal((m * (m - 1) // 2, 2 * b)).view(complex)
     w = None
     if tilted:
-        hit = np.resize(plan.hit, b)  # a multiple of TILT_EVERY long, so it repeats whole
+        hit = np.arange(b) % TILT_EVERY == 0
         gam = rng.standard_gamma(np.where(hit, plan.tilted[:, None], plan.shapes[:, None]))
         a = hit.mean()
         w = 1.0 / ((1.0 - a) + a * np.exp(plan.log_ratio + plan.dshape @ np.log(gam)))
@@ -339,9 +337,3 @@ def kurtosis_frobenius(scn: Scenario) -> float:
     """Kurtosis of ||H||_F: zt*zr + zt*zs + zr*zs + 1 in correlation figures."""
     zt, zs, zr = scn.zetas()
     return zt * zr + zt * zs + zr * zs + 1.0
-
-
-def frobenius_moments(scn: Scenario) -> tuple[float, float]:
-    """(E||H||_F^2, E||H||_F^4) for the scenario."""
-    m2 = float(scn.n_t * scn.n_r)
-    return m2, kurtosis_frobenius(scn) * m2 * m2

@@ -54,17 +54,18 @@ results are bit-identical for any worker count.  Standard errors come from
 estimators (kurtosis) as well as plain means; below 32 trials, from the
 non-empty batches, and a single trial's error is 0.
 
-mc_sep and mc_capacity take snr as a float or as a 1-D grid.  A grid is
-evaluated on common draws: each slice is drawn once (with its path
-polynomial, or ||H||_F^2) and only the SNR stage runs per point, each
-point's values joining the block's table as they are made.  Each point
-equals the float call at that SNR bit for bit, so the Monte Carlo errors
-along a curve are correlated, as they always were for same-seed calls.
+Every SEP and capacity estimator is a pair on one loop, _mean_estimates:
+draw(rng, b) makes a slice once (tilt weights and path polynomial,
+||H||_F^2, or channels), value(x, s) its per-trial values at each SNR s of
+a float or a 1-D grid.  Each point of a grid equals the float call at that
+SNR bit for bit, so the Monte Carlo errors along a curve are correlated, as
+they always were for same-seed calls.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -93,6 +94,8 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "seed"):  # any integer, numpy's too; a float raises
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be positive")
 
@@ -162,15 +165,23 @@ def _snr_grid(snr) -> list[float]:
     return np.atleast_1d(grid).tolist()
 
 
-def _mean_estimates(cfg: MonteCarloConfig, per_slice, points: int) -> list[Estimate]:
-    """Mean and batch-means standard error of each of `points` per-trial
-    scalars, per_slice(rng, b) yielding one array per point as in
-    _accumulate.  Below N_BATCHES trials some batches are empty, and the
-    error is taken over the non-empty ones; a single trial's is 0.  The
-    batch means are scaled by a power of two near their largest before
-    their spread is taken, so squares of means below about 1e-154 do not
-    underflow."""
-    counts, *sums = _accumulate(cfg, per_slice, points)
+def _mean_estimates(cfg: MonteCarloConfig, snr, draw, value):
+    """Mean and batch-means standard error of value(draw(rng, b), s) at
+    each point s of snr (_snr_grid): one Estimate for a float, a list for
+    a grid.  Each slice is drawn once and its values at each point join the
+    block's table as they are made (_accumulate).  Below N_BATCHES trials
+    some batches are empty, and the error is taken over the non-empty ones;
+    a single trial's is 0.  The batch means are scaled by a power of two
+    near their largest before their spread is taken, so squares of means
+    below about 1e-154 do not underflow."""
+    grid = _snr_grid(snr)
+
+    def per_slice(rng, b):
+        x = draw(rng, b)
+        for s in grid:
+            yield value(x, s)
+
+    counts, *sums = _accumulate(cfg, per_slice, len(grid))
     n, filled = cfg.trials, counts > 0
     batches = int(filled.sum())
     out = []
@@ -181,7 +192,7 @@ def _mean_estimates(cfg: MonteCarloConfig, per_slice, points: int) -> list[Estim
             e = int(np.frexp(np.abs(means).max())[1])
             se = math.ldexp(float(np.ldexp(means, -e).std(ddof=1)), e) / math.sqrt(batches)
         out.append(Estimate(float(s1.sum() / n), se, n))
-    return out
+    return out if np.ndim(snr) else out[0]
 
 
 def _frob_sq(plan: SlicePlan, rng: np.random.Generator, b: int) -> np.ndarray:
@@ -271,46 +282,33 @@ def _fold(e: np.ndarray, factors) -> np.ndarray:
     return out
 
 
-def _bidiagonal_sep(plan: SlicePlan, psk: PskConstellation, scales: list[float]):
-    """per_slice for mc_sep when the plan reduces, yielding one array per
-    SNR scale:
-    with D = (sqrt(rho) o G) B / sqrt(n_s) and G i.i.d., the SNR MGF given B
-    is prod_k det(I + x rho_k W/n_s)^(-mu_k), W = B^H B and (rho_k, mu_k)
-    the distinct eigenvalues of the unreduced side, so each trial's value is
-    the SEP integral of that product (sep.conditional_sep_polynomial) over
-    the bidiagonal draw of W (matstat.bidiagonal_slice), times the trial's
-    weight under the tilted draw (plan.tilt, that side's dimension, the
-    power of det(W) the SEP falls with at high SNR)."""
-    factors = [(rho / plan.scn.n_s, mu) for rho, mu in plan.sides[0].spectrum.distinct]
-
-    def per_slice(rng, b):
-        d2, f2, w = bidiagonal_slice(plan, rng, b, tilted=True)
-        coef = _fold(_path_coefficients(d2, f2), factors)
-        for scale in scales:
-            yield w * conditional_sep_polynomial(coef, psk, scale)
-
-    return per_slice
-
-
 def mc_sep(scn: Scenario, psk: PskConstellation, snr, cfg: MonteCarloConfig):
     """Semi-analytic SEP estimate: average over channel draws of the exact
-    conditional M-PSK SEP at gamma = snr*||H||_F^2/(n_t*rate); with the
-    reduced draw, of the exact SEP given the bidiagonal factor alone.
+    conditional M-PSK SEP at gamma = snr*||H||_F^2/(n_t*rate).
+
+    When the plan reduces, D = (sqrt(rho) o G) B / sqrt(n_s) with G i.i.d.,
+    and the SNR MGF given B is prod_k det(I + x rho_k W/n_s)^(-mu_k),
+    W = B^H B and (rho_k, mu_k) the distinct eigenvalues of the unreduced
+    side: a trial is the SEP integral of that product
+    (sep.conditional_sep_polynomial) over the bidiagonal draw of W
+    (matstat.bidiagonal_slice), times the trial's weight under the tilted
+    draw (plan.tilt, that side's dimension, the power of det(W) the SEP
+    falls with at high SNR).
 
     snr is a float, giving one Estimate, or a 1-D sequence, giving a list
     of Estimates on common draws, each equal to the float call's."""
-    grid = _snr_grid(snr)
-    scales = [s * ostbc_snr_scale(scn) for s in grid]
-    plan = SlicePlan(scn)
-    if plan.sides is not None:
-        per_slice = _bidiagonal_sep(plan, psk, scales)
-    else:
-        def per_slice(rng, b):
-            x = _frob_sq(plan, rng, b)
-            for scale in scales:
-                yield conditional_sep_mpsk(scale * x, psk)
-    ests = _mean_estimates(cfg, per_slice, len(grid))
-    return ests if np.ndim(snr) else ests[0]
+    plan, unit = SlicePlan(scn), ostbc_snr_scale(scn)
+    if plan.sides is None:
+        return _mean_estimates(cfg, snr, partial(_frob_sq, plan),
+                               lambda x, s: conditional_sep_mpsk(s * unit * x, psk))
+    factors = [(rho / scn.n_s, mu) for rho, mu in plan.sides[0].spectrum.distinct]
+
+    def draw(rng, b):
+        d2, f2, w = bidiagonal_slice(plan, rng, b, tilted=True)
+        return w, _fold(_path_coefficients(d2, f2), factors)
+
+    return _mean_estimates(cfg, snr, draw,
+                           lambda x, s: x[0] * conditional_sep_polynomial(x[1], psk, s * unit))
 
 
 def _frob_moments(plan: SlicePlan, rng: np.random.Generator, b: int):
@@ -373,7 +371,6 @@ def mc_capacity(scn: Scenario, snr, mode: str, cfg: MonteCarloConfig):
     keeps its relative accuracy as snr -> 0 and stays finite near the top
     of the float range.
     """
-    grid = _snr_grid(snr)
     if mode == "ostbc":
         unit, rate = ostbc_snr_scale(scn), float(scn.rate)
         draw, value = _frob_sq, lambda x, s: rate * _log1p_scaled(s * unit, x) / math.log(2.0)
@@ -381,16 +378,7 @@ def mc_capacity(scn: Scenario, snr, mode: str, cfg: MonteCarloConfig):
         draw, value = channel_slice, lambda h, s: _log2_det_eye_plus(s / scn.n_t, h)
     else:
         raise ValueError(f"unknown capacity mode {mode!r}")
-
-    plan = SlicePlan(scn)
-
-    def per_slice(rng, b):
-        x = draw(plan, rng, b)
-        for s in grid:
-            yield value(x, s)
-
-    ests = _mean_estimates(cfg, per_slice, len(grid))
-    return ests if np.ndim(snr) else ests[0]
+    return _mean_estimates(cfg, snr, partial(draw, SlicePlan(scn)), value)
 
 
 def fit_diversity_slope(curve) -> float:

@@ -9,12 +9,20 @@ from scipy.special import gammaln, xlogy
 
 from dsmimo.corrmat import identity_corr
 from dsmimo.detform import expected_inv_det_kron
+from dsmimo.matstat import Scenario, kurtosis_frobenius
 
 
 def kron_2f0(n, q, x):
     """2F0(n, q; -x) through the library: the Kronecker row at m = 1."""
     return expected_inv_det_kron(1, max(n, q), identity_corr(1).spectrum,
                                  identity_corr(min(n, q)).spectrum, x)
+
+
+def frobenius_moments(scn: Scenario) -> tuple[float, float]:
+    """(E||H||_F^2, E||H||_F^4) for the scenario: unit-power entries, and
+    the fourth moment from the correlation-figure kurtosis."""
+    m2 = float(scn.n_t * scn.n_r)
+    return m2, kurtosis_frobenius(scn) * m2 * m2
 
 
 def oracle_2f0(n, q, x, dps=40):

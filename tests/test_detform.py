@@ -149,6 +149,26 @@ class TestExpectedInvDetKron:
                                   constant_corr(2, 0.6).spectrum, 0.0)
         assert v == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("m,n,sigma,far,limit", [
+        (4, 10, identity_corr(4), identity_corr(4), 6.5091929384e-13),
+        (4, 10, constant_corr(4, 0.5), constant_corr(4, 0.5), 7.1569333232e-09),
+        (3, 9, exponential_corr(3, 0.5), constant_corr(2, 0.3), 5.9439096227e-05),
+        (4, 12, tridiagonal_corr(4, 0.4), exponential_corr(3, 0.6), 1.8121728450e-09)])
+    def test_high_snr_asymptote(self, m, n, sigma, far, limit):
+        # for m <= n and n - m + 1 > nu, xi^(m nu) MGF tends to
+        # G = det(A)^-m det(Sigma)^-nu prod_i Gamma(n-i+1-nu)/Gamma(n-i+1),
+        # i = 1..m, with a relative gap that falls like -C/xi
+        nu = far.dim
+        log_det = lambda spec: sum(mu * math.log(v) for v, mu in spec.distinct)
+        g = math.exp(-m * log_det(far.spectrum) - nu * log_det(sigma.spectrum)
+                     + sum(math.lgamma(n - i + 1 - nu) - math.lgamma(n - i + 1)
+                           for i in range(1, m + 1)))
+        assert g == pytest.approx(limit, rel=1e-10)
+        xi = np.array([1e8, 1e10])
+        gap = expected_inv_det_kron(m, n, sigma.spectrum, far.spectrum, xi) * xi ** (m * nu) / g - 1
+        assert abs(gap[0]) <= 1e-6
+        assert gap[1] / gap[0] == pytest.approx(0.01, rel=0.1)
+
     def test_identity_matches_oracle(self):
         for m, n, nu, xi in [(2, 4, 2, 0.3), (3, 5, 2, 0.4), (1, 3, 4, 2.0)]:
             ref = oracle_kron_mgf(m, n, spec_of([1.0], [m]), spec_of([1.0], [nu]), xi)
@@ -330,15 +350,23 @@ class TestExpectedInvDetKron:
                 assert kept
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 39),
-           st.floats(0.05, 3.0))
+           st.floats(0.05, 3.0), st.integers(2, 8))
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_miso_row_on_random_transmit_sides(self, seed, n_t, extra, strength):
+    def test_matches_the_miso_row_on_random_transmit_sides(self, seed, n_t, extra, strength,
+                                                           n_r):
         # n_t x n_s x 1 with Phi_s = I and a random Phi_t: both rows cover
         # it, the MISO row on (I_ns, Phi_t) and the Kronecker row on hop
-        # (t, s) with far side I_1, so they agree or the Kronecker row raises
-        sigma = random_correlation(np.random.default_rng(seed), n_t, strength).spectrum
-        n_s = n_t + extra
+        # (t, s) with far side I_1, so they agree or the Kronecker row raises.
+        # 1 x n_s x n_r with a random Phi_r is the same overlap with the
+        # random side far: Sigma = I_1 has one eigenvalue, so nothing raises
+        rng = np.random.default_rng(seed)
+        sigma = random_correlation(rng, n_t, strength).spectrum
+        far = random_correlation(rng, n_r, strength).spectrum
         xi = np.array([1e-2, 1.0, 1e2, 1e4])
+        miso = expected_inv_det_miso(ident(extra + 1), far, xi)
+        kron = expected_inv_det_kron(1, extra + 1, ident(1), far, xi)
+        assert np.all(np.abs(kron - miso) <= 1e-10 * miso)
+        n_s = n_t + extra
         miso = expected_inv_det_miso(ident(n_s), sigma, xi)
         try:
             kron = expected_inv_det_kron(n_t, n_s, sigma, ident(1), xi)

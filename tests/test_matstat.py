@@ -10,11 +10,11 @@ from dsmimo.codes import g4
 from dsmimo.corrmat import (CorrelationMatrix, Spectrum, constant_corr,
                             exponential_corr, identity_corr, matrix_sqrt, spectrum_of)
 from dsmimo.matstat import (SLICE, Scenario, SlicePlan, bidiagonal_slice, channel_slice,
-                            double_product_moments, frobenius_moments,
-                            kurtosis_frobenius, sample_channel)
+                            double_product_moments, kurtosis_frobenius, sample_channel)
 from dsmimo.mc import substream
 
 from conftest import cgauss, random_correlation
+from oracles import frobenius_moments
 
 
 def spec_of(vals, mults=None):

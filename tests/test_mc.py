@@ -18,8 +18,7 @@ from dsmimo.codes import g4, ostbc_rate
 from dsmimo.corrmat import (constant_corr, exponential_corr, identity_corr, matrix_sqrt,
                             tridiagonal_corr)
 from dsmimo.matstat import (SLICE, TILT_EVERY, Scenario, SlicePlan, bidiagonal_slice,
-                            double_product_moments, frobenius_moments, kurtosis_frobenius,
-                            sample_channel)
+                            double_product_moments, kurtosis_frobenius, sample_channel)
 from dsmimo.mc import (BLOCK_SIZE, Estimate, MonteCarloConfig, fit_diversity_slope,
                        mc_capacity, mc_kurtosis_eff, mc_sep, substream)
 from dsmimo.sep import (PskConstellation, conditional_sep_polynomial, sep_mpsk,
@@ -28,6 +27,7 @@ from dsmimo.corrmat import Spectrum
 from dsmimo.detform import NumericFailure
 
 from conftest import cgauss, random_correlation
+from oracles import frobenius_moments
 
 
 def db(x):
@@ -227,6 +227,18 @@ class TestMcSep:
         with pytest.raises(ValueError):
             MonteCarloConfig(trials=0, seed=1)
 
+    def test_non_integer_trials_or_seed_rejected(self):
+        # a float once passed, then failed deep in the block loop
+        for kwargs in ({"trials": 2.5}, {"trials": 100, "seed": 1.5},
+                       {"trials": 100.0}, {"trials": 100, "seed": "1"}):
+            with pytest.raises(TypeError):
+                MonteCarloConfig(**kwargs)
+        cfg = MonteCarloConfig(np.int64(4096), seed=np.uint64(5))
+        assert (type(cfg.trials), type(cfg.seed)) == (int, int)
+        scn = Scenario.uncorrelated(1, 2, 1)
+        assert mc_sep(scn, PskConstellation(2), 1.0, cfg) == mc_sep(
+            scn, PskConstellation(2), 1.0, MonteCarloConfig(4096, seed=5))
+
     def test_unbiased_on_siso_rayleigh(self):
         # exact SISO Rayleigh SEP: (1/pi) int (1 + g*snr/sin^2)^-1
         scn = Scenario.uncorrelated(1, 1, 1, no_double_scattering=True)
@@ -340,7 +352,7 @@ class TestMcSep:
 
         def estimate(factor):
             return mc_mod._mean_estimates(
-                cfg, lambda rng, b: [factor * rng.standard_exponential(b)], 1)[0]
+                cfg, 1.0, lambda rng, b: factor * rng.standard_exponential(b), lambda x, s: x)
 
         ref, got = estimate(1.0), estimate(scale)
         assert ref.std_error > 0
@@ -352,7 +364,8 @@ class TestMcSep:
         # still that of the batch means, over the non-empty batches, and a
         # single trial's is 0
         cfg = MonteCarloConfig(trials, seed=5)
-        est = mc_mod._mean_estimates(cfg, lambda rng, b: [rng.standard_exponential(b)], 1)[0]
+        est = mc_mod._mean_estimates(cfg, 1.0, lambda rng, b: rng.standard_exponential(b),
+                                     lambda x, s: x)
         v = substream(5, 0).standard_exponential(trials)
         batch = np.arange(trials) * mc_mod.N_BATCHES // trials
         means = np.array([v[batch == k].mean() for k in np.unique(batch)])

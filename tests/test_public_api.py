@@ -1,6 +1,7 @@
-"""Every name that `dsmimo/__init__.py` exports has a job: a caller in the
-library or the experiment scripts, or a README "Public API" line saying why
-it is public."""
+"""Every module-level function and class in `dsmimo` has a job: a caller in
+the library or the experiment scripts, or, for a name that
+`dsmimo/__init__.py` exports, a README "Public API" line saying why it is
+public."""
 
 import ast
 import re
@@ -37,6 +38,12 @@ def referenced_names(paths):
     return seen
 
 
+def defined_names(paths):
+    """The module-level functions and classes of the given files."""
+    return [top.name for path in paths for top in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))]
+
+
 def readme_public_api(readme=ROOT / "README.md"):
     """{name: reason} from the README's "Public API" bullets
     ("- `name`: reason")."""
@@ -50,10 +57,25 @@ def unjustified(exports, callers, listed):
     return [n for n in exports if n not in callers and n not in listed]
 
 
+def orphans(paths, exports, callers):
+    """The module-level definitions in paths that are not exported and have
+    no caller."""
+    return unjustified([n for n in defined_names(paths) if n not in exports], callers, {})
+
+
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def library_callers():
+    return referenced_names(MODULES + sorted((ROOT / "scripts").glob("*.py")))
+
+
 def test_every_export_has_a_caller_or_a_readme_line():
-    callers = referenced_names([p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-                               + sorted((ROOT / "scripts").glob("*.py")))
-    assert unjustified(exported_names(), callers, readme_public_api()) == []
+    assert unjustified(exported_names(), library_callers(), readme_public_api()) == []
+
+
+def test_every_unexported_definition_has_a_caller():
+    assert orphans(MODULES, set(exported_names()), library_callers()) == []
 
 
 def test_readme_lists_only_exported_names():
@@ -69,3 +91,12 @@ def test_guard_catches_an_unused_export(tmp_path):
     callers = referenced_names([user])
     assert unjustified(exported_names(init), callers, {}) == ["unused_kernel"]
     assert unjustified(exported_names(init), callers, {"unused_kernel": "why"}) == []
+
+
+def test_guard_catches_an_orphaned_helper(tmp_path):
+    module = tmp_path / "mc.py"
+    module.write_text("class Plan:\n    pass\n\n\ndef _orphan(x):\n    return _orphan(x - 1)\n\n\n"
+                      "def _used(x):\n    return Plan()\n\n\n"
+                      "def estimate(x):\n    return _used(x)\n")
+    assert defined_names([module]) == ["Plan", "_orphan", "_used", "estimate"]
+    assert orphans([module], {"estimate"}, referenced_names([module])) == ["_orphan"]
